@@ -41,7 +41,6 @@ from .factorization import (
     Unknown,
     WitnessDecomposition,
     classify,
-    correcting_exponent_bound,
     criterion,
     criterion_k,
     genus_zero_diagnostics,
@@ -61,6 +60,7 @@ from .poset import (
     DimensionMismatchError,
     PosetRegion,
     contains,
+    correcting_exponent_bound,
     enumerate_box,
     essential_inclusion_check,
     known_region,
@@ -113,7 +113,6 @@ __all__ = [
     "criterion_k",
     "criterion",
     "classify",
-    "correcting_exponent_bound",
     "genus_zero_diagnostics",
     # poset
     "DimensionMismatchError",
@@ -124,6 +123,7 @@ __all__ = [
     "contains",
     "essential_inclusion_check",
     "enumerate_box",
+    "correcting_exponent_bound",
     # oracle
     "OrbitModelError",
     "OrbitModel",

@@ -35,7 +35,6 @@ from .factorization import (
     Sufficient,
     WitnessDecomposition,
     classify,
-    correcting_exponent_bound,
     criterion,
     genus_zero_diagnostics,
     l_multitwist,
@@ -48,7 +47,7 @@ from .invariants import (
     verify_essential_uniqueness,
 )
 from .oracle import OrbitModel, orbit_model_screw
-from .poset import contains, enumerate_box, known_region
+from .poset import contains, correcting_exponent_bound, enumerate_box, known_region
 
 __all__ = ["main"]
 
@@ -221,6 +220,8 @@ def _cmd_invariants(args) -> int:
 
 
 def _cmd_essential(args) -> int:
+    if args.check_uniqueness is not None and args.check_uniqueness < 1:
+        raise docio.ParseError(f"--check-uniqueness must be at least 1, got {args.check_uniqueness}")
     doc = _load_document(args.path)
     entries = []
     lines = []
@@ -567,7 +568,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         metavar="W",
         default=None,
-        help="also verify exponent uniqueness by a window scan of radius W",
+        help="also verify exponent uniqueness by a window scan of radius W >= 1",
     )
     p.set_defaults(handler=_cmd_essential)
 
@@ -598,7 +599,7 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--generators", action="store_true", help="list minimal generators")
     group.add_argument("--query", metavar="a1,a2,...", help="membership of a shift vector")
-    group.add_argument("--box", metavar="lo..hi", help="enumerate members of [lo,hi]^r pointwise")
+    group.add_argument("--box", metavar="lo..hi", help="enumerate members of [lo,hi]^r")
     p.set_defaults(handler=_cmd_poset)
 
     p = sub.add_parser("ltable", help="multitwist factorization-length case table")

@@ -27,7 +27,6 @@ curve is separating and invariant orbits are singletons; see
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Union
@@ -56,7 +55,6 @@ __all__ = [
     "criterion_k",
     "criterion",
     "classify",
-    "correcting_exponent_bound",
     "genus_zero_diagnostics",
 ]
 
@@ -182,6 +180,17 @@ def criterion_k(genus: int, boundary_count: int) -> Union[int, Diagnostic]:
     return 1 if r <= 2 * g - 4 else 2
 
 
+def _fr_not_positive(phi: NTClass) -> Optional[Diagnostic]:
+    bad_fr = [i + 1 for i, x in enumerate(phi.fr) if x <= 0]
+    if not bad_fr:
+        return None
+    return Diagnostic(
+        "fr-not-positive",
+        f"boundary coefficients at {bad_fr} are not strictly positive",
+        (("boundaries", ",".join(map(str, bad_fr))),),
+    )
+
+
 def _correction_exponent(orbit) -> int:
     # d_j = -int(screw/beta) + 1 lifts screw to screw + beta*d_j in (0, beta].
     return -int_variant(orbit.screw / orbit.beta) + 1
@@ -235,15 +244,9 @@ def criterion(phi: NTClass) -> CriterionResult:
     k = criterion_k(surface.genus, surface.boundary_count)
     if isinstance(k, Diagnostic):
         return NotApplicable(k)
-    bad_fr = [i + 1 for i, x in enumerate(phi.fr) if x <= 0]
-    if bad_fr:
-        return NotApplicable(
-            Diagnostic(
-                "fr-not-positive",
-                f"boundary coefficients at {bad_fr} are not strictly positive",
-                (("boundaries", ",".join(map(str, bad_fr))),),
-            )
-        )
+    fr_diagnostic = _fr_not_positive(phi)
+    if fr_diagnostic is not None:
+        return NotApplicable(fr_diagnostic)
     to_correct = [orbit for orbit in phi.orbits if orbit.screw <= 0]
     separating = [orbit.id for orbit in to_correct if orbit.separating]
     if separating:
@@ -304,16 +307,8 @@ ClassificationReport = Union[PositivelyFactorizable, Unknown]
 
 
 def _positivity_diagnostics(phi: NTClass) -> list[Diagnostic]:
-    out = []
-    bad_fr = [i + 1 for i, x in enumerate(phi.fr) if x <= 0]
-    if bad_fr:
-        out.append(
-            Diagnostic(
-                "fr-not-positive",
-                f"boundary coefficients at {bad_fr} are not strictly positive",
-                (("boundaries", ",".join(map(str, bad_fr))),),
-            )
-        )
+    fr_diagnostic = _fr_not_positive(phi)
+    out = [] if fr_diagnostic is None else [fr_diagnostic]
     bad_sc = [orbit.id for orbit in phi.orbits if orbit.screw <= 0]
     if bad_sc:
         out.append(
@@ -355,35 +350,6 @@ def classify(phi: NTClass) -> ClassificationReport:
             )
         )
     return Unknown(tuple(diagnostics))
-
-
-def correcting_exponent_bound(phi: NTClass) -> Optional[int]:
-    """Least N >= 0 with the N-fold boundary multitwist of ``phi`` certified, or None.
-
-    Closed form over the two routes, both monotone in the boundary shift:
-    the direct route needs every fr_i + N > 0 and all screws positive; the
-    correction route needs k * sum(d_j) < min_i fr_i + N with the same
-    applicability gate as :func:`criterion`.  None means neither route can
-    certify any boundary shift of ``phi``.  The result bounds the true
-    correcting exponent from above; it is exact for the implemented routes.
-    """
-    surface = phi.surface
-    r = surface.boundary_count
-    if r == 0:
-        return None
-    candidates = []
-    lift_positive = max((math.floor(-x) + 1 for x in phi.fr), default=0)
-    if all(orbit.screw > 0 for orbit in phi.orbits):
-        candidates.append(max(0, lift_positive))
-    k = criterion_k(surface.genus, r)
-    if isinstance(k, int):
-        to_correct = [orbit for orbit in phi.orbits if orbit.screw <= 0]
-        if not any(orbit.separating for orbit in to_correct):
-            total = k * sum(_correction_exponent(orbit) for orbit in to_correct)
-            candidates.append(max(0, lift_positive, math.floor(total - min(phi.fr)) + 1))
-    if not candidates:
-        return None
-    return min(candidates)
 
 
 def genus_zero_diagnostics(phi: NTClass) -> tuple[Diagnostic, ...]:

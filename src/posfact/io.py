@@ -56,7 +56,7 @@ __all__ = [
     "REPORT_KINDS",
 ]
 
-_RATIONAL_RE = re.compile(r"^-?\d+(/\d+)?$")
+_RATIONAL_RE = re.compile(r"-?[0-9]+(/[0-9]+)?\Z")
 
 REPORT_KINDS = (
     "validate",

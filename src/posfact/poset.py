@@ -10,9 +10,11 @@ avoid overclaiming; the region may be a strict subset of the true poset.
 
 An upward-closed region is represented by its finite antichain of minimal
 generators; a point belongs to the region iff it dominates some generator
-componentwise.  :func:`enumerate_box` is the independent brute-force
-oracle: it classifies every lattice point of a box without consulting the
-generator representation.
+componentwise.  Everything else here is derived from that representation:
+:func:`enumerate_box` lists a box's members as a union of sub-boxes, one
+per generator, and :func:`correcting_exponent_bound` reads the least
+certified diagonal shift off the generators.  The independent pointwise
+oracle (classify every lattice point of a box) lives with the tests.
 """
 
 from __future__ import annotations
@@ -22,13 +24,10 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Optional, Sequence
 
-from .core import BoundaryTwist, DomainError, NTClass, compose_twists
-from .factorization import (
-    PositivelyFactorizable,
-    _correction_exponent,
-    classify,
-    criterion_k,
-)
+from .core import DomainError, NTClass
+# Unused here; posbench/test_posbench.py looks the name up on this module.
+from .core import compose_twists  # noqa: F401
+from .factorization import _correction_exponent, criterion_k
 from .invariants import essential_part
 
 __all__ = [
@@ -40,6 +39,7 @@ __all__ = [
     "contains",
     "essential_inclusion_check",
     "enumerate_box",
+    "correcting_exponent_bound",
 ]
 
 DEFAULT_BOX_CAP = 10**6
@@ -143,12 +143,13 @@ def enumerate_box(
     hi: Sequence[int],
     max_points: int = DEFAULT_BOX_CAP,
 ) -> frozenset[tuple[int, ...]]:
-    """All certified boundary shifts inside the box, classified pointwise.
+    """All members of :func:`known_region` inside the box ``[lo, hi]``.
 
-    Deliberately ignorant of :func:`known_region`: each lattice point is
-    checked by composing the shift and running the full classification.
-    Results are order-independent; the box volume must not exceed
-    ``max_points``.
+    Output-sensitive: the members are the union, over the region's minimal
+    generators g, of the sub-boxes prod_i [max(lo_i, g_i), hi_i], so the cost
+    is proportional to the number of members, not to the box volume.  The
+    box volume must not exceed ``max_points``.  A class without
+    boundary components has no certified shifts and yields the empty set.
     """
     lo = tuple(lo)
     hi = tuple(hi)
@@ -164,10 +165,25 @@ def enumerate_box(
         volume *= b - a + 1
     if volume > max_points:
         raise BoxTooLargeError(f"box holds {volume} points, cap is {max_points}")
-    members = []
-    for point in product(*(range(a, b + 1) for a, b in zip(lo, hi))):
-        moves = [BoundaryTwist(i + 1, s) for i, s in enumerate(point) if s != 0]
-        shifted = compose_twists(phi, moves)
-        if isinstance(classify(shifted), PositivelyFactorizable):
-            members.append(point)
+    if r == 0:
+        return frozenset()
+    members: set[tuple[int, ...]] = set()
+    for g in known_region(phi).generators:
+        members.update(product(*(range(max(a, c), b + 1) for a, c, b in zip(lo, g, hi))))
     return frozenset(members)
+
+
+def correcting_exponent_bound(phi: NTClass) -> Optional[int]:
+    """Least N >= 0 with the N-fold boundary multitwist of ``phi`` certified, or None.
+
+    The N-fold multitwist shifts every boundary coefficient by N, so it is
+    certified iff the diagonal point (N, ..., N) dominates some generator of
+    :func:`known_region`; the least such N >= 0 is the minimum over
+    generators g of max(0, max g).  None means neither route can certify any
+    boundary shift of ``phi`` (no generators, or no boundary components).
+    The result bounds the true correcting exponent from above; it is exact
+    for the implemented routes.
+    """
+    if phi.surface.boundary_count == 0:
+        return None
+    return min((max(0, max(g)) for g in known_region(phi).generators), default=None)

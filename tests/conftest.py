@@ -6,12 +6,23 @@ so every test run is reproducible.
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
+from typing import Sequence
 
 import pytest
 
-from posfact import CurveOrbit, NTClass, OrbitKind, Surface
+from posfact import (
+    BoundaryTwist,
+    CurveOrbit,
+    NTClass,
+    OrbitKind,
+    PositivelyFactorizable,
+    Surface,
+    classify,
+    compose_twists,
+)
 
 
 def rand_rational(rng: random.Random, max_num: int = 50, max_den: int = 12) -> Fraction:
@@ -89,6 +100,22 @@ def rand_poset_ntclass(rng: random.Random) -> NTClass:
         separating = rng.random() < 0.3
         orbits.append(rand_orbit(rng, f"O{j}", screw=screw, separating=separating))
     return NTClass(Surface(genus, boundary), fr, tuple(orbits))
+
+
+def pointwise_box(phi: NTClass, lo: Sequence[int], hi: Sequence[int]) -> frozenset[tuple[int, ...]]:
+    """Independent oracle for ``enumerate_box``: classify every lattice point of the box.
+
+    Each point's boundary shift is composed onto ``phi`` and the shifted
+    class is run through the full classification.  It must never consult
+    the generator representation (``known_region`` or ``contains``), which
+    is what it checks.  Performs no bounds or cap checks of its own.
+    """
+    members = set()
+    for point in itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))):
+        moves = [BoundaryTwist(i + 1, s) for i, s in enumerate(point) if s != 0]
+        if isinstance(classify(compose_twists(phi, moves)), PositivelyFactorizable):
+            members.add(point)
+    return frozenset(members)
 
 
 @pytest.fixture

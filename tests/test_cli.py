@@ -206,6 +206,13 @@ class TestPoset:
 
 
 class TestEssentialAndInvariants:
+    @pytest.mark.parametrize("window", ["0", "-3"])
+    def test_uniqueness_window_below_one_is_input_error(self, single_path, window, capsys):
+        assert main(["essential", single_path, "--check-uniqueness", window]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --check-uniqueness must be at least 1, got {int(window)}\n"
+
     def test_essential_text(self, tmp_path, capsys):
         doc = {"version": "1", "surface": {"genus": 1, "boundary": 1}, "fr": ["5/3"], "orbits": []}
         path = tmp_path / "e.json"

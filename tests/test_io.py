@@ -107,6 +107,13 @@ class TestParse:
         with pytest.raises(docio.ParseError, match="malformed rational"):
             docio.parse('{"version":"1","surface":{"genus":1,"boundary":1},"fr":["1/-2"],"orbits":[]}')
 
+    @pytest.mark.parametrize("text", ["1/2\n", "3\n", "\u0661/\u0662", "\u0663", "1/\uff12"])
+    def test_rational_grammar_is_ascii_and_whole_string(self, text):
+        doc = {"version": "1", "surface": {"genus": 1, "boundary": 1}, "fr": [text], "orbits": []}
+        with pytest.raises(docio.ParseError, match="malformed rational") as exc:
+            docio.parse(json.dumps(doc))
+        assert exc.value.path == "$.fr[0]"
+
     def test_unknown_field_rejected(self):
         bad = SINGLE_EXAMPLE.replace('"version": "1",', '"version": "1", "extra": 1,')
         with pytest.raises(docio.ParseError, match="unknown field"):

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -23,7 +26,7 @@ from posfact import (
     known_region,
     minimal_generators,
 )
-from conftest import rand_poset_ntclass
+from conftest import pointwise_box, rand_poset_ntclass
 
 
 def orbit(screw, kind=OrbitKind.REGULAR, separating=False, oid="O1"):
@@ -141,13 +144,77 @@ class TestEnumerateBox:
             phi = rand_poset_ntclass(rng)
             r = phi.surface.boundary_count
             region = known_region(phi)
-            box = enumerate_box(phi, (-4,) * r, (4,) * r)
+            box = pointwise_box(phi, (-4,) * r, (4,) * r)
+            assert enumerate_box(phi, (-4,) * r, (4,) * r) == box
             for point in box:
                 assert contains(region, point)
-            import itertools
-
             for point in itertools.product(range(-4, 5), repeat=r):
                 assert (point in box) == contains(region, point)
+
+    def test_matches_pointwise_oracle_on_random_boxes(self):
+        rng = random.Random(2001)
+        kinds = dict.fromkeys(("random", "corner", "inside", "outside", "empty-region"), 0)
+        for _ in range(300):
+            phi = rand_poset_ntclass(rng)
+            r = phi.surface.boundary_count
+            generators = sorted(known_region(phi).generators)
+            lo = [rng.randint(-10, 12) for _ in range(r)]
+            kind = "random" if generators else "empty-region"
+            boxes = [(kind, lo, [a + rng.randint(0, 5) for a in lo])]
+            if generators:
+                g = rng.choice(generators)
+                lo = [c - rng.randint(0, 3) for c in g]
+                boxes.append(("corner", lo, [c + rng.randint(0, 3) for c in g]))
+                lo = [c + rng.randint(0, 2) for c in g]
+                boxes.append(("inside", lo, [a + rng.randint(0, 3) for a in lo]))
+                # Every point has coordinate 0 below every generator's.
+                hi = [min(h[0] for h in generators) - 1] + [rng.randint(-3, 12) for _ in range(r - 1)]
+                boxes.append(("outside", [a - rng.randint(0, 4) for a in hi], hi))
+            for kind, lo, hi in boxes:
+                members = enumerate_box(phi, lo, hi)
+                assert members == pointwise_box(phi, lo, hi), (phi, lo, hi)
+                if kind == "inside":
+                    assert len(members) == math.prod(b - a + 1 for a, b in zip(lo, hi))
+                if kind in ("outside", "empty-region"):
+                    assert members == frozenset()
+                kinds[kind] += 1
+        assert min(kinds.values()) > 0, kinds
+
+    def test_union_of_two_generator_sub_boxes(self, monkeypatch):
+        # Both routes of known_region give the same generator whenever both
+        # apply, so two generators only arise from a substituted region.
+        region = PosetRegion(3, frozenset({(-1, 2, 0), (1, -2, 1)}))
+        monkeypatch.setattr("posfact.poset.known_region", lambda phi: region)
+        phi = nt(2, [0, 0, 0])
+        lo, hi = (-3, -3, -1), (2, 3, 2)
+        expected = {
+            p
+            for p in itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi)))
+            if contains(region, p)
+        }
+        assert enumerate_box(phi, lo, hi) == expected
+
+    def test_no_boundary_is_empty(self):
+        phi = NTClass(Surface(2, 0), ())
+        assert enumerate_box(phi, (), ()) == pointwise_box(phi, (), ()) == frozenset()
+
+    @pytest.mark.parametrize(
+        "fr, lo, hi, cap, error, match",
+        [
+            # The first three rows also fail every later check; the last two
+            # show the checks run before a boundaryless class returns empty.
+            ([5, 5], (3, 9, 0), (1, -9), 1, DimensionMismatchError, "lengths 3/2"),
+            ([5, 5], (3, 9), (1, -9), 1, DomainError, "empty box"),
+            ([5, 5], (-9, -9), (9, 9), 360, BoxTooLargeError, "361 points"),
+            ([], (0,), (), 1, DimensionMismatchError, "lengths 1/0"),
+            ([], (), (), 0, BoxTooLargeError, "1 points"),
+        ],
+    )
+    def test_check_order(self, fr, lo, hi, cap, error, match):
+        phi = nt(2, fr, [orbit(Fraction(-1, 2))] if fr else [])
+        with pytest.raises(error, match=match) as exc:
+            enumerate_box(phi, lo, hi, max_points=cap)
+        assert type(exc.value) is error
 
     def test_upward_closure_on_members(self, rng):
         for _ in range(40):

@@ -14,6 +14,7 @@ not abort the batch, but the process exits 1 if any entry failed.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Optional, Sequence
 
@@ -494,20 +495,26 @@ def _cmd_correcting_bound(args) -> int:
     return 0
 
 
+_ORACLE_SCREW_FIELDS = frozenset(("permutation", "flips", "twists"))
+
+
 def _cmd_oracle_screw(args) -> int:
     raw = docio._load_json(_read_input(args.path))
-    obj = docio._require_object(raw, "$", ("permutation", "flips", "twists"))
+    obj = docio._require_object(raw, _ORACLE_SCREW_FIELDS, "$")
+    permutation_path = ("$", "permutation")
     permutation = [
-        docio._require_int(x, f"$.permutation[{i}]", minimum=1)
-        for i, x in enumerate(docio._require_list(docio._require(obj, "permutation", "$"), "$.permutation"))
+        docio._require_int(x, permutation_path, i, minimum=1)
+        for i, x in enumerate(docio._require_list(docio._require(obj, "permutation", "$"), permutation_path))
     ]
+    flips_path = ("$", "flips")
     flips = [
-        docio._require_bool(x, f"$.flips[{i}]")
-        for i, x in enumerate(docio._require_list(docio._require(obj, "flips", "$"), "$.flips"))
+        docio._require_bool(x, flips_path, i)
+        for i, x in enumerate(docio._require_list(docio._require(obj, "flips", "$"), flips_path))
     ]
+    twists_path = ("$", "twists")
     twists = [
-        docio.parse_rational(x, f"$.twists[{i}]")
-        for i, x in enumerate(docio._require_list(docio._require(obj, "twists", "$"), "$.twists"))
+        docio.parse_rational(x, twists_path, i)
+        for i, x in enumerate(docio._require_list(docio._require(obj, "twists", "$"), twists_path))
     ]
     try:
         model = OrbitModel(tuple(permutation), tuple(flips), tuple(twists))
@@ -540,7 +547,9 @@ def _add_path(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("path", nargs="?", default="-", help='input document, "-" for stdin')
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="posfact",
         description=(
@@ -624,8 +633,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
     except docio.ParseError as exc:

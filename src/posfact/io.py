@@ -18,14 +18,36 @@ either a single class
 or a batch ``{"version": "1", "batch": [{"name": ..., "class": {...}}]}``.
 Rationals are strings ``"p/q"`` (or ``"p"`` when the denominator is 1) or
 bare JSON integers; JSON floats are rejected because all arithmetic is
-exact.  Canonical output uses fixed key order, string rationals in lowest
-terms with positive denominator, two-space indentation and a trailing
-newline, so ``parse o serialize`` is the identity and ``serialize o parse``
-is idempotent on accepted inputs.
+exact.  Canonical output uses fixed key order and string rationals in lowest
+terms with positive denominator, so ``parse o serialize`` is the identity
+and ``serialize o parse`` is idempotent on accepted inputs.
+
+The canonical byte format is this module's own, written by ``_emit``:
+
+* keys in the fixed order the document or report declares them;
+* each value of a non-empty object or array on its own line, indented by
+  two spaces per nesting level, with ``","`` ending every line but the last
+  and ``": "`` between a key and its value; empty containers are ``{}`` and
+  ``[]``;
+* strings in double quotes, escaping ``"``, ``\\`` and control characters
+  (``\\n``, ``\\t``, ... or ``\\u00XX``) and writing all other text,
+  non-ASCII included, raw as UTF-8;
+* integers in decimal, ``true``, ``false`` and ``null``;
+* one trailing newline.
+
+These are the bytes that ``json.dumps(obj, indent=2, ensure_ascii=False)``
+plus a newline gives for the same object; the tests hold the emitter to that
+as an independent oracle.
 
 Rejection is total: a document that parses yields classes satisfying every
 core invariant, and every rejection carries position provenance (line and
 column for syntax errors, a JSON path for schema and invariant errors).
+Inputs that Python itself cannot hold or print are rejected too: names and
+orbit ids holding a lone surrogate, which no UTF-8 output can carry, and
+integers longer than the interpreter's digit limit inside ``"p/q"``
+strings, each with a JSON path; bare integers over that limit and nesting
+deeper than the recursion limit, which the JSON decoder reports without a
+position.
 
 Reports emitted by the CLI use the same conventions under an envelope
 ``{"version": "1", "report": "<kind>", ...}``; :func:`parse_report`
@@ -36,8 +58,10 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring
 from typing import Any, Optional, Union
 
 from .core import CurveOrbit, NTClass, OrbitKind, Surface
@@ -119,24 +143,53 @@ class Document:
         return not isinstance(self.payload, NTClass)
 
 
-def parse_rational(value: Any, path: str = "$") -> Fraction:
-    """Parse a rational from a JSON value: bare integer or "p/q" string."""
+# A JSON path is built lazily, and only rendered as text when a check fails:
+# it is "$" or a (parent path, key) pair, where a str key names a field and
+# an int key indexes an array.  Scalar checkers take the path of the
+# container and the key of the value they check; object and array checkers
+# take the path of the value itself.
+
+
+def _path(parent: Any, *keys: Union[str, int, None]) -> str:
+    """Text of a lazy path, extended by ``keys`` (None keys are skipped)."""
+    text = parent if parent.__class__ is str else _path(*parent)
+    for key in keys:
+        if key is not None:
+            text = f"{text}[{key}]" if key.__class__ is int else f"{text}.{key}"
+    return text
+
+
+def _digit_limit_message() -> str:
+    return f"integer longer than the limit of {sys.get_int_max_str_digits()} digits"
+
+
+def parse_rational(value: Any, path: Any = "$", key: Union[str, int, None] = None) -> Fraction:
+    """Parse a rational from a JSON value: bare integer or "p/q" string.
+
+    ``path`` (and ``key``, if given) name the value in error messages.
+    """
+    if isinstance(value, str):  # no value is both a str and a bool, int or float
+        if not _RATIONAL_RE.match(value):
+            raise ParseError(f"malformed rational {value!r}", _path(path, key))
+        num_text, slash, den_text = value.partition("/")
+        try:
+            if not slash:
+                return Fraction(int(value))
+            denominator = int(den_text)
+            if denominator == 0:
+                raise ParseError(f"zero denominator in rational {value!r}", _path(path, key))
+            return Fraction(int(num_text), denominator)
+        except ValueError:  # the grammar leaves only the interpreter's digit limit
+            raise ParseError(_digit_limit_message(), _path(path, key)) from None
     if isinstance(value, bool):
-        raise ParseError("expected a rational, got a boolean", path)
+        raise ParseError("expected a rational, got a boolean", _path(path, key))
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, float):
-        raise ParseError("floating point is not accepted; use \"p/q\" strings", path)
-    if not isinstance(value, str):
-        raise ParseError(f"expected a rational string or integer, got {type(value).__name__}", path)
-    if not _RATIONAL_RE.match(value):
-        raise ParseError(f"malformed rational {value!r}", path)
-    if "/" in value:
-        num_text, den_text = value.split("/")
-        if int(den_text) == 0:
-            raise ParseError(f"zero denominator in rational {value!r}", path)
-        return Fraction(int(num_text), int(den_text))
-    return Fraction(int(value))
+        raise ParseError("floating point is not accepted; use \"p/q\" strings", _path(path, key))
+    raise ParseError(
+        f"expected a rational string or integer, got {type(value).__name__}", _path(path, key)
+    )
 
 
 def format_rational(value: Fraction) -> str:
@@ -146,89 +199,114 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def _require_object(value: Any, path: str, allowed: tuple[str, ...]) -> dict:
+def _require_object(value: Any, allowed: frozenset, path: Any) -> dict:
     if not isinstance(value, dict):
-        raise ParseError(f"expected an object, got {type(value).__name__}", path)
-    for key in value:
-        if key not in allowed:
-            raise ParseError(f"unknown field {key!r}", f"{path}.{key}")
+        raise ParseError(f"expected an object, got {type(value).__name__}", _path(path))
+    if not value.keys() <= allowed:
+        for name in value:
+            if name not in allowed:
+                raise ParseError(f"unknown field {name!r}", _path(path, name))
     return value
 
 
-def _require(obj: dict, key: str, path: str) -> Any:
+def _require(obj: dict, key: str, path: Any) -> Any:
     if key not in obj:
-        raise ParseError(f"missing required field {key!r}", path)
+        raise ParseError(f"missing required field {key!r}", _path(path))
     return obj[key]
 
 
-def _require_int(value: Any, path: str, minimum: Optional[int] = None) -> int:
+def _require_int(value: Any, path: Any, key: Any = None, minimum: Optional[int] = None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ParseError(f"expected an integer, got {value!r}", path)
+        raise ParseError(f"expected an integer, got {value!r}", _path(path, key))
     if minimum is not None and value < minimum:
-        raise ParseError(f"expected an integer >= {minimum}, got {value}", path)
+        raise ParseError(f"expected an integer >= {minimum}, got {value}", _path(path, key))
     return value
 
 
-def _require_bool(value: Any, path: str) -> bool:
+def _require_bool(value: Any, path: Any, key: Any = None) -> bool:
     if not isinstance(value, bool):
-        raise ParseError(f"expected a boolean, got {value!r}", path)
+        raise ParseError(f"expected a boolean, got {value!r}", _path(path, key))
     return value
 
 
-def _require_str(value: Any, path: str, nonempty: bool = False) -> str:
+def _require_str(value: Any, path: Any, key: Any = None, nonempty: bool = False) -> str:
     if not isinstance(value, str):
-        raise ParseError(f"expected a string, got {value!r}", path)
+        raise ParseError(f"expected a string, got {value!r}", _path(path, key))
     if nonempty and not value:
-        raise ParseError("expected a non-empty string", path)
+        raise ParseError("expected a non-empty string", _path(path, key))
     return value
 
 
-def _require_list(value: Any, path: str) -> list:
+def _require_name(value: Any, path: Any, key: Any) -> str:
+    """A non-empty string that UTF-8 can encode, for names and ids echoed in output."""
+    _require_str(value, path, key, nonempty=True)
+    if not value.isascii():
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise ParseError(
+                f"lone surrogate {value[exc.start]!r} at index {exc.start} is not valid Unicode",
+                _path(path, key),
+            ) from None
+    return value
+
+
+def _require_list(value: Any, path: Any) -> list:
     if not isinstance(value, list):
-        raise ParseError(f"expected an array, got {type(value).__name__}", path)
+        raise ParseError(f"expected an array, got {type(value).__name__}", _path(path))
     return value
 
 
-def _orbit_from_json(value: Any, path: str) -> CurveOrbit:
-    obj = _require_object(value, path, ("id", "length", "kind", "separating", "screw"))
-    orbit_id = _require_str(_require(obj, "id", path), f"{path}.id", nonempty=True)
-    length = _require_int(_require(obj, "length", path), f"{path}.length", minimum=1)
-    kind_text = _require_str(_require(obj, "kind", path), f"{path}.kind")
-    try:
-        kind = OrbitKind(kind_text)
-    except ValueError:
+_ORBIT_FIELDS = frozenset(("id", "length", "kind", "separating", "screw"))
+_ORBIT_KINDS = {kind.value: kind for kind in OrbitKind}
+_CLASS_FIELDS = frozenset(("surface", "fr", "orbits"))
+_SURFACE_FIELDS = frozenset(("genus", "boundary"))
+
+
+def _orbit_from_json(value: Any, path: Any) -> CurveOrbit:
+    obj = _require_object(value, _ORBIT_FIELDS, path)
+    orbit_id = _require_name(_require(obj, "id", path), path, "id")
+    length = _require_int(_require(obj, "length", path), path, "length", minimum=1)
+    kind_text = _require_str(_require(obj, "kind", path), path, "kind")
+    kind = _ORBIT_KINDS.get(kind_text)
+    if kind is None:
         raise ParseError(
-            f"kind must be \"regular\" or \"amphidrome\", got {kind_text!r}", f"{path}.kind"
-        ) from None
-    separating = _require_bool(_require(obj, "separating", path), f"{path}.separating")
-    screw = parse_rational(_require(obj, "screw", path), f"{path}.screw")
+            f"kind must be \"regular\" or \"amphidrome\", got {kind_text!r}", _path(path, "kind")
+        )
+    separating = _require_bool(_require(obj, "separating", path), path, "separating")
+    screw = parse_rational(_require(obj, "screw", path), path, "screw")
     return CurveOrbit(orbit_id, length, kind, separating, screw)
 
 
-def _class_from_json(value: Any, path: str) -> NTClass:
-    obj = _require_object(value, path, ("surface", "fr", "orbits"))
-    surface_obj = _require_object(_require(obj, "surface", path), f"{path}.surface", ("genus", "boundary"))
-    genus = _require_int(_require(surface_obj, "genus", f"{path}.surface"), f"{path}.surface.genus", minimum=0)
+def _class_from_json(value: Any, path: Any) -> NTClass:
+    return _class_fields(_require_object(value, _CLASS_FIELDS, path), path)
+
+
+def _class_fields(obj: dict, path: Any) -> NTClass:
+    """The class held by an object whose field names are already checked."""
+    surface_path = (path, "surface")
+    surface_obj = _require_object(_require(obj, "surface", path), _SURFACE_FIELDS, surface_path)
+    genus = _require_int(_require(surface_obj, "genus", surface_path), surface_path, "genus", minimum=0)
     boundary = _require_int(
-        _require(surface_obj, "boundary", f"{path}.surface"), f"{path}.surface.boundary", minimum=0
+        _require(surface_obj, "boundary", surface_path), surface_path, "boundary", minimum=0
     )
-    fr_list = _require_list(_require(obj, "fr", path), f"{path}.fr")
-    fr = tuple(parse_rational(x, f"{path}.fr[{i}]") for i, x in enumerate(fr_list))
+    fr_path = (path, "fr")
+    fr_list = _require_list(_require(obj, "fr", path), fr_path)
+    fr = tuple([parse_rational(x, fr_path, i) for i, x in enumerate(fr_list)])
     if len(fr) != boundary:
-        raise ParseError(
-            f"fr has {len(fr)} entries but boundary is {boundary}", f"{path}.fr"
-        )
-    orbit_list = _require_list(_require(obj, "orbits", path), f"{path}.orbits")
-    orbits = tuple(_orbit_from_json(x, f"{path}.orbits[{i}]") for i, x in enumerate(orbit_list))
+        raise ParseError(f"fr has {len(fr)} entries but boundary is {boundary}", _path(fr_path))
+    orbits_path = (path, "orbits")
+    orbit_list = _require_list(_require(obj, "orbits", path), orbits_path)
+    orbits = tuple([_orbit_from_json(x, (orbits_path, i)) for i, x in enumerate(orbit_list)])
     seen: set[str] = set()
     for i, orbit in enumerate(orbits):
         if orbit.id in seen:
-            raise ParseError(f"duplicate orbit id {orbit.id!r}", f"{path}.orbits[{i}].id")
+            raise ParseError(f"duplicate orbit id {orbit.id!r}", _path(orbits_path, i, "id"))
         seen.add(orbit.id)
     try:
         return NTClass(Surface(genus, boundary), fr, orbits)
     except ValueError as exc:  # belt and braces: everything above pre-validates
-        raise ParseError(str(exc), path) from None
+        raise ParseError(str(exc), _path(path)) from None
 
 
 def _load_json(data: Union[bytes, str]) -> Any:
@@ -241,13 +319,22 @@ def _load_json(data: Union[bytes, str]) -> Any:
         return json.loads(data)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, line=exc.lineno, column=exc.colno) from None
+    except ValueError:  # json.loads converts integer literals with int(), which has a digit limit
+        raise ParseError(_digit_limit_message()) from None
+    except RecursionError:
+        raise ParseError("arrays and objects are nested too deeply") from None
 
 
-def _check_version(obj: dict, path: str = "$") -> str:
-    version = _require_str(_require(obj, "version", path), f"{path}.version")
+def _check_version(obj: dict, path: Any = "$") -> str:
+    version = _require_str(_require(obj, "version", path), path, "version")
     if version != "1":
-        raise ParseError(f"unsupported version {version!r}", f"{path}.version")
+        raise ParseError(f"unsupported version {version!r}", _path(path, "version"))
     return version
+
+
+_BATCH_FIELDS = frozenset(("version", "batch"))
+_BATCH_ITEM_FIELDS = frozenset(("name", "class"))
+_SINGLE_FIELDS = frozenset(("version", "surface", "fr", "orbits"))
 
 
 def parse(data: Union[bytes, str]) -> Document:
@@ -260,18 +347,20 @@ def parse(data: Union[bytes, str]) -> Document:
     if not isinstance(root, dict):
         raise ParseError(f"expected a top-level object, got {type(root).__name__}", "$")
     if "batch" in root:
-        obj = _require_object(root, "$", ("version", "batch"))
+        obj = _require_object(root, _BATCH_FIELDS, "$")
         version = _check_version(obj)
+        batch_path = ("$", "batch")
         entries = []
-        for i, item in enumerate(_require_list(obj["batch"], "$.batch")):
-            item_obj = _require_object(item, f"$.batch[{i}]", ("name", "class"))
-            name = _require_str(_require(item_obj, "name", f"$.batch[{i}]"), f"$.batch[{i}].name", nonempty=True)
-            nt_class = _class_from_json(_require(item_obj, "class", f"$.batch[{i}]"), f"$.batch[{i}].class")
+        for i, item in enumerate(_require_list(obj["batch"], batch_path)):
+            item_path = (batch_path, i)
+            item_obj = _require_object(item, _BATCH_ITEM_FIELDS, item_path)
+            name = _require_name(_require(item_obj, "name", item_path), item_path, "name")
+            nt_class = _class_from_json(_require(item_obj, "class", item_path), (item_path, "class"))
             entries.append(NamedClass(name, nt_class))
         return Document(version, tuple(entries))
-    obj = _require_object(root, "$", ("version", "surface", "fr", "orbits"))
+    obj = _require_object(root, _SINGLE_FIELDS, "$")
     version = _check_version(obj)
-    return Document(version, _class_from_json({k: v for k, v in obj.items() if k != "version"}, "$"))
+    return Document(version, _class_fields(obj, "$"))
 
 
 def class_to_json(phi: NTClass) -> dict:
@@ -292,8 +381,63 @@ def class_to_json(phi: NTClass) -> dict:
     }
 
 
+_INT_ONLY = frozenset({int})
+
+
+def _emit(value: Any, out: list[str], indent: str) -> None:
+    """Append the canonical text of ``value`` to ``out``.
+
+    ``indent`` is a newline followed by the indentation of the line that
+    ``value`` starts on.  Only the types reports and documents hold are
+    accepted: dicts with str keys, lists, str, int, bool and None.
+    """
+    cls = value.__class__
+    if cls is str:
+        out.append(encode_basestring(value))
+    elif cls is int:
+        out.append(int.__repr__(value))
+    elif cls is bool:
+        out.append("true" if value else "false")
+    elif value is None:
+        out.append("null")
+    elif cls is dict:
+        if not value:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        comma = "," + inner
+        sep = "{" + inner
+        for key, item in value.items():
+            if key.__class__ is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(sep + encode_basestring(key) + ": ")
+            _emit(item, out, inner)
+            sep = comma
+        out.append(indent + "}")
+    elif cls is list:
+        if not value:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        comma = "," + inner
+        if set(map(type, value)) == _INT_ONLY:
+            out.append("[" + inner + comma.join(map(int.__repr__, value)) + indent + "]")
+            return
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _emit(item, out, inner)
+            sep = comma
+        out.append(indent + "]")
+    else:
+        raise TypeError(f"cannot serialize a value of type {cls.__name__}")
+
+
 def _dump(obj: dict) -> bytes:
-    return (json.dumps(obj, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
+    out: list[str] = []
+    _emit(obj, out, "\n")
+    out.append("\n")
+    return "".join(out).encode("utf-8")
 
 
 def serialize(doc: Document) -> bytes:
@@ -316,47 +460,59 @@ def serialize(doc: Document) -> bytes:
 # order; parse_report validates them structurally so that every structured
 # CLI output can be re-read.
 
-_DIAG_KEYS = ("code", "message", "data")
+_DIAG_FIELDS = frozenset(("code", "message", "data"))
+_WITNESS_FIELDS = frozenset(("k", "corrections", "total_multitwist_power", "corrected"))
+_CORRECTION_FIELDS = frozenset(("orbit", "power"))
+_ERROR_FIELDS = frozenset(("code", "message"))
+_SCREW_FIELDS = frozenset(("id", "kind", "alpha", "beta", "screw"))
+_PERIOD_FIELDS = frozenset(("n", "k_boundary", "k_orbit"))
+_LTABLE_FIELDS = frozenset(("version", "report", "genus", "boundary", "power", "result"))
+_LTABLE_RESULT_FIELDS = frozenset(("tag", "value"))
+_ORACLE_SCREW_FIELDS = frozenset(("version", "report", "kind", "screw"))
+_ENTRIES_FIELDS = frozenset(("version", "report", "entries"))
 
 
-def _check_diagnostic(value: Any, path: str) -> None:
-    obj = _require_object(value, path, _DIAG_KEYS)
-    _require_str(_require(obj, "code", path), f"{path}.code", nonempty=True)
-    _require_str(_require(obj, "message", path), f"{path}.message")
+def _check_diagnostic(value: Any, path: Any) -> None:
+    obj = _require_object(value, _DIAG_FIELDS, path)
+    _require_str(_require(obj, "code", path), path, "code", nonempty=True)
+    _require_str(_require(obj, "message", path), path, "message")
     data = obj.get("data", {})
     if not isinstance(data, dict):
-        raise ParseError("diagnostic data must be an object", f"{path}.data")
+        raise ParseError("diagnostic data must be an object", _path(path, "data"))
     for key, val in data.items():
-        _require_str(val, f"{path}.data.{key}")
+        _require_str(val, (path, "data"), key)
 
 
-def _check_diagnostics(value: Any, path: str) -> None:
+def _check_diagnostics(value: Any, path: Any) -> None:
     for i, item in enumerate(_require_list(value, path)):
-        _check_diagnostic(item, f"{path}[{i}]")
+        _check_diagnostic(item, (path, i))
 
 
-def _check_int_vector(value: Any, path: str) -> None:
+def _check_int_vector(value: Any, path: Any) -> None:
     for i, item in enumerate(_require_list(value, path)):
-        _require_int(item, f"{path}[{i}]")
+        _require_int(item, path, i)
 
 
-def _check_witness(value: Any, path: str) -> None:
-    obj = _require_object(
-        value, path, ("k", "corrections", "total_multitwist_power", "corrected")
+def _check_witness(value: Any, path: Any) -> None:
+    obj = _require_object(value, _WITNESS_FIELDS, path)
+    _require_int(_require(obj, "k", path), path, "k", minimum=1)
+    corrections_path = (path, "corrections")
+    for i, item in enumerate(_require_list(_require(obj, "corrections", path), corrections_path)):
+        item_path = (corrections_path, i)
+        corr = _require_object(item, _CORRECTION_FIELDS, item_path)
+        _require_str(_require(corr, "orbit", item_path), item_path, "orbit")
+        _require_int(_require(corr, "power", item_path), item_path, "power", minimum=1)
+    _require_int(
+        _require(obj, "total_multitwist_power", path), path, "total_multitwist_power", minimum=0
     )
-    _require_int(_require(obj, "k", path), f"{path}.k", minimum=1)
-    for i, item in enumerate(_require_list(_require(obj, "corrections", path), f"{path}.corrections")):
-        corr = _require_object(item, f"{path}.corrections[{i}]", ("orbit", "power"))
-        _require_str(_require(corr, "orbit", f"{path}.corrections[{i}]"), f"{path}.corrections[{i}].orbit")
-        _require_int(_require(corr, "power", f"{path}.corrections[{i}]"), f"{path}.corrections[{i}].power", minimum=1)
-    _require_int(_require(obj, "total_multitwist_power", path), f"{path}.total_multitwist_power", minimum=0)
-    _class_from_json(_require(obj, "corrected", path), f"{path}.corrected")
+    _class_from_json(_require(obj, "corrected", path), (path, "corrected"))
 
 
-def _check_entry_error(obj: dict, path: str) -> None:
-    error = _require_object(_require(obj, "error", path), f"{path}.error", ("code", "message"))
-    _require_str(_require(error, "code", f"{path}.error"), f"{path}.error.code", nonempty=True)
-    _require_str(_require(error, "message", f"{path}.error"), f"{path}.error.message")
+def _check_entry_error(obj: dict, path: Any) -> None:
+    error_path = (path, "error")
+    error = _require_object(_require(obj, "error", path), _ERROR_FIELDS, error_path)
+    _require_str(_require(error, "code", error_path), error_path, "code", nonempty=True)
+    _require_str(_require(error, "message", error_path), error_path, "message")
 
 
 _ENTRY_FIELDS = {
@@ -376,70 +532,79 @@ _ENTRY_FIELDS = {
 }
 
 
-def _check_entry_payload(kind: str, obj: dict, path: str) -> None:
+def _check_entry_payload(kind: str, obj: dict, path: Any) -> None:
     if kind == "validate":
-        _require_int(_require(obj, "genus", path), f"{path}.genus", minimum=0)
-        _require_int(_require(obj, "boundary", path), f"{path}.boundary", minimum=0)
-        _require_int(_require(obj, "orbit_count", path), f"{path}.orbit_count", minimum=0)
-        _check_diagnostics(_require(obj, "warnings", path), f"{path}.warnings")
+        _require_int(_require(obj, "genus", path), path, "genus", minimum=0)
+        _require_int(_require(obj, "boundary", path), path, "boundary", minimum=0)
+        _require_int(_require(obj, "orbit_count", path), path, "orbit_count", minimum=0)
+        _check_diagnostics(_require(obj, "warnings", path), (path, "warnings"))
     elif kind == "invariants":
-        for i, x in enumerate(_require_list(_require(obj, "fr", path), f"{path}.fr")):
-            parse_rational(x, f"{path}.fr[{i}]")
-        for i, item in enumerate(_require_list(_require(obj, "screws", path), f"{path}.screws")):
-            orbit = _require_object(item, f"{path}.screws[{i}]", ("id", "kind", "alpha", "beta", "screw"))
-            _require_str(_require(orbit, "id", f"{path}.screws[{i}]"), f"{path}.screws[{i}].id")
-            parse_rational(_require(orbit, "screw", f"{path}.screws[{i}]"), f"{path}.screws[{i}].screw")
-        period = _require_object(_require(obj, "period", path), f"{path}.period", ("n", "k_boundary", "k_orbit"))
-        _require_int(_require(period, "n", f"{path}.period"), f"{path}.period.n", minimum=1)
-        _check_int_vector(_require(period, "k_boundary", f"{path}.period"), f"{path}.period.k_boundary")
-        _check_int_vector(_require(period, "k_orbit", f"{path}.period"), f"{path}.period.k_orbit")
-        _require_bool(_require(obj, "essential", path), f"{path}.essential")
-        _require_bool(_require(obj, "fully_right_veering", path), f"{path}.fully_right_veering")
+        fr_path = (path, "fr")
+        for i, x in enumerate(_require_list(_require(obj, "fr", path), fr_path)):
+            parse_rational(x, fr_path, i)
+        screws_path = (path, "screws")
+        for i, item in enumerate(_require_list(_require(obj, "screws", path), screws_path)):
+            item_path = (screws_path, i)
+            orbit = _require_object(item, _SCREW_FIELDS, item_path)
+            _require_str(_require(orbit, "id", item_path), item_path, "id")
+            parse_rational(_require(orbit, "screw", item_path), item_path, "screw")
+        period_path = (path, "period")
+        period = _require_object(_require(obj, "period", path), _PERIOD_FIELDS, period_path)
+        _require_int(_require(period, "n", period_path), period_path, "n", minimum=1)
+        _check_int_vector(_require(period, "k_boundary", period_path), (period_path, "k_boundary"))
+        _check_int_vector(_require(period, "k_orbit", period_path), (period_path, "k_orbit"))
+        _require_bool(_require(obj, "essential", path), path, "essential")
+        _require_bool(_require(obj, "fully_right_veering", path), path, "fully_right_veering")
     elif kind == "essential":
-        _check_int_vector(_require(obj, "boundary_exponents", path), f"{path}.boundary_exponents")
-        _check_int_vector(_require(obj, "orbit_exponents", path), f"{path}.orbit_exponents")
-        _class_from_json(_require(obj, "essential_class", path), f"{path}.essential_class")
+        _check_int_vector(_require(obj, "boundary_exponents", path), (path, "boundary_exponents"))
+        _check_int_vector(_require(obj, "orbit_exponents", path), (path, "orbit_exponents"))
+        _class_from_json(_require(obj, "essential_class", path), (path, "essential_class"))
         if obj.get("uniqueness_window") is not None:
-            _require_int(obj["uniqueness_window"], f"{path}.uniqueness_window", minimum=1)
+            _require_int(obj["uniqueness_window"], path, "uniqueness_window", minimum=1)
         if obj.get("uniqueness_verified") is not None:
-            _require_bool(obj["uniqueness_verified"], f"{path}.uniqueness_verified")
+            _require_bool(obj["uniqueness_verified"], path, "uniqueness_verified")
     elif kind == "classify":
-        classification = _require_str(_require(obj, "classification", path), f"{path}.classification")
+        classification = _require_str(_require(obj, "classification", path), path, "classification")
         if classification not in ("positively_factorizable", "unknown"):
-            raise ParseError(f"unknown classification {classification!r}", f"{path}.classification")
+            raise ParseError(
+                f"unknown classification {classification!r}", _path(path, "classification")
+            )
         route = obj.get("route")
         if route is not None and route not in ("main_theorem", "criterion"):
-            raise ParseError(f"unknown route {route!r}", f"{path}.route")
+            raise ParseError(f"unknown route {route!r}", _path(path, "route"))
         if obj.get("witness") is not None:
-            _check_witness(obj["witness"], f"{path}.witness")
-        _check_diagnostics(_require(obj, "diagnostics", path), f"{path}.diagnostics")
+            _check_witness(obj["witness"], (path, "witness"))
+        _check_diagnostics(_require(obj, "diagnostics", path), (path, "diagnostics"))
     elif kind == "criterion":
-        result = _require_str(_require(obj, "result", path), f"{path}.result")
+        result = _require_str(_require(obj, "result", path), path, "result")
         if result not in ("sufficient", "inconclusive", "not_applicable"):
-            raise ParseError(f"unknown result {result!r}", f"{path}.result")
+            raise ParseError(f"unknown result {result!r}", _path(path, "result"))
         if obj.get("witness") is not None:
-            _check_witness(obj["witness"], f"{path}.witness")
-        _check_diagnostics(_require(obj, "diagnostics", path), f"{path}.diagnostics")
+            _check_witness(obj["witness"], (path, "witness"))
+        _check_diagnostics(_require(obj, "diagnostics", path), (path, "diagnostics"))
     elif kind == "poset":
-        mode = _require_str(_require(obj, "mode", path), f"{path}.mode")
+        mode = _require_str(_require(obj, "mode", path), path, "mode")
         if mode not in ("generators", "query", "box"):
-            raise ParseError(f"unknown poset mode {mode!r}", f"{path}.mode")
-        _require_int(_require(obj, "dimension", path), f"{path}.dimension", minimum=1)
+            raise ParseError(f"unknown poset mode {mode!r}", _path(path, "mode"))
+        _require_int(_require(obj, "dimension", path), path, "dimension", minimum=1)
         if mode == "generators":
-            for i, g in enumerate(_require_list(_require(obj, "generators", path), f"{path}.generators")):
-                _check_int_vector(g, f"{path}.generators[{i}]")
+            generators_path = (path, "generators")
+            generators = _require_list(_require(obj, "generators", path), generators_path)
+            for i, g in enumerate(generators):
+                _check_int_vector(g, (generators_path, i))
         elif mode == "query":
-            _check_int_vector(_require(obj, "point", path), f"{path}.point")
-            _require_bool(_require(obj, "member", path), f"{path}.member")
+            _check_int_vector(_require(obj, "point", path), (path, "point"))
+            _require_bool(_require(obj, "member", path), path, "member")
         else:
-            _require_int(_require(obj, "lo", path), f"{path}.lo")
-            _require_int(_require(obj, "hi", path), f"{path}.hi")
-            for i, p in enumerate(_require_list(_require(obj, "points", path), f"{path}.points")):
-                _check_int_vector(p, f"{path}.points[{i}]")
+            _require_int(_require(obj, "lo", path), path, "lo")
+            _require_int(_require(obj, "hi", path), path, "hi")
+            points_path = (path, "points")
+            for i, p in enumerate(_require_list(_require(obj, "points", path), points_path)):
+                _check_int_vector(p, (points_path, i))
     elif kind == "correcting-bound":
         if obj.get("bound") is not None:
-            _require_int(obj["bound"], f"{path}.bound", minimum=0)
-        _check_diagnostics(_require(obj, "diagnostics", path), f"{path}.diagnostics")
+            _require_int(obj["bound"], path, "bound", minimum=0)
+        _check_diagnostics(_require(obj, "diagnostics", path), (path, "diagnostics"))
 
 
 def parse_report(data: Union[bytes, str]) -> dict:
@@ -447,50 +612,52 @@ def parse_report(data: Union[bytes, str]) -> dict:
     root = _load_json(data)
     if not isinstance(root, dict):
         raise ParseError(f"expected a top-level object, got {type(root).__name__}", "$")
-    kind = _require_str(_require(root, "report", "$"), "$.report")
+    kind = _require_str(_require(root, "report", "$"), "$", "report")
     if kind not in REPORT_KINDS:
         raise ParseError(f"unknown report kind {kind!r}", "$.report")
     if kind == "ltable":
-        obj = _require_object(root, "$", ("version", "report", "genus", "boundary", "power", "result"))
+        obj = _require_object(root, _LTABLE_FIELDS, "$")
         _check_version(obj)
-        _require_int(_require(obj, "genus", "$"), "$.genus", minimum=0)
-        _require_int(_require(obj, "boundary", "$"), "$.boundary", minimum=1)
+        _require_int(_require(obj, "genus", "$"), "$", "genus", minimum=0)
+        _require_int(_require(obj, "boundary", "$"), "$", "boundary", minimum=1)
         if obj.get("power") is not None:
-            _require_int(obj["power"], "$.power", minimum=1)
-        result = _require_object(_require(obj, "result", "$"), "$.result", ("tag", "value"))
-        tag = _require_str(_require(result, "tag", "$.result"), "$.result.tag")
+            _require_int(obj["power"], "$", "power", minimum=1)
+        result_path = ("$", "result")
+        result = _require_object(_require(obj, "result", "$"), _LTABLE_RESULT_FIELDS, result_path)
+        tag = _require_str(_require(result, "tag", result_path), result_path, "tag")
         if tag not in ("plus_infinity", "minus_infinity", "finite", "exact"):
             raise ParseError(f"unknown L tag {tag!r}", "$.result.tag")
         if tag == "exact":
-            _require_int(_require(result, "value", "$.result"), "$.result.value", minimum=1)
+            _require_int(_require(result, "value", result_path), result_path, "value", minimum=1)
         elif result.get("value") is not None:
             raise ParseError(f"tag {tag!r} carries no value", "$.result.value")
         return root
     if kind == "oracle-screw":
-        obj = _require_object(root, "$", ("version", "report", "kind", "screw"))
+        obj = _require_object(root, _ORACLE_SCREW_FIELDS, "$")
         _check_version(obj)
-        model_kind = _require_str(_require(obj, "kind", "$"), "$.kind")
+        model_kind = _require_str(_require(obj, "kind", "$"), "$", "kind")
         if model_kind not in ("regular", "amphidrome"):
             raise ParseError(f"unknown orbit kind {model_kind!r}", "$.kind")
-        parse_rational(_require(obj, "screw", "$"), "$.screw")
+        parse_rational(_require(obj, "screw", "$"), "$", "screw")
         return root
-    obj = _require_object(root, "$", ("version", "report", "entries"))
+    obj = _require_object(root, _ENTRIES_FIELDS, "$")
     _check_version(obj)
-    entries = _require_list(_require(obj, "entries", "$"), "$.entries")
-    allowed = ("name", "status", "error") + _ENTRY_FIELDS[kind]
+    entries_path = ("$", "entries")
+    entries = _require_list(_require(obj, "entries", "$"), entries_path)
+    allowed = frozenset(("name", "status", "error") + _ENTRY_FIELDS[kind])
     for i, item in enumerate(entries):
-        path = f"$.entries[{i}]"
-        entry = _require_object(item, path, allowed)
+        path = (entries_path, i)
+        entry = _require_object(item, allowed, path)
         name = _require(entry, "name", path)
         if name is not None:
-            _require_str(name, f"{path}.name", nonempty=True)
-        status = _require_str(_require(entry, "status", path), f"{path}.status")
+            _require_str(name, path, "name", nonempty=True)
+        status = _require_str(_require(entry, "status", path), path, "status")
         if status == "error":
             _check_entry_error(entry, path)
         elif status == "ok":
             _check_entry_payload(kind, entry, path)
         else:
-            raise ParseError(f"unknown status {status!r}", f"{path}.status")
+            raise ParseError(f"unknown status {status!r}", _path(path, "status"))
     return root
 
 

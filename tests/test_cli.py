@@ -112,6 +112,29 @@ class TestExitCodes:
     def test_missing_file_is_input_error(self, capsys):
         assert main(["classify", "/nonexistent/file.json"]) == 2
 
+    @pytest.mark.parametrize("fmt", ["text", "structured"])
+    @pytest.mark.parametrize(
+        "command, edit, path",
+        [
+            ("validate", lambda doc: doc["batch"][1].update(name="x\ud800"), "$.batch[1].name"),
+            (
+                "invariants",
+                lambda doc: doc["batch"][0]["class"]["orbits"][0].update(id="\udfff"),
+                "$.batch[0].class.orbits[0].id",
+            ),
+        ],
+        ids=["name", "orbit-id"],
+    )
+    def test_lone_surrogate_is_input_error(self, tmp_path, capsys, fmt, command, edit, path):
+        doc = json.loads(json.dumps(BATCH))
+        edit(doc)
+        doc_path = tmp_path / "surrogate.json"
+        doc_path.write_text(json.dumps(doc))
+        assert main([command, str(doc_path), "--format", fmt]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {path}: lone surrogate" in captured.err
+
 
 class TestLTable:
     def test_exact_value_text(self, capsys):

@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
+import copy
 import json
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from posfact import CurveOrbit, NTClass, OrbitKind, Surface
 from posfact import io as docio
+from posfact.cli import main
 
 SINGLE_EXAMPLE = """
 { "version": "1",
@@ -232,3 +235,381 @@ class TestReports:
         report["entries"][0]["witness"]["corrected"]["fr"] = ["1/0"]
         with pytest.raises(docio.ParseError, match="zero denominator"):
             docio.parse_report(json.dumps(report))
+
+
+EMIT_TEXT = st.text(
+    st.one_of(
+        st.characters(exclude_categories=("Cs",)),
+        st.sampled_from(['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "\u2028", "é", "名", "\U0001f600"]),
+    ),
+    max_size=8,
+)
+EMIT_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(10**40), max_value=10**40),
+    st.sampled_from([0, -1, 2**63, -(2**64)]),
+    EMIT_TEXT,
+)
+EMIT_TREES = st.recursive(
+    EMIT_LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(st.integers(), max_size=5),
+        st.dictionaries(EMIT_TEXT, children, max_size=4),
+    ),
+    max_leaves=16,
+)
+
+
+class TestCanonicalEmitter:
+    """The emitter against ``json.dumps(indent=2)``, which serves only as an oracle here."""
+
+    @settings(max_examples=100)
+    @given(st.dictionaries(EMIT_TEXT, EMIT_TREES, max_size=4))
+    def test_matches_json_dumps(self, obj):
+        expected = (json.dumps(obj, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
+        assert docio.serialize_report(obj) == expected
+
+    @pytest.mark.parametrize(
+        "obj",
+        [{"a": 1.5}, {"a": (1, 2)}, {1: "x"}, {"a": Fraction(1, 2)}, {"a": [{"b": {1}}]}],
+        ids=["float", "tuple", "int-key", "fraction", "nested-set"],
+    )
+    def test_rejects_other_types(self, obj):
+        with pytest.raises(TypeError):
+            docio.serialize_report(obj)
+
+
+# Documents with one or more faults, and the ParseError each gives.  The texts
+# were recorded before paths became lazily built, so this table pins which
+# check fires first and the path it names.
+DELETE = object()
+TABLE_CLASS = {
+    "surface": {"genus": 2, "boundary": 2},
+    "fr": ["5/3", "1/3"],
+    "orbits": [
+        {"id": "O1", "length": 1, "kind": "regular", "separating": False, "screw": "1/2"},
+        {"id": "O2", "length": 2, "kind": "amphidrome", "separating": True, "screw": "-3"},
+    ],
+}
+
+MALFORMED = [
+    ("root-type", "single", [((), [])],
+     "$: expected a top-level object, got list"),
+    ("version-type", "single", [(("version",), 1)],
+     "$.version: expected a string, got 1"),
+    ("version-value", "single", [(("version",), "2")],
+     "$.version: unsupported version '2'"),
+    ("version-missing", "single", [(("version",), DELETE)],
+     "$: missing required field 'version'"),
+    ("root-unknown-field", "single", [(("extra",), 1)],
+     "$.extra: unknown field 'extra'"),
+    ("surface-type", "single", [(("surface",), [2, 2])],
+     "$.surface: expected an object, got list"),
+    ("surface-missing", "single", [(("surface",), DELETE)],
+     "$: missing required field 'surface'"),
+    ("surface-unknown-field", "single", [(("surface", "euler"), -2)],
+     "$.surface.euler: unknown field 'euler'"),
+    ("genus-type", "single", [(("surface", "genus"), "2")],
+     "$.surface.genus: expected an integer, got '2'"),
+    ("genus-bool", "single", [(("surface", "genus"), True)],
+     "$.surface.genus: expected an integer, got True"),
+    ("genus-negative", "single", [(("surface", "genus"), -1)],
+     "$.surface.genus: expected an integer >= 0, got -1"),
+    ("genus-missing", "single", [(("surface", "genus"), DELETE)],
+     "$.surface: missing required field 'genus'"),
+    ("boundary-type", "single", [(("surface", "boundary"), 1.5)],
+     "$.surface.boundary: expected an integer, got 1.5"),
+    ("boundary-negative", "single", [(("surface", "boundary"), -2)],
+     "$.surface.boundary: expected an integer >= 0, got -2"),
+    ("fr-type", "single", [(("fr",), {"0": "1"})],
+     "$.fr: expected an array, got dict"),
+    ("fr-missing", "single", [(("fr",), DELETE)],
+     "$: missing required field 'fr'"),
+    ("fr-item-float", "single", [(("fr", 1), 0.5)],
+     '$.fr[1]: floating point is not accepted; use "p/q" strings'),
+    ("fr-item-bool", "single", [(("fr", 0), False)],
+     "$.fr[0]: expected a rational, got a boolean"),
+    ("fr-item-null", "single", [(("fr", 0), None)],
+     "$.fr[0]: expected a rational string or integer, got NoneType"),
+    ("fr-item-malformed", "single", [(("fr", 1), "1/2/3")],
+     "$.fr[1]: malformed rational '1/2/3'"),
+    ("fr-item-negative-denominator", "single", [(("fr", 0), "1/-2")],
+     "$.fr[0]: malformed rational '1/-2'"),
+    ("fr-item-space", "single", [(("fr", 0), " 1")],
+     "$.fr[0]: malformed rational ' 1'"),
+    ("fr-item-zero-denominator", "single", [(("fr", 1), "3/0")],
+     "$.fr[1]: zero denominator in rational '3/0'"),
+    ("fr-length-mismatch", "single", [(("fr",), ["1"])],
+     "$.fr: fr has 1 entries but boundary is 2"),
+    ("orbits-type", "single", [(("orbits",), "O1")],
+     "$.orbits: expected an array, got str"),
+    ("orbits-missing", "single", [(("orbits",), DELETE)],
+     "$: missing required field 'orbits'"),
+    ("orbit-type", "single", [(("orbits", 1), ["O2"])],
+     "$.orbits[1]: expected an object, got list"),
+    ("orbit-unknown-field", "single", [(("orbits", 0, "twist"), 1)],
+     "$.orbits[0].twist: unknown field 'twist'"),
+    ("orbit-id-type", "single", [(("orbits", 0, "id"), 7)],
+     "$.orbits[0].id: expected a string, got 7"),
+    ("orbit-id-empty", "single", [(("orbits", 1, "id"), "")],
+     "$.orbits[1].id: expected a non-empty string"),
+    ("orbit-id-missing", "single", [(("orbits", 0, "id"), DELETE)],
+     "$.orbits[0]: missing required field 'id'"),
+    ("orbit-length-type", "single", [(("orbits", 0, "length"), "1")],
+     "$.orbits[0].length: expected an integer, got '1'"),
+    ("orbit-length-zero", "single", [(("orbits", 1, "length"), 0)],
+     "$.orbits[1].length: expected an integer >= 1, got 0"),
+    ("orbit-kind-type", "single", [(("orbits", 0, "kind"), 1)],
+     "$.orbits[0].kind: expected a string, got 1"),
+    ("orbit-kind-value", "single", [(("orbits", 0, "kind"), "Regular")],
+     '$.orbits[0].kind: kind must be "regular" or "amphidrome", got \'Regular\''),
+    ("orbit-separating-type", "single", [(("orbits", 1, "separating"), "yes")],
+     "$.orbits[1].separating: expected a boolean, got 'yes'"),
+    ("orbit-separating-missing", "single", [(("orbits", 1, "separating"), DELETE)],
+     "$.orbits[1]: missing required field 'separating'"),
+    ("orbit-screw-float", "single", [(("orbits", 0, "screw"), 0.5)],
+     '$.orbits[0].screw: floating point is not accepted; use "p/q" strings'),
+    ("orbit-screw-list", "single", [(("orbits", 0, "screw"), [1, 2])],
+     "$.orbits[0].screw: expected a rational string or integer, got list"),
+    ("orbit-screw-malformed", "single", [(("orbits", 1, "screw"), "1/")],
+     "$.orbits[1].screw: malformed rational '1/'"),
+    ("orbit-screw-zero-denominator", "single", [(("orbits", 1, "screw"), "-1/0")],
+     "$.orbits[1].screw: zero denominator in rational '-1/0'"),
+    ("orbit-screw-missing", "single", [(("orbits", 0, "screw"), DELETE)],
+     "$.orbits[0]: missing required field 'screw'"),
+    ("duplicate-id", "single", [(("orbits", 1, "id"), "O1")],
+     "$.orbits[1].id: duplicate orbit id 'O1'"),
+    ("batch-type", "batch", [(("batch",), {"a": {}})],
+     "$.batch: expected an array, got dict"),
+    ("batch-unknown-root-field", "batch", [(("surface",), {})],
+     "$.surface: unknown field 'surface'"),
+    ("batch-item-type", "batch", [(("batch", 1), "b")],
+     "$.batch[1]: expected an object, got str"),
+    ("batch-item-unknown-field", "batch", [(("batch", 0, "note"), "x")],
+     "$.batch[0].note: unknown field 'note'"),
+    ("batch-name-type", "batch", [(("batch", 1, "name"), None)],
+     "$.batch[1].name: expected a string, got None"),
+    ("batch-name-empty", "batch", [(("batch", 0, "name"), "")],
+     "$.batch[0].name: expected a non-empty string"),
+    ("batch-name-missing", "batch", [(("batch", 1, "name"), DELETE)],
+     "$.batch[1]: missing required field 'name'"),
+    ("batch-class-type", "batch", [(("batch", 0, "class"), [])],
+     "$.batch[0].class: expected an object, got list"),
+    ("batch-class-missing", "batch", [(("batch", 0, "class"), DELETE)],
+     "$.batch[0]: missing required field 'class'"),
+    ("batch-class-version-field", "batch", [(("batch", 0, "class", "version"), "1")],
+     "$.batch[0].class.version: unknown field 'version'"),
+    ("batch-genus-type", "batch", [(("batch", 1, "class", "surface", "genus"), None)],
+     "$.batch[1].class.surface.genus: expected an integer, got None"),
+    ("batch-fr-item", "batch", [(("batch", 1, "class", "fr", 1), "x")],
+     "$.batch[1].class.fr[1]: malformed rational 'x'"),
+    ("batch-screw", "batch", [(("batch", 0, "class", "orbits", 1, "screw"), "2/0")],
+     "$.batch[0].class.orbits[1].screw: zero denominator in rational '2/0'"),
+    ("batch-duplicate-id", "batch", [(("batch", 1, "class", "orbits", 0, "id"), "O2")],
+     "$.batch[1].class.orbits[1].id: duplicate orbit id 'O2'"),
+    ("batch-fr-length-mismatch", "batch", [(("batch", 0, "class", "fr"), [])],
+     "$.batch[0].class.fr: fr has 0 entries but boundary is 2"),
+    ("multi-unknown-field-first", "batch", [
+        (("batch", 0, "class", "surface", "genus"), "x"),
+        (("batch", 0, "name"), ""),
+        (("batch", 0, "extra"), 1),
+    ],
+     "$.batch[0].extra: unknown field 'extra'"),
+    ("multi-name-before-class", "batch", [
+        (("batch", 1, "name"), 5),
+        (("batch", 1, "class", "surface"), DELETE),
+        (("batch", 1, "class", "fr"), "x"),
+    ],
+     "$.batch[1].name: expected a string, got 5"),
+    ("multi-class-fields-before-values", "batch", [
+        (("batch", 0, "class", "fr", 0), "1/0"),
+        (("batch", 0, "class", "bogus"), 0),
+    ],
+     "$.batch[0].class.bogus: unknown field 'bogus'"),
+    ("multi-genus-before-fr", "batch", [
+        (("batch", 0, "class", "surface", "genus"), "x"),
+        (("batch", 0, "class", "fr"), ["1"]),
+        (("batch", 0, "class", "orbits", 1, "id"), "O1"),
+    ],
+     "$.batch[0].class.surface.genus: expected an integer, got 'x'"),
+    ("multi-boundary-before-fr", "batch", [
+        (("batch", 1, "class", "surface", "boundary"), -1),
+        (("batch", 1, "class", "fr", 0), 1.5),
+    ],
+     "$.batch[1].class.surface.boundary: expected an integer >= 0, got -1"),
+    ("multi-fr-item-before-mismatch", "batch", [
+        (("batch", 0, "class", "fr", 1), "1/0"),
+        (("batch", 0, "class", "fr", 2), "x"),
+        (("batch", 0, "class", "orbits", 1, "id"), "O1"),
+    ],
+     "$.batch[0].class.fr[1]: zero denominator in rational '1/0'"),
+    ("multi-mismatch-before-orbits", "batch", [
+        (("batch", 0, "class", "fr"), ["1", "2", "3"]),
+        (("batch", 0, "class", "orbits"), {}),
+    ],
+     "$.batch[0].class.fr: fr has 3 entries but boundary is 2"),
+    ("multi-orbit-fields-in-order", "batch", [
+        (("batch", 1, "class", "orbits", 0, "kind"), "spiral"),
+        (("batch", 1, "class", "orbits", 0, "screw"), "1/0"),
+        (("batch", 1, "class", "orbits", 0, "separating"), 1),
+    ],
+     '$.batch[1].class.orbits[0].kind: kind must be "regular" or "amphidrome", got \'spiral\''),
+    ("multi-orbit-before-duplicate", "batch", [
+        (("batch", 0, "class", "orbits", 1, "id"), "O1"),
+        (("batch", 0, "class", "orbits", 1, "length"), -1),
+    ],
+     "$.batch[0].class.orbits[1].length: expected an integer >= 1, got -1"),
+    ("multi-first-item-first", "batch", [
+        (("batch", 1, "name"), ""),
+        (("batch", 0, "class", "orbits", 0, "screw"), True),
+    ],
+     "$.batch[0].class.orbits[0].screw: expected a rational, got a boolean"),
+]
+
+
+def edited_document(base: str, edits) -> object:
+    """A copy of the single-class or two-entry batch document with ``edits`` applied.
+
+    An edit is (key path, value); DELETE removes the key, an index one past
+    the end appends, and the empty path replaces the whole document.
+    """
+    if base == "single":
+        doc = {"version": "1", **copy.deepcopy(TABLE_CLASS)}
+    else:
+        doc = {
+            "version": "1",
+            "batch": [{"name": name, "class": copy.deepcopy(TABLE_CLASS)} for name in ("a", "b")],
+        }
+    for path, value in edits:
+        if not path:
+            doc = value
+            continue
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        if value is DELETE:
+            del node[path[-1]]
+        elif isinstance(node, list) and path[-1] == len(node):
+            node.append(value)
+        else:
+            node[path[-1]] = value
+    return doc
+
+
+class TestRejectionTable:
+    @pytest.mark.parametrize(
+        "base, edits, expected", [case[1:] for case in MALFORMED], ids=[case[0] for case in MALFORMED]
+    )
+    def test_first_failing_check(self, base, edits, expected):
+        with pytest.raises(docio.ParseError) as exc:
+            docio.parse(json.dumps(edited_document(base, edits)))
+        assert str(exc.value) == expected
+
+    def test_unedited_documents_parse(self):
+        for base in ("single", "batch"):
+            assert isinstance(docio.parse(json.dumps(edited_document(base, []))), docio.Document)
+
+
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+needs_digit_limit = pytest.mark.skipif(not DIGIT_LIMIT, reason="this Python has no int digit limit")
+
+
+class TestStrictAndTotal:
+    @pytest.mark.parametrize(
+        "base, key_path, path",
+        [
+            ("batch", ("batch", 1, "name"), "$.batch[1].name"),
+            ("single", ("orbits", 0, "id"), "$.orbits[0].id"),
+            ("batch", ("batch", 0, "class", "orbits", 1, "id"), "$.batch[0].class.orbits[1].id"),
+        ],
+    )
+    def test_lone_surrogate_rejected(self, base, key_path, path):
+        text = json.dumps(edited_document(base, [(key_path, "ok\ud800")]))
+        assert "\\ud800" in text  # json.dumps escapes it; the parser decodes the lone half
+        with pytest.raises(docio.ParseError, match="lone surrogate") as exc:
+            docio.parse(text)
+        assert exc.value.path == path
+
+    def test_paired_surrogate_escape_accepted(self):
+        text = json.dumps(edited_document("batch", [(("batch", 0, "name"), "\U0001f600")]))
+        assert docio.parse(text).entries()[0][0] == "\U0001f600"
+
+    @needs_digit_limit
+    def test_bare_integer_beyond_digit_limit(self):
+        digits = "7" * (DIGIT_LIMIT + 1)
+        text = json.dumps(edited_document("single", [])).replace('"5/3"', digits)
+        with pytest.raises(docio.ParseError, match="digits") as exc:
+            docio.parse(text)
+        assert exc.value.path is None
+
+    @needs_digit_limit
+    @pytest.mark.parametrize("template", ["{}/3", "3/{}", "-{}"])
+    def test_rational_beyond_digit_limit(self, template):
+        rational = template.format("7" * (DIGIT_LIMIT + 1))
+        text = json.dumps(edited_document("single", [(("orbits", 1, "screw"), rational)]))
+        with pytest.raises(docio.ParseError, match="digits") as exc:
+            docio.parse(text)
+        assert exc.value.path == "$.orbits[1].screw"
+
+    def test_deep_nesting_rejected(self):
+        deep = "[" * 100_000 + "]" * 100_000
+        for text in (deep, '{"version": "1", "surface": ' + deep + "}"):
+            with pytest.raises(docio.ParseError, match="nested too deeply"):
+                docio.parse(text)
+            with pytest.raises(docio.ParseError, match="nested too deeply"):
+                docio.parse_report(text)
+
+
+FUZZ_KEYS = st.sampled_from(
+    ["version", "batch", "name", "class", "surface", "genus", "boundary", "fr", "orbits", "id",
+     "length", "kind", "separating", "screw", "x"]
+)
+FUZZ_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    st.text(max_size=6),
+    st.sampled_from(["1", "1", "-2/3", "1/0", "regular", "amphidrome", "", "\ud800"]),
+)
+FUZZ_JSON = st.recursive(
+    FUZZ_LEAVES,
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(FUZZ_KEYS, children, max_size=5),
+    max_leaves=20,
+)
+
+
+def fuzz_text(value) -> str:
+    if isinstance(value, dict):
+        value = {"version": "1", **value}
+    return json.dumps(value)
+
+
+class TestFuzz:
+    """parse and the CLI end in a Document, a ParseError or exit 0, 1 or 2, never a traceback."""
+
+    @settings(max_examples=200)
+    @given(st.binary(max_size=120))
+    def test_parse_bytes(self, data):
+        try:
+            assert isinstance(docio.parse(data), docio.Document)
+        except docio.ParseError:
+            pass
+
+    @settings(max_examples=200)
+    @given(FUZZ_JSON)
+    def test_parse_json(self, value):
+        try:
+            assert isinstance(docio.parse(fuzz_text(value)), docio.Document)
+        except docio.ParseError:
+            pass
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(st.binary(max_size=120), FUZZ_JSON.map(fuzz_text).map(str.encode)))
+    def test_validate_command(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("fuzz") / "doc.json"
+        path.write_bytes(data)
+        for fmt in ("text", "structured"):
+            assert main(["validate", str(path), "--format", fmt]) in (0, 1, 2)

@@ -8,7 +8,9 @@ canonical JSON report that round-trips through :mod:`posfact.io`.
 Exit status: 0 on success (NotApplicable and Unknown outcomes are
 successful runs), 1 on domain errors, 2 on input/schema errors.  Batch
 entries are processed independently: a failing entry is reported and does
-not abort the batch, but the process exits 1 if any entry failed.
+not abort the batch, but the process exits 1 if any entry failed.  A
+computed value too long to print (more digits than the interpreter's
+int-to-str limit) is a domain error that ends the run with one error line.
 """
 
 from __future__ import annotations
@@ -177,45 +179,46 @@ def _cmd_invariants(args) -> int:
     lines = []
     for name, phi in doc.entries():
         period = period_data(phi)
+        fr = [docio.format_rational(x) for x in phi.fr]
+        screws = [docio.format_rational(orbit.screw) for orbit in phi.orbits]
+        essential = is_essential(phi)
+        veering = is_fully_right_veering(phi)
         entries.append(
             {
                 "name": name,
                 "status": "ok",
-                "fr": [docio.format_rational(x) for x in phi.fr],
+                "fr": fr,
                 "screws": [
                     {
                         "id": orbit.id,
                         "kind": orbit.kind.value,
                         "alpha": orbit.alpha,
                         "beta": orbit.beta,
-                        "screw": docio.format_rational(orbit.screw),
+                        "screw": screw,
                     }
-                    for orbit in phi.orbits
+                    for orbit, screw in zip(phi.orbits, screws)
                 ],
                 "period": {
                     "n": period.n,
                     "k_boundary": list(period.k_boundary),
                     "k_orbit": list(period.k_orbit),
                 },
-                "essential": is_essential(phi),
-                "fully_right_veering": is_fully_right_veering(phi),
+                "essential": essential,
+                "fully_right_veering": veering,
             }
         )
         prefix = _entry_prefix(name)
-        lines.append(prefix + "fr: " + ", ".join(docio.format_rational(x) for x in phi.fr))
-        for orbit in phi.orbits:
+        lines.append(prefix + "fr: " + ", ".join(fr))
+        for orbit, screw in zip(phi.orbits, screws):
             lines.append(
                 f"{prefix}orbit {orbit.id} ({orbit.kind.value}, length {orbit.length}): "
-                f"screw {docio.format_rational(orbit.screw)}, alpha {orbit.alpha}, beta {orbit.beta}"
+                f"screw {screw}, alpha {orbit.alpha}, beta {orbit.beta}"
             )
         lines.append(
             f"{prefix}period n={period.n}, k_boundary={list(period.k_boundary)}, "
             f"k_orbit={list(period.k_orbit)}"
         )
-        lines.append(
-            f"{prefix}essential: {is_essential(phi)}, "
-            f"fully right-veering: {is_fully_right_veering(phi)}"
-        )
+        lines.append(f"{prefix}essential: {essential}, fully right-veering: {veering}")
     _emit_report(args, {"version": "1", "report": "invariants", "entries": entries}, lines)
     return 0
 
@@ -233,13 +236,14 @@ def _cmd_essential(args) -> int:
             if args.check_uniqueness is not None
             else None
         )
+        essential = docio.class_to_json(result.essential)
         entries.append(
             {
                 "name": name,
                 "status": "ok",
                 "boundary_exponents": list(result.boundary_exponents),
                 "orbit_exponents": list(result.orbit_exponents),
-                "essential_class": docio.class_to_json(result.essential),
+                "essential_class": essential,
                 "uniqueness_window": args.check_uniqueness,
                 "uniqueness_verified": unique,
             }
@@ -249,14 +253,9 @@ def _cmd_essential(args) -> int:
             f"{prefix}boundary exponents {list(result.boundary_exponents)}, "
             f"orbit exponents {list(result.orbit_exponents)}"
         )
-        lines.append(
-            f"{prefix}essential fr: "
-            + ", ".join(docio.format_rational(x) for x in result.essential.fr)
-        )
-        for orbit in result.essential.orbits:
-            lines.append(
-                f"{prefix}essential orbit {orbit.id}: screw {docio.format_rational(orbit.screw)}"
-            )
+        lines.append(f"{prefix}essential fr: " + ", ".join(essential["fr"]))
+        for orbit in essential["orbits"]:
+            lines.append(f"{prefix}essential orbit {orbit['id']}: screw {orbit['screw']}")
         if unique is not None:
             lines.append(f"{prefix}uniqueness (window {args.check_uniqueness}): {unique}")
     _emit_report(args, {"version": "1", "report": "essential", "entries": entries}, lines)
@@ -641,6 +640,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except ValueError as exc:
+        # Inputs are held to the interpreter's int digit limit, but computed
+        # values (sums, periods) can outgrow it: they cannot be printed.
+        if not docio._exceeds_digit_limit(exc):
+            raise
+        print(f"error: computed {docio._digit_limit_message()}", file=sys.stderr)
         return 1
 
 

@@ -10,9 +10,13 @@ is described, up to the data we can reason about, by
   number.
 
 All invariant values are exact rationals (``fractions.Fraction``); no
-floating point is used anywhere in this package.  Every type in this module
-is an immutable value and every operation is a pure function, so everything
-is safe for unrestricted concurrent use.
+floating point is used anywhere in this package.  Fractions are what the
+types hold and what callers pass and receive; the computations in this
+package work on their numerators and denominators as integers instead
+(truncations through :func:`trunc_div`, sign tests on numerators), so a
+Fraction is built only where a new invariant value is stored.  Every type
+in this module is an immutable value and every operation is a pure
+function, so everything is safe for unrestricted concurrent use.
 
 .. warning::
    This data *underdetermines* the mapping class: two distinct mapping
@@ -74,16 +78,20 @@ def as_rational(value: RationalLike) -> Fraction:
     raise TypeError(f"expected an exact rational (int or Fraction), got {value!r}")
 
 
+def trunc_div(num: int, den: int) -> int:
+    """trunc(num / den) toward zero, for integers with den > 0."""
+    if num >= 0:
+        return num // den
+    return -((-num) // den)
+
+
 def int_variant(x: RationalLike) -> int:
     """Integer part truncated toward zero: floor(x) for x >= 0, ceil(x) for x < 0.
 
     Satisfies int_variant(-x) == -int_variant(x) and |x - int_variant(x)| < 1.
     """
     x = as_rational(x)
-    p, q = x.numerator, x.denominator
-    if p >= 0:
-        return p // q
-    return -((-p) // q)
+    return trunc_div(x.numerator, x.denominator)
 
 
 @dataclass(frozen=True)
@@ -215,24 +223,33 @@ def compose_twists(phi: NTClass, moves: Iterable[TwistMove]) -> NTClass:
     screw number.  Moves commute, so the result does not depend on their
     order.  Unknown targets raise :class:`InvalidMoveError`.
     """
-    fr_shift = [0] * phi.surface.boundary_count
-    screw_shift = [Fraction(0)] * len(phi.orbits)
+    boundary_count = phi.surface.boundary_count
+    fr_shift = [0] * boundary_count
+    screw_shift = [0] * len(phi.orbits)
+    orbit_index = None  # id -> position, built on the first orbit move
     for move in moves:
         if isinstance(move, BoundaryTwist):
-            if not 1 <= move.index <= phi.surface.boundary_count:
+            if not 1 <= move.index <= boundary_count:
                 raise InvalidMoveError(
                     f"unknown boundary index {move.index} "
-                    f"(surface has {phi.surface.boundary_count} boundary components)"
+                    f"(surface has {boundary_count} boundary components)"
                 )
             fr_shift[move.index - 1] += move.power
         elif isinstance(move, OrbitTwist):
-            j = phi.orbit_index(move.orbit_id)
+            if orbit_index is None:
+                orbit_index = {orbit.id: j for j, orbit in enumerate(phi.orbits)}
+            try:
+                j = orbit_index[move.orbit_id]
+            except (KeyError, TypeError):  # TypeError: an unhashable id matches no orbit
+                raise InvalidMoveError(f"unknown orbit id {move.orbit_id!r}") from None
             screw_shift[j] += phi.orbits[j].beta * move.power
         else:
             raise InvalidMoveError(f"unknown twist move {move!r}")
-    fr = tuple(x + s for x, s in zip(phi.fr, fr_shift))
+    fr = tuple(x + s if s else x for x, s in zip(phi.fr, fr_shift))
     orbits = tuple(
-        orbit if s == 0 else CurveOrbit(orbit.id, orbit.length, orbit.kind, orbit.separating, orbit.screw + s)
+        CurveOrbit(orbit.id, orbit.length, orbit.kind, orbit.separating, orbit.screw + s)
+        if s
+        else orbit
         for orbit, s in zip(phi.orbits, screw_shift)
     )
     return NTClass(phi.surface, fr, orbits)
@@ -254,9 +271,14 @@ class PeriodData:
 
 def period_data(phi: NTClass) -> PeriodData:
     """Compute the least period ``n`` and the integer twist counts it induces."""
-    denominators = [x.denominator for x in phi.fr]
-    denominators += [(orbit.screw / orbit.alpha).denominator for orbit in phi.orbits]
-    n = math.lcm(*denominators) if denominators else 1
-    k_boundary = tuple(int(n * x) for x in phi.fr)
-    k_orbit = tuple(int(n * orbit.screw / orbit.alpha) for orbit in phi.orbits)
+    # screw/alpha = p/(q*alpha) with gcd(p, q) == 1 reduces by g = gcd(p, alpha).
+    orbit_terms = []
+    for orbit in phi.orbits:
+        p, q, alpha = orbit.screw.numerator, orbit.screw.denominator, orbit.alpha
+        g = math.gcd(p, alpha)
+        orbit_terms.append((p // g, q * alpha // g))
+    fr_terms = [(x.numerator, x.denominator) for x in phi.fr]
+    n = math.lcm(*[d for _, d in fr_terms], *[d for _, d in orbit_terms])
+    k_boundary = tuple(p * (n // d) for p, d in fr_terms)
+    k_orbit = tuple(p * (n // d) for p, d in orbit_terms)
     return PeriodData(n, k_boundary, k_orbit)

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Union
 
-from .core import BoundaryTwist, DomainError, NTClass, OrbitTwist, compose_twists, int_variant
+from .core import BoundaryTwist, DomainError, NTClass, OrbitTwist, compose_twists, trunc_div
 from .invariants import is_fully_right_veering
 
 __all__ = [
@@ -181,7 +181,7 @@ def criterion_k(genus: int, boundary_count: int) -> Union[int, Diagnostic]:
 
 
 def _fr_not_positive(phi: NTClass) -> Optional[Diagnostic]:
-    bad_fr = [i + 1 for i, x in enumerate(phi.fr) if x <= 0]
+    bad_fr = [i + 1 for i, x in enumerate(phi.fr) if x.numerator <= 0]
     if not bad_fr:
         return None
     return Diagnostic(
@@ -193,7 +193,8 @@ def _fr_not_positive(phi: NTClass) -> Optional[Diagnostic]:
 
 def _correction_exponent(orbit) -> int:
     # d_j = -int(screw/beta) + 1 lifts screw to screw + beta*d_j in (0, beta].
-    return -int_variant(orbit.screw / orbit.beta) + 1
+    screw = orbit.screw
+    return -trunc_div(screw.numerator, orbit.beta * screw.denominator) + 1
 
 
 @dataclass(frozen=True)
@@ -247,7 +248,7 @@ def criterion(phi: NTClass) -> CriterionResult:
     fr_diagnostic = _fr_not_positive(phi)
     if fr_diagnostic is not None:
         return NotApplicable(fr_diagnostic)
-    to_correct = [orbit for orbit in phi.orbits if orbit.screw <= 0]
+    to_correct = [orbit for orbit in phi.orbits if orbit.screw.numerator <= 0]
     separating = [orbit.id for orbit in to_correct if orbit.separating]
     if separating:
         return NotApplicable(
@@ -259,17 +260,17 @@ def criterion(phi: NTClass) -> CriterionResult:
         )
     corrections = tuple((orbit.id, _correction_exponent(orbit)) for orbit in to_correct)
     total = k * sum(d for _, d in corrections)
-    min_fr = min(phi.fr)
     moves = [OrbitTwist(orbit_id, d) for orbit_id, d in corrections]
     moves += [BoundaryTwist(i + 1, -total) for i in range(surface.boundary_count)]
     corrected = compose_twists(phi, moves)
     witness = WitnessDecomposition(k, corrections, total, corrected)
-    if total < min_fr:
+    if all(total * x.denominator < x.numerator for x in phi.fr):  # total < min fr
         if not is_fully_right_veering(corrected):  # unreachable; defensive
             return Inconclusive(
                 (Diagnostic("witness-not-fully-right-veering", "corrected class failed verification"),)
             )
         return Sufficient(witness)
+    min_fr = min(phi.fr)
     return Inconclusive(
         (
             Diagnostic(
@@ -309,7 +310,7 @@ ClassificationReport = Union[PositivelyFactorizable, Unknown]
 def _positivity_diagnostics(phi: NTClass) -> list[Diagnostic]:
     fr_diagnostic = _fr_not_positive(phi)
     out = [] if fr_diagnostic is None else [fr_diagnostic]
-    bad_sc = [orbit.id for orbit in phi.orbits if orbit.screw <= 0]
+    bad_sc = [orbit.id for orbit in phi.orbits if orbit.screw.numerator <= 0]
     if bad_sc:
         out.append(
             Diagnostic(

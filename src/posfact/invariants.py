@@ -8,6 +8,12 @@ correcting exponents are closed-form truncations and
 :func:`verify_essential_uniqueness` re-derives the uniqueness by an
 exhaustive window scan rather than trusting the closed form.
 
+Every gate and exponent here is decided on the numerator p and denominator
+q of each invariant: |v| < beta is |p| < beta * q, v > 0 is p > 0, and the
+correcting exponent is -trunc(p / (beta * q)).  Fractions appear only in
+the classes taken and returned: the essential class stores v + beta * e
+where the exponent e is nonzero, and reuses v where it is zero.
+
 All functions are pure and depend only on the invariant data; permuting
 the orbit list permutes outputs correspondingly.
 """
@@ -17,15 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ._backend import kernel
-from .core import (
-    BoundaryTwist,
-    CurveOrbit,
-    NTClass,
-    OrbitTwist,
-    TwistMove,
-    compose_twists,
-    int_variant,
-)
+from .core import BoundaryTwist, CurveOrbit, NTClass, OrbitTwist, TwistMove, trunc_div
 
 __all__ = [
     "EssentialResult",
@@ -36,14 +34,11 @@ __all__ = [
 ]
 
 
-def _within_essential_bound(orbit: CurveOrbit) -> bool:
-    return abs(orbit.screw) < orbit.beta
-
-
 def is_essential(phi: NTClass) -> bool:
     """True iff all |fr| < 1, regular |screw| < 1 and amphidrome |screw| < 2."""
-    return all(abs(x) < 1 for x in phi.fr) and all(
-        _within_essential_bound(orbit) for orbit in phi.orbits
+    return all(abs(x.numerator) < x.denominator for x in phi.fr) and all(
+        abs(orbit.screw.numerator) < orbit.beta * orbit.screw.denominator
+        for orbit in phi.orbits
     )
 
 
@@ -78,13 +73,25 @@ def essential_part(phi: NTClass) -> EssentialResult:
     -int_variant(screw_j / beta_j).  The result is essential, and each
     nonzero corrected invariant keeps the sign of the original one.
     """
-    boundary_exponents = tuple(-int_variant(x) for x in phi.fr)
-    orbit_exponents = tuple(
-        -int_variant(orbit.screw / orbit.beta) for orbit in phi.orbits
-    )
-    result = EssentialResult(phi, boundary_exponents, orbit_exponents)
-    essential = compose_twists(phi, result.moves(phi))
-    return EssentialResult(essential, boundary_exponents, orbit_exponents)
+    boundary_exponents = []
+    fr = []
+    for x in phi.fr:
+        e = -trunc_div(x.numerator, x.denominator)
+        boundary_exponents.append(e)
+        fr.append(x + e if e else x)
+    orbit_exponents = []
+    orbits = []
+    for orbit in phi.orbits:
+        screw, beta = orbit.screw, orbit.beta
+        m = -trunc_div(screw.numerator, beta * screw.denominator)
+        orbit_exponents.append(m)
+        if m:
+            orbit = CurveOrbit(
+                orbit.id, orbit.length, orbit.kind, orbit.separating, screw + beta * m
+            )
+        orbits.append(orbit)
+    essential = NTClass(phi.surface, tuple(fr), tuple(orbits))
+    return EssentialResult(essential, tuple(boundary_exponents), tuple(orbit_exponents))
 
 
 def verify_essential_uniqueness(phi: NTClass, window: int = 3) -> bool:
@@ -96,6 +103,11 @@ def verify_essential_uniqueness(phi: NTClass, window: int = 3) -> bool:
     conditions are per-coordinate, so the tuple count is the product of
     per-coordinate counts; the scan (in the selected kernel backend)
     exploits that factorization.
+
+    The scan radius is ``min(window, 1)``, which gives the same answer as
+    ``window``: the candidates satisfying |v + beta * e| < beta are at
+    most the two neighbours of -v / beta, and both lie within 1 of the
+    closed-form exponent.  So a huge window costs no more than window 1.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
@@ -106,13 +118,15 @@ def verify_essential_uniqueness(phi: NTClass, window: int = 3) -> bool:
         nums.append(orbit.screw.numerator)
         dens.append(orbit.screw.denominator)
         betas.append(orbit.beta)
-    unique, exponents = kernel.scan_class(nums, dens, betas, window)
+    unique, exponents = kernel.scan_class(nums, dens, betas, min(window, 1))
     if not unique:
         return False
-    closed = essential_part(phi)
-    return tuple(exponents) == closed.boundary_exponents + closed.orbit_exponents
+    closed = [-trunc_div(num, beta * den) for num, den, beta in zip(nums, dens, betas)]
+    return list(exponents) == closed
 
 
 def is_fully_right_veering(phi: NTClass) -> bool:
     """True iff every fractional Dehn twist coefficient and every screw number is > 0."""
-    return all(x > 0 for x in phi.fr) and all(orbit.screw > 0 for orbit in phi.orbits)
+    return all(x.numerator > 0 for x in phi.fr) and all(
+        orbit.screw.numerator > 0 for orbit in phi.orbits
+    )

@@ -163,6 +163,11 @@ def _digit_limit_message() -> str:
     return f"integer longer than the limit of {sys.get_int_max_str_digits()} digits"
 
 
+def _exceeds_digit_limit(exc: ValueError) -> bool:
+    """Whether ``exc`` is the interpreter refusing an int/str conversion past its digit limit."""
+    return "integer string conversion" in str(exc)
+
+
 def parse_rational(value: Any, path: Any = "$", key: Union[str, int, None] = None) -> Fraction:
     """Parse a rational from a JSON value: bare integer or "p/q" string.
 

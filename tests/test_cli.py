@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import posfact
 from posfact import io as docio
 from posfact.cli import main
 
@@ -236,6 +240,17 @@ class TestEssentialAndInvariants:
         assert captured.out == ""
         assert captured.err == f"error: --check-uniqueness must be at least 1, got {int(window)}\n"
 
+    def test_huge_uniqueness_window_finishes(self, single_path):
+        # The scan radius is clamped to 1; before, W = 10**8 scanned for minutes.
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(posfact.__file__)))
+        done = subprocess.run(
+            [sys.executable, "-m", "posfact.cli", "essential", single_path,
+             "--check-uniqueness", str(10**8)],
+            capture_output=True, text=True, env=env, timeout=30,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.endswith("uniqueness (window 100000000): True\n")
+
     def test_essential_text(self, tmp_path, capsys):
         doc = {"version": "1", "surface": {"genus": 1, "boundary": 1}, "fr": ["5/3"], "orbits": []}
         path = tmp_path / "e.json"
@@ -282,6 +297,49 @@ class TestEssentialAndInvariants:
         path.write_text(json.dumps(doc))
         assert main(["correcting-bound", str(path)]) == 0
         assert "bound 4" in capsys.readouterr().out
+
+
+def _digit_limit_cases():
+    """(argv after the path, document) whose computed values outgrow the int digit limit."""
+    limit = sys.get_int_max_str_digits()
+    big = 10 ** (limit - 1)  # as many digits as the limit allows
+    compose = {"version": "1", "surface": {"genus": 2, "boundary": 1}, "fr": [big], "orbits": []}
+    invariants = {
+        "version": "1",
+        "surface": {"genus": 2, "boundary": 2},
+        "fr": [f"1/{big + 1}", f"1/{big + 3}"],  # the period n is their product
+        "orbits": [],
+    }
+    correction = {  # k * sum(d) = 2 * (9 * big + 1) has one digit too many
+        "version": "1",
+        "surface": {"genus": 2, "boundary": 2},
+        "fr": ["1", "1"],
+        "orbits": [
+            {"id": "A", "length": 1, "kind": "regular", "separating": False, "screw": -9 * big}
+        ],
+    }
+    return [
+        ("compose", ["--twist", f"B1:{9 * big}"], compose),
+        ("invariants", [], invariants),
+        ("classify", [], correction),
+        ("criterion", [], correction),
+        ("poset", ["--generators"], correction),
+        ("correcting-bound", [], correction),
+    ]
+
+
+class TestDigitLimitOnOutput:
+    @pytest.mark.parametrize("fmt", ["text", "structured"])
+    @pytest.mark.parametrize("case", _digit_limit_cases(), ids=lambda case: case[0])
+    def test_unprintable_value_is_domain_error(self, tmp_path, capsys, fmt, case):
+        command, extra, doc = case
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        assert main([command, str(path), *extra, "--format", fmt]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        limit = sys.get_int_max_str_digits()
+        assert captured.err == f"error: computed integer longer than the limit of {limit} digits\n"
 
 
 class TestStdin:

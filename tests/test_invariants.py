@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
+import posfact.invariants
 from posfact import (
     CurveOrbit,
     NTClass,
@@ -20,6 +22,7 @@ from posfact import (
     verify_essential_uniqueness,
 )
 from conftest import rand_ntclass
+from test_backends import random_case, reference_scan
 
 
 def orbit(screw, kind=OrbitKind.REGULAR, separating=False, oid="O1", length=1):
@@ -204,6 +207,45 @@ class TestUniqueness:
     def test_bulk_random(self, rng):
         for _ in range(1000):
             assert verify_essential_uniqueness(rand_ntclass(rng), window=3)
+
+    @pytest.mark.parametrize("huge", [False, True], ids=["small", "huge"])
+    def test_clamped_window_matches_unclamped_reference(self, huge):
+        # Coordinates of step 1 become boundary coefficients, of step 2 amphidrome screws.
+        rng = random.Random(41 + huge)
+        for _ in range(300):
+            nums, dens, betas = random_case(rng, huge)
+            values = [(Fraction(n, d), b) for n, d, b in zip(nums, dens, betas)]
+            fr = tuple(v for v, b in values if b == 1)
+            orbits = tuple(
+                CurveOrbit(f"A{j}", 1, OrbitKind.AMPHIDROME, False, v)
+                for j, v in enumerate(v for v, b in values if b == 2)
+            )
+            phi = NTClass(Surface(1, len(fr)), fr, orbits)
+            coordinates = list(phi.fr) + [o.screw for o in phi.orbits]
+            nums = [v.numerator for v in coordinates]
+            dens = [v.denominator for v in coordinates]
+            betas = [1] * len(fr) + [2] * len(orbits)
+            closed = essential_part(phi)
+            for window in range(1, 7):
+                unique, exponents = reference_scan(nums, dens, betas, window)
+                expected = unique and exponents == list(
+                    closed.boundary_exponents + closed.orbit_exponents
+                )
+                assert verify_essential_uniqueness(phi, window) == expected
+
+    def test_scan_radius_is_clamped_before_the_kernel(self, monkeypatch):
+        scan = posfact.invariants.kernel.scan_class
+        radii = []
+
+        def spy(nums, dens, betas, window):
+            radii.append(window)
+            return scan(nums, dens, betas, window)
+
+        monkeypatch.setattr(posfact.invariants.kernel, "scan_class", spy)
+        phi = nt([Fraction(5, 3)], [orbit(Fraction(-7, 2), OrbitKind.AMPHIDROME)])
+        for window in (1, 2, 3, 10**8):
+            assert verify_essential_uniqueness(phi, window)
+        assert radii == [1, 1, 1, 1]
 
 
 class TestFullyRightVeering:

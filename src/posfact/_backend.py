@@ -1,29 +1,8 @@
-"""Select the window-scan kernel: compiled extension if built, pure twin otherwise.
+"""The window-scan kernel: the pure-Python scan in :mod:`posfact._kernel_py`."""
 
-Set ``POSFACT_PURE=1`` in the environment to force the pure-Python kernel
-(used by the benchmark and by the backend-agreement tests).
-"""
-
-from __future__ import annotations
-
-import os
-
-from . import _kernel_py
-
-if os.environ.get("POSFACT_PURE"):
-    kernel = _kernel_py
-    BACKEND = "pure"
-else:
-    try:
-        from . import _kernel as _compiled  # type: ignore[attr-defined]
-
-        kernel = _compiled
-        BACKEND = "compiled"
-    except ImportError:
-        kernel = _kernel_py
-        BACKEND = "pure"
+from . import _kernel_py as kernel
 
 
 def backend_name() -> str:
-    """Name of the kernel implementation in use: "compiled" or "pure"."""
-    return BACKEND
+    """Name of the kernel implementation in use; there is only the pure one."""
+    return "pure"

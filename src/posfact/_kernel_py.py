@@ -1,9 +1,7 @@
-"""Pure-Python twin of the compiled window-scan kernel.
+"""Window-scan kernel of the essential-part uniqueness check.
 
-These functions work on raw integer triples (numerator, denominator, beta)
-so that the hot loop of the essential-part uniqueness scan never touches
-Fraction objects.  The compiled twin in ``_kernel.pyx`` implements the same
-contract; :mod:`posfact._backend` selects between the two at import time.
+The scan works on raw integer triples (numerator, denominator, beta) so
+that its hot loop never touches Fraction objects.
 
 For a coordinate with value v = num/den and twist step beta, the essential
 window condition for an exponent e is
@@ -19,14 +17,9 @@ The closed-form exponent is e* = -trunc(v / beta), truncation toward zero.
 
 from __future__ import annotations
 
-__all__ = ["int_variant_pair", "scan_class"]
+from .core import trunc_div
 
-
-def int_variant_pair(num: int, den: int) -> int:
-    """trunc(num / den) toward zero, for den > 0."""
-    if num >= 0:
-        return num // den
-    return -((-num) // den)
+__all__ = ["scan_class"]
 
 
 def scan_class(
@@ -47,7 +40,7 @@ def scan_class(
     exponents = []
     for num, den, beta in zip(nums, dens, betas):
         step = beta * den
-        e_star = -int_variant_pair(num, step)
+        e_star = -trunc_div(num, step)
         count = 0
         found = 0
         for e in range(e_star - window, e_star + window + 1):

@@ -5,12 +5,22 @@ is "-") except ``ltable``, which is parameter-driven.  ``--format text``
 (default) prints human-readable lines; ``--format structured`` prints a
 canonical JSON report that round-trips through :mod:`posfact.io`.
 
+The report commands (``validate``, ``invariants``, ``essential``,
+``classify``, ``criterion``, ``poset``, ``correcting-bound``) share one
+batch loop, :func:`_run_report`.  Each command is an entry function, which
+gives the structured fields of one class, and a text renderer, which turns
+those fields into lines and runs only under ``--format text``.
+
 Exit status: 0 on success (NotApplicable and Unknown outcomes are
 successful runs), 1 on domain errors, 2 on input/schema errors.  Batch
-entries are processed independently: a failing entry is reported and does
-not abort the batch, but the process exits 1 if any entry failed.  A
-computed value too long to print (more digits than the interpreter's
-int-to-str limit) is a domain error that ends the run with one error line.
+entries are processed independently.  In a report command a domain error
+on one entry becomes an error entry (``"status": "error"``) and an
+``error: <name>: <message>`` line on stderr, the other entries are
+reported as usual, and the process exits 1.  ``compose`` writes a class
+document, which has no error entries, so it leaves a failed entry out of
+its output, reports it on stderr and exits 1.  A computed value too long
+to print (more digits than the interpreter's int-to-str limit) is a domain
+error that ends the run with one error line and nothing on stdout.
 """
 
 from __future__ import annotations
@@ -49,7 +59,6 @@ from .invariants import (
     is_fully_right_veering,
     verify_essential_uniqueness,
 )
-from .oracle import OrbitModel, orbit_model_screw
 from .poset import contains, correcting_exponent_bound, enumerate_box, known_region
 
 __all__ = ["main"]
@@ -92,6 +101,10 @@ def _witness_json(witness: WitnessDecomposition) -> dict:
         "total_multitwist_power": witness.total_multitwist_power,
         "corrected": docio.class_to_json(witness.corrected),
     }
+
+
+def _witness_text(witness: dict) -> str:
+    return f"(k={witness['k']}, total multitwist power {witness['total_multitwist_power']})"
 
 
 def _entry_prefix(name: Optional[str]) -> str:
@@ -144,220 +157,266 @@ def _parse_box(text: str) -> tuple[int, int]:
         raise docio.ParseError(f"malformed box bounds in {text!r}") from None
 
 
-# --- command handlers ------------------------------------------------------
+# --- report commands -------------------------------------------------------
+#
+# A report command is two plain functions: an entry function
+# ``(args, phi) -> dict`` of the fields an "ok" entry carries after its name
+# and status, and a text renderer ``(prefix, phi, entry) -> lines``.
+# _run_report runs both over the document.  The entry functions look the
+# library functions up as this module's globals at call time, so code that
+# rebinds ``posfact.cli.classify`` and the like reaches them.
 
 
-def _cmd_validate(args) -> int:
+def _run_report(args, kind: str, build, render, prepare=None) -> int:
+    """Load the document, build one entry per class and emit the report.
+
+    ``prepare(args)``, if given, runs once after the document has loaded.
+    The renderer runs only under ``--format text``.  A domain error fails
+    its own entry alone: the entry becomes an error entry, ``error: <name>:
+    <message>`` goes to stderr, the other entries carry on, and the run
+    exits 1.
+    """
     doc = _load_document(args.path)
+    if prepare is not None:
+        prepare(args)
+    text = args.format == "text"
     entries = []
-    lines = []
+    lines: list[str] = []
+    failed = False
     for name, phi in doc.entries():
-        warnings = genus_zero_diagnostics(phi)
-        entries.append(
-            {
-                "name": name,
-                "status": "ok",
-                "genus": phi.surface.genus,
-                "boundary": phi.surface.boundary_count,
-                "orbit_count": len(phi.orbits),
-                "warnings": [_diag_json(d) for d in warnings],
-            }
-        )
-        summary = (
-            f"ok: genus {phi.surface.genus}, boundary {phi.surface.boundary_count}, "
-            f"{len(phi.orbits)} orbit(s)"
-        )
-        lines.append(_entry_prefix(name) + summary)
-        lines.extend(f"  warning [{d.code}]: {d.message}" for d in warnings)
-    _emit_report(args, {"version": "1", "report": "validate", "entries": entries}, lines)
-    return 0
-
-
-def _cmd_invariants(args) -> int:
-    doc = _load_document(args.path)
-    entries = []
-    lines = []
-    for name, phi in doc.entries():
-        period = period_data(phi)
-        fr = [docio.format_rational(x) for x in phi.fr]
-        screws = [docio.format_rational(orbit.screw) for orbit in phi.orbits]
-        essential = is_essential(phi)
-        veering = is_fully_right_veering(phi)
-        entries.append(
-            {
-                "name": name,
-                "status": "ok",
-                "fr": fr,
-                "screws": [
-                    {
-                        "id": orbit.id,
-                        "kind": orbit.kind.value,
-                        "alpha": orbit.alpha,
-                        "beta": orbit.beta,
-                        "screw": screw,
-                    }
-                    for orbit, screw in zip(phi.orbits, screws)
-                ],
-                "period": {
-                    "n": period.n,
-                    "k_boundary": list(period.k_boundary),
-                    "k_orbit": list(period.k_orbit),
-                },
-                "essential": essential,
-                "fully_right_veering": veering,
-            }
-        )
         prefix = _entry_prefix(name)
-        lines.append(prefix + "fr: " + ", ".join(fr))
-        for orbit, screw in zip(phi.orbits, screws):
-            lines.append(
-                f"{prefix}orbit {orbit.id} ({orbit.kind.value}, length {orbit.length}): "
-                f"screw {screw}, alpha {orbit.alpha}, beta {orbit.beta}"
+        try:
+            entry = {"name": name, "status": "ok", **build(args, phi)}
+        except DomainError as exc:
+            failed = True
+            entries.append(
+                {
+                    "name": name,
+                    "status": "error",
+                    "error": {"code": "domain-error", "message": str(exc)},
+                }
             )
+            print(f"error: {prefix}{exc}", file=sys.stderr)
+            continue
+        entries.append(entry)
+        if text:
+            lines += render(prefix, phi, entry)
+    _emit_report(args, {"version": "1", "report": kind, "entries": entries}, lines)
+    return 1 if failed else 0
+
+
+def _validate_entry(args, phi: NTClass) -> dict:
+    return {
+        "genus": phi.surface.genus,
+        "boundary": phi.surface.boundary_count,
+        "orbit_count": len(phi.orbits),
+        "warnings": [_diag_json(d) for d in genus_zero_diagnostics(phi)],
+    }
+
+
+def _validate_text(prefix: str, phi: NTClass, entry: dict) -> list[str]:
+    lines = [
+        f"{prefix}ok: genus {entry['genus']}, boundary {entry['boundary']}, "
+        f"{entry['orbit_count']} orbit(s)"
+    ]
+    lines += [f"  warning [{d['code']}]: {d['message']}" for d in entry["warnings"]]
+    return lines
+
+
+def _invariants_entry(args, phi: NTClass) -> dict:
+    period = period_data(phi)
+    return {
+        "fr": [docio.format_rational(x) for x in phi.fr],
+        "screws": [
+            {
+                "id": orbit.id,
+                "kind": orbit.kind.value,
+                "alpha": orbit.alpha,
+                "beta": orbit.beta,
+                "screw": docio.format_rational(orbit.screw),
+            }
+            for orbit in phi.orbits
+        ],
+        "period": {
+            "n": period.n,
+            "k_boundary": list(period.k_boundary),
+            "k_orbit": list(period.k_orbit),
+        },
+        "essential": is_essential(phi),
+        "fully_right_veering": is_fully_right_veering(phi),
+    }
+
+
+def _invariants_text(prefix: str, phi: NTClass, entry: dict) -> list[str]:
+    lines = [prefix + "fr: " + ", ".join(entry["fr"])]
+    for orbit, screw in zip(phi.orbits, entry["screws"]):
         lines.append(
-            f"{prefix}period n={period.n}, k_boundary={list(period.k_boundary)}, "
-            f"k_orbit={list(period.k_orbit)}"
+            f"{prefix}orbit {screw['id']} ({screw['kind']}, length {orbit.length}): "
+            f"screw {screw['screw']}, alpha {screw['alpha']}, beta {screw['beta']}"
         )
-        lines.append(f"{prefix}essential: {essential}, fully right-veering: {veering}")
-    _emit_report(args, {"version": "1", "report": "invariants", "entries": entries}, lines)
-    return 0
+    period = entry["period"]
+    lines.append(
+        f"{prefix}period n={period['n']}, k_boundary={period['k_boundary']}, "
+        f"k_orbit={period['k_orbit']}"
+    )
+    lines.append(
+        f"{prefix}essential: {entry['essential']}, "
+        f"fully right-veering: {entry['fully_right_veering']}"
+    )
+    return lines
+
+
+def _essential_entry(args, phi: NTClass) -> dict:
+    result = essential_part(phi)
+    window = args.check_uniqueness
+    return {
+        "boundary_exponents": list(result.boundary_exponents),
+        "orbit_exponents": list(result.orbit_exponents),
+        "essential_class": docio.class_to_json(result.essential),
+        "uniqueness_window": window,
+        "uniqueness_verified": (
+            verify_essential_uniqueness(phi, window) if window is not None else None
+        ),
+    }
+
+
+def _essential_text(prefix: str, phi: NTClass, entry: dict) -> list[str]:
+    essential = entry["essential_class"]
+    lines = [
+        f"{prefix}boundary exponents {entry['boundary_exponents']}, "
+        f"orbit exponents {entry['orbit_exponents']}",
+        f"{prefix}essential fr: " + ", ".join(essential["fr"]),
+    ]
+    lines += [
+        f"{prefix}essential orbit {orbit['id']}: screw {orbit['screw']}"
+        for orbit in essential["orbits"]
+    ]
+    if entry["uniqueness_verified"] is not None:
+        lines.append(
+            f"{prefix}uniqueness (window {entry['uniqueness_window']}): "
+            f"{entry['uniqueness_verified']}"
+        )
+    return lines
 
 
 def _cmd_essential(args) -> int:
     if args.check_uniqueness is not None and args.check_uniqueness < 1:
         raise docio.ParseError(f"--check-uniqueness must be at least 1, got {args.check_uniqueness}")
-    doc = _load_document(args.path)
-    entries = []
-    lines = []
-    for name, phi in doc.entries():
-        result = essential_part(phi)
-        unique = (
-            verify_essential_uniqueness(phi, args.check_uniqueness)
-            if args.check_uniqueness is not None
-            else None
-        )
-        essential = docio.class_to_json(result.essential)
-        entries.append(
-            {
-                "name": name,
-                "status": "ok",
-                "boundary_exponents": list(result.boundary_exponents),
-                "orbit_exponents": list(result.orbit_exponents),
-                "essential_class": essential,
-                "uniqueness_window": args.check_uniqueness,
-                "uniqueness_verified": unique,
-            }
-        )
-        prefix = _entry_prefix(name)
-        lines.append(
-            f"{prefix}boundary exponents {list(result.boundary_exponents)}, "
-            f"orbit exponents {list(result.orbit_exponents)}"
-        )
-        lines.append(f"{prefix}essential fr: " + ", ".join(essential["fr"]))
-        for orbit in essential["orbits"]:
-            lines.append(f"{prefix}essential orbit {orbit['id']}: screw {orbit['screw']}")
-        if unique is not None:
-            lines.append(f"{prefix}uniqueness (window {args.check_uniqueness}): {unique}")
-    _emit_report(args, {"version": "1", "report": "essential", "entries": entries}, lines)
-    return 0
+    return _run_report(args, "essential", _essential_entry, _essential_text)
 
 
-def _classification_entry(name: Optional[str], phi: NTClass) -> tuple[dict, str]:
+def _classify_entry(args, phi: NTClass) -> dict:
     report = classify(phi)
     if isinstance(report, PositivelyFactorizable):
-        if isinstance(report.route, MainTheoremRoute):
-            entry = {
-                "name": name,
-                "status": "ok",
-                "classification": "positively_factorizable",
-                "route": "main_theorem",
-                "witness": None,
-                "diagnostics": [],
-            }
-            return entry, "PositivelyFactorizable via MainTheorem"
-        witness = report.route.witness
-        entry = {
-            "name": name,
-            "status": "ok",
+        criterion_route = not isinstance(report.route, MainTheoremRoute)
+        return {
             "classification": "positively_factorizable",
-            "route": "criterion",
-            "witness": _witness_json(witness),
+            "route": "criterion" if criterion_route else "main_theorem",
+            "witness": _witness_json(report.route.witness) if criterion_route else None,
             "diagnostics": [],
         }
-        return entry, (
-            f"PositivelyFactorizable via Criterion "
-            f"(k={witness.k}, total multitwist power {witness.total_multitwist_power})"
-        )
-    entry = {
-        "name": name,
-        "status": "ok",
+    return {
         "classification": "unknown",
         "route": None,
         "witness": None,
         "diagnostics": [_diag_json(d) for d in report.diagnostics],
     }
-    codes = ", ".join(d.code for d in report.diagnostics)
-    return entry, f"Unknown ({codes})"
 
 
-def _cmd_classify(args) -> int:
-    doc = _load_document(args.path)
-    entries = []
-    lines = []
-    for name, phi in doc.entries():
-        entry, line = _classification_entry(name, phi)
-        entries.append(entry)
-        lines.append(_entry_prefix(name) + line)
-    _emit_report(args, {"version": "1", "report": "classify", "entries": entries}, lines)
-    return 0
+def _classify_text(prefix: str, phi: NTClass, entry: dict) -> list[str]:
+    if entry["route"] == "main_theorem":
+        return [f"{prefix}PositivelyFactorizable via MainTheorem"]
+    if entry["route"] == "criterion":
+        return [f"{prefix}PositivelyFactorizable via Criterion {_witness_text(entry['witness'])}"]
+    codes = ", ".join(d["code"] for d in entry["diagnostics"])
+    return [f"{prefix}Unknown ({codes})"]
 
 
-def _cmd_criterion(args) -> int:
-    doc = _load_document(args.path)
-    entries = []
-    lines = []
-    for name, phi in doc.entries():
-        result = criterion(phi)
-        prefix = _entry_prefix(name)
-        if isinstance(result, Sufficient):
-            witness = result.witness
-            entries.append(
-                {
-                    "name": name,
-                    "status": "ok",
-                    "result": "sufficient",
-                    "witness": _witness_json(witness),
-                    "diagnostics": [],
-                }
-            )
-            lines.append(
-                f"{prefix}Sufficient (k={witness.k}, "
-                f"total multitwist power {witness.total_multitwist_power})"
-            )
-        elif isinstance(result, Inconclusive):
-            entries.append(
-                {
-                    "name": name,
-                    "status": "ok",
-                    "result": "inconclusive",
-                    "witness": None,
-                    "diagnostics": [_diag_json(d) for d in result.reasons],
-                }
-            )
-            lines.append(f"{prefix}Inconclusive: " + "; ".join(d.message for d in result.reasons))
-        else:
-            entries.append(
-                {
-                    "name": name,
-                    "status": "ok",
-                    "result": "not_applicable",
-                    "witness": None,
-                    "diagnostics": [_diag_json(result.reason)],
-                }
-            )
-            lines.append(f"{prefix}NotApplicable: {result.reason.message}")
-    _emit_report(args, {"version": "1", "report": "criterion", "entries": entries}, lines)
-    return 0
+def _criterion_entry(args, phi: NTClass) -> dict:
+    result = criterion(phi)
+    if isinstance(result, Sufficient):
+        return {
+            "result": "sufficient",
+            "witness": _witness_json(result.witness),
+            "diagnostics": [],
+        }
+    if isinstance(result, Inconclusive):
+        return {
+            "result": "inconclusive",
+            "witness": None,
+            "diagnostics": [_diag_json(d) for d in result.reasons],
+        }
+    return {"result": "not_applicable", "witness": None, "diagnostics": [_diag_json(result.reason)]}
+
+
+def _criterion_text(prefix: str, phi: NTClass, entry: dict) -> list[str]:
+    if entry["result"] == "sufficient":
+        return [f"{prefix}Sufficient {_witness_text(entry['witness'])}"]
+    messages = [d["message"] for d in entry["diagnostics"]]
+    if entry["result"] == "inconclusive":
+        return [f"{prefix}Inconclusive: " + "; ".join(messages)]
+    return [f"{prefix}NotApplicable: {messages[0]}"]
+
+
+def _poset_mode(args) -> None:
+    """Read the poset mode's operand; it is checked once the document has loaded."""
+    if args.query is not None:
+        args.mode = "query"
+        args.point = _parse_point(args.query)
+    elif args.box is not None:
+        args.mode = "box"
+        args.lo, args.hi = _parse_box(args.box)
+    else:
+        args.mode = "generators"
+
+
+def _poset_entry(args, phi: NTClass) -> dict:
+    region = known_region(phi)
+    entry = {"mode": args.mode, "dimension": region.dimension}
+    if args.mode == "generators":
+        entry["generators"] = [list(g) for g in sorted(region.generators)]
+    elif args.mode == "query":
+        entry["point"] = list(args.point)
+        entry["member"] = contains(region, args.point)
+    else:
+        r = phi.surface.boundary_count
+        points = sorted(enumerate_box(phi, (args.lo,) * r, (args.hi,) * r))
+        entry["lo"] = args.lo
+        entry["hi"] = args.hi
+        entry["points"] = [list(p) for p in points]
+    return entry
+
+
+def _poset_text(prefix: str, phi: NTClass, entry: dict) -> list[str]:
+    if entry["mode"] == "generators":
+        generators = entry["generators"]
+        rendered = ", ".join(str(tuple(g)) for g in generators) if generators else "(empty region)"
+        return [f"{prefix}generators: {rendered}"]
+    if entry["mode"] == "query":
+        verdict = "a member" if entry["member"] else "not a member"
+        return [f"{prefix}{tuple(entry['point'])} is {verdict}"]
+    points = entry["points"]
+    lines = [
+        f"{prefix}{len(points)} member point(s) in [{entry['lo']}, {entry['hi']}]"
+        f"^{phi.surface.boundary_count}"
+    ]
+    lines += [f"{prefix}  {tuple(p)}" for p in points]
+    return lines
+
+
+_NO_BOUND = Diagnostic(
+    "no-bound", "neither certification route applies to any boundary shift of this class"
+)
+
+
+def _correcting_bound_entry(args, phi: NTClass) -> dict:
+    bound = correcting_exponent_bound(phi)
+    return {"bound": bound, "diagnostics": [_diag_json(_NO_BOUND)] if bound is None else []}
+
+
+def _correcting_bound_text(prefix: str, phi: NTClass, entry: dict) -> list[str]:
+    bound = entry["bound"]
+    return [f"{prefix}bound {bound}" if bound is not None else f"{prefix}no bound"]
 
 
 def _cmd_compose(args) -> int:
@@ -393,58 +452,6 @@ def _cmd_compose(args) -> int:
     return 1 if failed else 0
 
 
-def _cmd_poset(args) -> int:
-    doc = _load_document(args.path)
-    entries = []
-    lines = []
-    failed = False
-    if args.query is not None:
-        mode = "query"
-        point = _parse_point(args.query)
-    elif args.box is not None:
-        mode = "box"
-        lo, hi = _parse_box(args.box)
-    else:
-        mode = "generators"
-    for name, phi in doc.entries():
-        prefix = _entry_prefix(name)
-        try:
-            region = known_region(phi)
-            entry = {"name": name, "status": "ok", "mode": mode, "dimension": region.dimension}
-            if mode == "generators":
-                generators = sorted(region.generators)
-                entry["generators"] = [list(g) for g in generators]
-                rendered = ", ".join(str(g) for g in generators) if generators else "(empty region)"
-                lines.append(f"{prefix}generators: {rendered}")
-            elif mode == "query":
-                member = contains(region, point)
-                entry["point"] = list(point)
-                entry["member"] = member
-                lines.append(f"{prefix}{point} is {'a member' if member else 'not a member'}")
-            else:
-                r = phi.surface.boundary_count
-                points = sorted(enumerate_box(phi, (lo,) * r, (hi,) * r))
-                entry["lo"] = lo
-                entry["hi"] = hi
-                entry["points"] = [list(p) for p in points]
-                lines.append(f"{prefix}{len(points)} member point(s) in [{lo}, {hi}]^{r}")
-                lines.extend(f"{prefix}  {p}" for p in points)
-        except DomainError as exc:
-            failed = True
-            entries.append(
-                {
-                    "name": name,
-                    "status": "error",
-                    "error": {"code": "domain-error", "message": str(exc)},
-                }
-            )
-            print(f"error: {prefix}{exc}", file=sys.stderr)
-            continue
-        entries.append(entry)
-    _emit_report(args, {"version": "1", "report": "poset", "entries": entries}, lines)
-    return 1 if failed else 0
-
-
 def _cmd_ltable(args) -> int:
     if args.power is None:
         value = l_multitwist(args.genus, args.boundary)
@@ -459,74 +466,6 @@ def _cmd_ltable(args) -> int:
         "result": {"tag": value.tag.value, "value": value.value},
     }
     _emit_report(args, report, [str(value)])
-    return 0
-
-
-def _cmd_correcting_bound(args) -> int:
-    doc = _load_document(args.path)
-    entries = []
-    lines = []
-    for name, phi in doc.entries():
-        bound = correcting_exponent_bound(phi)
-        diagnostics = []
-        if bound is None:
-            diagnostics = [
-                Diagnostic(
-                    "no-bound",
-                    "neither certification route applies to any boundary shift of this class",
-                )
-            ]
-        entries.append(
-            {
-                "name": name,
-                "status": "ok",
-                "bound": bound,
-                "diagnostics": [_diag_json(d) for d in diagnostics],
-            }
-        )
-        prefix = _entry_prefix(name)
-        lines.append(
-            f"{prefix}bound {bound}" if bound is not None else f"{prefix}no bound"
-        )
-    _emit_report(
-        args, {"version": "1", "report": "correcting-bound", "entries": entries}, lines
-    )
-    return 0
-
-
-_ORACLE_SCREW_FIELDS = frozenset(("permutation", "flips", "twists"))
-
-
-def _cmd_oracle_screw(args) -> int:
-    raw = docio._load_json(_read_input(args.path))
-    obj = docio._require_object(raw, _ORACLE_SCREW_FIELDS, "$")
-    permutation_path = ("$", "permutation")
-    permutation = [
-        docio._require_int(x, permutation_path, i, minimum=1)
-        for i, x in enumerate(docio._require_list(docio._require(obj, "permutation", "$"), permutation_path))
-    ]
-    flips_path = ("$", "flips")
-    flips = [
-        docio._require_bool(x, flips_path, i)
-        for i, x in enumerate(docio._require_list(docio._require(obj, "flips", "$"), flips_path))
-    ]
-    twists_path = ("$", "twists")
-    twists = [
-        docio.parse_rational(x, twists_path, i)
-        for i, x in enumerate(docio._require_list(docio._require(obj, "twists", "$"), twists_path))
-    ]
-    try:
-        model = OrbitModel(tuple(permutation), tuple(flips), tuple(twists))
-    except ValueError as exc:
-        raise docio.ParseError(str(exc), "$") from None
-    screw = orbit_model_screw(model)
-    report = {
-        "version": "1",
-        "report": "oracle-screw",
-        "kind": model.kind.value,
-        "screw": docio.format_rational(screw),
-    }
-    _emit_report(args, report, [f"{model.kind.value} screw {docio.format_rational(screw)}"])
     return 0
 
 
@@ -546,6 +485,18 @@ def _add_path(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("path", nargs="?", default="-", help='input document, "-" for stdin')
 
 
+def _report_parser(sub, name: str, help_text: str, build, render, prepare=None):
+    p = sub.add_parser(name, help=help_text)
+    _add_path(p)
+    _add_format(p)
+    p.set_defaults(
+        handler=functools.partial(
+            _run_report, kind=name, build=build, render=render, prepare=prepare
+        )
+    )
+    return p
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parsing leaves it unchanged."""
@@ -558,15 +509,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="{" + ",".join(PUBLIC_COMMANDS) + "}")
 
-    p = sub.add_parser("validate", help="parse and validate a document")
-    _add_path(p)
-    _add_format(p)
-    p.set_defaults(handler=_cmd_validate)
-
-    p = sub.add_parser("invariants", help="period data and basic predicates")
-    _add_path(p)
-    _add_format(p)
-    p.set_defaults(handler=_cmd_invariants)
+    _report_parser(sub, "validate", "parse and validate a document", _validate_entry, _validate_text)
+    _report_parser(
+        sub, "invariants", "period data and basic predicates", _invariants_entry, _invariants_text
+    )
 
     p = sub.add_parser("essential", help="essential part and correction exponents")
     _add_path(p)
@@ -580,15 +526,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(handler=_cmd_essential)
 
-    p = sub.add_parser("classify", help="certify positive factorizability")
-    _add_path(p)
-    _add_format(p)
-    p.set_defaults(handler=_cmd_classify)
-
-    p = sub.add_parser("criterion", help="run the correction route only")
-    _add_path(p)
-    _add_format(p)
-    p.set_defaults(handler=_cmd_criterion)
+    _report_parser(sub, "classify", "certify positive factorizability", _classify_entry, _classify_text)
+    _report_parser(
+        sub, "criterion", "run the correction route only", _criterion_entry, _criterion_text
+    )
 
     p = sub.add_parser("compose", help="compose with boundary/orbit twist powers")
     _add_path(p)
@@ -601,14 +542,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(handler=_cmd_compose)
 
-    p = sub.add_parser("poset", help="known region of the correcting poset")
-    _add_path(p)
-    _add_format(p)
+    p = _report_parser(
+        sub, "poset", "known region of the correcting poset", _poset_entry, _poset_text, _poset_mode
+    )
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--generators", action="store_true", help="list minimal generators")
     group.add_argument("--query", metavar="a1,a2,...", help="membership of a shift vector")
     group.add_argument("--box", metavar="lo..hi", help="enumerate members of [lo,hi]^r")
-    p.set_defaults(handler=_cmd_poset)
 
     p = sub.add_parser("ltable", help="multitwist factorization-length case table")
     _add_format(p)
@@ -617,16 +557,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--power", type=int, default=None)
     p.set_defaults(handler=_cmd_ltable)
 
-    p = sub.add_parser("correcting-bound", help="least certified boundary-multitwist power")
-    _add_path(p)
-    _add_format(p)
-    p.set_defaults(handler=_cmd_correcting_bound)
-
-    # debugging aid, deliberately undocumented: first-principles screw numbers
-    p = sub.add_parser("_oracle-screw")
-    _add_path(p)
-    _add_format(p)
-    p.set_defaults(handler=_cmd_oracle_screw)
+    _report_parser(
+        sub,
+        "correcting-bound",
+        "least certified boundary-multitwist power",
+        _correcting_bound_entry,
+        _correcting_bound_text,
+    )
 
     return parser
 

@@ -101,7 +101,7 @@ def verify_essential_uniqueness(phi: NTClass, window: int = 3) -> bool:
     exponents and checks that exactly one tuple yields an essential,
     sign-preserving result, namely the closed-form one.  The three
     conditions are per-coordinate, so the tuple count is the product of
-    per-coordinate counts; the scan (in the selected kernel backend)
+    per-coordinate counts; the scan (the kernel in ``_kernel_py``)
     exploits that factorization.
 
     The scan radius is ``min(window, 1)``, which gives the same answer as

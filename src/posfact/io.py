@@ -91,7 +91,6 @@ REPORT_KINDS = (
     "poset",
     "ltable",
     "correcting-bound",
-    "oracle-screw",
 )
 
 
@@ -473,7 +472,6 @@ _SCREW_FIELDS = frozenset(("id", "kind", "alpha", "beta", "screw"))
 _PERIOD_FIELDS = frozenset(("n", "k_boundary", "k_orbit"))
 _LTABLE_FIELDS = frozenset(("version", "report", "genus", "boundary", "power", "result"))
 _LTABLE_RESULT_FIELDS = frozenset(("tag", "value"))
-_ORACLE_SCREW_FIELDS = frozenset(("version", "report", "kind", "screw"))
 _ENTRIES_FIELDS = frozenset(("version", "report", "entries"))
 
 
@@ -636,14 +634,6 @@ def parse_report(data: Union[bytes, str]) -> dict:
             _require_int(_require(result, "value", result_path), result_path, "value", minimum=1)
         elif result.get("value") is not None:
             raise ParseError(f"tag {tag!r} carries no value", "$.result.value")
-        return root
-    if kind == "oracle-screw":
-        obj = _require_object(root, _ORACLE_SCREW_FIELDS, "$")
-        _check_version(obj)
-        model_kind = _require_str(_require(obj, "kind", "$"), "$", "kind")
-        if model_kind not in ("regular", "amphidrome"):
-            raise ParseError(f"unknown orbit kind {model_kind!r}", "$.kind")
-        parse_rational(_require(obj, "screw", "$"), "$", "screw")
         return root
     obj = _require_object(root, _ENTRIES_FIELDS, "$")
     _check_version(obj)

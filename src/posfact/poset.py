@@ -19,7 +19,6 @@ oracle (classify every lattice point of a box) lives with the tests.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Optional, Sequence
@@ -95,27 +94,28 @@ def contains(region: PosetRegion, point: Sequence[int]) -> bool:
 
 
 def known_region(phi: NTClass) -> PosetRegion:
-    """Certified subset of the correcting poset, by minimal generators in closed form.
+    """Certified subset of the correcting poset, by its minimal generator in closed form.
 
-    The direct route (available iff every screw number is positive)
-    contributes the single minimal point with a_i the least integer
-    > -fr_i.  The correction route (when its gate passes) contributes the
-    minimal point with fr_i + a_i > k * sum(d_j) for all i.  Each member is
-    a genuine element of the correcting poset.
+    A shift a is certified when fr_i + a_i > total for every i, where total
+    is k * sum(d_j) over the orbits with screw number <= 0 (the correction
+    route); with no such orbit, total is 0 and this is the direct route.
+    So the region has at most one generator, a_i = floor(total - fr_i) + 1.
+    It is empty when some orbit needs correction and the correction route
+    does not apply: k is undefined for the surface, or such an orbit is
+    separating.  Each member is a genuine element of the correcting poset.
     """
     r = phi.surface.boundary_count
     if r == 0:
         raise DomainError("the correcting poset needs at least one boundary component")
-    generators: list[tuple[int, ...]] = []
-    if all(orbit.screw > 0 for orbit in phi.orbits):
-        generators.append(tuple(math.floor(-x) + 1 for x in phi.fr))
-    k = criterion_k(phi.surface.genus, r)
-    if isinstance(k, int):
-        to_correct = [orbit for orbit in phi.orbits if orbit.screw <= 0]
-        if not any(orbit.separating for orbit in to_correct):
-            total = k * sum(_correction_exponent(orbit) for orbit in to_correct)
-            generators.append(tuple(math.floor(total - x) + 1 for x in phi.fr))
-    return PosetRegion(r, minimal_generators(generators))
+    to_correct = [orbit for orbit in phi.orbits if orbit.screw.numerator <= 0]
+    total = 0
+    if to_correct:
+        k = criterion_k(phi.surface.genus, r)
+        if not isinstance(k, int) or any(orbit.separating for orbit in to_correct):
+            return PosetRegion(r, frozenset())
+        total = k * sum(_correction_exponent(orbit) for orbit in to_correct)
+    generator = tuple((total * x.denominator - x.numerator) // x.denominator + 1 for x in phi.fr)
+    return PosetRegion(r, frozenset((generator,)))
 
 
 def essential_inclusion_check(phi: NTClass) -> Optional[bool]:

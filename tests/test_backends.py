@@ -1,21 +1,12 @@
-"""Agreement between the compiled kernel and its pure-Python twin."""
+"""The window-scan kernel against a Fraction restatement of its condition."""
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
 
-import pytest
-
 from posfact import _kernel_py
 from posfact._backend import backend_name
-
-try:
-    from posfact import _kernel  # type: ignore[attr-defined]
-except ImportError:
-    _kernel = None
-
-needs_compiled = pytest.mark.skipif(_kernel is None, reason="compiled kernel not built")
 
 
 def reference_scan(nums, dens, betas, window):
@@ -58,44 +49,6 @@ class TestPureKernel:
                 nums, dens, betas, 3
             )
 
-    def test_int_variant_pair(self):
-        assert _kernel_py.int_variant_pair(3, 2) == 1
-        assert _kernel_py.int_variant_pair(-3, 2) == -1
-        assert _kernel_py.int_variant_pair(0, 7) == 0
-
-
-@needs_compiled
-class TestCompiledKernel:
-    def test_matches_pure_twin_small(self):
-        rng = random.Random(11)
-        for _ in range(2000):
-            nums, dens, betas = random_case(rng)
-            assert _kernel.scan_class(nums, dens, betas, 3) == _kernel_py.scan_class(
-                nums, dens, betas, 3
-            )
-
-    def test_matches_pure_twin_arbitrary_precision(self):
-        # Values far outside int64 force the object fallback path.
-        rng = random.Random(13)
-        for _ in range(300):
-            nums, dens, betas = random_case(rng, huge=True)
-            assert _kernel.scan_class(nums, dens, betas, 3) == _kernel_py.scan_class(
-                nums, dens, betas, 3
-            )
-
-    def test_int_variant_pair_huge(self):
-        big = 10**50 + 7
-        assert _kernel.int_variant_pair(big, 3) == _kernel_py.int_variant_pair(big, 3)
-        assert _kernel.int_variant_pair(-big, 3) == _kernel_py.int_variant_pair(-big, 3)
-
-    def test_boundary_of_int64_guard(self):
-        # Straddle the fast-path cutoff to catch range-guard mistakes.
-        for num in (2**59 - 2, 2**59 - 1, 2**59, 2**59 + 1, -(2**59) - 1):
-            for den in (1, 2**40):
-                assert _kernel.scan_class([num], [den], [2], 3) == _kernel_py.scan_class(
-                    [num], [den], [2], 3
-                )
-
 
 def test_backend_selected():
-    assert backend_name() in ("compiled", "pure")
+    assert backend_name() == "pure"

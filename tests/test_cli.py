@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -12,6 +13,7 @@ import pytest
 import posfact
 from posfact import io as docio
 from posfact.cli import main
+from posfact.core import DomainError
 
 SINGLE = {
     "version": "1",
@@ -352,20 +354,6 @@ class TestStdin:
         assert "PositivelyFactorizable" in capsys.readouterr().out
 
 
-class TestOracleDebugCommand:
-    def test_screw_output(self, tmp_path, capsys):
-        model = {"permutation": [2, 1], "flips": [False, False], "twists": ["1/3", "1/6"]}
-        path = tmp_path / "model.json"
-        path.write_text(json.dumps(model))
-        assert main(["_oracle-screw", str(path)]) == 0
-        assert "regular screw 1/2" in capsys.readouterr().out
-
-    def test_hidden_from_help(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["--help"])
-        assert "_oracle-screw" not in capsys.readouterr().out
-
-
 STRUCTURED_DOC_COMMANDS = [
     ["validate"],
     ["invariants"],
@@ -392,20 +380,276 @@ class TestStructuredRoundTrip:
         data = capsys.readouterr().out.encode()
         assert docio.serialize_report(docio.parse_report(data)) == data
 
-    def test_oracle_report_round_trips(self, tmp_path, capsys):
-        model = {"permutation": [1], "flips": [True], "twists": ["1/4"]}
-        path = tmp_path / "model.json"
-        path.write_text(json.dumps(model))
-        assert main(["_oracle-screw", str(path), "--format", "structured"]) == 0
-        data = capsys.readouterr().out.encode()
-        report = docio.parse_report(data)
-        assert report["screw"] == "1/2"
-        assert report["kind"] == "amphidrome"
-        assert docio.serialize_report(report) == data
-
     @pytest.mark.parametrize("command", STRUCTURED_DOC_COMMANDS[:5], ids=lambda c: "-".join(c))
     def test_determinism(self, command, uniform_batch_path, capsys):
         assert main([command[0], uniform_batch_path, *command[1:], "--format", "structured"]) == 0
         first = capsys.readouterr().out
         assert main([command[0], uniform_batch_path, *command[1:], "--format", "structured"]) == 0
         assert capsys.readouterr().out == first
+
+
+def _entry(name, genus, fr, orbits):
+    surface = {"genus": genus, "boundary": len(fr)}
+    return {"name": name, "class": {"surface": surface, "fr": fr, "orbits": orbits}}
+
+
+def _orbit(orbit_id, length, kind, separating, screw):
+    return {"id": orbit_id, "length": length, "kind": kind, "separating": separating, "screw": screw}
+
+
+# One batch that reaches every text branch of the report commands: the main
+# theorem, a criterion witness, unknown, inconclusive, not applicable,
+# genus-0 warnings, an empty region, no bound, a poset error entry and the
+# uniqueness check.
+EXACT_BATCH = {
+    "version": "1",
+    "batch": [
+        _entry("main", 2, ["5/3", "1/3"], [_orbit("O1", 1, "regular", False, "1/2")]),
+        _entry("witness", 2, ["5"], [_orbit("O1", 1, "regular", False, "-1/2")]),
+        _entry("inconclusive", 2, ["1"], [_orbit("A", 2, "amphidrome", False, "-3/2")]),
+        _entry("genus0", 0, ["1"], [_orbit("O1", 2, "regular", True, "-1")]),
+        _entry("closed", 2, [], []),
+    ],
+}
+
+# (command line, exit status, stderr lines, text stdout lines, sha256 of the
+# structured stdout).  Stderr is the same in both formats.
+EXACT_OUTPUT = [
+    (
+        ["validate"],
+        0,
+        [],
+        [
+            "main: ok: genus 2, boundary 2, 1 orbit(s)",
+            "witness: ok: genus 2, boundary 1, 1 orbit(s)",
+            "inconclusive: ok: genus 2, boundary 1, 1 orbit(s)",
+            "genus0: ok: genus 0, boundary 1, 1 orbit(s)",
+            "  warning [genus-zero-orbit-length]: orbits ['O1'] have length > 1, impossible at genus 0",
+            "closed: ok: genus 2, boundary 0, 0 orbit(s)",
+        ],
+        "fd02c22c79906fe02b0d50f4ff41d5763f1be81f5c8e6b7beaa3d0905b13f3fe",
+    ),
+    (
+        ["invariants"],
+        0,
+        [],
+        [
+            "main: fr: 5/3, 1/3",
+            "main: orbit O1 (regular, length 1): screw 1/2, alpha 1, beta 1",
+            "main: period n=6, k_boundary=[10, 2], k_orbit=[3]",
+            "main: essential: False, fully right-veering: True",
+            "witness: fr: 5",
+            "witness: orbit O1 (regular, length 1): screw -1/2, alpha 1, beta 1",
+            "witness: period n=2, k_boundary=[10], k_orbit=[-1]",
+            "witness: essential: False, fully right-veering: False",
+            "inconclusive: fr: 1",
+            "inconclusive: orbit A (amphidrome, length 2): screw -3/2, alpha 4, beta 2",
+            "inconclusive: period n=8, k_boundary=[8], k_orbit=[-3]",
+            "inconclusive: essential: False, fully right-veering: False",
+            "genus0: fr: 1",
+            "genus0: orbit O1 (regular, length 2): screw -1, alpha 2, beta 1",
+            "genus0: period n=2, k_boundary=[2], k_orbit=[-1]",
+            "genus0: essential: False, fully right-veering: False",
+            "closed: fr: ",
+            "closed: period n=1, k_boundary=[], k_orbit=[]",
+            "closed: essential: True, fully right-veering: True",
+        ],
+        "906091db21d5081e15855687a63a8e8e5f372becf7f11eccb8229319ef133fb2",
+    ),
+    (
+        ["essential"],
+        0,
+        [],
+        [
+            "main: boundary exponents [-1, 0], orbit exponents [0]",
+            "main: essential fr: 2/3, 1/3",
+            "main: essential orbit O1: screw 1/2",
+            "witness: boundary exponents [-5], orbit exponents [0]",
+            "witness: essential fr: 0",
+            "witness: essential orbit O1: screw -1/2",
+            "inconclusive: boundary exponents [-1], orbit exponents [0]",
+            "inconclusive: essential fr: 0",
+            "inconclusive: essential orbit A: screw -3/2",
+            "genus0: boundary exponents [-1], orbit exponents [1]",
+            "genus0: essential fr: 0",
+            "genus0: essential orbit O1: screw 0",
+            "closed: boundary exponents [], orbit exponents []",
+            "closed: essential fr: ",
+        ],
+        "0df7c042520cb323bc347a86b3c768d1f2b6a571742fe3966a22ab1ba05ff0f7",
+    ),
+    (
+        ["essential", "--check-uniqueness", "3"],
+        0,
+        [],
+        [
+            "main: boundary exponents [-1, 0], orbit exponents [0]",
+            "main: essential fr: 2/3, 1/3",
+            "main: essential orbit O1: screw 1/2",
+            "main: uniqueness (window 3): True",
+            "witness: boundary exponents [-5], orbit exponents [0]",
+            "witness: essential fr: 0",
+            "witness: essential orbit O1: screw -1/2",
+            "witness: uniqueness (window 3): True",
+            "inconclusive: boundary exponents [-1], orbit exponents [0]",
+            "inconclusive: essential fr: 0",
+            "inconclusive: essential orbit A: screw -3/2",
+            "inconclusive: uniqueness (window 3): True",
+            "genus0: boundary exponents [-1], orbit exponents [1]",
+            "genus0: essential fr: 0",
+            "genus0: essential orbit O1: screw 0",
+            "genus0: uniqueness (window 3): True",
+            "closed: boundary exponents [], orbit exponents []",
+            "closed: essential fr: ",
+            "closed: uniqueness (window 3): True",
+        ],
+        "1a2e466d5c192c6af1a6454d5f1b9a0c59b752ff63c0080b718d6b7391b91b89",
+    ),
+    (
+        ["classify"],
+        0,
+        [],
+        [
+            "main: PositivelyFactorizable via MainTheorem",
+            "witness: PositivelyFactorizable via Criterion (k=2, total multitwist power 2)",
+            "inconclusive: Unknown (sc-not-positive, criterion-inequality-failed)",
+            "genus0: Unknown (sc-not-positive, criterion-not-applicable)",
+            "closed: Unknown (no-boundary)",
+        ],
+        "84783ca68240d244ee29e382fc463d03fe362e6b8c168b0f1185c1a444eb8802",
+    ),
+    (
+        ["criterion"],
+        0,
+        [],
+        [
+            "main: Sufficient (k=2, total multitwist power 0)",
+            "witness: Sufficient (k=2, total multitwist power 2)",
+            "inconclusive: Inconclusive: k*sum(d) = 2 is not < min fr = 1",
+            "genus0: NotApplicable: the multitwist case table does not cover genus 0",
+            "closed: NotApplicable: the correction route needs at least one boundary component",
+        ],
+        "8e12a91d37344a99c879e84e873ddc16a96b6af1933388905311902a39a05d3e",
+    ),
+    (
+        ["poset", "--generators"],
+        1,
+        ["error: closed: the correcting poset needs at least one boundary component"],
+        [
+            "main: generators: (-1, 0)",
+            "witness: generators: (-2,)",
+            "inconclusive: generators: (2,)",
+            "genus0: generators: (empty region)",
+        ],
+        "80c075e7db2c31e724b8458b4fb446d917c06877d6f26f60c2a4f38e7f5b46fe",
+    ),
+    (
+        ["poset", "--query", "0,0"],
+        1,
+        [
+            "error: witness: point of length 2 queried against dimension 1",
+            "error: inconclusive: point of length 2 queried against dimension 1",
+            "error: genus0: point of length 2 queried against dimension 1",
+            "error: closed: the correcting poset needs at least one boundary component",
+        ],
+        [
+            "main: (0, 0) is a member",
+        ],
+        "78171e218bd5b4429c59478106f84c78c273f4cddd78252d9930829132f37f21",
+    ),
+    (
+        ["poset", "--box=-1..1"],
+        1,
+        ["error: closed: the correcting poset needs at least one boundary component"],
+        [
+            "main: 6 member point(s) in [-1, 1]^2",
+            "main:   (-1, 0)",
+            "main:   (-1, 1)",
+            "main:   (0, 0)",
+            "main:   (0, 1)",
+            "main:   (1, 0)",
+            "main:   (1, 1)",
+            "witness: 3 member point(s) in [-1, 1]^1",
+            "witness:   (-1,)",
+            "witness:   (0,)",
+            "witness:   (1,)",
+            "inconclusive: 0 member point(s) in [-1, 1]^1",
+            "genus0: 0 member point(s) in [-1, 1]^1",
+        ],
+        "10cacb565480ab140c90e85e92247335bde657c1ea8abe08c92367a9ac94b098",
+    ),
+    (
+        ["correcting-bound"],
+        0,
+        [],
+        [
+            "main: bound 0",
+            "witness: bound 0",
+            "inconclusive: bound 2",
+            "genus0: no bound",
+            "closed: no bound",
+        ],
+        "c4b712b31cd1ab149814ff4c4867619d5317cb61ce5b6936d63d6f3de871cd64",
+    ),
+
+]
+
+
+class TestExactOutput:
+    @pytest.mark.parametrize("fmt", ["text", "structured"])
+    @pytest.mark.parametrize("case", EXACT_OUTPUT, ids=lambda case: "-".join(case[0]))
+    def test_report_bytes(self, tmp_path, capsys, fmt, case):
+        command, code, err_lines, out_lines, digest = case
+        path = tmp_path / "batch.json"
+        path.write_text(json.dumps(EXACT_BATCH))
+        assert main([command[0], str(path), *command[1:], "--format", fmt]) == code
+        captured = capsys.readouterr()
+        assert captured.err == "".join(line + "\n" for line in err_lines)
+        if fmt == "text":
+            assert captured.out == "".join(line + "\n" for line in out_lines)
+        else:
+            assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
+
+
+class TestPerEntryErrors:
+    @pytest.mark.parametrize("fmt", ["text", "structured"])
+    def test_domain_error_fails_only_its_entry(self, tmp_path, capsys, monkeypatch, fmt):
+        fields = ("surface", "fr", "orbits")
+        batch = {
+            "version": "1",
+            "batch": [
+                {"name": "first", "class": {k: SINGLE[k] for k in fields}},
+                {"name": "middle", "class": {k: NEGATIVE_SCREW[k] for k in fields}},
+                {"name": "last", "class": {k: NEGATIVE_SCREW[k] for k in fields}},
+            ],
+        }
+        path = tmp_path / "batch.json"
+        path.write_text(json.dumps(batch))
+        argv = ["classify", str(path), "--format", fmt]
+        assert main(argv) == 0
+        before = capsys.readouterr().out
+
+        calls = []
+
+        def classify_failing_second(phi):
+            calls.append(phi)
+            if len(calls) == 2:
+                raise DomainError("cannot classify this entry")
+            return posfact.classify(phi)
+
+        monkeypatch.setattr(posfact.cli, "classify", classify_failing_second)
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert len(calls) == 3
+        assert captured.err == "error: middle: cannot classify this entry\n"
+        if fmt == "text":
+            lines = before.splitlines(keepends=True)
+            assert captured.out == lines[0] + lines[2]
+            return
+        old, new = docio.parse_report(before)["entries"], docio.parse_report(captured.out)["entries"]
+        assert new[1] == {
+            "name": "middle",
+            "status": "error",
+            "error": {"code": "domain-error", "message": "cannot classify this entry"},
+        }
+        assert [new[0], new[2]] == [old[0], old[2]]

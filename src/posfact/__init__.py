@@ -62,9 +62,7 @@ from .poset import (
     contains,
     correcting_exponent_bound,
     enumerate_box,
-    essential_inclusion_check,
     known_region,
-    minimal_generators,
 )
 
 __version__ = "0.1.0"
@@ -118,10 +116,8 @@ __all__ = [
     "DimensionMismatchError",
     "BoxTooLargeError",
     "PosetRegion",
-    "minimal_generators",
     "known_region",
     "contains",
-    "essential_inclusion_check",
     "enumerate_box",
     "correcting_exponent_bound",
     # oracle

@@ -4,12 +4,19 @@ Every command reads a class document from a path (or stdin when the path
 is "-") except ``ltable``, which is parameter-driven.  ``--format text``
 (default) prints human-readable lines; ``--format structured`` prints a
 canonical JSON report that round-trips through :mod:`posfact.io`.
+``posfact --version`` prints ``posfact.__version__``, the package's one
+version.  The integers in the operands this module parses itself
+(``--query``, ``--box``, ``--twist``) follow the documents' grammar
+``-?[0-9]+``; anything else is an input error.
 
 The report commands (``validate``, ``invariants``, ``essential``,
 ``classify``, ``criterion``, ``poset``, ``correcting-bound``) share one
 batch loop, :func:`_run_report`.  Each command is an entry function, which
 gives the structured fields of one class, and a text renderer, which turns
-those fields into lines and runs only under ``--format text``.
+those fields into lines and runs only under ``--format text``.  ``poset
+--box`` takes its member points from :func:`posfact.poset.enumerate_box`
+already in lexicographic order, and ``--generators`` lists the known
+region's corner, or nothing for an empty region.
 
 Exit status: 0 on success (NotApplicable and Unknown outcomes are
 successful runs), 1 on domain errors, 2 on input/schema errors.  Batch
@@ -27,9 +34,11 @@ from __future__ import annotations
 
 import argparse
 import functools
+import re
 import sys
 from typing import Optional, Sequence
 
+from . import __version__
 from . import io as docio
 from .core import (
     BoundaryTwist,
@@ -119,17 +128,30 @@ def _emit_report(args, report: dict, text_lines: list[str]) -> None:
             print(line)
 
 
+_INT_TEXT = re.compile(r"-?[0-9]+")
+
+
+def _operand_int(text: str) -> int:
+    """``int(text)`` held to the document grammar ``-?[0-9]+``: ValueError on anything else.
+
+    ``int`` alone would also take signs, spaces, underscores and non-ASCII digits.
+    """
+    if _INT_TEXT.fullmatch(text) is None:
+        raise ValueError(text)
+    return int(text)
+
+
 def _parse_twist_flag(text: str) -> TwistMove:
     target, sep, power_text = text.rpartition(":")
     if not sep or not target:
         raise docio.ParseError(f"malformed --twist {text!r}, expected B<i>:<m> or O<id>:<m>")
     try:
-        power = int(power_text)
+        power = _operand_int(power_text)
     except ValueError:
         raise docio.ParseError(f"malformed twist power in --twist {text!r}") from None
     if target[0] == "B":
         try:
-            index = int(target[1:])
+            index = _operand_int(target[1:])
         except ValueError:
             raise docio.ParseError(f"malformed boundary index in --twist {text!r}") from None
         return BoundaryTwist(index, power)
@@ -142,7 +164,7 @@ def _parse_twist_flag(text: str) -> TwistMove:
 
 def _parse_point(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(part) for part in text.split(","))
+        return tuple(map(_operand_int, text.split(",")))
     except ValueError:
         raise docio.ParseError(f"malformed point {text!r}, expected a1,a2,...") from None
 
@@ -152,7 +174,7 @@ def _parse_box(text: str) -> tuple[int, int]:
     if not sep:
         raise docio.ParseError(f"malformed box {text!r}, expected lo..hi")
     try:
-        return int(lo_text), int(hi_text)
+        return _operand_int(lo_text), _operand_int(hi_text)
     except ValueError:
         raise docio.ParseError(f"malformed box bounds in {text!r}") from None
 
@@ -374,16 +396,16 @@ def _poset_entry(args, phi: NTClass) -> dict:
     region = known_region(phi)
     entry = {"mode": args.mode, "dimension": region.dimension}
     if args.mode == "generators":
-        entry["generators"] = [list(g) for g in sorted(region.generators)]
+        entry["generators"] = [] if region.corner is None else [list(region.corner)]
     elif args.mode == "query":
         entry["point"] = list(args.point)
         entry["member"] = contains(region, args.point)
     else:
         r = phi.surface.boundary_count
-        points = sorted(enumerate_box(phi, (args.lo,) * r, (args.hi,) * r))
+        members = enumerate_box(phi, (args.lo,) * r, (args.hi,) * r)
         entry["lo"] = args.lo
         entry["hi"] = args.hi
-        entry["points"] = [list(p) for p in points]
+        entry["points"] = list(map(list, members))
     return entry
 
 
@@ -507,6 +529,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "positive-factorization checks."
         ),
     )
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, metavar="{" + ",".join(PUBLIC_COMMANDS) + "}")
 
     _report_parser(sub, "validate", "parse and validate a document", _validate_entry, _validate_text)
@@ -546,7 +569,11 @@ def _build_parser() -> argparse.ArgumentParser:
         sub, "poset", "known region of the correcting poset", _poset_entry, _poset_text, _poset_mode
     )
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--generators", action="store_true", help="list minimal generators")
+    group.add_argument(
+        "--generators",
+        action="store_true",
+        help="list the region's generators: its one corner, or none when it is empty",
+    )
     group.add_argument("--query", metavar="a1,a2,...", help="membership of a shift vector")
     group.add_argument("--box", metavar="lo..hi", help="enumerate members of [lo,hi]^r")
 

@@ -61,6 +61,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from json.encoder import encode_basestring
 from typing import Any, Optional, Union
 
@@ -386,6 +387,27 @@ def class_to_json(phi: NTClass) -> dict:
 
 
 _INT_ONLY = frozenset({int})
+_LIST_ONLY = frozenset({list})
+
+
+def _emit_int_rows(value: list, out: list[str], inner: str, indent: str) -> bool:
+    """Append a list of exact-int rows (box members, generators) in one %-format.
+
+    Each row length gets one template.  Returns False, appending nothing,
+    when some item is not a list or some row holds anything but exact ints
+    (a bool or a str among them, say); :func:`_emit` then takes its
+    general path.
+    """
+    if set(map(type, value)) != _LIST_ONLY or not set(map(type, chain.from_iterable(value))) <= _INT_ONLY:
+        return False
+    row_inner = inner + "  "
+    templates = {
+        n: "[" + row_inner + ("," + row_inner).join(["%d"] * n) + inner + "]" if n else "[]"
+        for n in set(map(len, value))
+    }
+    rows = ("," + inner).join(map(templates.__getitem__, map(len, value)))
+    out.append("[" + inner + rows % tuple(chain.from_iterable(value)) + indent + "]")
+    return True
 
 
 def _emit(value: Any, out: list[str], indent: str) -> None:
@@ -426,6 +448,8 @@ def _emit(value: Any, out: list[str], indent: str) -> None:
         comma = "," + inner
         if set(map(type, value)) == _INT_ONLY:
             out.append("[" + inner + comma.join(map(int.__repr__, value)) + indent + "]")
+            return
+        if value[0].__class__ is list and _emit_int_rows(value, out, inner, indent):
             return
         sep = "[" + inner
         for item in value:

@@ -118,6 +118,12 @@ def pointwise_box(phi: NTClass, lo: Sequence[int], hi: Sequence[int]) -> frozens
     return frozenset(members)
 
 
+def ordered_members(members: Sequence[tuple[int, ...]]) -> frozenset[tuple[int, ...]]:
+    """The points ``enumerate_box`` returned, as a set, once checked to be strictly increasing."""
+    assert all(a < b for a, b in zip(members, members[1:])), "members not in strictly increasing order"
+    return frozenset(members)
+
+
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(20240811)

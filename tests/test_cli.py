@@ -142,6 +142,22 @@ class TestExitCodes:
         assert f"error: {path}: lone surrogate" in captured.err
 
 
+class TestVersion:
+    def test_version_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--version"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == f"posfact {posfact.__version__}\n"
+
+    def test_package_metadata_reads_the_same_version(self):
+        tomllib = pytest.importorskip("tomllib")
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        with open(os.path.join(root, "pyproject.toml"), "rb") as handle:
+            meta = tomllib.load(handle)
+        assert "version" not in meta["project"] and "version" in meta["project"]["dynamic"]
+        assert meta["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "posfact.__version__"}
+
+
 class TestLTable:
     def test_exact_value_text(self, capsys):
         assert main(["ltable", "--genus", "1", "--boundary", "5", "--power", "3"]) == 0
@@ -232,6 +248,42 @@ class TestPoset:
         path.write_text(json.dumps(doc))
         assert main(["poset", str(path), "--generators"]) == 1
         assert "boundary" in capsys.readouterr().err
+
+
+class TestOperandGrammar:
+    """--query, --box and --twist hold integers to the documents' grammar -?[0-9]+."""
+
+    @pytest.mark.parametrize(
+        "command, option, message",
+        [
+            ("poset", "--query=1_0,2", "malformed point"),
+            ("poset", "--query=+1,2", "malformed point"),
+            ("poset", "--query= 1,2", "malformed point"),
+            ("poset", "--query=\u0661,2", "malformed point"),
+            ("poset", "--box=\u0660..\u0662", "malformed box bounds"),
+            ("poset", "--box=0..1_0", "malformed box bounds"),
+            ("poset", "--box=-1 ..1", "malformed box bounds"),
+            ("compose", "--twist=B\u0663:1", "malformed boundary index"),
+            ("compose", "--twist=B+1:1", "malformed boundary index"),
+            ("compose", "--twist=B1:1_0", "malformed twist power"),
+            ("compose", "--twist=B1:\uff11", "malformed twist power"),
+        ],
+    )
+    def test_non_grammar_integers_are_input_errors(self, single_path, capsys, command, option, message):
+        assert main([command, single_path, option]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, option, expected",
+        [
+            ("poset", "--query=-0,007", "(0, 7) is a member"),
+            ("poset", "--box=-1..-1", "0 member point(s) in [-1, -1]^2"),
+            ("compose", "--twist=B02:-1", "fr: 5/3, -2/3"),
+        ],
+    )
+    def test_grammar_integers_are_read(self, single_path, capsys, command, option, expected):
+        assert main([command, single_path, option]) == 0
+        assert expected in capsys.readouterr().out
 
 
 class TestEssentialAndInvariants:

@@ -23,6 +23,9 @@ SINGLE_EXAMPLE = """
                "separating": false, "screw": "1/2"} ] }
 """
 
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+needs_digit_limit = pytest.mark.skipif(not DIGIT_LIMIT, reason="this Python has no int digit limit")
+
 
 def expected_example_class() -> NTClass:
     return NTClass(
@@ -251,8 +254,17 @@ EMIT_LEAVES = st.one_of(
     st.sampled_from([0, -1, 2**63, -(2**64)]),
     EMIT_TEXT,
 )
+# Lists of rows, as box members and generators are written: exact int rows,
+# ragged or empty, and rows holding a bool, a str or None among the ints.
+EMIT_ROWS = st.lists(
+    st.lists(
+        st.one_of(st.integers(), st.sampled_from([True, False, None, "1", 2**63])), max_size=4
+    )
+    | st.lists(st.integers(), max_size=4),
+    max_size=5,
+)
 EMIT_TREES = st.recursive(
-    EMIT_LEAVES,
+    EMIT_LEAVES | EMIT_ROWS,
     lambda children: st.one_of(
         st.lists(children, max_size=4),
         st.lists(st.integers(), max_size=5),
@@ -279,6 +291,14 @@ class TestCanonicalEmitter:
     def test_rejects_other_types(self, obj):
         with pytest.raises(TypeError):
             docio.serialize_report(obj)
+
+    @needs_digit_limit
+    @pytest.mark.parametrize("row", [[1, 0], [True, 0], [0, "x"]], ids=["int-row", "bool-row", "str-row"])
+    def test_row_int_beyond_digit_limit(self, row):
+        obj = {"points": [[0, 0], row + [10**DIGIT_LIMIT]]}
+        with pytest.raises(ValueError) as exc:
+            docio.serialize_report(obj)
+        assert docio._exceeds_digit_limit(exc.value)
 
 
 # Documents with one or more faults, and the ParseError each gives.  The texts
@@ -512,10 +532,6 @@ class TestRejectionTable:
             assert isinstance(docio.parse(json.dumps(edited_document(base, []))), docio.Document)
 
 
-DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
-needs_digit_limit = pytest.mark.skipif(not DIGIT_LIMIT, reason="this Python has no int digit limit")
-
-
 class TestStrictAndTotal:
     @pytest.mark.parametrize(
         "base, key_path, path",
@@ -587,6 +603,41 @@ def fuzz_text(value) -> str:
     return json.dumps(value)
 
 
+# Operand text for --query, --box and --twist: small ints, so that no box
+# grows large, and near misses of the -?[0-9]+ grammar.
+SMALL_INT = st.integers(min_value=-3, max_value=3).map(str)
+FUZZ_INT = st.one_of(
+    SMALL_INT,
+    SMALL_INT,
+    st.sampled_from(["", "-", "+1", " 1", "1 ", "1_0", "\u0663", "1.0", "-0", "003", "0x1"]),
+    st.text(st.characters(exclude_categories=("Nd", "Cs")), max_size=3),
+)
+FUZZ_QUERY = st.lists(FUZZ_INT, min_size=1, max_size=4).map(",".join)
+FUZZ_BOX = st.tuples(FUZZ_INT, st.sampled_from(["..", "..", ".", "...", ""]), FUZZ_INT).map("".join)
+FUZZ_TWIST = st.tuples(
+    st.sampled_from(["B", "B", "O", "X", ""]), FUZZ_INT, st.sampled_from([":", ":", "", "::"]), FUZZ_INT
+).map("".join)
+FUZZ_COMMANDS = (
+    ["invariants"],
+    ["essential", "--check-uniqueness=1"],
+    ["classify"],
+    ["criterion"],
+    ["poset", "--generators"],
+    ["poset", "--query=0,0"],
+    ["poset", "--box=-2..2"],
+    ["correcting-bound"],
+    ["compose", "--twist=B1:1", "--twist=OO1:-1"],
+)
+
+
+def exit_code(argv) -> int:
+    """The exit status of ``posfact argv``, including argparse's own exits."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 class TestFuzz:
     """parse and the CLI end in a Document, a ParseError or exit 0, 1 or 2, never a traceback."""
 
@@ -613,3 +664,23 @@ class TestFuzz:
         path.write_bytes(data)
         for fmt in ("text", "structured"):
             assert main(["validate", str(path), "--format", fmt]) in (0, 1, 2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(st.binary(max_size=120), FUZZ_JSON.map(fuzz_text).map(str.encode),
+                     documents().map(docio.serialize)))
+    def test_every_command(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("fuzz") / "doc.json"
+        path.write_bytes(data)
+        for command, *options in FUZZ_COMMANDS:
+            for fmt in ("text", "structured"):
+                assert exit_code([command, str(path), *options, "--format", fmt]) in (0, 1, 2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(documents(), FUZZ_QUERY, FUZZ_BOX, FUZZ_TWIST)
+    def test_operands(self, tmp_path_factory, doc, query, box, twist):
+        path = tmp_path_factory.mktemp("fuzz") / "doc.json"
+        path.write_bytes(docio.serialize(doc))
+        for command, option in [("poset", f"--query={query}"), ("poset", f"--box={box}"),
+                                ("compose", f"--twist={twist}")]:
+            for fmt in ("text", "structured"):
+                assert exit_code([command, str(path), option, "--format", fmt]) in (0, 1, 2)

@@ -1,4 +1,4 @@
-"""Known regions of correcting posets: generators, membership, box oracle."""
+"""Known regions of correcting posets: corners, membership, box oracle."""
 
 from __future__ import annotations
 
@@ -22,11 +22,10 @@ from posfact import (
     classify,
     contains,
     enumerate_box,
-    essential_inclusion_check,
+    essential_part,
     known_region,
-    minimal_generators,
 )
-from conftest import pointwise_box, rand_poset_ntclass
+from conftest import ordered_members, pointwise_box, rand_poset_ntclass
 
 
 def orbit(screw, kind=OrbitKind.REGULAR, separating=False, oid="O1"):
@@ -39,25 +38,17 @@ def nt(genus, fr, orbits=()):
 
 
 class TestPosetRegion:
-    def test_generators_must_be_antichain(self):
-        with pytest.raises(ValueError, match="antichain"):
-            PosetRegion(2, frozenset({(0, 0), (1, 1)}))
-
     def test_dimension_positive(self):
         with pytest.raises(ValueError):
-            PosetRegion(0, frozenset())
+            PosetRegion(0, None)
 
     def test_generator_length_checked(self):
         with pytest.raises(ValueError):
-            PosetRegion(2, frozenset({(1,)}))
-
-    def test_minimal_generators_reduction(self):
-        points = [(0, 0), (1, 0), (0, 1), (-1, 2), (5, 5)]
-        assert minimal_generators(points) == frozenset({(0, 0), (-1, 2)})
+            PosetRegion(2, (1,))
 
 
 class TestContains:
-    region = PosetRegion(2, frozenset({(-1, 0)}))
+    region = PosetRegion(2, (-1, 0))
 
     def test_dominating_point(self):
         assert contains(self.region, (0, 0))
@@ -66,7 +57,7 @@ class TestContains:
         assert not contains(self.region, (-1, -1))
 
     def test_empty_region(self):
-        assert not contains(PosetRegion(2, frozenset()), (100, 100))
+        assert not contains(PosetRegion(2, None), (100, 100))
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
@@ -76,23 +67,22 @@ class TestContains:
 class TestKnownRegion:
     def test_positive_screws_single_generator(self):
         phi = nt(2, [Fraction(5, 3), Fraction(1, 3)], [orbit(Fraction(1, 2))])
-        assert known_region(phi).generators == frozenset({(-1, 0)})
+        assert known_region(phi).corner == (-1, 0)
 
     def test_negative_screw_uses_correction_route(self):
         phi = nt(2, [5, 5], [orbit(Fraction(-1, 2))])
         region = known_region(phi)
-        assert region.generators == frozenset({(-2, -2)})
+        assert region.corner == (-2, -2)
         assert contains(region, (-2, -2))
         assert contains(region, (0, 0))
 
     def test_empty_when_no_route_applies(self):
         phi = nt(0, [5], [orbit(Fraction(-1, 2))])
-        region = known_region(phi)
-        assert region.generators == frozenset()
+        assert known_region(phi).corner is None
 
     def test_separating_negative_orbit_empty(self):
         phi = nt(2, [5], [orbit(Fraction(-1, 2), separating=True)])
-        assert known_region(phi).generators == frozenset()
+        assert known_region(phi).corner is None
 
     def test_no_boundary_rejected(self):
         with pytest.raises(DomainError):
@@ -109,7 +99,7 @@ class TestKnownRegion:
 class TestEnumerateBox:
     def test_matches_generator_in_example(self):
         phi = nt(2, [5, 5], [orbit(Fraction(-1, 2))])
-        points = enumerate_box(phi, (-3, -3), (3, 3))
+        points = ordered_members(enumerate_box(phi, (-3, -3), (3, 3)))
         expected = {
             (a, b) for a in range(-3, 4) for b in range(-3, 4) if a >= -2 and b >= -2
         }
@@ -117,7 +107,7 @@ class TestEnumerateBox:
 
     def test_positive_screw_example(self):
         phi = nt(2, [Fraction(5, 3), Fraction(1, 3)], [orbit(Fraction(1, 2))])
-        points = enumerate_box(phi, (-2, -2), (2, 2))
+        points = ordered_members(enumerate_box(phi, (-2, -2), (2, 2)))
         expected = {
             (a, b) for a in range(-2, 3) for b in range(-2, 3) if a >= -1 and b >= 0
         }
@@ -125,7 +115,7 @@ class TestEnumerateBox:
 
     def test_empty_region_box(self):
         phi = nt(2, [5], [orbit(Fraction(-1, 2), separating=True)])
-        assert enumerate_box(phi, (-5,), (5,)) == frozenset()
+        assert enumerate_box(phi, (-5,), (5,)) == ()
 
     def test_box_cap(self):
         phi = nt(2, [0, 0])
@@ -145,7 +135,7 @@ class TestEnumerateBox:
             r = phi.surface.boundary_count
             region = known_region(phi)
             box = pointwise_box(phi, (-4,) * r, (4,) * r)
-            assert enumerate_box(phi, (-4,) * r, (4,) * r) == box
+            assert ordered_members(enumerate_box(phi, (-4,) * r, (4,) * r)) == box
             for point in box:
                 assert contains(region, point)
             for point in itertools.product(range(-4, 5), repeat=r):
@@ -157,46 +147,32 @@ class TestEnumerateBox:
         for _ in range(300):
             phi = rand_poset_ntclass(rng)
             r = phi.surface.boundary_count
-            generators = sorted(known_region(phi).generators)
+            corner = known_region(phi).corner
             lo = [rng.randint(-10, 12) for _ in range(r)]
-            kind = "random" if generators else "empty-region"
+            kind = "random" if corner is not None else "empty-region"
             boxes = [(kind, lo, [a + rng.randint(0, 5) for a in lo])]
-            if generators:
-                g = rng.choice(generators)
-                lo = [c - rng.randint(0, 3) for c in g]
-                boxes.append(("corner", lo, [c + rng.randint(0, 3) for c in g]))
-                lo = [c + rng.randint(0, 2) for c in g]
+            if corner is not None:
+                lo = [c - rng.randint(0, 3) for c in corner]
+                boxes.append(("corner", lo, [c + rng.randint(0, 3) for c in corner]))
+                lo = [c + rng.randint(0, 2) for c in corner]
                 boxes.append(("inside", lo, [a + rng.randint(0, 3) for a in lo]))
-                # Every point has coordinate 0 below every generator's.
-                hi = [min(h[0] for h in generators) - 1] + [rng.randint(-3, 12) for _ in range(r - 1)]
+                # Every point has coordinate 0 below the corner's.
+                hi = [corner[0] - 1] + [rng.randint(-3, 12) for _ in range(r - 1)]
                 boxes.append(("outside", [a - rng.randint(0, 4) for a in hi], hi))
             for kind, lo, hi in boxes:
                 members = enumerate_box(phi, lo, hi)
-                assert members == pointwise_box(phi, lo, hi), (phi, lo, hi)
+                assert ordered_members(members) == pointwise_box(phi, lo, hi), (phi, lo, hi)
                 if kind == "inside":
                     assert len(members) == math.prod(b - a + 1 for a, b in zip(lo, hi))
                 if kind in ("outside", "empty-region"):
-                    assert members == frozenset()
+                    assert members == ()
                 kinds[kind] += 1
         assert min(kinds.values()) > 0, kinds
 
-    def test_union_of_two_generator_sub_boxes(self, monkeypatch):
-        # Both routes of known_region give the same generator whenever both
-        # apply, so two generators only arise from a substituted region.
-        region = PosetRegion(3, frozenset({(-1, 2, 0), (1, -2, 1)}))
-        monkeypatch.setattr("posfact.poset.known_region", lambda phi: region)
-        phi = nt(2, [0, 0, 0])
-        lo, hi = (-3, -3, -1), (2, 3, 2)
-        expected = {
-            p
-            for p in itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi)))
-            if contains(region, p)
-        }
-        assert enumerate_box(phi, lo, hi) == expected
-
     def test_no_boundary_is_empty(self):
         phi = NTClass(Surface(2, 0), ())
-        assert enumerate_box(phi, (), ()) == pointwise_box(phi, (), ()) == frozenset()
+        assert enumerate_box(phi, (), ()) == ()
+        assert pointwise_box(phi, (), ()) == frozenset()
 
     @pytest.mark.parametrize(
         "fr, lo, hi, cap, error, match",
@@ -227,21 +203,37 @@ class TestEnumerateBox:
                     assert contains(region, bumped)
 
 
+def essential_inclusion(phi):
+    """Whether the essential part's known region lies inside ``phi``'s.
+
+    None (not applicable) when some boundary exponent of the essential
+    correction is positive: there the essential part raises a boundary
+    coefficient and the containment has no reason to hold.
+    """
+    result = essential_part(phi)
+    if any(n > 0 for n in result.boundary_exponents):
+        return None
+    inner = known_region(result.essential).corner
+    return inner is None or contains(known_region(phi), inner)
+
+
 class TestEssentialInclusion:
+    """Known regions under-approximate the true posets, so they need not nest as those do."""
+
     def test_positive_fr_inclusion_holds(self):
         phi = nt(2, [Fraction(5, 3), Fraction(1, 3)], [orbit(Fraction(1, 2))])
-        assert essential_inclusion_check(phi) is True
+        assert essential_inclusion(phi) is True
 
     def test_already_essential_trivially_true(self):
         phi = nt(2, [Fraction(-1, 2)])
-        assert essential_inclusion_check(phi) is True
+        assert essential_inclusion(phi) is True
 
     def test_skipped_when_fr_must_be_raised(self):
         phi = nt(2, [Fraction(-3, 2)])
-        assert essential_inclusion_check(phi) is None
+        assert essential_inclusion(phi) is None
 
     def test_can_fail_when_correction_budget_shrinks(self):
         # The essential part turns screw -3 into 0, cutting d from 4 to 1;
         # the shrunken known region genuinely escapes the original one.
         phi = nt(2, [Fraction(1, 2)], [orbit(Fraction(-3))])
-        assert essential_inclusion_check(phi) is False
+        assert essential_inclusion(phi) is False

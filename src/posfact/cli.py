@@ -68,7 +68,7 @@ from .invariants import (
     is_fully_right_veering,
     verify_essential_uniqueness,
 )
-from .poset import contains, correcting_exponent_bound, enumerate_box, known_region
+from .poset import _dimension, contains, correcting_exponent_bound, enumerate_box, known_region
 
 __all__ = ["main"]
 
@@ -393,15 +393,15 @@ def _poset_mode(args) -> None:
 
 
 def _poset_entry(args, phi: NTClass) -> dict:
-    region = known_region(phi)
-    entry = {"mode": args.mode, "dimension": region.dimension}
+    r = _dimension(phi)
+    entry = {"mode": args.mode, "dimension": r}
     if args.mode == "generators":
-        entry["generators"] = [] if region.corner is None else [list(region.corner)]
+        corner = known_region(phi).corner
+        entry["generators"] = [] if corner is None else [list(corner)]
     elif args.mode == "query":
         entry["point"] = list(args.point)
-        entry["member"] = contains(region, args.point)
-    else:
-        r = phi.surface.boundary_count
+        entry["member"] = contains(known_region(phi), args.point)
+    else:  # enumerate_box computes the known region itself
         members = enumerate_box(phi, (args.lo,) * r, (args.hi,) * r)
         entry["lo"] = args.lo
         entry["hi"] = args.hi

@@ -18,6 +18,11 @@ Fraction is built only where a new invariant value is stored.  Every type
 in this module is an immutable value and every operation is a pure
 function, so everything is safe for unrestricted concurrent use.
 
+The public constructors check every value they are given.  The private
+builders :func:`_curve_orbit` and :func:`_nt_class` check nothing: they
+store values their caller has already validated, and only
+:mod:`posfact.io` calls them, after its own checks.
+
 .. warning::
    This data *underdetermines* the mapping class: two distinct mapping
    classes can share identical invariant data.  Every certification
@@ -194,6 +199,32 @@ class NTClass:
             if orbit.id == orbit_id:
                 return i
         raise InvalidMoveError(f"unknown orbit id {orbit_id!r}")
+
+
+def _curve_orbit(
+    orbit_id: str, length: int, kind: OrbitKind, separating: bool, screw: Fraction
+) -> CurveOrbit:
+    """A :class:`CurveOrbit` of already-checked values, built without ``__post_init__``."""
+    orbit = object.__new__(CurveOrbit)
+    fields = orbit.__dict__
+    fields["id"] = orbit_id
+    fields["length"] = length
+    fields["kind"] = kind
+    fields["separating"] = separating
+    fields["screw"] = screw
+    return orbit
+
+
+def _nt_class(
+    surface: Surface, fr: tuple[Fraction, ...], orbits: tuple[CurveOrbit, ...]
+) -> NTClass:
+    """An :class:`NTClass` of already-checked values, built without ``__post_init__``."""
+    phi = object.__new__(NTClass)
+    fields = phi.__dict__
+    fields["surface"] = surface
+    fields["fr"] = fr
+    fields["orbits"] = orbits
+    return phi
 
 
 @dataclass(frozen=True)

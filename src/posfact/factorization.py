@@ -237,8 +237,8 @@ def criterion(phi: NTClass) -> CriterionResult:
     when some boundary coefficient is <= 0, or when some orbit with
     screw <= 0 is separating.  Otherwise every orbit with screw <= 0 gets
     d_j = -int_variant(screw_j / beta_j) + 1 correction twists, and the
-    outcome is Sufficient iff k * sum(d_j) < min_i fr_i (the constructed
-    witness is then checked to be fully right-veering); Inconclusive
+    outcome is Sufficient iff k * sum(d_j) < min_i fr_i; only then is the
+    witness built, and checked to be fully right-veering.  Inconclusive
     reports the failed inequality exactly.
     """
     surface = phi.surface
@@ -260,26 +260,25 @@ def criterion(phi: NTClass) -> CriterionResult:
         )
     corrections = tuple((orbit.id, _correction_exponent(orbit)) for orbit in to_correct)
     total = k * sum(d for _, d in corrections)
+    if not all(total * x.denominator < x.numerator for x in phi.fr):  # total >= min fr
+        min_fr = min(phi.fr)
+        return Inconclusive(
+            (
+                Diagnostic(
+                    "criterion-inequality-failed",
+                    f"k*sum(d) = {total} is not < min fr = {min_fr}",
+                    (("lhs", str(total)), ("rhs", str(min_fr))),
+                ),
+            )
+        )
     moves = [OrbitTwist(orbit_id, d) for orbit_id, d in corrections]
     moves += [BoundaryTwist(i + 1, -total) for i in range(surface.boundary_count)]
     corrected = compose_twists(phi, moves)
-    witness = WitnessDecomposition(k, corrections, total, corrected)
-    if all(total * x.denominator < x.numerator for x in phi.fr):  # total < min fr
-        if not is_fully_right_veering(corrected):  # unreachable; defensive
-            return Inconclusive(
-                (Diagnostic("witness-not-fully-right-veering", "corrected class failed verification"),)
-            )
-        return Sufficient(witness)
-    min_fr = min(phi.fr)
-    return Inconclusive(
-        (
-            Diagnostic(
-                "criterion-inequality-failed",
-                f"k*sum(d) = {total} is not < min fr = {min_fr}",
-                (("lhs", str(total)), ("rhs", str(min_fr))),
-            ),
+    if not is_fully_right_veering(corrected):  # unreachable; defensive
+        return Inconclusive(
+            (Diagnostic("witness-not-fully-right-veering", "corrected class failed verification"),)
         )
-    )
+    return Sufficient(WitnessDecomposition(k, corrections, total, corrected))
 
 
 @dataclass(frozen=True)

@@ -49,6 +49,13 @@ strings, each with a JSON path; bare integers over that limit and nesting
 deeper than the recursion limit, which the JSON decoder reports without a
 position.
 
+Validation runs in one pass over each orbit object: each field gets a
+key-membership test and an exact-type test, in the order of the fields, and
+a value that fails them goes to a ``_require_*`` helper, which explains the
+failure or accepts the value (a non-ASCII id, say).  Once ``io``'s own
+checks have passed, classes are built through ``core``'s private builders,
+which do not run the public constructors' checks a second time.
+
 Reports emitted by the CLI use the same conventions under an envelope
 ``{"version": "1", "report": "<kind>", ...}``; :func:`parse_report`
 validates them so structured CLI output round-trips.
@@ -65,7 +72,7 @@ from itertools import chain
 from json.encoder import encode_basestring
 from typing import Any, Optional, Union
 
-from .core import CurveOrbit, NTClass, OrbitKind, Surface
+from .core import CurveOrbit, NTClass, OrbitKind, Surface, _curve_orbit, _nt_class
 
 __all__ = [
     "ParseError",
@@ -269,18 +276,31 @@ _SURFACE_FIELDS = frozenset(("genus", "boundary"))
 
 
 def _orbit_from_json(value: Any, path: Any) -> CurveOrbit:
-    obj = _require_object(value, _ORBIT_FIELDS, path)
-    orbit_id = _require_name(_require(obj, "id", path), path, "id")
-    length = _require_int(_require(obj, "length", path), path, "length", minimum=1)
-    kind_text = _require_str(_require(obj, "kind", path), path, "kind")
+    # One pass (see the module docstring): a value failing the inline tests
+    # goes to its _require_* helper, which raises or accepts it.
+    if value.__class__ is not dict or not value.keys() <= _ORBIT_FIELDS:
+        _require_object(value, _ORBIT_FIELDS, path)
+    orbit_id = value["id"] if "id" in value else _require(value, "id", path)
+    if orbit_id.__class__ is not str or not orbit_id or not orbit_id.isascii():
+        _require_name(orbit_id, path, "id")
+    length = value["length"] if "length" in value else _require(value, "length", path)
+    if length.__class__ is not int or length < 1:
+        _require_int(length, path, "length", minimum=1)
+    kind_text = value["kind"] if "kind" in value else _require(value, "kind", path)
+    if kind_text.__class__ is not str:  # before the lookup: a list is unhashable
+        _require_str(kind_text, path, "kind")
     kind = _ORBIT_KINDS.get(kind_text)
     if kind is None:
         raise ParseError(
             f"kind must be \"regular\" or \"amphidrome\", got {kind_text!r}", _path(path, "kind")
         )
-    separating = _require_bool(_require(obj, "separating", path), path, "separating")
-    screw = parse_rational(_require(obj, "screw", path), path, "screw")
-    return CurveOrbit(orbit_id, length, kind, separating, screw)
+    separating = value["separating"] if "separating" in value else _require(value, "separating", path)
+    if separating.__class__ is not bool:
+        _require_bool(separating, path, "separating")
+    screw = parse_rational(
+        value["screw"] if "screw" in value else _require(value, "screw", path), path, "screw"
+    )
+    return _curve_orbit(orbit_id, length, kind, separating, screw)
 
 
 def _class_from_json(value: Any, path: Any) -> NTClass:
@@ -303,15 +323,13 @@ def _class_fields(obj: dict, path: Any) -> NTClass:
     orbits_path = (path, "orbits")
     orbit_list = _require_list(_require(obj, "orbits", path), orbits_path)
     orbits = tuple([_orbit_from_json(x, (orbits_path, i)) for i, x in enumerate(orbit_list)])
-    seen: set[str] = set()
-    for i, orbit in enumerate(orbits):
-        if orbit.id in seen:
-            raise ParseError(f"duplicate orbit id {orbit.id!r}", _path(orbits_path, i, "id"))
-        seen.add(orbit.id)
-    try:
-        return NTClass(Surface(genus, boundary), fr, orbits)
-    except ValueError as exc:  # belt and braces: everything above pre-validates
-        raise ParseError(str(exc), _path(path)) from None
+    if len({orbit.id for orbit in orbits}) != len(orbits):
+        seen: set[str] = set()
+        for i, orbit in enumerate(orbits):
+            if orbit.id in seen:
+                raise ParseError(f"duplicate orbit id {orbit.id!r}", _path(orbits_path, i, "id"))
+            seen.add(orbit.id)
+    return _nt_class(Surface(genus, boundary), fr, orbits)
 
 
 def _load_json(data: Union[bytes, str]) -> Any:
@@ -387,6 +405,7 @@ def class_to_json(phi: NTClass) -> dict:
 
 
 _INT_ONLY = frozenset({int})
+_STR_ONLY = frozenset({str})
 _LIST_ONLY = frozenset({list})
 
 
@@ -436,8 +455,19 @@ def _emit(value: Any, out: list[str], indent: str) -> None:
         for key, item in value.items():
             if key.__class__ is not str:
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
-            out.append(sep + encode_basestring(key) + ": ")
-            _emit(item, out, inner)
+            head = sep + encode_basestring(key) + ": "
+            item_cls = item.__class__
+            if item_cls is str:  # scalars inline, without a call per value
+                out.append(head + encode_basestring(item))
+            elif item_cls is int:
+                out.append(head + int.__repr__(item))
+            elif item_cls is bool:
+                out.append(head + ("true" if item else "false"))
+            elif item is None:
+                out.append(head + "null")
+            else:
+                out.append(head)
+                _emit(item, out, inner)
             sep = comma
         out.append(indent + "}")
     elif cls is list:
@@ -446,8 +476,12 @@ def _emit(value: Any, out: list[str], indent: str) -> None:
             return
         inner = indent + "  "
         comma = "," + inner
-        if set(map(type, value)) == _INT_ONLY:
+        item_types = set(map(type, value))
+        if item_types == _INT_ONLY:
             out.append("[" + inner + comma.join(map(int.__repr__, value)) + indent + "]")
+            return
+        if item_types == _STR_ONLY:
+            out.append("[" + inner + comma.join(map(encode_basestring, value)) + indent + "]")
             return
         if value[0].__class__ is list and _emit_int_rows(value, out, inner, indent):
             return

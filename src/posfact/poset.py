@@ -77,6 +77,14 @@ def contains(region: PosetRegion, point: Sequence[int]) -> bool:
     return corner is not None and all(c <= p for c, p in zip(corner, point))
 
 
+def _dimension(phi: NTClass) -> int:
+    """The dimension of ``phi``'s correcting poset: its boundary count, which must be >= 1."""
+    r = phi.surface.boundary_count
+    if r == 0:
+        raise DomainError("the correcting poset needs at least one boundary component")
+    return r
+
+
 def known_region(phi: NTClass) -> PosetRegion:
     """Certified subset of the correcting poset, by its corner in closed form.
 
@@ -88,9 +96,7 @@ def known_region(phi: NTClass) -> PosetRegion:
     does not apply: k is undefined for the surface, or such an orbit is
     separating.  Each member is a genuine element of the correcting poset.
     """
-    r = phi.surface.boundary_count
-    if r == 0:
-        raise DomainError("the correcting poset needs at least one boundary component")
+    r = _dimension(phi)
     to_correct = [orbit for orbit in phi.orbits if orbit.screw.numerator <= 0]
     total = 0
     if to_correct:

@@ -17,6 +17,7 @@ from fractions import Fraction
 
 import pytest
 
+import posfact.factorization
 import posfact.invariants
 from posfact import (
     BoundaryTwist,
@@ -384,3 +385,22 @@ def test_uniqueness_does_not_build_an_essential_part(classes, monkeypatch):
     monkeypatch.setattr(posfact.invariants, "essential_part", sentinel)
     for phi in classes[:200]:
         assert verify_essential_uniqueness(phi, 3)
+
+
+def test_criterion_builds_a_witness_only_to_certify(classes, monkeypatch):
+    calls = []
+
+    def sentinel(phi, moves):
+        calls.append(phi)
+        return compose_twists(phi, moves)
+
+    monkeypatch.setattr(posfact.factorization, "compose_twists", sentinel)
+    seen = set()
+    for phi in classes:
+        calls.clear()
+        result = criterion(phi)
+        assert len(calls) == (1 if isinstance(result, Sufficient) else 0)
+        assert result == ref_criterion(phi)
+        assert classify(phi) == ref_classify(phi)
+        seen.add(type(result))
+    assert seen == {Sufficient, Inconclusive, NotApplicable}

@@ -274,11 +274,19 @@ EMIT_TREES = st.recursive(
 )
 
 
+# Report entries as most reports hold them: objects whose values are scalars
+# or lists of strings, which the emitter writes without recursing.
+EMIT_ENTRIES = st.lists(
+    st.dictionaries(EMIT_TEXT, EMIT_LEAVES | st.lists(EMIT_TEXT, max_size=4), max_size=6),
+    max_size=3,
+)
+
+
 class TestCanonicalEmitter:
     """The emitter against ``json.dumps(indent=2)``, which serves only as an oracle here."""
 
-    @settings(max_examples=100)
-    @given(st.dictionaries(EMIT_TEXT, EMIT_TREES, max_size=4))
+    @settings(max_examples=150)
+    @given(st.dictionaries(EMIT_TEXT, EMIT_TREES | EMIT_ENTRIES, max_size=4))
     def test_matches_json_dumps(self, obj):
         expected = (json.dumps(obj, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
         assert docio.serialize_report(obj) == expected
@@ -296,6 +304,18 @@ class TestCanonicalEmitter:
     @pytest.mark.parametrize("row", [[1, 0], [True, 0], [0, "x"]], ids=["int-row", "bool-row", "str-row"])
     def test_row_int_beyond_digit_limit(self, row):
         obj = {"points": [[0, 0], row + [10**DIGIT_LIMIT]]}
+        with pytest.raises(ValueError) as exc:
+            docio.serialize_report(obj)
+        assert docio._exceeds_digit_limit(exc.value)
+
+    @needs_digit_limit
+    @pytest.mark.parametrize(
+        "make",
+        [lambda big: {"bound": big}, lambda big: [0, big], lambda big: ["x", big]],
+        ids=["dict-value", "int-list-item", "mixed-list-item"],
+    )
+    def test_int_beyond_digit_limit(self, make):
+        obj = {"entries": [{"name": "a", "value": make(10**DIGIT_LIMIT)}]}
         with pytest.raises(ValueError) as exc:
             docio.serialize_report(obj)
         assert docio._exceeds_digit_limit(exc.value)
@@ -381,12 +401,20 @@ MALFORMED = [
      "$.orbits[0].length: expected an integer, got '1'"),
     ("orbit-length-zero", "single", [(("orbits", 1, "length"), 0)],
      "$.orbits[1].length: expected an integer >= 1, got 0"),
+    ("orbit-length-bool", "single", [(("orbits", 0, "length"), True)],
+     "$.orbits[0].length: expected an integer, got True"),
     ("orbit-kind-type", "single", [(("orbits", 0, "kind"), 1)],
      "$.orbits[0].kind: expected a string, got 1"),
+    ("orbit-kind-list", "single", [(("orbits", 0, "kind"), ["regular"])],
+     "$.orbits[0].kind: expected a string, got ['regular']"),
+    ("orbit-kind-object", "single", [(("orbits", 1, "kind"), {"regular": True})],
+     "$.orbits[1].kind: expected a string, got {'regular': True}"),
     ("orbit-kind-value", "single", [(("orbits", 0, "kind"), "Regular")],
      '$.orbits[0].kind: kind must be "regular" or "amphidrome", got \'Regular\''),
     ("orbit-separating-type", "single", [(("orbits", 1, "separating"), "yes")],
      "$.orbits[1].separating: expected a boolean, got 'yes'"),
+    ("orbit-separating-int", "single", [(("orbits", 1, "separating"), 0)],
+     "$.orbits[1].separating: expected a boolean, got 0"),
     ("orbit-separating-missing", "single", [(("orbits", 1, "separating"), DELETE)],
      "$.orbits[1]: missing required field 'separating'"),
     ("orbit-screw-float", "single", [(("orbits", 0, "screw"), 0.5)],
@@ -476,6 +504,11 @@ MALFORMED = [
         (("batch", 1, "class", "orbits", 0, "separating"), 1),
     ],
      '$.batch[1].class.orbits[0].kind: kind must be "regular" or "amphidrome", got \'spiral\''),
+    ("multi-orbit-id-before-missing-length", "batch", [
+        (("batch", 1, "class", "orbits", 0, "id"), ""),
+        (("batch", 1, "class", "orbits", 0, "length"), DELETE),
+    ],
+     "$.batch[1].class.orbits[0].id: expected a non-empty string"),
     ("multi-orbit-before-duplicate", "batch", [
         (("batch", 0, "class", "orbits", 1, "id"), "O1"),
         (("batch", 0, "class", "orbits", 1, "length"), -1),
@@ -530,6 +563,11 @@ class TestRejectionTable:
     def test_unedited_documents_parse(self):
         for base in ("single", "batch"):
             assert isinstance(docio.parse(json.dumps(edited_document(base, []))), docio.Document)
+
+    def test_non_ascii_orbit_id_parses(self):
+        doc = edited_document("batch", [(("batch", 1, "class", "orbits", 1, "id"), "Ö名\U0001f600")])
+        nt_class = docio.parse(json.dumps(doc)).payload[1].nt_class
+        assert [orbit.id for orbit in nt_class.orbits] == ["O1", "Ö名\U0001f600"]
 
 
 class TestStrictAndTotal:
@@ -656,6 +694,26 @@ class TestFuzz:
             assert isinstance(docio.parse(fuzz_text(value)), docio.Document)
         except docio.ParseError:
             pass
+
+    @settings(max_examples=200)
+    @given(st.one_of(documents().map(docio.serialize), FUZZ_JSON.map(fuzz_text)))
+    def test_parsed_classes_pass_the_checked_constructors(self, data):
+        try:
+            doc = docio.parse(data)
+        except docio.ParseError:
+            return
+        for _, nt_class in doc.entries():
+            surface, orbits = nt_class.surface, nt_class.orbits
+            assert type(nt_class.fr) is tuple and type(orbits) is tuple
+            assert all(type(x) is Fraction for x in nt_class.fr)
+            assert all(type(o.screw) is Fraction for o in orbits)
+            assert all(type(o.length) is int and type(o.separating) is bool for o in orbits)
+            rebuilt = NTClass(
+                Surface(surface.genus, surface.boundary_count),
+                nt_class.fr,
+                tuple(CurveOrbit(o.id, o.length, o.kind, o.separating, o.screw) for o in orbits),
+            )
+            assert rebuilt == nt_class
 
     @settings(max_examples=60, deadline=None)
     @given(st.one_of(st.binary(max_size=120), FUZZ_JSON.map(fuzz_text).map(str.encode)))

@@ -20,8 +20,11 @@ function, so everything is safe for unrestricted concurrent use.
 
 The public constructors check every value they are given.  The private
 builders :func:`_curve_orbit` and :func:`_nt_class` check nothing: they
-store values their caller has already validated, and only
-:mod:`posfact.io` calls them, after its own checks.
+store values their caller has already validated.  Two modules call them:
+:mod:`posfact.io`, after its own checks, and
+:func:`posfact.invariants.essential_part`, whose essential class takes its
+surface and every orbit's id, length, kind and separating flag unchanged
+from a class that was checked when it was built.
 
 .. warning::
    This data *underdetermines* the mapping class: two distinct mapping
@@ -110,9 +113,10 @@ class Surface:
     boundary_count: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.genus, int) or self.genus < 0:
+        if not isinstance(self.genus, int) or isinstance(self.genus, bool) or self.genus < 0:
             raise ValueError(f"genus must be a non-negative integer, got {self.genus!r}")
-        if not isinstance(self.boundary_count, int) or self.boundary_count < 0:
+        count = self.boundary_count
+        if not isinstance(count, int) or isinstance(count, bool) or count < 0:
             raise ValueError(
                 f"boundary_count must be a non-negative integer, got {self.boundary_count!r}"
             )
@@ -151,10 +155,12 @@ class CurveOrbit:
     def __post_init__(self) -> None:
         if not isinstance(self.id, str) or not self.id:
             raise ValueError(f"orbit id must be a non-empty string, got {self.id!r}")
-        if not isinstance(self.length, int) or self.length < 1:
+        if not isinstance(self.length, int) or isinstance(self.length, bool) or self.length < 1:
             raise ValueError(f"orbit length must be a positive integer, got {self.length!r}")
         if not isinstance(self.kind, OrbitKind):
             raise ValueError(f"orbit kind must be an OrbitKind, got {self.kind!r}")
+        if not isinstance(self.separating, bool):
+            raise ValueError(f"orbit separating flag must be a bool, got {self.separating!r}")
         object.__setattr__(self, "screw", as_rational(self.screw))
 
     @property

@@ -5,14 +5,15 @@ A class is *essential* when every fractional Dehn twist coefficient lies in
 number in (-2, 2).  Every class has a unique twist-correction to an
 essential one that preserves the sign of each nonzero invariant; the
 correcting exponents are closed-form truncations and
-:func:`verify_essential_uniqueness` re-derives the uniqueness by an
-exhaustive window scan rather than trusting the closed form.
+:func:`verify_essential_uniqueness` re-derives the uniqueness by a window
+scan, which counts the essential exponents near the closed-form one.
 
 Every gate and exponent here is decided on the numerator p and denominator
 q of each invariant: |v| < beta is |p| < beta * q, v > 0 is p > 0, and the
 correcting exponent is -trunc(p / (beta * q)).  Fractions appear only in
-the classes taken and returned: the essential class stores v + beta * e
-where the exponent e is nonzero, and reuses v where it is zero.
+the classes taken and returned: the essential class stores
+``Fraction(p + beta * e * q, q)`` where the exponent e is nonzero, and
+reuses v where it is zero.
 
 All functions are pure and depend only on the invariant data; permuting
 the orbit list permutes outputs correspondingly.
@@ -21,9 +22,18 @@ the orbit list permutes outputs correspondingly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from ._backend import kernel
-from .core import BoundaryTwist, CurveOrbit, NTClass, OrbitTwist, TwistMove, trunc_div
+from .core import (
+    BoundaryTwist,
+    NTClass,
+    OrbitTwist,
+    TwistMove,
+    _curve_orbit,
+    _nt_class,
+    trunc_div,
+)
 
 __all__ = [
     "EssentialResult",
@@ -72,25 +82,33 @@ def essential_part(phi: NTClass) -> EssentialResult:
     Boundary exponents are -int_variant(fr_i); orbit exponents are
     -int_variant(screw_j / beta_j).  The result is essential, and each
     nonzero corrected invariant keeps the sign of the original one.
+
+    A corrected value p/q + beta * e is built as ``Fraction(p + beta*e*q, q)``,
+    already in lowest terms since gcd(p + beta*e*q, q) = gcd(p, q) = 1.  The
+    essential class is built through ``core``'s private builders: its
+    surface, and each orbit's id, length, kind and separating flag, come
+    unchanged from ``phi``, which its constructor has already checked.
     """
     boundary_exponents = []
     fr = []
     for x in phi.fr:
-        e = -trunc_div(x.numerator, x.denominator)
+        p, q = x.numerator, x.denominator
+        e = -trunc_div(p, q)
         boundary_exponents.append(e)
-        fr.append(x + e if e else x)
+        fr.append(Fraction(p + e * q, q) if e else x)
     orbit_exponents = []
     orbits = []
     for orbit in phi.orbits:
         screw, beta = orbit.screw, orbit.beta
-        m = -trunc_div(screw.numerator, beta * screw.denominator)
+        p, q = screw.numerator, screw.denominator
+        m = -trunc_div(p, beta * q)
         orbit_exponents.append(m)
         if m:
-            orbit = CurveOrbit(
-                orbit.id, orbit.length, orbit.kind, orbit.separating, screw + beta * m
+            orbit = _curve_orbit(
+                orbit.id, orbit.length, orbit.kind, orbit.separating, Fraction(p + beta * m * q, q)
             )
         orbits.append(orbit)
-    essential = NTClass(phi.surface, tuple(fr), tuple(orbits))
+    essential = _nt_class(phi.surface, tuple(fr), tuple(orbits))
     return EssentialResult(essential, tuple(boundary_exponents), tuple(orbit_exponents))
 
 
@@ -102,13 +120,17 @@ def verify_essential_uniqueness(phi: NTClass, window: int = 3) -> bool:
     sign-preserving result, namely the closed-form one.  The three
     conditions are per-coordinate, so the tuple count is the product of
     per-coordinate counts; the scan (the kernel in ``_kernel_py``)
-    exploits that factorization.
+    exploits that factorization, and its ``unique`` is the answer.
 
     The scan radius is ``min(window, 1)``, which gives the same answer as
     ``window``: the candidates satisfying |v + beta * e| < beta are at
     most the two neighbours of -v / beta, and both lie within 1 of the
     closed-form exponent.  So a huge window costs no more than window 1.
+
+    ``window`` must be an int (not a bool) and at least 1.
     """
+    if not isinstance(window, int) or isinstance(window, bool):
+        raise TypeError(f"window must be an integer, got {window!r}")
     if window < 1:
         raise ValueError("window must be >= 1")
     nums = [x.numerator for x in phi.fr]
@@ -118,11 +140,8 @@ def verify_essential_uniqueness(phi: NTClass, window: int = 3) -> bool:
         nums.append(orbit.screw.numerator)
         dens.append(orbit.screw.denominator)
         betas.append(orbit.beta)
-    unique, exponents = kernel.scan_class(nums, dens, betas, min(window, 1))
-    if not unique:
-        return False
-    closed = [-trunc_div(num, beta * den) for num, den, beta in zip(nums, dens, betas)]
-    return list(exponents) == closed
+    unique, _ = kernel.scan_class(nums, dens, betas, min(window, 1))
+    return unique
 
 
 def is_fully_right_veering(phi: NTClass) -> bool:

@@ -37,7 +37,9 @@ The canonical byte format is this module's own, written by ``_emit``:
 
 These are the bytes that ``json.dumps(obj, indent=2, ensure_ascii=False)``
 plus a newline gives for the same object; the tests hold the emitter to that
-as an independent oracle.
+as an independent oracle.  The text ``"key": `` of every key that the field
+declarations below name is encoded once, at import, into a read-only table;
+any other key is encoded where it is written.
 
 Rejection is total: a document that parses yields classes satisfying every
 core invariant, and every rejection carries position provenance (line and
@@ -452,10 +454,11 @@ def _emit(value: Any, out: list[str], indent: str) -> None:
         inner = indent + "  "
         comma = "," + inner
         sep = "{" + inner
+        key_text = _KEY_TEXT
         for key, item in value.items():
-            if key.__class__ is not str:
+            if key.__class__ is not str:  # before the lookup: a str subclass may equal a key
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
-            head = sep + encode_basestring(key) + ": "
+            head = sep + (key_text.get(key) or encode_basestring(key) + ": ")
             item_cls = item.__class__
             if item_cls is str:  # scalars inline, without a call per value
                 out.append(head + encode_basestring(item))
@@ -591,6 +594,32 @@ _ENTRY_FIELDS = {
     "poset": ("mode", "dimension", "generators", "point", "member", "lo", "hi", "points"),
     "correcting-bound": ("bound", "diagnostics"),
 }
+_ENTRY_ENVELOPE = ("name", "status", "error")
+
+# The text ``_emit`` writes before the value of each key declared above:
+# ``"key": ``, encoded once at import.  Nothing writes to it afterwards.
+_KEY_TEXT = {
+    key: encode_basestring(key) + ": "
+    for key in chain(
+        _ORBIT_FIELDS,
+        _CLASS_FIELDS,
+        _SURFACE_FIELDS,
+        _BATCH_FIELDS,
+        _BATCH_ITEM_FIELDS,
+        _SINGLE_FIELDS,
+        _DIAG_FIELDS,
+        _WITNESS_FIELDS,
+        _CORRECTION_FIELDS,
+        _ERROR_FIELDS,
+        _SCREW_FIELDS,
+        _PERIOD_FIELDS,
+        _LTABLE_FIELDS,
+        _LTABLE_RESULT_FIELDS,
+        _ENTRIES_FIELDS,
+        _ENTRY_ENVELOPE,
+        *_ENTRY_FIELDS.values(),
+    )
+}
 
 
 def _check_entry_payload(kind: str, obj: dict, path: Any) -> None:
@@ -697,7 +726,7 @@ def parse_report(data: Union[bytes, str]) -> dict:
     _check_version(obj)
     entries_path = ("$", "entries")
     entries = _require_list(_require(obj, "entries", "$"), entries_path)
-    allowed = frozenset(("name", "status", "error") + _ENTRY_FIELDS[kind])
+    allowed = frozenset(_ENTRY_ENVELOPE + _ENTRY_FIELDS[kind])
     for i, item in enumerate(entries):
         path = (entries_path, i)
         entry = _require_object(item, allowed, path)

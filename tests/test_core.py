@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -189,6 +190,34 @@ class TestValidation:
     def test_orbit_length_positive(self):
         with pytest.raises(ValueError, match="positive integer"):
             CurveOrbit("O1", 0, OrbitKind.REGULAR, False, Fraction(1))
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: Surface(True, 1), "genus must be a non-negative integer, got True"),
+            (lambda: Surface(1, False), "boundary_count must be a non-negative integer, got False"),
+            (lambda: orbit(1, length=True), "orbit length must be a positive integer, got True"),
+            (
+                lambda: CurveOrbit("a", True, OrbitKind.REGULAR, "no", Fraction(-1)),
+                "orbit length must be a positive integer, got True",
+            ),
+            (lambda: orbit(-1, separating="no"), "orbit separating flag must be a bool, got 'no'"),
+            (lambda: orbit(-1, separating=1), "orbit separating flag must be a bool, got 1"),
+            (lambda: orbit(-1, separating=None), "orbit separating flag must be a bool, got None"),
+        ],
+        ids=[
+            "genus-bool",
+            "boundary-bool",
+            "length-bool",
+            "length-bool-before-separating",
+            "separating-str",
+            "separating-int",
+            "separating-none",
+        ],
+    )
+    def test_rejects_bool_counts_and_non_bool_flags(self, build, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build()
 
     def test_surface_non_negative(self):
         with pytest.raises(ValueError):

@@ -354,6 +354,22 @@ def test_essential_part(classes):
         assert ref_is_essential(result.essential)
 
 
+def test_essential_class_passes_the_checked_constructors(classes):
+    # essential_part builds its class without the constructors' checks.
+    for phi in classes:
+        essential = essential_part(phi).essential
+        rebuilt = NTClass(
+            Surface(essential.surface.genus, essential.surface.boundary_count),
+            essential.fr,
+            tuple(
+                CurveOrbit(o.id, o.length, o.kind, o.separating, o.screw) for o in essential.orbits
+            ),
+        )
+        assert essential == rebuilt
+        assert all(type(x) is Fraction for x in essential.fr)
+        assert all(type(o.screw) is Fraction for o in essential.orbits)
+
+
 def test_compose_twists(classes):
     rng = random.Random(7)
     for phi in classes:

@@ -194,6 +194,11 @@ class TestUniqueness:
         with pytest.raises(ValueError):
             verify_essential_uniqueness(nt([0]), window=0)
 
+    @pytest.mark.parametrize("window", [True, False, 1.5, 3.0, "3", None])
+    def test_window_must_be_an_int(self, window):
+        with pytest.raises(TypeError, match=f"window must be an integer, got {window!r}"):
+            verify_essential_uniqueness(nt([Fraction(5, 3)]), window=window)
+
     def test_matches_literal_tuple_enumeration(self, rng):
         # Guards the per-coordinate factorization against the direct product scan.
         for _ in range(60):

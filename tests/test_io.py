@@ -247,6 +247,8 @@ EMIT_TEXT = st.text(
     ),
     max_size=8,
 )
+# Keys from the emitter's table of declared keys, and any other text.
+EMIT_KEYS = EMIT_TEXT | st.sampled_from(sorted(docio._KEY_TEXT))
 EMIT_LEAVES = st.one_of(
     st.none(),
     st.booleans(),
@@ -268,7 +270,7 @@ EMIT_TREES = st.recursive(
     lambda children: st.one_of(
         st.lists(children, max_size=4),
         st.lists(st.integers(), max_size=5),
-        st.dictionaries(EMIT_TEXT, children, max_size=4),
+        st.dictionaries(EMIT_KEYS, children, max_size=4),
     ),
     max_leaves=16,
 )
@@ -277,24 +279,35 @@ EMIT_TREES = st.recursive(
 # Report entries as most reports hold them: objects whose values are scalars
 # or lists of strings, which the emitter writes without recursing.
 EMIT_ENTRIES = st.lists(
-    st.dictionaries(EMIT_TEXT, EMIT_LEAVES | st.lists(EMIT_TEXT, max_size=4), max_size=6),
+    st.dictionaries(EMIT_KEYS, EMIT_LEAVES | st.lists(EMIT_TEXT, max_size=4), max_size=6),
     max_size=3,
 )
+
+
+class StrKey(str):
+    """A str subclass: equal to, and hashed like, the text it holds."""
 
 
 class TestCanonicalEmitter:
     """The emitter against ``json.dumps(indent=2)``, which serves only as an oracle here."""
 
     @settings(max_examples=150)
-    @given(st.dictionaries(EMIT_TEXT, EMIT_TREES | EMIT_ENTRIES, max_size=4))
+    @given(st.dictionaries(EMIT_KEYS, EMIT_TREES | EMIT_ENTRIES, max_size=4))
     def test_matches_json_dumps(self, obj):
         expected = (json.dumps(obj, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
         assert docio.serialize_report(obj) == expected
 
     @pytest.mark.parametrize(
         "obj",
-        [{"a": 1.5}, {"a": (1, 2)}, {1: "x"}, {"a": Fraction(1, 2)}, {"a": [{"b": {1}}]}],
-        ids=["float", "tuple", "int-key", "fraction", "nested-set"],
+        [
+            {"a": 1.5},
+            {"a": (1, 2)},
+            {1: "x"},
+            {"a": Fraction(1, 2)},
+            {"a": [{"b": {1}}]},
+            {StrKey("name"): "x"},
+        ],
+        ids=["float", "tuple", "int-key", "fraction", "nested-set", "str-subclass-key"],
     )
     def test_rejects_other_types(self, obj):
         with pytest.raises(TypeError):

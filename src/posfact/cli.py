@@ -141,7 +141,19 @@ def _operand_int(text: str) -> int:
     return int(text)
 
 
+def _operand_text(value, flag: str) -> str:
+    """The one string an operand flag was given.
+
+    Python 3.11's argparse drops an operand that is exactly ``--`` (as in
+    ``--box=--``) and passes ``[]`` in its place; that is an input error.
+    """
+    if not isinstance(value, str):
+        raise docio.ParseError(f"missing operand for {flag}")
+    return value
+
+
 def _parse_twist_flag(text: str) -> TwistMove:
+    text = _operand_text(text, "--twist")
     target, sep, power_text = text.rpartition(":")
     if not sep or not target:
         raise docio.ParseError(f"malformed --twist {text!r}, expected B<i>:<m> or O<id>:<m>")
@@ -163,6 +175,7 @@ def _parse_twist_flag(text: str) -> TwistMove:
 
 
 def _parse_point(text: str) -> tuple[int, ...]:
+    text = _operand_text(text, "--query")
     try:
         return tuple(map(_operand_int, text.split(",")))
     except ValueError:
@@ -170,6 +183,7 @@ def _parse_point(text: str) -> tuple[int, ...]:
 
 
 def _parse_box(text: str) -> tuple[int, int]:
+    text = _operand_text(text, "--box")
     lo_text, sep, hi_text = text.partition("..")
     if not sep:
         raise docio.ParseError(f"malformed box {text!r}, expected lo..hi")

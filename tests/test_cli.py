@@ -267,6 +267,9 @@ class TestOperandGrammar:
             ("compose", "--twist=B+1:1", "malformed boundary index"),
             ("compose", "--twist=B1:1_0", "malformed twist power"),
             ("compose", "--twist=B1:\uff11", "malformed twist power"),
+            ("poset", "--query=--", "missing operand for --query"),
+            ("poset", "--box=--", "missing operand for --box"),
+            ("compose", "--twist=--", "missing operand for --twist"),
         ],
     )
     def test_non_grammar_integers_are_input_errors(self, single_path, capsys, command, option, message):

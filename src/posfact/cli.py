@@ -72,18 +72,6 @@ from .poset import _dimension, contains, correcting_exponent_bound, enumerate_bo
 
 __all__ = ["main"]
 
-PUBLIC_COMMANDS = (
-    "validate",
-    "invariants",
-    "essential",
-    "classify",
-    "criterion",
-    "compose",
-    "poset",
-    "ltable",
-    "correcting-bound",
-)
-
 
 def _read_input(path: str) -> bytes:
     if path == "-":
@@ -544,7 +532,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True, metavar="{" + ",".join(PUBLIC_COMMANDS) + "}")
+    sub = parser.add_subparsers(required=True)
 
     _report_parser(sub, "validate", "parse and validate a document", _validate_entry, _validate_text)
     _report_parser(

@@ -200,12 +200,6 @@ class NTClass:
             dupes = sorted({i for i in ids if ids.count(i) > 1})
             raise ValueError(f"orbit ids must be pairwise distinct, repeated: {dupes}")
 
-    def orbit_index(self, orbit_id: str) -> int:
-        for i, orbit in enumerate(self.orbits):
-            if orbit.id == orbit_id:
-                return i
-        raise InvalidMoveError(f"unknown orbit id {orbit_id!r}")
-
 
 def _curve_orbit(
     orbit_id: str, length: int, kind: OrbitKind, separating: bool, screw: Fraction

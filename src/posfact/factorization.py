@@ -1,7 +1,8 @@
 """Certified positive-factorization routes for pseudoperiodic invariant data.
 
-Two routes can certify that every mapping class with the given invariants
-admits a factorization into right-handed Dehn twists:
+This module alone decides certification.  Two routes can certify that every
+mapping class with the given invariants admits a factorization into
+right-handed Dehn twists:
 
 * the *direct* route: strictly positive fractional Dehn twist coefficients
   and screw numbers certify a positive factorization outright;
@@ -11,18 +12,18 @@ admits a factorization into right-handed Dehn twists:
   table below) certifies a positive factorization provided
   k * sum(d_j) < min_i fr_i, with d_j = -int_variant(screw_j / beta_j) + 1.
 
+Each rule is written once: the two sign gates (fr <= 0, screw <= 0) in
+``_sign_gates``; k, the separating gate, each d_j and the total in
+``_correction_plan``.  :func:`classify` evaluates the gates once per class,
+and :func:`posfact.poset.known_region` reads the total off ``_certified_total``.
+
 Everything here consumes invariant data only; a "Sufficient"/"Positively
 factorizable" answer therefore holds for every mapping class realizing the
 data.  A negative answer is never produced: outside the two routes the
 outcome is Unknown/Inconclusive/NotApplicable with machine-readable
-diagnostics.
-
-The supremum L of non-separating positive twist counts in factorizations of
-boundary multitwists (and its powers) is genus- and boundary-dependent;
-genus 0 is not covered by the underlying case table, so the table
-operations reject it.  On a genus-0 surface every essential simple closed
-curve is separating and invariant orbits are singletons; see
-:func:`genus_zero_diagnostics`.
+diagnostics.  The case tables for the supremum L of non-separating positive
+twist counts reject genus 0, where every essential simple closed curve
+separates and invariant orbits are singletons; see :func:`genus_zero_diagnostics`.
 """
 
 from __future__ import annotations
@@ -180,10 +181,15 @@ def criterion_k(genus: int, boundary_count: int) -> Union[int, Diagnostic]:
     return 1 if r <= 2 * g - 4 else 2
 
 
-def _fr_not_positive(phi: NTClass) -> Optional[Diagnostic]:
-    bad_fr = [i + 1 for i, x in enumerate(phi.fr) if x.numerator <= 0]
-    if not bad_fr:
-        return None
+def _sign_gates(phi: NTClass) -> tuple[list[int], list]:
+    """The sign gates: the (1-based) boundaries with fr <= 0, the orbits with screw <= 0."""
+    return (
+        [i + 1 for i, x in enumerate(phi.fr) if x.numerator <= 0],
+        [orbit for orbit in phi.orbits if orbit.screw.numerator <= 0],
+    )
+
+
+def _fr_diagnostic(bad_fr: list[int]) -> Diagnostic:
     return Diagnostic(
         "fr-not-positive",
         f"boundary coefficients at {bad_fr} are not strictly positive",
@@ -191,10 +197,35 @@ def _fr_not_positive(phi: NTClass) -> Optional[Diagnostic]:
     )
 
 
-def _correction_exponent(orbit) -> int:
-    # d_j = -int(screw/beta) + 1 lifts screw to screw + beta*d_j in (0, beta].
-    screw = orbit.screw
-    return -trunc_div(screw.numerator, orbit.beta * screw.denominator) + 1
+def _correction_plan(phi: NTClass, bad_fr: list[int], to_correct: list):
+    """The correction plan (k, corrections, total), or its first failed gate: k, fr, separating."""
+    k = criterion_k(phi.surface.genus, phi.surface.boundary_count)
+    if isinstance(k, Diagnostic):
+        return k
+    if bad_fr:
+        return _fr_diagnostic(bad_fr)
+    separating = [orbit.id for orbit in to_correct if orbit.separating]
+    if separating:
+        return Diagnostic(
+            "separating-negative-orbit",
+            f"orbits {separating} have non-positive screw numbers on separating curves",
+            (("orbits", ",".join(separating)),),
+        )
+    # d_j = -int(screw_j / beta_j) + 1 lifts screw_j into (0, beta_j].
+    corrections = tuple(
+        (orbit.id, 1 - trunc_div(orbit.screw.numerator, orbit.beta * orbit.screw.denominator))
+        for orbit in to_correct
+    )
+    return k, corrections, k * sum(d for _, d in corrections)
+
+
+def _certified_total(phi: NTClass) -> Optional[int]:
+    """The total that fr_i + a_i must exceed for all i to certify a shift a of ``phi``, or None."""
+    to_correct = _sign_gates(phi)[1]
+    if not to_correct:
+        return 0  # the direct route
+    plan = _correction_plan(phi, [], to_correct)  # a shift lifts fr: no fr gate
+    return None if isinstance(plan, Diagnostic) else plan[2]
 
 
 @dataclass(frozen=True)
@@ -233,46 +264,29 @@ CriterionResult = Union[Sufficient, Inconclusive, NotApplicable]
 def criterion(phi: NTClass) -> CriterionResult:
     """Apply the correction route to ``phi``.
 
-    NotApplicable when the correction cost is undefined for the surface,
-    when some boundary coefficient is <= 0, or when some orbit with
-    screw <= 0 is separating.  Otherwise every orbit with screw <= 0 gets
-    d_j = -int_variant(screw_j / beta_j) + 1 correction twists, and the
-    outcome is Sufficient iff k * sum(d_j) < min_i fr_i; only then is the
-    witness built, and checked to be fully right-veering.  Inconclusive
-    reports the failed inequality exactly.
+    NotApplicable when k is undefined for the surface, some fr_i <= 0, or
+    some orbit with screw <= 0 is separating, checked in that order.
+    Otherwise Sufficient iff k * sum(d_j) < min_i fr_i, and only then is the
+    witness built and checked; else Inconclusive with the exact inequality.
     """
-    surface = phi.surface
-    k = criterion_k(surface.genus, surface.boundary_count)
-    if isinstance(k, Diagnostic):
-        return NotApplicable(k)
-    fr_diagnostic = _fr_not_positive(phi)
-    if fr_diagnostic is not None:
-        return NotApplicable(fr_diagnostic)
-    to_correct = [orbit for orbit in phi.orbits if orbit.screw.numerator <= 0]
-    separating = [orbit.id for orbit in to_correct if orbit.separating]
-    if separating:
-        return NotApplicable(
-            Diagnostic(
-                "separating-negative-orbit",
-                f"orbits {separating} have non-positive screw numbers on separating curves",
-                (("orbits", ",".join(separating)),),
-            )
-        )
-    corrections = tuple((orbit.id, _correction_exponent(orbit)) for orbit in to_correct)
-    total = k * sum(d for _, d in corrections)
+    return _criterion(phi, *_sign_gates(phi))
+
+
+def _criterion(phi: NTClass, bad_fr: list[int], to_correct: list) -> CriterionResult:
+    plan = _correction_plan(phi, bad_fr, to_correct)
+    if isinstance(plan, Diagnostic):
+        return NotApplicable(plan)
+    k, corrections, total = plan
     if not all(total * x.denominator < x.numerator for x in phi.fr):  # total >= min fr
         min_fr = min(phi.fr)
-        return Inconclusive(
-            (
-                Diagnostic(
-                    "criterion-inequality-failed",
-                    f"k*sum(d) = {total} is not < min fr = {min_fr}",
-                    (("lhs", str(total)), ("rhs", str(min_fr))),
-                ),
-            )
+        reason = Diagnostic(
+            "criterion-inequality-failed",
+            f"k*sum(d) = {total} is not < min fr = {min_fr}",
+            (("lhs", str(total)), ("rhs", str(min_fr))),
         )
+        return Inconclusive((reason,))
     moves = [OrbitTwist(orbit_id, d) for orbit_id, d in corrections]
-    moves += [BoundaryTwist(i + 1, -total) for i in range(surface.boundary_count)]
+    moves += [BoundaryTwist(i + 1, -total) for i in range(phi.surface.boundary_count)]
     corrected = compose_twists(phi, moves)
     if not is_fully_right_veering(corrected):  # unreachable; defensive
         return Inconclusive(
@@ -306,21 +320,6 @@ class Unknown:
 ClassificationReport = Union[PositivelyFactorizable, Unknown]
 
 
-def _positivity_diagnostics(phi: NTClass) -> list[Diagnostic]:
-    fr_diagnostic = _fr_not_positive(phi)
-    out = [] if fr_diagnostic is None else [fr_diagnostic]
-    bad_sc = [orbit.id for orbit in phi.orbits if orbit.screw.numerator <= 0]
-    if bad_sc:
-        out.append(
-            Diagnostic(
-                "sc-not-positive",
-                f"orbits {bad_sc} have non-positive screw numbers",
-                (("orbits", ",".join(bad_sc)),),
-            )
-        )
-    return out
-
-
 def classify(phi: NTClass) -> ClassificationReport:
     """Certify positive factorizability of every class with these invariants, if possible.
 
@@ -333,12 +332,22 @@ def classify(phi: NTClass) -> ClassificationReport:
         return Unknown(
             (Diagnostic("no-boundary", "certification requires at least one boundary component"),)
         )
-    if is_fully_right_veering(phi):
+    bad_fr, to_correct = _sign_gates(phi)
+    if not bad_fr and not to_correct:
         return PositivelyFactorizable(MainTheoremRoute())
-    result = criterion(phi)
+    result = _criterion(phi, bad_fr, to_correct)
     if isinstance(result, Sufficient):
         return PositivelyFactorizable(CriterionRoute(result.witness))
-    diagnostics = _positivity_diagnostics(phi)
+    diagnostics = [_fr_diagnostic(bad_fr)] if bad_fr else []
+    if to_correct:
+        bad_sc = [orbit.id for orbit in to_correct]
+        diagnostics.append(
+            Diagnostic(
+                "sc-not-positive",
+                f"orbits {bad_sc} have non-positive screw numbers",
+                (("orbits", ",".join(bad_sc)),),
+            )
+        )
     if isinstance(result, Inconclusive):
         diagnostics.extend(result.reasons)
     else:

@@ -4,17 +4,15 @@ For a class with r boundary components, the correcting poset consists of
 the integer boundary-shift vectors a for which the shifted class is
 positively factorizable; it is upward closed under the componentwise
 order.  Full membership is undecidable from invariant data, so this module
-computes a certified *subset*: the shifts certified by the two routes of
-:func:`posfact.factorization.classify`.  All names say "known region" to
-avoid overclaiming; the region may be a strict subset of the true poset.
+computes a certified *subset*, the "known region": the shifts certified by
+the two routes of :mod:`posfact.factorization`, which decides them.
 
-Both routes certify a shift a exactly when fr_i + a_i > total for every i,
-so the known region is an orthant: the points that dominate one corner
-componentwise, or nothing at all.  Everything else here is read off that
-corner: :func:`enumerate_box` lists a box's members as one sub-box, in
-lexicographic order, and :func:`correcting_exponent_bound` reads the least
-certified diagonal shift off it.  The independent pointwise oracle
-(classify every lattice point of a box) lives with the tests.
+A shift a is certified exactly when fr_i + a_i > total for every i, with
+one total from ``factorization``, so the region is an orthant above one
+corner, or empty.  Only that corner geometry lives here: :func:`enumerate_box`
+lists a box's members as one sub-box in lexicographic order, and
+:func:`correcting_exponent_bound` reads the least certified diagonal shift
+off the corner.  The pointwise oracle (classify every point) is in the tests.
 """
 
 from __future__ import annotations
@@ -26,7 +24,7 @@ from typing import Optional, Sequence
 from .core import DomainError, NTClass
 # Unused here; posbench/test_posbench.py looks the name up on this module.
 from .core import compose_twists  # noqa: F401
-from .factorization import _correction_exponent, criterion_k
+from .factorization import _certified_total
 
 __all__ = [
     "DimensionMismatchError",
@@ -88,22 +86,14 @@ def _dimension(phi: NTClass) -> int:
 def known_region(phi: NTClass) -> PosetRegion:
     """Certified subset of the correcting poset, by its corner in closed form.
 
-    A shift a is certified when fr_i + a_i > total for every i, where total
-    is k * sum(d_j) over the orbits with screw number <= 0 (the correction
-    route); with no such orbit, total is 0 and this is the direct route.
-    So the region is the orthant above the corner a_i = floor(total - fr_i) + 1.
-    It is empty when some orbit needs correction and the correction route
-    does not apply: k is undefined for the surface, or such an orbit is
-    separating.  Each member is a genuine element of the correcting poset.
+    :mod:`posfact.factorization` gives the total that certifies a shift a
+    when fr_i + a_i > total for every i, or no certified shift at all; the
+    corner is then a_i = floor(total - fr_i) + 1.  Each member is certified.
     """
     r = _dimension(phi)
-    to_correct = [orbit for orbit in phi.orbits if orbit.screw.numerator <= 0]
-    total = 0
-    if to_correct:
-        k = criterion_k(phi.surface.genus, r)
-        if not isinstance(k, int) or any(orbit.separating for orbit in to_correct):
-            return PosetRegion(r, None)
-        total = k * sum(_correction_exponent(orbit) for orbit in to_correct)
+    total = _certified_total(phi)
+    if total is None:
+        return PosetRegion(r, None)
     corner = tuple((total * x.denominator - x.numerator) // x.denominator + 1 for x in phi.fr)
     return PosetRegion(r, corner)
 

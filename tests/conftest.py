@@ -12,6 +12,7 @@ from fractions import Fraction
 from typing import Sequence
 
 import pytest
+from hypothesis.internal.charmap import intervals_from_codec
 
 from posfact import (
     BoundaryTwist,
@@ -127,3 +128,14 @@ def ordered_members(members: Sequence[tuple[int, ...]]) -> frozenset[tuple[int, 
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(20240811)
+
+
+@pytest.fixture(scope="session", autouse=True)
+def utf8_characters() -> None:
+    """Build Hypothesis's table of the utf-8 codec's characters before any timed draw.
+
+    The first draw from ``st.characters(codec="utf-8")`` builds it, ~3 s when
+    no copy is cached under ``.hypothesis/``, which fails the too-slow health
+    check of the test that happens to draw first.
+    """
+    intervals_from_codec("utf-8")

@@ -1,10 +1,11 @@
 """The invariant layers against Fraction restatements of their rules.
 
 ``core``, ``invariants`` and ``factorization`` decide every gate on the
-numerators and denominators of the invariants.  Each rule is restated here
-in plain ``Fraction`` arithmetic, from the documented definitions, sharing
-no code with the package: only its value types are used, to build inputs
-and expected results.  The classes are seeded and include numerators of
+numerators and denominators of the invariants, and ``poset`` computes the
+known region's corner on them.  Each rule is restated here in plain
+``Fraction`` arithmetic, from the documented definitions, sharing no code
+with the package: only its value types are used, to build inputs and
+expected results.  The classes are seeded and include numerators of
 about 4,000 digits, zeros, integers, negative screws at exact multiples of
 beta and amphidrome orbits.
 """
@@ -24,6 +25,7 @@ from posfact import (
     CriterionRoute,
     CurveOrbit,
     Diagnostic,
+    DomainError,
     Inconclusive,
     InvalidMoveError,
     MainTheoremRoute,
@@ -31,6 +33,7 @@ from posfact import (
     NTClass,
     OrbitKind,
     OrbitTwist,
+    PosetRegion,
     PositivelyFactorizable,
     Sufficient,
     Surface,
@@ -38,11 +41,13 @@ from posfact import (
     WitnessDecomposition,
     classify,
     compose_twists,
+    correcting_exponent_bound,
     criterion,
     essential_part,
     int_variant,
     is_essential,
     is_fully_right_veering,
+    known_region,
     period_data,
     verify_essential_uniqueness,
 )
@@ -215,6 +220,17 @@ def ref_classify(phi: NTClass):
             )
         )
     return Unknown(tuple(diagnostics))
+
+
+def ref_total(phi: NTClass):
+    """The total that fr_i + a_i must exceed for every i to certify a shift a, or None."""
+    to_correct = [o for o in phi.orbits if o.screw <= 0]
+    if not to_correct:
+        return 0  # the direct route
+    k = ref_k(phi.surface.genus, phi.surface.boundary_count)
+    if isinstance(k, Diagnostic) or any(o.separating for o in to_correct):
+        return None
+    return k * sum(-ref_trunc(o.screw / ref_beta(o)) + 1 for o in to_correct)
 
 
 # --- seeded classes --------------------------------------------------------
@@ -420,3 +436,25 @@ def test_criterion_builds_a_witness_only_to_certify(classes, monkeypatch):
         assert classify(phi) == ref_classify(phi)
         seen.add(type(result))
     assert seen == {Sufficient, Inconclusive, NotApplicable}
+
+
+def test_known_region(classes):
+    seen = set()
+    for phi in classes:
+        r = phi.surface.boundary_count
+        if r == 0:
+            with pytest.raises(DomainError):
+                known_region(phi)
+            assert correcting_exponent_bound(phi) is None
+            continue
+        total = ref_total(phi)
+        corner = None if total is None else tuple(math.floor(total - x) + 1 for x in phi.fr)
+        assert known_region(phi) == PosetRegion(r, corner)
+        assert correcting_exponent_bound(phi) == (None if corner is None else max(0, *corner))
+        if corner is not None:
+            # Each a_i is the least integer with fr_i + a_i > total, and the corner is certified.
+            assert all(x + a - 1 <= total < x + a for x, a in zip(phi.fr, corner))
+            shift = [BoundaryTwist(i + 1, a) for i, a in enumerate(corner)]
+            assert isinstance(ref_classify(ref_compose(phi, shift)), PositivelyFactorizable)
+        seen.add("empty" if total is None else "direct" if total == 0 else "correction")
+    assert seen == {"empty", "direct", "correction"}

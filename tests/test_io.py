@@ -548,6 +548,11 @@ def edited_document(base: str, edits) -> object:
             "version": "1",
             "batch": [{"name": name, "class": copy.deepcopy(TABLE_CLASS)} for name in ("a", "b")],
         }
+    return apply_edits(doc, edits)
+
+
+def apply_edits(doc, edits) -> object:
+    """``doc`` with ``edits`` applied in place, as :func:`edited_document` describes them."""
     for path, value in edits:
         if not path:
             doc = value
@@ -581,6 +586,61 @@ class TestRejectionTable:
         doc = edited_document("batch", [(("batch", 1, "class", "orbits", 1, "id"), "Ö名\U0001f600")])
         nt_class = docio.parse(json.dumps(doc)).payload[1].nt_class
         assert [orbit.id for orbit in nt_class.orbits] == ["O1", "Ö名\U0001f600"]
+
+
+REPORT_BASES = {
+    "ltable": {
+        "version": "1", "report": "ltable", "genus": 1, "boundary": 5, "power": None,
+        "result": {"tag": "finite", "value": None},
+    },
+    "classify": {"version": "1", "report": "classify", "entries": [{
+        "name": "a", "status": "ok", "classification": "unknown", "route": None, "witness": None,
+        "diagnostics": [{"code": "fr-not-positive", "message": "m", "data": {"boundaries": "1"}}],
+    }]},
+    "criterion": {"version": "1", "report": "criterion", "entries": [{
+        "name": "a", "status": "ok", "result": "inconclusive", "witness": None, "diagnostics": [],
+    }]},
+    "poset": {"version": "1", "report": "poset", "entries": [{
+        "name": "a", "status": "ok", "mode": "generators", "dimension": 2, "generators": [[0, 1]],
+    }]},
+}
+
+# The report checks that no CLI output reaches: (id, base report, edits, message).
+MALFORMED_REPORTS = [
+    ("diagnostic-data-type", "classify", [(("entries", 0, "diagnostics", 0, "data"), ["1"])],
+     "$.entries[0].diagnostics[0].data: diagnostic data must be an object"),
+    ("classification-value", "classify", [(("entries", 0, "classification"), "maybe")],
+     "$.entries[0].classification: unknown classification 'maybe'"),
+    ("route-value", "classify", [(("entries", 0, "route"), "shortcut")],
+     "$.entries[0].route: unknown route 'shortcut'"),
+    ("criterion-result-value", "criterion", [(("entries", 0, "result"), "likely")],
+     "$.entries[0].result: unknown result 'likely'"),
+    ("poset-mode-value", "poset", [(("entries", 0, "mode"), "corners")],
+     "$.entries[0].mode: unknown poset mode 'corners'"),
+    ("root-type", "classify", [((), [1])],
+     "$: expected a top-level object, got list"),
+    ("ltable-tag-value", "ltable", [(("result", "tag"), "huge")],
+     "$.result.tag: unknown L tag 'huge'"),
+    ("ltable-value-without-exact", "ltable", [(("result", "value"), 3)],
+     "$.result.value: tag 'finite' carries no value"),
+]
+
+
+class TestReportRejectionTable:
+    @pytest.mark.parametrize(
+        "base, edits, expected",
+        [case[1:] for case in MALFORMED_REPORTS],
+        ids=[case[0] for case in MALFORMED_REPORTS],
+    )
+    def test_first_failing_check(self, base, edits, expected):
+        report = apply_edits(copy.deepcopy(REPORT_BASES[base]), edits)
+        with pytest.raises(docio.ParseError) as exc:
+            docio.parse_report(json.dumps(report))
+        assert str(exc.value) == expected
+
+    @pytest.mark.parametrize("base", sorted(REPORT_BASES))
+    def test_unedited_reports_parse(self, base):
+        assert docio.parse_report(json.dumps(REPORT_BASES[base])) == REPORT_BASES[base]
 
 
 class TestStrictAndTotal:

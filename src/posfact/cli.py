@@ -5,9 +5,10 @@ is "-") except ``ltable``, which is parameter-driven.  ``--format text``
 (default) prints human-readable lines; ``--format structured`` prints a
 canonical JSON report that round-trips through :mod:`posfact.io`.
 ``posfact --version`` prints ``posfact.__version__``, the package's one
-version.  The integers in the operands this module parses itself
-(``--query``, ``--box``, ``--twist``) follow the documents' grammar
-``-?[0-9]+``; anything else is an input error.
+version.  The integers in every operand (``--query``, ``--box``,
+``--twist``, ``--check-uniqueness``, ``--genus``, ``--boundary``,
+``--power``) follow the documents' grammar ``-?[0-9]+``; anything else, and
+an operand of exactly ``--``, is an input error.
 
 The report commands (``validate``, ``invariants``, ``essential``,
 ``classify``, ``criterion``, ``poset``, ``correcting-bound``) share one
@@ -28,12 +29,21 @@ document, which has no error entries, so it leaves a failed entry out of
 its output, reports it on stderr and exits 1.  A computed value too long
 to print (more digits than the interpreter's int-to-str limit) is a domain
 error that ends the run with one error line and nothing on stdout.
+
+:func:`main` pauses the cyclic garbage collector for the length of one call
+and turns it back on afterwards only if it was on at entry, whatever the
+exit (a return, argparse's ``SystemExit`` or an exception).  This is safe
+because the values a call builds hold no reference cycles: frozen
+dataclasses, ``Fraction``s, dicts, lists and strings, which reference
+counting frees.  On a batch document the collector's passes only walk that
+growing heap and free nothing.  Library functions never touch the collector.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import re
 import sys
 from typing import Optional, Sequence
@@ -129,6 +139,14 @@ def _operand_int(text: str) -> int:
     return int(text)
 
 
+def _int_option(text: str) -> int:
+    """argparse ``type`` of the integer options: :func:`_operand_int`, in argparse's own words."""
+    try:
+        return _operand_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _operand_text(value, flag: str) -> str:
     """The one string an operand flag was given.
 
@@ -136,6 +154,13 @@ def _operand_text(value, flag: str) -> str:
     ``--box=--``) and passes ``[]`` in its place; that is an input error.
     """
     if not isinstance(value, str):
+        raise docio.ParseError(f"missing operand for {flag}")
+    return value
+
+
+def _int_option_value(value, flag: str) -> Optional[int]:
+    """The value of an integer option; like :func:`_operand_text`, ``[]`` is an input error."""
+    if value.__class__ is list:
         raise docio.ParseError(f"missing operand for {flag}")
     return value
 
@@ -324,8 +349,9 @@ def _essential_text(prefix: str, phi: NTClass, entry: dict) -> list[str]:
 
 
 def _cmd_essential(args) -> int:
-    if args.check_uniqueness is not None and args.check_uniqueness < 1:
-        raise docio.ParseError(f"--check-uniqueness must be at least 1, got {args.check_uniqueness}")
+    window = _int_option_value(args.check_uniqueness, "--check-uniqueness")
+    if window is not None and window < 1:
+        raise docio.ParseError(f"--check-uniqueness must be at least 1, got {window}")
     return _run_report(args, "essential", _essential_entry, _essential_text)
 
 
@@ -477,16 +503,19 @@ def _cmd_compose(args) -> int:
 
 
 def _cmd_ltable(args) -> int:
-    if args.power is None:
-        value = l_multitwist(args.genus, args.boundary)
+    genus = _int_option_value(args.genus, "--genus")
+    boundary = _int_option_value(args.boundary, "--boundary")
+    power = _int_option_value(args.power, "--power")
+    if power is None:
+        value = l_multitwist(genus, boundary)
     else:
-        value = l_multitwist_power(args.genus, args.boundary, args.power)
+        value = l_multitwist_power(genus, boundary, power)
     report = {
         "version": "1",
         "report": "ltable",
-        "genus": args.genus,
-        "boundary": args.boundary,
-        "power": args.power,
+        "genus": genus,
+        "boundary": boundary,
+        "power": power,
         "result": {"tag": value.tag.value, "value": value.value},
     }
     _emit_report(args, report, [str(value)])
@@ -544,7 +573,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_format(p)
     p.add_argument(
         "--check-uniqueness",
-        type=int,
+        type=_int_option,
         metavar="W",
         default=None,
         help="also verify exponent uniqueness by a window scan of radius W >= 1",
@@ -581,9 +610,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ltable", help="multitwist factorization-length case table")
     _add_format(p)
-    p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--boundary", type=int, required=True)
-    p.add_argument("--power", type=int, default=None)
+    p.add_argument("--genus", type=_int_option, required=True)
+    p.add_argument("--boundary", type=_int_option, required=True)
+    p.add_argument("--power", type=_int_option, default=None)
     p.set_defaults(handler=_cmd_ltable)
 
     _report_parser(
@@ -598,22 +627,28 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    collecting = gc.isenabled()
+    gc.disable()  # for this call only: see the module docstring
     try:
-        return args.handler(args)
-    except docio.ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        # Inputs are held to the interpreter's int digit limit, but computed
-        # values (sums, periods) can outgrow it: they cannot be printed.
-        if not docio._exceeds_digit_limit(exc):
-            raise
-        print(f"error: computed {docio._digit_limit_message()}", file=sys.stderr)
-        return 1
+        args = _build_parser().parse_args(argv)
+        try:
+            return args.handler(args)
+        except docio.ParseError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except DomainError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        except ValueError as exc:
+            # Inputs are held to the interpreter's int digit limit, but computed
+            # values (sums, periods) can outgrow it: they cannot be printed.
+            if not docio._exceeds_digit_limit(exc):
+                raise
+            print(f"error: computed {docio._digit_limit_message()}", file=sys.stderr)
+            return 1
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

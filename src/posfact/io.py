@@ -51,12 +51,18 @@ strings, each with a JSON path; bare integers over that limit and nesting
 deeper than the recursion limit, which the JSON decoder reports without a
 position.
 
-Validation runs in one pass over each orbit object: each field gets a
-key-membership test and an exact-type test, in the order of the fields, and
-a value that fails them goes to a ``_require_*`` helper, which explains the
-failure or accepts the value (a non-ASCII id, say).  Once ``io``'s own
-checks have passed, classes are built through ``core``'s private builders,
-which do not run the public constructors' checks a second time.
+Validation runs in one pass over each batch item, class, surface and orbit
+object: each field gets a key-membership test and an exact-type test, in
+the order of the fields, and a value that fails them goes to a
+``_require_*`` helper, which explains the failure or accepts the value (a
+non-ASCII id, say).  Each distinct rational text is parsed once per
+document: :func:`parse` keeps one table from a ``"p/q"`` string to its
+``Fraction`` for the ``fr`` items and screw numbers of all its classes.
+Only strings are kept (the JSON ``true`` would equal the integer 1 as a
+key), and only after they parse, so a malformed text fails, with its own
+path, wherever it occurs first.  Once ``io``'s own checks have passed,
+classes are built through ``core``'s private builders, which do not run the
+public constructors' checks a second time.
 
 Reports emitted by the CLI use the same conventions under an envelope
 ``{"version": "1", "report": "<kind>", ...}``; :func:`parse_report`
@@ -277,7 +283,17 @@ _CLASS_FIELDS = frozenset(("surface", "fr", "orbits"))
 _SURFACE_FIELDS = frozenset(("genus", "boundary"))
 
 
-def _orbit_from_json(value: Any, path: Any) -> CurveOrbit:
+def _rational(value: Any, rationals: dict, path: Any, key: Union[str, int]) -> Fraction:
+    """:func:`parse_rational` of ``value``, kept in ``rationals`` by its text when it is a str."""
+    if value.__class__ is not str:
+        return parse_rational(value, path, key)
+    x = rationals.get(value)
+    if x is None:
+        x = rationals[value] = parse_rational(value, path, key)
+    return x
+
+
+def _orbit_from_json(value: Any, path: Any, rationals: dict) -> CurveOrbit:
     # One pass (see the module docstring): a value failing the inline tests
     # goes to its _require_* helper, which raises or accepts it.
     if value.__class__ is not dict or not value.keys() <= _ORBIT_FIELDS:
@@ -299,32 +315,47 @@ def _orbit_from_json(value: Any, path: Any) -> CurveOrbit:
     separating = value["separating"] if "separating" in value else _require(value, "separating", path)
     if separating.__class__ is not bool:
         _require_bool(separating, path, "separating")
-    screw = parse_rational(
-        value["screw"] if "screw" in value else _require(value, "screw", path), path, "screw"
+    screw = _rational(
+        value["screw"] if "screw" in value else _require(value, "screw", path), rationals, path, "screw"
     )
     return _curve_orbit(orbit_id, length, kind, separating, screw)
 
 
-def _class_from_json(value: Any, path: Any) -> NTClass:
-    return _class_fields(_require_object(value, _CLASS_FIELDS, path), path)
+def _class_from_json(value: Any, path: Any, rationals: dict) -> NTClass:
+    if value.__class__ is not dict or not value.keys() <= _CLASS_FIELDS:
+        _require_object(value, _CLASS_FIELDS, path)
+    return _class_fields(value, path, rationals)
 
 
-def _class_fields(obj: dict, path: Any) -> NTClass:
-    """The class held by an object whose field names are already checked."""
+def _class_fields(obj: dict, path: Any, rationals: dict) -> NTClass:
+    """The class held by an object whose field names are already checked.
+
+    ``rationals`` is the document's table of parsed rational texts.
+    """
     surface_path = (path, "surface")
-    surface_obj = _require_object(_require(obj, "surface", path), _SURFACE_FIELDS, surface_path)
-    genus = _require_int(_require(surface_obj, "genus", surface_path), surface_path, "genus", minimum=0)
-    boundary = _require_int(
-        _require(surface_obj, "boundary", surface_path), surface_path, "boundary", minimum=0
-    )
+    surface = obj["surface"] if "surface" in obj else _require(obj, "surface", path)
+    if surface.__class__ is not dict or not surface.keys() <= _SURFACE_FIELDS:
+        _require_object(surface, _SURFACE_FIELDS, surface_path)
+    genus = surface["genus"] if "genus" in surface else _require(surface, "genus", surface_path)
+    if genus.__class__ is not int or genus < 0:
+        _require_int(genus, surface_path, "genus", minimum=0)
+    boundary = surface["boundary"] if "boundary" in surface else _require(surface, "boundary", surface_path)
+    if boundary.__class__ is not int or boundary < 0:
+        _require_int(boundary, surface_path, "boundary", minimum=0)
     fr_path = (path, "fr")
-    fr_list = _require_list(_require(obj, "fr", path), fr_path)
-    fr = tuple([parse_rational(x, fr_path, i) for i, x in enumerate(fr_list)])
+    fr_list = obj["fr"] if "fr" in obj else _require(obj, "fr", path)
+    if fr_list.__class__ is not list:
+        _require_list(fr_list, fr_path)
+    fr = tuple([_rational(x, rationals, fr_path, i) for i, x in enumerate(fr_list)])
     if len(fr) != boundary:
         raise ParseError(f"fr has {len(fr)} entries but boundary is {boundary}", _path(fr_path))
     orbits_path = (path, "orbits")
-    orbit_list = _require_list(_require(obj, "orbits", path), orbits_path)
-    orbits = tuple([_orbit_from_json(x, (orbits_path, i)) for i, x in enumerate(orbit_list)])
+    orbit_list = obj["orbits"] if "orbits" in obj else _require(obj, "orbits", path)
+    if orbit_list.__class__ is not list:
+        _require_list(orbit_list, orbits_path)
+    orbits = tuple(
+        [_orbit_from_json(x, (orbits_path, i), rationals) for i, x in enumerate(orbit_list)]
+    )
     if len({orbit.id for orbit in orbits}) != len(orbits):
         seen: set[str] = set()
         for i, orbit in enumerate(orbits):
@@ -371,21 +402,28 @@ def parse(data: Union[bytes, str]) -> Document:
     root = _load_json(data)
     if not isinstance(root, dict):
         raise ParseError(f"expected a top-level object, got {type(root).__name__}", "$")
+    rationals: dict[str, Fraction] = {}
     if "batch" in root:
         obj = _require_object(root, _BATCH_FIELDS, "$")
         version = _check_version(obj)
         batch_path = ("$", "batch")
+        batch = obj["batch"]
+        if batch.__class__ is not list:
+            _require_list(batch, batch_path)
         entries = []
-        for i, item in enumerate(_require_list(obj["batch"], batch_path)):
+        for i, item in enumerate(batch):
             item_path = (batch_path, i)
-            item_obj = _require_object(item, _BATCH_ITEM_FIELDS, item_path)
-            name = _require_name(_require(item_obj, "name", item_path), item_path, "name")
-            nt_class = _class_from_json(_require(item_obj, "class", item_path), (item_path, "class"))
-            entries.append(NamedClass(name, nt_class))
+            if item.__class__ is not dict or not item.keys() <= _BATCH_ITEM_FIELDS:
+                _require_object(item, _BATCH_ITEM_FIELDS, item_path)
+            name = item["name"] if "name" in item else _require(item, "name", item_path)
+            if name.__class__ is not str or not name or not name.isascii():
+                _require_name(name, item_path, "name")
+            value = item["class"] if "class" in item else _require(item, "class", item_path)
+            entries.append(NamedClass(name, _class_from_json(value, (item_path, "class"), rationals)))
         return Document(version, tuple(entries))
     obj = _require_object(root, _SINGLE_FIELDS, "$")
     version = _check_version(obj)
-    return Document(version, _class_fields(obj, "$"))
+    return Document(version, _class_fields(obj, "$", rationals))
 
 
 def class_to_json(phi: NTClass) -> dict:
@@ -569,7 +607,7 @@ def _check_witness(value: Any, path: Any) -> None:
     _require_int(
         _require(obj, "total_multitwist_power", path), path, "total_multitwist_power", minimum=0
     )
-    _class_from_json(_require(obj, "corrected", path), (path, "corrected"))
+    _class_from_json(_require(obj, "corrected", path), (path, "corrected"), {})
 
 
 def _check_entry_error(obj: dict, path: Any) -> None:
@@ -648,7 +686,7 @@ def _check_entry_payload(kind: str, obj: dict, path: Any) -> None:
     elif kind == "essential":
         _check_int_vector(_require(obj, "boundary_exponents", path), (path, "boundary_exponents"))
         _check_int_vector(_require(obj, "orbit_exponents", path), (path, "orbit_exponents"))
-        _class_from_json(_require(obj, "essential_class", path), (path, "essential_class"))
+        _class_from_json(_require(obj, "essential_class", path), (path, "essential_class"), {})
         if obj.get("uniqueness_window") is not None:
             _require_int(obj["uniqueness_window"], path, "uniqueness_window", minimum=1)
         if obj.get("uniqueness_verified") is not None:

@@ -6,6 +6,7 @@ so every test run is reproducible.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import random
 from fractions import Fraction
@@ -139,3 +140,16 @@ def utf8_characters() -> None:
     check of the test that happens to draw first.
     """
     intervals_from_codec("utf-8")
+
+
+@pytest.fixture(autouse=True)
+def collector_left_on():
+    """Fail a test that ends with the cyclic garbage collector disabled, and turn it back on.
+
+    ``posfact.cli.main`` pauses the collector for one call; no code path and
+    no test may leave it paused.
+    """
+    yield
+    if not gc.isenabled():
+        gc.enable()
+        pytest.fail("the test ended with the cyclic garbage collector disabled")

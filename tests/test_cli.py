@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import os
@@ -287,6 +288,57 @@ class TestOperandGrammar:
     def test_grammar_integers_are_read(self, single_path, capsys, command, option, expected):
         assert main([command, single_path, option]) == 0
         assert expected in capsys.readouterr().out
+
+    # The integer options are read by argparse, which rejects them with its
+    # own usage line and message and exit status 2.
+    @pytest.mark.parametrize(
+        "argv, flag, value",
+        [
+            (["essential", "PATH"], "--check-uniqueness", "x"),
+            (["essential", "PATH"], "--check-uniqueness", "\u0663"),
+            (["essential", "PATH"], "--check-uniqueness", "1_0"),
+            (["essential", "PATH"], "--check-uniqueness", " 3"),
+            (["essential", "PATH"], "--check-uniqueness", "+3"),
+            (["ltable", "--boundary", "3"], "--genus", "\u0661"),
+            (["ltable", "--genus", "1"], "--boundary", "+3"),
+            (["ltable", "--genus", "1", "--boundary", "3"], "--power", "2_0"),
+            (["ltable", "--genus", "1", "--boundary", "3"], "--power", "\uff12"),
+        ],
+    )
+    def test_non_grammar_integer_options_are_usage_errors(self, single_path, capsys, argv, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main([single_path if arg == "PATH" else arg for arg in argv] + [f"{flag}={value}"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"error: argument {flag}: invalid int value: {value!r}\n")
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["essential", "PATH", "--check-uniqueness=--"], "--check-uniqueness"),
+            (["ltable", "--genus=--", "--boundary", "3"], "--genus"),
+            (["ltable", "--genus", "1", "--boundary=--"], "--boundary"),
+            (["ltable", "--genus", "1", "--boundary", "3", "--power=--"], "--power"),
+        ],
+    )
+    def test_integer_option_of_double_dash_is_input_error(self, single_path, capsys, argv, flag):
+        assert main([single_path if arg == "PATH" else arg for arg in argv]) == 2
+        assert capsys.readouterr().err == f"error: missing operand for {flag}\n"
+
+    @pytest.mark.parametrize(
+        "argv, code, expected",
+        [
+            (["essential", "PATH", "--check-uniqueness=007"], 0, "uniqueness (window 7): True\n"),
+            (["ltable", "--genus", "01", "--boundary", "05", "--power", "003"], 0, "Exact 36\n"),
+            (["ltable", "--genus=-0", "--boundary", "3"], 1, "does not cover genus 0 (no curve is both "
+             "essential and non-separating there)\n"),
+        ],
+    )
+    def test_grammar_integer_options_are_read(self, single_path, capsys, argv, code, expected):
+        assert main([single_path if arg == "PATH" else arg for arg in argv]) == code
+        captured = capsys.readouterr()
+        assert (captured.out if code == 0 else captured.err).endswith(expected)
 
 
 class TestEssentialAndInvariants:
@@ -708,3 +760,76 @@ class TestPerEntryErrors:
             "error": {"code": "domain-error", "message": "cannot classify this entry"},
         }
         assert [new[0], new[2]] == [old[0], old[2]]
+
+
+class TestCollectorPause:
+    """main pauses the cyclic garbage collector for one call and leaves its state as it found it."""
+
+    @pytest.fixture(params=[True, False], ids=["on", "off"])
+    def collecting(self, request):
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        gc.enable()
+
+    def test_state_restored_after_each_exit_code(self, collecting, single_path, capsys):
+        for argv, code in [
+            (["classify", single_path], 0),
+            (["ltable", "--genus", "0", "--boundary", "3"], 1),
+            (["classify", "/nonexistent/file.json"], 2),
+        ]:
+            assert main(argv) == code
+            assert gc.isenabled() is collecting
+
+    @pytest.mark.parametrize("argv", [["--help"], ["frobnicate"], ["ltable", "--genus", "x"]])
+    def test_state_restored_after_argparse_exit(self, collecting, argv, capsys):
+        with pytest.raises(SystemExit):
+            main(argv)
+        assert gc.isenabled() is collecting
+
+    def test_state_restored_after_an_exception(self, collecting, single_path, monkeypatch):
+        def classify_raising(phi):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(posfact.cli, "classify", classify_raising)
+        with pytest.raises(RuntimeError):
+            main(["classify", single_path])
+        assert gc.isenabled() is collecting
+
+    def test_paused_during_the_call(self, single_path, monkeypatch, capsys):
+        seen = []
+
+        def classify_recording(phi):
+            seen.append(gc.isenabled())
+            return posfact.classify(phi)
+
+        monkeypatch.setattr(posfact.cli, "classify", classify_recording)
+        assert main(["classify", single_path]) == 0
+        assert seen == [False]
+        assert gc.isenabled()
+
+    def test_calls_leave_no_reference_cycles(self, tmp_path, capsys):
+        documents = {"ok": BATCH, "domain-error": EXACT_BATCH, "parse-error": {"version": "1", "batch": 3}}
+        paths = {}
+        for label, doc in documents.items():
+            paths[label] = str(tmp_path / f"{label}.json")
+            (tmp_path / f"{label}.json").write_text(json.dumps(doc))
+        paths["missing-file"] = str(tmp_path / "absent.json")
+        commands = [*STRUCTURED_DOC_COMMANDS, ["compose", "--twist=B1:1", "--twist=OO1:-1"]]
+        argvs = [
+            [command[0], path, *command[1:], "--format", fmt]
+            for path in paths.values()
+            for command in commands
+            for fmt in ("text", "structured")
+        ]
+        codes = set()
+        gc.collect()
+        gc.disable()
+        try:
+            for argv in argvs:
+                codes.add(main(argv))
+            capsys.readouterr()
+            unreachable = gc.collect()
+        finally:
+            gc.enable()
+        assert codes == {0, 1, 2}
+        assert unreachable == 0

@@ -527,6 +527,20 @@ MALFORMED = [
         (("batch", 0, "class", "orbits", 1, "length"), -1),
     ],
      "$.batch[0].class.orbits[1].length: expected an integer >= 1, got -1"),
+    ("fr-item-bool-after-text-1", "single", [(("fr",), ["1", True])],
+     "$.fr[1]: expected a rational, got a boolean"),
+    ("fr-item-bool-after-int-1", "single", [(("fr",), [1, True])],
+     "$.fr[1]: expected a rational, got a boolean"),
+    ("repeated-malformed-text-first", "batch", [
+        (("batch", 0, "class", "orbits", 1, "screw"), "2/-4"),
+        (("batch", 1, "class", "fr", 0), "2/-4"),
+    ],
+     "$.batch[0].class.orbits[1].screw: malformed rational '2/-4'"),
+    ("repeated-zero-denominator-first", "batch", [
+        (("batch", 0, "class", "fr", 1), "1/0"),
+        (("batch", 1, "class", "orbits", 0, "screw"), "1/0"),
+    ],
+     "$.batch[0].class.fr[1]: zero denominator in rational '1/0'"),
     ("multi-first-item-first", "batch", [
         (("batch", 1, "name"), ""),
         (("batch", 0, "class", "orbits", 0, "screw"), True),
@@ -567,6 +581,22 @@ def apply_edits(doc, edits) -> object:
         else:
             node[path[-1]] = value
     return doc
+
+
+class TestRationalTable:
+    """Each distinct rational text is parsed once per document."""
+
+    def test_repeated_texts_keep_their_values(self):
+        doc = edited_document("batch", [
+            (("batch", 0, "class", "fr"), ["2/4", "1/2"]),
+            (("batch", 1, "class", "fr"), ["1/2", "1"]),
+            (("batch", 1, "class", "orbits", 0, "screw"), "2/4"),
+            (("batch", 1, "class", "orbits", 1, "screw"), "-0"),
+        ])
+        first, second = (entry.nt_class for entry in docio.parse(json.dumps(doc)).payload)
+        assert first.fr == (Fraction(1, 2), Fraction(1, 2))
+        assert second.fr == (Fraction(1, 2), Fraction(1))
+        assert [orbit.screw for orbit in second.orbits] == [Fraction(1, 2), Fraction(0)]
 
 
 class TestRejectionTable:
@@ -708,6 +738,31 @@ FUZZ_JSON = st.recursive(
 )
 
 
+# Rational values for batches that share a few texts between fr items and
+# screw numbers: equal fractions in different texts, a bare int beside its
+# text, a boolean, and texts that fail.
+POOLED_RATIONALS = st.sampled_from(
+    ["1", "1", "-1", "0", "-0", "007", "1/2", "1/3", "2/4", "-1/2", "-3/6", 1, 0, True, "1/0", "x"]
+)
+
+
+@st.composite
+def pooled_batches(draw) -> str:
+    """A batch document whose rationals are drawn from one small pool of values."""
+    rational = st.sampled_from(draw(st.lists(POOLED_RATIONALS, min_size=1, max_size=5)))
+    batch = []
+    for i in range(draw(st.integers(min_value=0, max_value=4))):
+        boundary = draw(st.integers(min_value=0, max_value=3))
+        orbits = [
+            {"id": f"O{j}", "length": 1, "kind": "regular", "separating": False, "screw": draw(rational)}
+            for j in range(draw(st.integers(min_value=0, max_value=3)))
+        ]
+        surface = {"genus": draw(st.integers(min_value=0, max_value=3)), "boundary": boundary}
+        fr = draw(st.lists(rational, min_size=boundary, max_size=boundary))
+        batch.append({"name": f"e{i}", "class": {"surface": surface, "fr": fr, "orbits": orbits}})
+    return json.dumps({"version": "1", "batch": batch})
+
+
 def fuzz_text(value) -> str:
     if isinstance(value, dict):
         value = {"version": "1", **value}
@@ -769,7 +824,7 @@ class TestFuzz:
             pass
 
     @settings(max_examples=200)
-    @given(st.one_of(documents().map(docio.serialize), FUZZ_JSON.map(fuzz_text)))
+    @given(st.one_of(documents().map(docio.serialize), FUZZ_JSON.map(fuzz_text), pooled_batches()))
     def test_parsed_classes_pass_the_checked_constructors(self, data):
         try:
             doc = docio.parse(data)
@@ -787,6 +842,19 @@ class TestFuzz:
                 tuple(CurveOrbit(o.id, o.length, o.kind, o.separating, o.screw) for o in orbits),
             )
             assert rebuilt == nt_class
+
+    @settings(max_examples=200)
+    @given(pooled_batches())
+    def test_pooled_rationals_keep_their_values(self, data):
+        try:
+            doc = docio.parse(data)
+        except docio.ParseError:
+            return
+        for entry, item in zip(doc.payload, json.loads(data)["batch"]):
+            source = item["class"]
+            assert entry.nt_class.fr == tuple(map(Fraction, source["fr"]))
+            screws = [orbit.screw for orbit in entry.nt_class.orbits]
+            assert screws == [Fraction(orbit["screw"]) for orbit in source["orbits"]]
 
     @settings(max_examples=60, deadline=None)
     @given(st.one_of(st.binary(max_size=120), FUZZ_JSON.map(fuzz_text).map(str.encode)))

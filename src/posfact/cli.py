@@ -15,9 +15,12 @@ The report commands (``validate``, ``invariants``, ``essential``,
 batch loop, :func:`_run_report`.  Each command is an entry function, which
 gives the structured fields of one class, and a text renderer, which turns
 those fields into lines and runs only under ``--format text``.  ``poset
---box`` takes its member points from :func:`posfact.poset.enumerate_box`
-already in lexicographic order, and ``--generators`` lists the known
-region's corner, or nothing for an empty region.
+--box`` takes its members as the sub-box that
+:func:`posfact.poset.enumerate_box` would list, one ``range`` per
+coordinate, and puts them in the report as one value that ``io`` writes row
+by row and the text renderer reads as a list of points, so no point is
+built for the structured format.  ``--generators`` lists the known region's
+corner, or nothing for an empty region.
 
 Exit status: 0 on success (NotApplicable and Unknown outcomes are
 successful runs), 1 on domain errors, 2 on input/schema errors.  Batch
@@ -78,7 +81,9 @@ from .invariants import (
     is_fully_right_veering,
     verify_essential_uniqueness,
 )
-from .poset import _dimension, contains, correcting_exponent_bound, enumerate_box, known_region
+from .poset import _dimension, _member_ranges, contains, correcting_exponent_bound, known_region
+# Unused here; posbench/test_posbench.py alters the name on this module.
+from .poset import enumerate_box  # noqa: F401
 
 __all__ = ["main"]
 
@@ -429,11 +434,11 @@ def _poset_entry(args, phi: NTClass) -> dict:
     elif args.mode == "query":
         entry["point"] = list(args.point)
         entry["member"] = contains(known_region(phi), args.point)
-    else:  # enumerate_box computes the known region itself
-        members = enumerate_box(phi, (args.lo,) * r, (args.hi,) * r)
+    else:  # _member_ranges computes the known region itself
+        ranges = _member_ranges(phi, (args.lo,) * r, (args.hi,) * r)
         entry["lo"] = args.lo
         entry["hi"] = args.hi
-        entry["points"] = list(map(list, members))
+        entry["points"] = [] if ranges is None else docio._IntBox(ranges)
     return entry
 
 

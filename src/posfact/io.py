@@ -41,6 +41,13 @@ as an independent oracle.  The text ``"key": `` of every key that the field
 declarations below name is encoded once, at import, into a read-only table;
 any other key is encoded where it is written.
 
+A report may hold the points of a box as a private value, ``_IntBox``: one
+``range`` per coordinate (the members that ``poset --box`` lists).  It is
+written as the list of its points in lexicographic order, from each
+coordinate's value texts made once, and no point is built.  Its oracle is
+``json.dumps`` of the same report with the box materialized as a list of
+point lists.
+
 Rejection is total: a document that parses yields classes satisfying every
 core invariant, and every rejection carries position provenance (line and
 column for syntax errors, a JSON path for schema and invariant errors).
@@ -76,8 +83,9 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, product
 from json.encoder import encode_basestring
+from math import prod
 from typing import Any, Optional, Union
 
 from .core import CurveOrbit, NTClass, OrbitKind, Surface, _curve_orbit, _nt_class
@@ -446,27 +454,50 @@ def class_to_json(phi: NTClass) -> dict:
 
 _INT_ONLY = frozenset({int})
 _STR_ONLY = frozenset({str})
-_LIST_ONLY = frozenset({list})
 
 
-def _emit_int_rows(value: list, out: list[str], inner: str, indent: str) -> bool:
-    """Append a list of exact-int rows (box members, generators) in one %-format.
+class _IntBox:
+    """The integer points of a box, held as one ``range`` per coordinate.
 
-    Each row length gets one template.  Returns False, appending nothing,
-    when some item is not a list or some row holds anything but exact ints
-    (a bool or a str among them, say); :func:`_emit` then takes its
-    general path.
+    It iterates over its points, as tuples in lexicographic order, and has
+    a length, so it reads as the list of its points; :func:`_emit` writes it
+    as that list.
     """
-    if set(map(type, value)) != _LIST_ONLY or not set(map(type, chain.from_iterable(value))) <= _INT_ONLY:
-        return False
+
+    __slots__ = ("ranges",)
+
+    def __init__(self, ranges: tuple[range, ...]) -> None:
+        self.ranges = ranges
+
+    def __iter__(self):
+        return product(*self.ranges)
+
+    def __len__(self) -> int:
+        return prod(map(len, self.ranges))
+
+
+def _emit_box(box: _IntBox, out: list[str], indent: str) -> None:
+    """Append the canonical text of the list of ``box``'s points.
+
+    Each value's text is made once per coordinate, joined to what comes
+    before it in a row (the row's opening, or a comma) and, in the last
+    coordinate, to the row's closing; a row is then the concatenation of one
+    piece per coordinate.  A range holds only ints, so no type is checked.
+    """
+    ranges = box.ranges
+    if not all(ranges):
+        out.append("[]")
+        return
+    inner = indent + "  "
+    if not ranges:
+        out.append("[" + inner + "[]" + indent + "]")
+        return
     row_inner = inner + "  "
-    templates = {
-        n: "[" + row_inner + ("," + row_inner).join(["%d"] * n) + inner + "]" if n else "[]"
-        for n in set(map(len, value))
-    }
-    rows = ("," + inner).join(map(templates.__getitem__, map(len, value)))
-    out.append("[" + inner + rows % tuple(chain.from_iterable(value)) + indent + "]")
-    return True
+    heads = ["[" + row_inner] + ["," + row_inner] * (len(ranges) - 1)
+    pieces = [[head + text for text in map(int.__repr__, r)] for head, r in zip(heads, ranges)]
+    pieces[-1] = [piece + inner + "]" for piece in pieces[-1]]
+    rows = ("," + inner).join(map("".join, product(*pieces)))
+    out.append("[" + inner + rows + indent + "]")
 
 
 def _emit(value: Any, out: list[str], indent: str) -> None:
@@ -474,7 +505,8 @@ def _emit(value: Any, out: list[str], indent: str) -> None:
 
     ``indent`` is a newline followed by the indentation of the line that
     ``value`` starts on.  Only the types reports and documents hold are
-    accepted: dicts with str keys, lists, str, int, bool and None.
+    accepted: dicts with str keys, lists, str, int, bool, None and
+    :class:`_IntBox`.
     """
     cls = value.__class__
     if cls is str:
@@ -524,14 +556,14 @@ def _emit(value: Any, out: list[str], indent: str) -> None:
         if item_types == _STR_ONLY:
             out.append("[" + inner + comma.join(map(encode_basestring, value)) + indent + "]")
             return
-        if value[0].__class__ is list and _emit_int_rows(value, out, inner, indent):
-            return
         sep = "[" + inner
         for item in value:
             out.append(sep)
             _emit(item, out, inner)
             sep = comma
         out.append(indent + "]")
+    elif cls is _IntBox:
+        _emit_box(value, out, indent)
     else:
         raise TypeError(f"cannot serialize a value of type {cls.__name__}")
 

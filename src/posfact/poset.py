@@ -9,10 +9,13 @@ the two routes of :mod:`posfact.factorization`, which decides them.
 
 A shift a is certified exactly when fr_i + a_i > total for every i, with
 one total from ``factorization``, so the region is an orthant above one
-corner, or empty.  Only that corner geometry lives here: :func:`enumerate_box`
-lists a box's members as one sub-box in lexicographic order, and
-:func:`correcting_exponent_bound` reads the least certified diagonal shift
-off the corner.  The pointwise oracle (classify every point) is in the tests.
+corner, or empty.  Only that corner geometry lives here.  A box's members
+are one sub-box, which ``_member_ranges`` gives as one ``range`` per
+coordinate; :func:`enumerate_box` lists its points in lexicographic order,
+and ``poset --box`` writes its rows from the ranges without building the
+points.  :func:`correcting_exponent_bound` reads the least certified
+diagonal shift off the corner.  The pointwise oracle (classify every point)
+is in the tests.
 """
 
 from __future__ import annotations
@@ -55,13 +58,17 @@ class PosetRegion:
     corner: Optional[tuple[int, ...]]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.dimension, int) or self.dimension < 1:
-            raise ValueError(f"dimension must be a positive integer, got {self.dimension!r}")
+        dimension = self.dimension
+        if not isinstance(dimension, int) or isinstance(dimension, bool) or dimension < 1:
+            raise ValueError(f"dimension must be a positive integer, got {dimension!r}")
         if self.corner is not None:
             corner = tuple(self.corner)
             object.__setattr__(self, "corner", corner)
-            if len(corner) != self.dimension:
-                raise ValueError(f"corner {corner} does not have dimension {self.dimension}")
+            if len(corner) != dimension:
+                raise ValueError(f"corner {corner} does not have dimension {dimension}")
+            for c in corner:
+                if not isinstance(c, int) or isinstance(c, bool):
+                    raise ValueError(f"corner entries must be integers, got {c!r}")
 
 
 def contains(region: PosetRegion, point: Sequence[int]) -> bool:
@@ -98,22 +105,26 @@ def known_region(phi: NTClass) -> PosetRegion:
     return PosetRegion(r, corner)
 
 
-def enumerate_box(
+def _member_ranges(
     phi: NTClass,
     lo: Sequence[int],
     hi: Sequence[int],
     max_points: int = DEFAULT_BOX_CAP,
-) -> tuple[tuple[int, ...], ...]:
-    """All members of :func:`known_region` inside the box ``[lo, hi]``, in lexicographic order.
+) -> Optional[tuple[range, ...]]:
+    """The members of :func:`known_region` in the box ``[lo, hi]``, as one range per coordinate.
 
-    Output-sensitive: the members are the sub-box prod_i [max(lo_i, c_i), hi_i]
-    above the region's corner c, so the cost is proportional to the number
-    of members, not to the box volume.  The box volume must not exceed
-    ``max_points``.  A class without boundary components has no certified
-    shifts and yields no members.
+    The members are the sub-box prod_i [max(lo_i, c_i), hi_i] above the
+    region's corner c; a range is empty when the corner lies above ``hi`` in
+    its coordinate.  None means no members at all: an empty region, or a
+    class without boundary components.  Every check of :func:`enumerate_box`
+    is made here, in this order: the bound types, the lengths, an empty box,
+    the volume cap.
     """
     lo = tuple(lo)
     hi = tuple(hi)
+    for bound in lo + hi:
+        if not isinstance(bound, int) or isinstance(bound, bool):
+            raise TypeError(f"box bounds must be integers, got {bound!r}")
     r = phi.surface.boundary_count
     if len(lo) != r or len(hi) != r:
         raise DimensionMismatchError(
@@ -127,11 +138,30 @@ def enumerate_box(
     if volume > max_points:
         raise BoxTooLargeError(f"box holds {volume} points, cap is {max_points}")
     if r == 0:
-        return ()
+        return None
     corner = known_region(phi).corner
     if corner is None:
-        return ()
-    return tuple(product(*[range(max(a, c), b + 1) for a, c, b in zip(lo, corner, hi)]))
+        return None
+    return tuple([range(max(a, c), b + 1) for a, c, b in zip(lo, corner, hi)])
+
+
+def enumerate_box(
+    phi: NTClass,
+    lo: Sequence[int],
+    hi: Sequence[int],
+    max_points: int = DEFAULT_BOX_CAP,
+) -> tuple[tuple[int, ...], ...]:
+    """All members of :func:`known_region` inside the box ``[lo, hi]``, in lexicographic order.
+
+    Output-sensitive: the members are the sub-box prod_i [max(lo_i, c_i), hi_i]
+    above the region's corner c, so the cost is proportional to the number
+    of members, not to the box volume.  The bounds must be ints (TypeError
+    otherwise, a bool included) and the box volume must not exceed
+    ``max_points``.  A class without boundary components has no certified
+    shifts and yields no members.
+    """
+    ranges = _member_ranges(phi, lo, hi, max_points)
+    return () if ranges is None else tuple(product(*ranges))
 
 
 def correcting_exponent_bound(phi: NTClass) -> Optional[int]:

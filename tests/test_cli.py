@@ -6,12 +6,16 @@ import gc
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 import posfact
+from conftest import pointwise_box, rand_poset_ntclass
+from posfact import CurveOrbit, NTClass, OrbitKind, Surface, enumerate_box, known_region
 from posfact import io as docio
 from posfact.cli import main
 from posfact.core import DomainError
@@ -249,6 +253,54 @@ class TestPoset:
         path.write_text(json.dumps(doc))
         assert main(["poset", str(path), "--generators"]) == 1
         assert "boundary" in capsys.readouterr().err
+
+
+def _box_classes() -> list[NTClass]:
+    """Random poset classes, and classes whose corner sits at an edge of every box used below."""
+    rng = random.Random(4101)
+    negative = CurveOrbit("O1", 1, OrbitKind.REGULAR, False, Fraction(-1, 2))
+    separating = CurveOrbit("O1", 1, OrbitKind.REGULAR, True, Fraction(-1, 2))
+    return [rand_poset_ntclass(rng) for _ in range(24)] + [
+        NTClass(Surface(2, 1), (Fraction(5),), (separating,)),  # empty region
+        NTClass(Surface(2, 2), (Fraction(-20), Fraction(0)), ()),  # corner (21, 1): above hi
+        NTClass(Surface(1, 3), (Fraction(20),) * 3, ()),  # corner (-19, -19, -19): below lo
+        NTClass(Surface(2, 2), (Fraction(5), Fraction(-7, 2)), (negative,)),  # corner (-2, 6)
+    ]
+
+
+class TestPosetBox:
+    """``poset --box``: structured members against the pointwise oracle, text lines
+    against a rendering of :func:`enumerate_box`'s members."""
+
+    @pytest.mark.parametrize("lo, hi", [(-4, 4), (-2, 1), (0, 0), (5, 5)])
+    def test_members_match_pointwise_oracle(self, tmp_path, capsys, lo, hi):
+        classes = _box_classes()
+        batch = [{"name": f"c{i}", "class": docio.class_to_json(phi)} for i, phi in enumerate(classes)]
+        path = tmp_path / "box.json"
+        path.write_text(json.dumps({"version": "1", "batch": batch}))
+        assert main(["poset", str(path), f"--box={lo}..{hi}", "--format", "structured"]) == 0
+        entries = json.loads(capsys.readouterr().out)["entries"]
+        assert main(["poset", str(path), f"--box={lo}..{hi}"]) == 0
+        text = capsys.readouterr().out
+
+        lines, kinds = [], set()
+        for phi, entry in zip(classes, entries):
+            r = phi.surface.boundary_count
+            oracle = sorted(pointwise_box(phi, (lo,) * r, (hi,) * r))
+            assert entry["points"] == [list(p) for p in oracle], entry["name"]
+            members = enumerate_box(phi, (lo,) * r, (hi,) * r)
+            lines.append(f"{entry['name']}: {len(members)} member point(s) in [{lo}, {hi}]^{r}")
+            lines += [f"{entry['name']}:   {p}" for p in members]
+            corner = known_region(phi).corner
+            if corner is None:
+                kinds.add("empty-region")
+            elif max(corner) > hi:
+                kinds.add("above-hi")
+            elif max(corner) <= lo:
+                kinds.add("below-lo")
+            kinds.add(r)
+        assert text == "".join(line + "\n" for line in lines)
+        assert kinds == {"empty-region", "above-hi", "below-lo", 1, 2, 3}
 
 
 class TestOperandGrammar:

@@ -6,6 +6,7 @@ import copy
 import json
 import sys
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -256,8 +257,9 @@ EMIT_LEAVES = st.one_of(
     st.sampled_from([0, -1, 2**63, -(2**64)]),
     EMIT_TEXT,
 )
-# Lists of rows, as box members and generators are written: exact int rows,
-# ragged or empty, and rows holding a bool, a str or None among the ints.
+# Lists of rows, as generators are written (box members are an ``_IntBox``):
+# exact int rows, ragged or empty, and rows holding a bool, a str or None
+# among the ints.
 EMIT_ROWS = st.lists(
     st.lists(
         st.one_of(st.integers(), st.sampled_from([True, False, None, "1", 2**63])), max_size=4
@@ -281,6 +283,19 @@ EMIT_TREES = st.recursive(
 EMIT_ENTRIES = st.lists(
     st.dictionaries(EMIT_KEYS, EMIT_LEAVES | st.lists(EMIT_TEXT, max_size=4), max_size=6),
     max_size=3,
+)
+
+
+# The ranges of a box of points, as ``poset --box`` holds its members: up to
+# four coordinates, some empty (a start above the stop among them), with
+# large and negative values.
+EMIT_BOX_RANGES = st.lists(
+    st.builds(
+        lambda start, length: range(start, start + length),
+        st.integers(min_value=-(10**40), max_value=10**40) | st.integers(-3, 3),
+        st.integers(-1, 4),
+    ),
+    max_size=4,
 )
 
 
@@ -312,6 +327,34 @@ class TestCanonicalEmitter:
     def test_rejects_other_types(self, obj):
         with pytest.raises(TypeError):
             docio.serialize_report(obj)
+
+    @settings(max_examples=150)
+    @given(EMIT_BOX_RANGES, st.sampled_from(["top", "nested"]))
+    def test_box_matches_json_dumps_of_its_points(self, ranges, place):
+        box = docio._IntBox(tuple(ranges))
+        points = [list(p) for p in product(*ranges)]
+        if place == "top":
+            obj, plain = {"points": box}, {"points": points}
+        else:
+            obj = {"entries": [{"name": "a", "points": box, "lo": -1}]}
+            plain = {"entries": [{"name": "a", "points": points, "lo": -1}]}
+        expected = (json.dumps(plain, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
+        assert docio.serialize_report(obj) == expected
+        assert len(box) == len(points)
+        assert [list(p) for p in box] == points
+
+    @needs_digit_limit
+    @pytest.mark.parametrize("coordinate", [0, 1, 2])
+    def test_box_int_beyond_digit_limit(self, coordinate):
+        big = 10**DIGIT_LIMIT
+        ranges = [range(-1, 1)] * 3
+        ranges[coordinate] = range(big - 1, big + 1)
+        with pytest.raises(ValueError) as exc:
+            docio.serialize_report({"points": docio._IntBox(tuple(ranges))})
+        with pytest.raises(ValueError) as plain:
+            docio.serialize_report({"points": [list(p) for p in product(*ranges)]})
+        assert docio._exceeds_digit_limit(exc.value)
+        assert str(exc.value) == str(plain.value)
 
     @needs_digit_limit
     @pytest.mark.parametrize("row", [[1, 0], [True, 0], [0, "x"]], ids=["int-row", "bool-row", "str-row"])

@@ -46,6 +46,20 @@ class TestPosetRegion:
         with pytest.raises(ValueError):
             PosetRegion(2, (1,))
 
+    @pytest.mark.parametrize("dimension", [True, 1.0, "1"], ids=["bool", "float", "str"])
+    def test_dimension_must_be_int(self, dimension):
+        with pytest.raises(ValueError, match="dimension must be a positive integer"):
+            PosetRegion(dimension, (1,))
+
+    @pytest.mark.parametrize(
+        "corner",
+        [(True,), (0, False), (1.0,), (0, "1"), (None,), (Fraction(1),)],
+        ids=["true", "false", "float", "str", "none", "fraction"],
+    )
+    def test_corner_entries_must_be_int(self, corner):
+        with pytest.raises(ValueError, match="corner entries must be integers"):
+            PosetRegion(len(corner), corner)
+
 
 class TestContains:
     region = PosetRegion(2, (-1, 0))
@@ -191,6 +205,17 @@ class TestEnumerateBox:
         with pytest.raises(error, match=match) as exc:
             enumerate_box(phi, lo, hi, max_points=cap)
         assert type(exc.value) is error
+
+    @pytest.mark.parametrize("bound", [-3.0, 0.5, True, "3", None], ids=repr)
+    @pytest.mark.parametrize("side", ["lo", "hi"])
+    def test_bounds_must_be_int(self, bound, side):
+        phi = nt(2, [5], [orbit(Fraction(-1, 2))])
+        lo, hi = ((bound,), (3,)) if side == "lo" else ((-3,), (bound,))
+        with pytest.raises(TypeError, match="box bounds must be integers"):
+            enumerate_box(phi, lo, hi)
+        # Before every other check: here the lengths differ and the volume is over the cap.
+        with pytest.raises(TypeError, match="box bounds must be integers"):
+            enumerate_box(phi, lo + (0,), hi, max_points=0)
 
     def test_upward_closure_on_members(self, rng):
         for _ in range(40):

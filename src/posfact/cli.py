@@ -15,12 +15,12 @@ The report commands (``validate``, ``invariants``, ``essential``,
 batch loop, :func:`_run_report`.  Each command is an entry function, which
 gives the structured fields of one class, and a text renderer, which turns
 those fields into lines and runs only under ``--format text``.  ``poset
---box`` takes its members as the sub-box that
-:func:`posfact.poset.enumerate_box` would list, one ``range`` per
-coordinate, and puts them in the report as one value that ``io`` writes row
-by row and the text renderer reads as a list of points, so no point is
-built for the structured format.  ``--generators`` lists the known region's
-corner, or nothing for an empty region.
+--box`` takes its member points from :func:`posfact.poset.enumerate_box`
+already in lexicographic order.  They are one sub-box, so it puts them in
+the report as that box, one ``range`` per coordinate from the first and the
+last member, which ``io`` writes row by row and the text renderer reads as
+a list of points; no point is copied into a list.  ``--generators`` lists
+the known region's corner, or nothing for an empty region.
 
 Exit status: 0 on success (NotApplicable and Unknown outcomes are
 successful runs), 1 on domain errors, 2 on input/schema errors.  Batch
@@ -81,9 +81,7 @@ from .invariants import (
     is_fully_right_veering,
     verify_essential_uniqueness,
 )
-from .poset import _dimension, _member_ranges, contains, correcting_exponent_bound, known_region
-# Unused here; posbench/test_posbench.py alters the name on this module.
-from .poset import enumerate_box  # noqa: F401
+from .poset import _dimension, contains, correcting_exponent_bound, enumerate_box, known_region
 
 __all__ = ["main"]
 
@@ -434,11 +432,17 @@ def _poset_entry(args, phi: NTClass) -> dict:
     elif args.mode == "query":
         entry["point"] = list(args.point)
         entry["member"] = contains(known_region(phi), args.point)
-    else:  # _member_ranges computes the known region itself
-        ranges = _member_ranges(phi, (args.lo,) * r, (args.hi,) * r)
+    else:  # enumerate_box computes the known region itself
+        members = enumerate_box(phi, (args.lo,) * r, (args.hi,) * r)
         entry["lo"] = args.lo
         entry["hi"] = args.hi
-        entry["points"] = [] if ranges is None else docio._IntBox(ranges)
+        # The members are one sub-box in lexicographic order, so the first
+        # and the last are its corners.
+        entry["points"] = (
+            docio._IntBox(tuple(map(range, members[0], [c + 1 for c in members[-1]])))
+            if members
+            else []
+        )
     return entry
 
 

@@ -44,7 +44,7 @@ any other key is encoded where it is written.
 A report may hold the points of a box as a private value, ``_IntBox``: one
 ``range`` per coordinate (the members that ``poset --box`` lists).  It is
 written as the list of its points in lexicographic order, from each
-coordinate's value texts made once, and no point is built.  Its oracle is
+coordinate's value texts made once, without building a point.  Its oracle is
 ``json.dumps`` of the same report with the box materialized as a list of
 point lists.
 

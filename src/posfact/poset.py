@@ -9,11 +9,10 @@ the two routes of :mod:`posfact.factorization`, which decides them.
 
 A shift a is certified exactly when fr_i + a_i > total for every i, with
 one total from ``factorization``, so the region is an orthant above one
-corner, or empty.  Only that corner geometry lives here.  A box's members
-are one sub-box, which ``_member_ranges`` gives as one ``range`` per
-coordinate; :func:`enumerate_box` lists its points in lexicographic order,
-and ``poset --box`` writes its rows from the ranges without building the
-points.  :func:`correcting_exponent_bound` reads the least certified
+corner, or empty.  Only that corner geometry lives here: :func:`enumerate_box`
+lists a box's members as one sub-box in lexicographic order, so its first
+and last members are the sub-box's corners (``poset --box`` writes its rows
+from them), and :func:`correcting_exponent_bound` reads the least certified
 diagonal shift off the corner.  The pointwise oracle (classify every point)
 is in the tests.
 """
@@ -105,20 +104,20 @@ def known_region(phi: NTClass) -> PosetRegion:
     return PosetRegion(r, corner)
 
 
-def _member_ranges(
+def enumerate_box(
     phi: NTClass,
     lo: Sequence[int],
     hi: Sequence[int],
     max_points: int = DEFAULT_BOX_CAP,
-) -> Optional[tuple[range, ...]]:
-    """The members of :func:`known_region` in the box ``[lo, hi]``, as one range per coordinate.
+) -> tuple[tuple[int, ...], ...]:
+    """All members of :func:`known_region` inside the box ``[lo, hi]``, in lexicographic order.
 
-    The members are the sub-box prod_i [max(lo_i, c_i), hi_i] above the
-    region's corner c; a range is empty when the corner lies above ``hi`` in
-    its coordinate.  None means no members at all: an empty region, or a
-    class without boundary components.  Every check of :func:`enumerate_box`
-    is made here, in this order: the bound types, the lengths, an empty box,
-    the volume cap.
+    Output-sensitive: the members are the sub-box prod_i [max(lo_i, c_i), hi_i]
+    above the region's corner c, so the cost is proportional to the number
+    of members, not to the box volume.  The bounds must be ints (TypeError
+    otherwise, a bool included, checked first) and the box volume must not
+    exceed ``max_points``.  A class without boundary components has no
+    certified shifts and yields no members.
     """
     lo = tuple(lo)
     hi = tuple(hi)
@@ -138,30 +137,11 @@ def _member_ranges(
     if volume > max_points:
         raise BoxTooLargeError(f"box holds {volume} points, cap is {max_points}")
     if r == 0:
-        return None
+        return ()
     corner = known_region(phi).corner
     if corner is None:
-        return None
-    return tuple([range(max(a, c), b + 1) for a, c, b in zip(lo, corner, hi)])
-
-
-def enumerate_box(
-    phi: NTClass,
-    lo: Sequence[int],
-    hi: Sequence[int],
-    max_points: int = DEFAULT_BOX_CAP,
-) -> tuple[tuple[int, ...], ...]:
-    """All members of :func:`known_region` inside the box ``[lo, hi]``, in lexicographic order.
-
-    Output-sensitive: the members are the sub-box prod_i [max(lo_i, c_i), hi_i]
-    above the region's corner c, so the cost is proportional to the number
-    of members, not to the box volume.  The bounds must be ints (TypeError
-    otherwise, a bool included) and the box volume must not exceed
-    ``max_points``.  A class without boundary components has no certified
-    shifts and yields no members.
-    """
-    ranges = _member_ranges(phi, lo, hi, max_points)
-    return () if ranges is None else tuple(product(*ranges))
+        return ()
+    return tuple(product(*[range(max(a, c), b + 1) for a, c, b in zip(lo, corner, hi)]))
 
 
 def correcting_exponent_bound(phi: NTClass) -> Optional[int]:

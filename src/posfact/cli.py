@@ -14,7 +14,12 @@ The report commands (``validate``, ``invariants``, ``essential``,
 ``classify``, ``criterion``, ``poset``, ``correcting-bound``) share one
 batch loop, :func:`_run_report`.  Each command is an entry function, which
 gives the structured fields of one class, and a text renderer, which turns
-those fields into lines and runs only under ``--format text``.  ``poset
+those fields into lines and runs only under ``--format text``.  An entry
+holds the classes it reports (the essential class, a witness's corrected
+class) as :class:`~posfact.core.NTClass` values, not as dicts: ``io``
+writes each straight from its fields, and the text renderers read them
+directly.  ``compose`` writes its classes through the same writer, by
+``io.serialize``.  ``poset
 --box`` takes its member points from :func:`posfact.poset.enumerate_box`
 already in lexicographic order.  They are one sub-box, so it puts them in
 the report as that box, one ``range`` per coordinate from the first and the
@@ -109,11 +114,14 @@ def _witness_json(witness: WitnessDecomposition) -> dict:
         "k": witness.k,
         "corrections": [{"orbit": oid, "power": d} for oid, d in witness.corrections],
         "total_multitwist_power": witness.total_multitwist_power,
-        "corrected": docio.class_to_json(witness.corrected),
+        "corrected": witness.corrected,
     }
 
 
 def _witness_text(witness: dict) -> str:
+    # The line leaves the corrected class out, but its text is still made:
+    # a value too long to print fails the run as it does in a structured report.
+    docio._emit_class(witness["corrected"], [], "\n")
     return f"(k={witness['k']}, total multitwist power {witness['total_multitwist_power']})"
 
 
@@ -324,7 +332,7 @@ def _essential_entry(args, phi: NTClass) -> dict:
     return {
         "boundary_exponents": list(result.boundary_exponents),
         "orbit_exponents": list(result.orbit_exponents),
-        "essential_class": docio.class_to_json(result.essential),
+        "essential_class": result.essential,
         "uniqueness_window": window,
         "uniqueness_verified": (
             verify_essential_uniqueness(phi, window) if window is not None else None
@@ -337,11 +345,11 @@ def _essential_text(prefix: str, phi: NTClass, entry: dict) -> list[str]:
     lines = [
         f"{prefix}boundary exponents {entry['boundary_exponents']}, "
         f"orbit exponents {entry['orbit_exponents']}",
-        f"{prefix}essential fr: " + ", ".join(essential["fr"]),
+        f"{prefix}essential fr: " + ", ".join(map(docio.format_rational, essential.fr)),
     ]
     lines += [
-        f"{prefix}essential orbit {orbit['id']}: screw {orbit['screw']}"
-        for orbit in essential["orbits"]
+        f"{prefix}essential orbit {orbit.id}: screw {docio.format_rational(orbit.screw)}"
+        for orbit in essential.orbits
     ]
     if entry["uniqueness_verified"] is not None:
         lines.append(

@@ -48,6 +48,13 @@ coordinate's value texts made once, without building a point.  Its oracle is
 ``json.dumps`` of the same report with the box materialized as a list of
 point lists.
 
+Reports and documents may hold a class, an :class:`~posfact.core.NTClass`
+itself (the CLI's essential and corrected classes, and the classes that
+:func:`serialize` writes).  ``_emit_class`` writes it straight from its
+fields as the object :func:`class_to_json` gives, without building that
+dict.  Its oracle is ``json.dumps`` of the same value with ``class_to_json``
+of each class in its place.
+
 Rejection is total: a document that parses yields classes satisfying every
 core invariant, and every rejection carries position provenance (line and
 column for syntax errors, a JSON path for schema and invariant errors).
@@ -435,7 +442,13 @@ def parse(data: Union[bytes, str]) -> Document:
 
 
 def class_to_json(phi: NTClass) -> dict:
-    """JSON object for one class, in canonical key order."""
+    """JSON object for one class, in canonical key order.
+
+    Documents and reports do not go through this dict: :func:`_emit_class`
+    writes a class straight from its fields.  It is kept as the public dict
+    form of a class, and ``json.dumps`` of it is the tests' oracle for that
+    writer.
+    """
     return {
         "surface": {"genus": phi.surface.genus, "boundary": phi.surface.boundary_count},
         "fr": [format_rational(x) for x in phi.fr],
@@ -500,13 +513,54 @@ def _emit_box(box: _IntBox, out: list[str], indent: str) -> None:
     out.append("[" + inner + rows + indent + "]")
 
 
+# The quoted text of each orbit kind, made once at import; read-only.
+_KIND_TEXT = {kind: encode_basestring(kind.value) for kind in OrbitKind}
+
+
+def _emit_class(phi: NTClass, out: list[str], indent: str, head: str = "{") -> None:
+    """Append the canonical text of ``class_to_json(phi)``, read from ``phi``'s fields.
+
+    ``indent`` is as for :func:`_emit`, and ``head`` is the text before the
+    first field: the object's opening brace, or the comma that follows the
+    fields a document writes before the class's own.  Each value is formatted
+    once and each orbit is one string.  A rational's text holds only digits,
+    ``-`` and ``/``, so it is quoted without escaping.
+    """
+    inner = indent + "  "
+    row = inner + "  "
+    field = row + "  "
+    surface = phi.surface
+    out.append(
+        f'{head}{inner}"surface": {{{row}"genus": {surface.genus},'
+        f'{row}"boundary": {surface.boundary_count}{inner}}},{inner}"fr": '
+    )
+    if phi.fr:
+        out.append(f'[{row}"' + f'",{row}"'.join(map(format_rational, phi.fr)) + f'"{inner}]')
+    else:
+        out.append("[]")
+    if not phi.orbits:
+        out.append(f',{inner}"orbits": []{indent}}}')
+        return
+    kind_text = _KIND_TEXT
+    orbits = [
+        f'{{{field}"id": {encode_basestring(orbit.id)},{field}"length": {orbit.length},'
+        f'{field}"kind": {kind_text[orbit.kind]},'
+        f'{field}"separating": {"true" if orbit.separating else "false"},'
+        f'{field}"screw": "{format_rational(orbit.screw)}"{row}}}'
+        for orbit in phi.orbits
+    ]
+    out.append(f',{inner}"orbits": [{row}' + f",{row}".join(orbits) + f"{inner}]{indent}}}")
+
+
 def _emit(value: Any, out: list[str], indent: str) -> None:
     """Append the canonical text of ``value`` to ``out``.
 
     ``indent`` is a newline followed by the indentation of the line that
     ``value`` starts on.  Only the types reports and documents hold are
-    accepted: dicts with str keys, lists, str, int, bool, None and
-    :class:`_IntBox`.
+    accepted: dicts with str keys, lists, str, int, bool, None,
+    :class:`~posfact.core.NTClass` (written as :func:`class_to_json` of it,
+    by :func:`_emit_class`) and :class:`_IntBox`.  As for str keys, only the
+    exact types are: a subclass of any of them is rejected.
     """
     cls = value.__class__
     if cls is str:
@@ -562,6 +616,8 @@ def _emit(value: Any, out: list[str], indent: str) -> None:
             _emit(item, out, inner)
             sep = comma
         out.append(indent + "]")
+    elif cls is NTClass:
+        _emit_class(value, out, indent)
     elif cls is _IntBox:
         _emit_box(value, out, indent)
     else:
@@ -578,13 +634,15 @@ def _dump(obj: dict) -> bytes:
 def serialize(doc: Document) -> bytes:
     """Canonical bytes for a document; ``parse(serialize(doc)) == doc``."""
     if isinstance(doc.payload, NTClass):
-        return _dump({"version": doc.version, **class_to_json(doc.payload)})
+        out = ['{\n  "version": ']
+        _emit(doc.version, out, "\n  ")
+        _emit_class(doc.payload, out, "\n", ",")
+        out.append("\n")
+        return "".join(out).encode("utf-8")
     return _dump(
         {
             "version": doc.version,
-            "batch": [
-                {"name": e.name, "class": class_to_json(e.nt_class)} for e in doc.payload
-            ],
+            "batch": [{"name": e.name, "class": e.nt_class} for e in doc.payload],
         }
     )
 

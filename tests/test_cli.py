@@ -501,6 +501,27 @@ class TestDigitLimitOnOutput:
         limit = sys.get_int_max_str_digits()
         assert captured.err == f"error: computed integer longer than the limit of {limit} digits\n"
 
+    @pytest.mark.parametrize("fmt", ["text", "structured"])
+    @pytest.mark.parametrize("command", ["classify", "criterion"])
+    def test_unprintable_corrected_class(self, tmp_path, capsys, fmt, command):
+        """The text line leaves the witness's corrected class out, yet fails on it as the report does."""
+        limit = sys.get_int_max_str_digits()
+        q = 6 * 10 ** (limit - 1)  # the corrected screw (2q - 1)/q has one digit too many
+        doc = {
+            "version": "1",
+            "surface": {"genus": 2, "boundary": 1},
+            "fr": ["100"],
+            "orbits": [
+                {"id": "A", "length": 1, "kind": "amphidrome", "separating": False, "screw": f"-1/{q}"}
+            ],
+        }
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        assert main([command, str(path), "--format", fmt]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: computed integer longer than the limit of {limit} digits\n"
+
 
 class TestStdin:
     def test_dash_reads_stdin(self, capsys, monkeypatch):
@@ -753,6 +774,39 @@ EXACT_OUTPUT = [
 ]
 
 
+# compose writes class documents: one class, and a batch whose "no-orbit"
+# entry fails the orbit twist and is left out.  "closed" has boundary 0.
+COMPOSE_BATCH = {
+    "version": "1",
+    "batch": [
+        _entry("main", 2, ["5/3", "1/3"], [_orbit("O1", 1, "regular", False, "1/2")]),
+        _entry("no-orbit", 2, ["1"], []),
+        _entry("closed", 3, [], [_orbit("O1", 3, "amphidrome", True, "-7/5")]),
+    ],
+}
+
+# (document, command line, exit status, stderr lines, text stdout lines,
+# sha256 of the structured stdout), as for EXACT_OUTPUT.
+COMPOSE_OUTPUT = [
+    (
+        SINGLE,
+        ["compose", "--twist=B2:-1", "--twist=OO1:-1"],
+        0,
+        [],
+        ["fr: 5/3, -2/3", "orbit O1: screw -1/2"],
+        "6743c16e2edfca984e0cfff9ef75e4370a31a99818bc72d86a33f32e617ed642",
+    ),
+    (
+        COMPOSE_BATCH,
+        ["compose", "--twist=OO1:1", "--twist=OO1:-3"],
+        1,
+        ["error: no-orbit: unknown orbit id 'O1'"],
+        ["main: fr 5/3, 1/3", "closed: fr "],
+        "668f529b3145ec4e01ecfb345b4bca71c7f433019d9fafcbd4c7edb8c13ca97e",
+    ),
+]
+
+
 class TestExactOutput:
     @pytest.mark.parametrize("fmt", ["text", "structured"])
     @pytest.mark.parametrize("case", EXACT_OUTPUT, ids=lambda case: "-".join(case[0]))
@@ -760,6 +814,20 @@ class TestExactOutput:
         command, code, err_lines, out_lines, digest = case
         path = tmp_path / "batch.json"
         path.write_text(json.dumps(EXACT_BATCH))
+        assert main([command[0], str(path), *command[1:], "--format", fmt]) == code
+        captured = capsys.readouterr()
+        assert captured.err == "".join(line + "\n" for line in err_lines)
+        if fmt == "text":
+            assert captured.out == "".join(line + "\n" for line in out_lines)
+        else:
+            assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("fmt", ["text", "structured"])
+    @pytest.mark.parametrize("case", COMPOSE_OUTPUT, ids=["single", "batch"])
+    def test_compose_bytes(self, tmp_path, capsys, fmt, case):
+        doc, command, code, err_lines, out_lines, digest = case
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
         assert main([command[0], str(path), *command[1:], "--format", fmt]) == code
         captured = capsys.readouterr()
         assert captured.err == "".join(line + "\n" for line in err_lines)

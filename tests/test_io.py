@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import json
+import random
 import sys
 from fractions import Fraction
 from itertools import product
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import rand_applicable_ntclass, rand_ntclass, rand_poset_ntclass
 from posfact import CurveOrbit, NTClass, OrbitKind, Surface
 from posfact import io as docio
 from posfact.cli import main
@@ -303,6 +305,50 @@ class StrKey(str):
     """A str subclass: equal to, and hashed like, the text it holds."""
 
 
+class SubClass(NTClass):
+    """An NTClass subclass: ``_emit`` writes only the exact type."""
+
+
+# Values of a class: small, integer, negative, and of ~4,000 digits.
+EMIT_CLASS_VALUES = st.one_of(
+    st.fractions(min_value=-50, max_value=50, max_denominator=12),
+    st.integers(-(10**6), 10**6).map(Fraction),
+    st.builds(
+        lambda sign, num, den: Fraction(sign * (10**3999 + num), 10**3990 + den),
+        st.sampled_from([1, -1]),
+        st.integers(0, 10**6),
+        st.integers(1, 10**6),
+    ),
+)
+
+
+@st.composite
+def emit_edge_classes(draw) -> NTClass:
+    """A class with boundary 0 or no orbits as often as not, and ids that need escaping."""
+    boundary = draw(st.integers(0, 3))
+    ids = draw(st.lists(EMIT_TEXT.filter(bool), max_size=3, unique=True))
+    orbits = tuple(
+        CurveOrbit(
+            oid,
+            draw(st.integers(1, 10**40)),
+            draw(st.sampled_from(list(OrbitKind))),
+            draw(st.booleans()),
+            draw(EMIT_CLASS_VALUES),
+        )
+        for oid in ids
+    )
+    fr = tuple(draw(EMIT_CLASS_VALUES) for _ in range(boundary))
+    return NTClass(Surface(draw(st.integers(0, 10**40)), boundary), fr, orbits)
+
+
+# Classes from the conftest generators, and edge classes.
+EMIT_CLASSES = st.builds(
+    lambda make, seed: make(random.Random(seed)),
+    st.sampled_from([rand_ntclass, rand_applicable_ntclass, rand_poset_ntclass]),
+    st.integers(0, 2**32),
+) | emit_edge_classes()
+
+
 class TestCanonicalEmitter:
     """The emitter against ``json.dumps(indent=2)``, which serves only as an oracle here."""
 
@@ -321,12 +367,70 @@ class TestCanonicalEmitter:
             {"a": Fraction(1, 2)},
             {"a": [{"b": {1}}]},
             {StrKey("name"): "x"},
+            {"a": CurveOrbit("O1", 1, OrbitKind.REGULAR, False, Fraction(1, 2))},
+            {"a": [Surface(2, 1)]},
+            {"a": SubClass(Surface(2, 1), (Fraction(3),))},
         ],
-        ids=["float", "tuple", "int-key", "fraction", "nested-set", "str-subclass-key"],
+        ids=[
+            "float",
+            "tuple",
+            "int-key",
+            "fraction",
+            "nested-set",
+            "str-subclass-key",
+            "orbit",
+            "surface",
+            "ntclass-subclass",
+        ],
     )
     def test_rejects_other_types(self, obj):
         with pytest.raises(TypeError):
             docio.serialize_report(obj)
+
+    @settings(max_examples=150)
+    @given(st.lists(EMIT_CLASSES, min_size=1, max_size=3), EMIT_TEXT.filter(bool))
+    def test_class_matches_json_dumps_of_class_to_json(self, classes, name):
+        """A class at the top level, as a dict value, inside report entries and in documents."""
+
+        def dumps(obj) -> bytes:
+            return (json.dumps(obj, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
+
+        phi, plain = classes[0], docio.class_to_json(classes[0])
+        assert docio.serialize_report(phi) == dumps(plain)
+        assert docio.serialize_report({"essential_class": phi}) == dumps({"essential_class": plain})
+
+        def report(corrected):
+            witness = {"k": 2, "corrections": [], "total_multitwist_power": 0}
+            return {
+                "version": "1",
+                "entries": [
+                    {"name": name, "essential_class": c, "witness": {**witness, "corrected": c}}
+                    for c in corrected
+                ],
+            }
+
+        plains = [docio.class_to_json(c) for c in classes]
+        assert docio.serialize_report(report(classes)) == dumps(report(plains))
+        batch = docio.Document("1", tuple(docio.NamedClass(name, c) for c in classes))
+        assert docio.serialize(batch) == dumps(
+            {"version": "1", "batch": [{"name": name, "class": c} for c in plains]}
+        )
+        assert docio.serialize(docio.Document("1", phi)) == dumps({"version": "1", **plain})
+
+    @needs_digit_limit
+    @pytest.mark.parametrize("place", ["fr", "screw", "genus", "length"])
+    def test_class_value_beyond_digit_limit(self, place):
+        big = 10**DIGIT_LIMIT
+        values = {"fr": Fraction(1, 2), "screw": Fraction(-3), "genus": 2, "length": 1}
+        values[place] = Fraction(big, 7) if place in ("fr", "screw") else big
+        orbit = CurveOrbit("O1", values["length"], OrbitKind.AMPHIDROME, False, values["screw"])
+        phi = NTClass(Surface(values["genus"], 1), (values["fr"],), (orbit,))
+        with pytest.raises(ValueError) as exc:
+            docio.serialize_report({"entries": [{"essential_class": phi}]})
+        with pytest.raises(ValueError) as plain:
+            docio.serialize_report({"entries": [{"essential_class": docio.class_to_json(phi)}]})
+        assert docio._exceeds_digit_limit(exc.value)
+        assert str(exc.value) == str(plain.value)
 
     @settings(max_examples=150)
     @given(EMIT_BOX_RANGES, st.sampled_from(["top", "nested"]))

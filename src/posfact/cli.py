@@ -36,7 +36,20 @@ reported as usual, and the process exits 1.  ``compose`` writes a class
 document, which has no error entries, so it leaves a failed entry out of
 its output, reports it on stderr and exits 1.  A computed value too long
 to print (more digits than the interpreter's int-to-str limit) is a domain
-error that ends the run with one error line and nothing on stdout.
+error that ends the run with one error line and nothing on stdout.  A reader
+of a command's output that goes before its end (``posfact classify BIG |
+head -1``) ends the run with exit status 1 and nothing more on stderr:
+:func:`main` flushes stdout before it returns, so a broken pipe shows
+there, and then points stdout at the null device, so the interpreter's own
+flush at exit finds nothing left to fail on.
+
+A call is parsed in one argparse pass.  When ``argv[0]`` is a command word,
+:func:`main` hands the rest of argv straight to that command's subparser,
+as the root parser itself would after matching the word, and reports
+anything left over with the root parser's usage line.  Every other argv
+(none, so ``sys.argv[1:]``; an empty one; ``-h``, ``--version``, ``--`` or
+an unknown word first) goes through the root parser.  Output and exit
+status are the root parser's either way.
 
 :func:`main` pauses the cyclic garbage collector for the length of one call
 and turns it back on afterwards only if it was on at entry, whatever the
@@ -52,6 +65,7 @@ from __future__ import annotations
 import argparse
 import functools
 import gc
+import os
 import re
 import sys
 from typing import Optional, Sequence
@@ -568,8 +582,13 @@ def _report_parser(sub, name: str, help_text: str, build, render, prepare=None):
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process: parsing leaves it unchanged."""
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The root parser and its command table, built once per process: parsing leaves them unchanged.
+
+    The table is the ``choices`` mapping that ``add_subparsers`` fills, from
+    command word to subparser, the one the root parser dispatches through;
+    :func:`_parse_args` reads it to send a command straight to its subparser.
+    """
     parser = argparse.ArgumentParser(
         prog="posfact",
         description=(
@@ -640,16 +659,48 @@ def _build_parser() -> argparse.ArgumentParser:
         _correcting_bound_text,
     )
 
-    return parser
+    return parser, sub.choices
+
+
+def _parse_args(argv: Optional[Sequence[str]]) -> argparse.Namespace:
+    """The root parser's ``parse_args(argv)``, in one argparse pass: see the module docstring."""
+    parser, commands = _build_parser()
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:])
+    if extras:  # reported as the root parser reports them, under its usage line
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
+
+
+def _discard_stdout() -> None:
+    """Point stdout's file descriptor, if it has one, at the null device.
+
+    The interpreter flushes stdout at exit; what it still holds then goes
+    nowhere instead of failing again with an "Exception ignored" line.
+    """
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError):  # io.UnsupportedOperation is an OSError
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     collecting = gc.isenabled()
     gc.disable()  # for this call only: see the module docstring
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parse_args(argv)
         try:
-            return args.handler(args)
+            code = args.handler(args)
+            sys.stdout.flush()  # a reader gone early fails here, not at interpreter exit
+            return code
+        except BrokenPipeError:
+            _discard_stdout()
+            return 1
         except docio.ParseError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import argparse
+import contextlib
+import errno
 import gc
 import hashlib
+import io as stdio
 import json
 import os
 import random
@@ -12,10 +16,13 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import posfact
 from conftest import pointwise_box, rand_poset_ntclass
 from posfact import CurveOrbit, NTClass, OrbitKind, Surface, known_region
+from posfact import cli
 from posfact import io as docio
 from posfact.cli import main
 from posfact.core import DomainError
@@ -899,7 +906,10 @@ class TestCollectorPause:
             assert main(argv) == code
             assert gc.isenabled() is collecting
 
-    @pytest.mark.parametrize("argv", [["--help"], ["frobnicate"], ["ltable", "--genus", "x"]])
+    @pytest.mark.parametrize(
+        "argv",
+        [["--help"], ["frobnicate"], ["ltable", "--genus", "x"], ["classify", "doc.json", "extra"]],
+    )
     def test_state_restored_after_argparse_exit(self, collecting, argv, capsys):
         with pytest.raises(SystemExit):
             main(argv)
@@ -952,3 +962,250 @@ class TestCollectorPause:
             gc.enable()
         assert codes == {0, 1, 2}
         assert unreachable == 0
+
+
+COMMANDS = [
+    "validate",
+    "invariants",
+    "essential",
+    "classify",
+    "criterion",
+    "compose",
+    "poset",
+    "ltable",
+    "correcting-bound",
+]
+
+# Argvs on both sides of the direct dispatch, and the argparse corners between.
+DISPATCH_ARGVS = [
+    *([command, "doc.json"] for command in COMMANDS),
+    *([command] for command in COMMANDS),
+    *([command, "-h"] for command in COMMANDS),
+    ["poset", "doc.json", "--generators"],
+    ["ltable", "--genus", "2", "--boundary", "3", "--power", "-1"],
+    ["compose", "doc.json", "--twist=B1:-1", "--twist", "OO1:2"],
+    ["classify", "doc.json", "--version"],
+    ["poset", "doc.json", "--box=1..2", "--bogus"],
+    ["classify", "doc.json", "extra"],
+    ["classify", "--", "doc.json"],
+    ["classify", "doc.json", "--"],
+    ["classify", "doc.json", "--", "--format", "text"],
+    ["poset", "doc.json", "--box=--"],
+    ["poset", "doc.json", "--box=-6..6", "--format", "structured"],
+    ["essential", "doc.json", "--check-uniqueness=--"],
+    ["essential", "doc.json", "--check-uniqueness", "+3"],
+    ["classify", "doc.json", "--form", "structured"],
+    ["essential", "doc.json", "--check-u", "3"],
+    ["poset", "doc.json", "--box=1..2", "--query", "0,0"],
+    ["classify", "doc.json", "--format", "xml"],
+    [],
+    ["frobnicate", "doc.json"],
+    ["-h"],
+    ["--version"],
+    ["--", "classify", "doc.json"],
+    ("classify", "doc.json", "--format", "structured"),
+]
+
+DISPATCH_TOKENS = [
+    *COMMANDS,
+    "doc.json",
+    "-",
+    "--",
+    "-h",
+    "--help",
+    "--version",
+    "--format",
+    "--form",
+    "--format=structured",
+    "text",
+    "structured",
+    "xml",
+    "--generators",
+    "--query",
+    "0,0",
+    "--box",
+    "--box=-6..6",
+    "--box=--",
+    "-6..6",
+    "--check-uniqueness",
+    "--check-u",
+    "--check-uniqueness=--",
+    "3",
+    "-1",
+    "--twist",
+    "B1:-1",
+    "--genus",
+    "--boundary",
+    "--power",
+    "--bogus",
+    "extra",
+    "",
+]
+
+_token_lists = st.lists(st.sampled_from(DISPATCH_TOKENS), max_size=6)
+dispatch_argvs = st.one_of(
+    _token_lists,
+    st.tuples(st.sampled_from(COMMANDS), _token_lists).map(lambda drawn: [drawn[0], *drawn[1]]),
+).flatmap(lambda argv: st.sampled_from([argv, tuple(argv)]))
+
+
+def _parse_outcome(parse, argv):
+    """``vars`` of the namespace, or the ``SystemExit`` code, with what was written to stdout and stderr."""
+    out, err = stdio.StringIO(), stdio.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parse(argv))
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+    return result, out.getvalue(), err.getvalue()
+
+
+class TestDispatch:
+    """``main`` sends a command straight to its subparser; the root ``parse_args`` is the oracle."""
+
+    @staticmethod
+    def _check(argv):
+        root = cli._build_parser()[0]
+        assert _parse_outcome(cli._parse_args, argv) == _parse_outcome(root.parse_args, argv)
+
+    @pytest.mark.parametrize("argv", DISPATCH_ARGVS, ids=repr)
+    def test_table(self, argv):
+        self._check(argv)
+
+    @settings(max_examples=300, deadline=None)
+    @given(dispatch_argvs)
+    def test_drawn_argvs(self, argv):
+        self._check(argv)
+
+    def test_table_is_the_roots_dispatch_table(self):
+        parser, commands = cli._build_parser()
+        (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        assert commands is action.choices
+        assert list(commands) == COMMANDS
+
+
+ROOT_USAGE = (
+    "usage: posfact [-h] [--version]\n"
+    "               {validate,invariants,essential,classify,criterion,compose,poset,ltable,correcting-bound}\n"
+    "               ...\n"
+)
+
+
+class TestEntryPoints:
+    """Bytes recorded before the direct dispatch: argv left over, ``main(None)`` and ``python -m``."""
+
+    @pytest.mark.parametrize(
+        "argv, extra",
+        [(["poset", "--box=1..2", "--bogus"], "--bogus"), (["classify", "extra"], "extra")],
+        ids=["bogus-option", "extra-positional"],
+    )
+    def test_unrecognized_arguments(self, single_path, capsys, monkeypatch, argv, extra):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], single_path, *argv[1:]])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ROOT_USAGE + f"posfact: error: unrecognized arguments: {extra}\n"
+
+    def test_main_reads_sys_argv(self, single_path, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["posfact", "classify", single_path])
+        assert main() == 0
+        assert capsys.readouterr() == ("PositivelyFactorizable via MainTheorem\n", "")
+        monkeypatch.setattr(sys, "argv", ["posfact", "--version"])
+        with pytest.raises(SystemExit) as exc:
+            main(None)
+        assert exc.value.code == 0
+        assert capsys.readouterr() == (f"posfact {posfact.__version__}\n", "")
+
+    def test_module_entry_point(self, single_path):
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(posfact.__file__)))
+        done = subprocess.run(
+            [sys.executable, "-m", "posfact.cli", "classify", single_path, "--format", "structured"],
+            capture_output=True, env=env, timeout=60,
+        )
+        assert (done.returncode, done.stderr) == (0, b"")
+        digest = "9c6c215b6877b539bd8451948faa8dd43b347e9cc43bf20cf3c600f86f8d4182"
+        assert hashlib.sha256(done.stdout).hexdigest() == digest
+
+
+def _main_theorem_batch(size: int, name_width: int = 8) -> dict:
+    cls = {k: SINGLE[k] for k in ("surface", "fr", "orbits")}
+    return {
+        "version": "1",
+        "batch": [{"name": f"{i:0{name_width}d}", "class": cls} for i in range(size)],
+    }
+
+
+class _GoneReader(stdio.RawIOBase):
+    """The write end of a pipe whose reader has gone: every write fails until ``gone`` is cleared."""
+
+    gone = True
+
+    def writable(self) -> bool:
+        return True
+
+    def write(self, data) -> int:
+        if self.gone:
+            raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+        return len(data)
+
+
+class TestBrokenPipe:
+    """A reader of stdout that goes early (``posfact classify BIG | head -1``) ends the run with
+    exit status 1 and nothing on stderr."""
+
+    @pytest.mark.parametrize("fmt", ["text", "structured"])
+    @pytest.mark.parametrize("size", [1, 500], ids=["buffered", "mid-run"])
+    def test_in_process(self, tmp_path, capsys, monkeypatch, fmt, size):
+        # One entry stays in the stream's buffer until main flushes it; 500
+        # entries overflow it while the report is being written.
+        path = tmp_path / "batch.json"
+        path.write_text(json.dumps(_main_theorem_batch(size)))
+        raw = _GoneReader()
+        stdout = stdio.TextIOWrapper(stdio.BufferedWriter(raw), encoding="utf-8")
+        with monkeypatch.context() as patch:
+            patch.setattr(sys, "stdout", stdout)
+            code = main(["classify", str(path), "--format", fmt])
+        raw.gone = False  # what the stream still holds is dropped on close
+        stdout.close()
+        assert code == 1
+        assert capsys.readouterr() == ("", "")
+
+    @staticmethod
+    def _env(unbuffered: bool) -> dict:
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(posfact.__file__)))
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        return env
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_reader_gone_mid_run(self, tmp_path, unbuffered):
+        # ~0.7 MB of text, more than a pipe holds, so the reader is gone before the end.
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(_main_theorem_batch(5000, name_width=100)))
+        with subprocess.Popen(
+            [sys.executable, "-m", "posfact.cli", "classify", str(path)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=self._env(unbuffered),
+        ) as child:
+            assert child.stdout.read(10) == b"0" * 10  # read a little and go, as `head -c 10` does
+            child.stdout.close()
+            err = child.stderr.read()
+            assert child.wait(timeout=60) == 1
+        assert err == b""
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_reader_gone_before_the_first_write(self, single_path, unbuffered):
+        # Buffered, the one line fails only when it is flushed: by main, and
+        # not again when the interpreter exits.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "posfact.cli", "classify", single_path],
+                stdout=write_end, stderr=subprocess.PIPE, env=self._env(unbuffered), timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (1, b"")

@@ -13,13 +13,16 @@ an operand of exactly ``--``, is an input error.
 The report commands (``validate``, ``invariants``, ``essential``,
 ``classify``, ``criterion``, ``poset``, ``correcting-bound``) share one
 batch loop, :func:`_run_report`.  Each command is an entry function, which
-gives the structured fields of one class, and a text renderer, which turns
-those fields into lines and runs only under ``--format text``.  An entry
-holds the classes it reports (the essential class, a witness's corrected
-class) as :class:`~posfact.core.NTClass` values, not as dicts: ``io``
-writes each straight from its fields, and the text renderers read them
-directly.  ``compose`` writes its classes through the same writer, by
-``io.serialize``.  ``poset
+gives the "ok" entry of one class, and a text renderer, which turns that
+entry into lines and runs only under ``--format text``.  An entry holds the
+classes it reports (the essential class, a witness's corrected class) as
+:class:`~posfact.core.NTClass` values, not as dicts: ``io`` writes each
+straight from its fields, and the text renderers read them directly.  The
+entries of ``invariants`` and ``essential`` are values, not dicts: the class
+with its period data and its two predicates, or the essential part with the
+window and the uniqueness answer, which ``io`` writes straight from them and
+the text renderers read.  ``compose`` writes its classes through the same
+class writer, by ``io.serialize``.  ``poset
 --box`` takes its member points from :func:`posfact.poset.enumerate_box`
 already in lexicographic order.  They are one sub-box, so it puts them in
 the report as that box, one ``range`` per coordinate from the first and the
@@ -41,7 +44,10 @@ of a command's output that goes before its end (``posfact classify BIG |
 head -1``) ends the run with exit status 1 and nothing more on stderr:
 :func:`main` flushes stdout before it returns, so a broken pipe shows
 there, and then points stdout at the null device, so the interpreter's own
-flush at exit finds nothing left to fail on.
+flush at exit finds nothing left to fail on.  Help and version text to such
+a reader (``posfact --help | true``) end the same way: argparse writes that
+text itself and ignores a failed write, so the parser here writes and
+flushes it at once and the failure reaches :func:`main`.
 
 A call is parsed in one argparse pass.  When ``argv[0]`` is a command word,
 :func:`main` hands the rest of argv straight to that command's subparser,
@@ -55,9 +61,10 @@ status are the root parser's either way.
 and turns it back on afterwards only if it was on at entry, whatever the
 exit (a return, argparse's ``SystemExit`` or an exception).  This is safe
 because the values a call builds hold no reference cycles: frozen
-dataclasses, ``Fraction``s, dicts, lists and strings, which reference
-counting frees.  On a batch document the collector's passes only walk that
-growing heap and free nothing.  Library functions never touch the collector.
+dataclasses, the report entries' slotted values, ``Fraction``s, dicts, lists
+and strings, which reference counting frees.  On a batch document the
+collector's passes only walk that growing heap and free nothing.  Library
+functions never touch the collector.
 """
 
 from __future__ import annotations
@@ -234,11 +241,15 @@ def _parse_box(text: str) -> tuple[int, int]:
 # --- report commands -------------------------------------------------------
 #
 # A report command is two plain functions: an entry function
-# ``(args, phi) -> dict`` of the fields an "ok" entry carries after its name
-# and status, and a text renderer ``(prefix, phi, entry) -> lines``.
-# _run_report runs both over the document.  The entry functions look the
-# library functions up as this module's globals at call time, so code that
-# rebinds ``posfact.cli.classify`` and the like reaches them.
+# ``(args, name, phi) -> entry`` of the "ok" entry of one class, and a text
+# renderer ``(prefix, phi, entry) -> lines``.  _run_report runs both over the
+# document.  Most entries are dicts, written field by field.  An
+# ``invariants`` or ``essential`` entry is a value instead
+# (``io._InvariantsEntry``, ``io._EssentialEntry``) holding what the command
+# computed, which ``io`` writes straight from it and the renderer reads.  The
+# entry functions look the library functions up as this module's globals at
+# call time, so code that rebinds ``posfact.cli.classify`` and the like
+# reaches them.
 
 
 def _run_report(args, kind: str, build, render, prepare=None) -> int:
@@ -260,7 +271,7 @@ def _run_report(args, kind: str, build, render, prepare=None) -> int:
     for name, phi in doc.entries():
         prefix = _entry_prefix(name)
         try:
-            entry = {"name": name, "status": "ok", **build(args, phi)}
+            entry = build(args, name, phi)
         except DomainError as exc:
             failed = True
             entries.append(
@@ -279,8 +290,10 @@ def _run_report(args, kind: str, build, render, prepare=None) -> int:
     return 1 if failed else 0
 
 
-def _validate_entry(args, phi: NTClass) -> dict:
+def _validate_entry(args, name: Optional[str], phi: NTClass) -> dict:
     return {
+        "name": name,
+        "status": "ok",
         "genus": phi.surface.genus,
         "boundary": phi.surface.boundary_count,
         "orbit_count": len(phi.orbits),
@@ -297,79 +310,55 @@ def _validate_text(prefix: str, phi: NTClass, entry: dict) -> list[str]:
     return lines
 
 
-def _invariants_entry(args, phi: NTClass) -> dict:
-    period = period_data(phi)
-    return {
-        "fr": [docio.format_rational(x) for x in phi.fr],
-        "screws": [
-            {
-                "id": orbit.id,
-                "kind": orbit.kind.value,
-                "alpha": orbit.alpha,
-                "beta": orbit.beta,
-                "screw": docio.format_rational(orbit.screw),
-            }
-            for orbit in phi.orbits
-        ],
-        "period": {
-            "n": period.n,
-            "k_boundary": list(period.k_boundary),
-            "k_orbit": list(period.k_orbit),
-        },
-        "essential": is_essential(phi),
-        "fully_right_veering": is_fully_right_veering(phi),
-    }
+def _invariants_entry(args, name: Optional[str], phi: NTClass) -> docio._InvariantsEntry:
+    return docio._InvariantsEntry(
+        name, phi, period_data(phi), is_essential(phi), is_fully_right_veering(phi)
+    )
 
 
-def _invariants_text(prefix: str, phi: NTClass, entry: dict) -> list[str]:
-    lines = [prefix + "fr: " + ", ".join(entry["fr"])]
-    for orbit, screw in zip(phi.orbits, entry["screws"]):
-        lines.append(
-            f"{prefix}orbit {screw['id']} ({screw['kind']}, length {orbit.length}): "
-            f"screw {screw['screw']}, alpha {screw['alpha']}, beta {screw['beta']}"
-        )
-    period = entry["period"]
+def _invariants_text(prefix: str, phi: NTClass, entry: docio._InvariantsEntry) -> list[str]:
+    lines = [prefix + "fr: " + ", ".join(map(docio.format_rational, phi.fr))]
+    lines += [
+        f"{prefix}orbit {orbit.id} ({orbit.kind.value}, length {orbit.length}): "
+        f"screw {docio.format_rational(orbit.screw)}, alpha {orbit.alpha}, beta {orbit.beta}"
+        for orbit in phi.orbits
+    ]
+    period = entry.period
     lines.append(
-        f"{prefix}period n={period['n']}, k_boundary={period['k_boundary']}, "
-        f"k_orbit={period['k_orbit']}"
+        f"{prefix}period n={period.n}, k_boundary={list(period.k_boundary)}, "
+        f"k_orbit={list(period.k_orbit)}"
     )
     lines.append(
-        f"{prefix}essential: {entry['essential']}, "
-        f"fully right-veering: {entry['fully_right_veering']}"
+        f"{prefix}essential: {entry.essential}, "
+        f"fully right-veering: {entry.fully_right_veering}"
     )
     return lines
 
 
-def _essential_entry(args, phi: NTClass) -> dict:
-    result = essential_part(phi)
+def _essential_entry(args, name: Optional[str], phi: NTClass) -> docio._EssentialEntry:
     window = args.check_uniqueness
-    return {
-        "boundary_exponents": list(result.boundary_exponents),
-        "orbit_exponents": list(result.orbit_exponents),
-        "essential_class": result.essential,
-        "uniqueness_window": window,
-        "uniqueness_verified": (
-            verify_essential_uniqueness(phi, window) if window is not None else None
-        ),
-    }
+    return docio._EssentialEntry(
+        name,
+        essential_part(phi),
+        window,
+        verify_essential_uniqueness(phi, window) if window is not None else None,
+    )
 
 
-def _essential_text(prefix: str, phi: NTClass, entry: dict) -> list[str]:
-    essential = entry["essential_class"]
+def _essential_text(prefix: str, phi: NTClass, entry: docio._EssentialEntry) -> list[str]:
+    result = entry.result
+    essential = result.essential
     lines = [
-        f"{prefix}boundary exponents {entry['boundary_exponents']}, "
-        f"orbit exponents {entry['orbit_exponents']}",
+        f"{prefix}boundary exponents {list(result.boundary_exponents)}, "
+        f"orbit exponents {list(result.orbit_exponents)}",
         f"{prefix}essential fr: " + ", ".join(map(docio.format_rational, essential.fr)),
     ]
     lines += [
         f"{prefix}essential orbit {orbit.id}: screw {docio.format_rational(orbit.screw)}"
         for orbit in essential.orbits
     ]
-    if entry["uniqueness_verified"] is not None:
-        lines.append(
-            f"{prefix}uniqueness (window {entry['uniqueness_window']}): "
-            f"{entry['uniqueness_verified']}"
-        )
+    if entry.verified is not None:
+        lines.append(f"{prefix}uniqueness (window {entry.window}): {entry.verified}")
     return lines
 
 
@@ -380,17 +369,21 @@ def _cmd_essential(args) -> int:
     return _run_report(args, "essential", _essential_entry, _essential_text)
 
 
-def _classify_entry(args, phi: NTClass) -> dict:
+def _classify_entry(args, name: Optional[str], phi: NTClass) -> dict:
     report = classify(phi)
     if isinstance(report, PositivelyFactorizable):
         criterion_route = not isinstance(report.route, MainTheoremRoute)
         return {
+            "name": name,
+            "status": "ok",
             "classification": "positively_factorizable",
             "route": "criterion" if criterion_route else "main_theorem",
             "witness": _witness_json(report.route.witness) if criterion_route else None,
             "diagnostics": [],
         }
     return {
+        "name": name,
+        "status": "ok",
         "classification": "unknown",
         "route": None,
         "witness": None,
@@ -407,21 +400,31 @@ def _classify_text(prefix: str, phi: NTClass, entry: dict) -> list[str]:
     return [f"{prefix}Unknown ({codes})"]
 
 
-def _criterion_entry(args, phi: NTClass) -> dict:
+def _criterion_entry(args, name: Optional[str], phi: NTClass) -> dict:
     result = criterion(phi)
     if isinstance(result, Sufficient):
         return {
+            "name": name,
+            "status": "ok",
             "result": "sufficient",
             "witness": _witness_json(result.witness),
             "diagnostics": [],
         }
     if isinstance(result, Inconclusive):
         return {
+            "name": name,
+            "status": "ok",
             "result": "inconclusive",
             "witness": None,
             "diagnostics": [_diag_json(d) for d in result.reasons],
         }
-    return {"result": "not_applicable", "witness": None, "diagnostics": [_diag_json(result.reason)]}
+    return {
+        "name": name,
+        "status": "ok",
+        "result": "not_applicable",
+        "witness": None,
+        "diagnostics": [_diag_json(result.reason)],
+    }
 
 
 def _criterion_text(prefix: str, phi: NTClass, entry: dict) -> list[str]:
@@ -445,9 +448,9 @@ def _poset_mode(args) -> None:
         args.mode = "generators"
 
 
-def _poset_entry(args, phi: NTClass) -> dict:
+def _poset_entry(args, name: Optional[str], phi: NTClass) -> dict:
     r = _dimension(phi)
-    entry = {"mode": args.mode, "dimension": r}
+    entry = {"name": name, "status": "ok", "mode": args.mode, "dimension": r}
     if args.mode == "generators":
         corner = known_region(phi).corner
         entry["generators"] = [] if corner is None else [list(corner)]
@@ -490,9 +493,14 @@ _NO_BOUND = Diagnostic(
 )
 
 
-def _correcting_bound_entry(args, phi: NTClass) -> dict:
+def _correcting_bound_entry(args, name: Optional[str], phi: NTClass) -> dict:
     bound = correcting_exponent_bound(phi)
-    return {"bound": bound, "diagnostics": [_diag_json(_NO_BOUND)] if bound is None else []}
+    return {
+        "name": name,
+        "status": "ok",
+        "bound": bound,
+        "diagnostics": [_diag_json(_NO_BOUND)] if bound is None else [],
+    }
 
 
 def _correcting_bound_text(prefix: str, phi: NTClass, entry: dict) -> list[str]:
@@ -581,6 +589,25 @@ def _report_parser(sub, name: str, help_text: str, build, render, prepare=None):
     return p
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """argparse's parser, with its help and version text for stdout written and flushed at once.
+
+    argparse ignores an ``OSError`` from writing its own messages.  Help or
+    version text for a reader already gone would then be lost without a sign
+    (unbuffered stdout), or fail at the interpreter's flush at exit with an
+    "Exception ignored" line and exit status 120 (buffered).  Flushed here,
+    the ``BrokenPipeError`` reaches :func:`main` instead.  Messages for
+    stderr, the usage errors, stay argparse's own.
+    """
+
+    def _print_message(self, message, file=None):
+        if file is None or file is not sys.stdout:
+            super()._print_message(message, file)
+        elif message:
+            file.write(message)
+            file.flush()
+
+
 @functools.cache
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     """The root parser and its command table, built once per process: parsing leaves them unchanged.
@@ -589,7 +616,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     command word to subparser, the one the root parser dispatches through;
     :func:`_parse_args` reads it to send a command straight to its subparser.
     """
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="posfact",
         description=(
             "Exact invariants of pseudoperiodic mapping classes and certified "
@@ -693,8 +720,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     collecting = gc.isenabled()
     gc.disable()  # for this call only: see the module docstring
     try:
-        args = _parse_args(argv)
         try:
+            args = _parse_args(argv)  # help and version text is flushed as it is written
             code = args.handler(args)
             sys.stdout.flush()  # a reader gone early fails here, not at interpreter exit
             return code

@@ -55,6 +55,17 @@ fields as the object :func:`class_to_json` gives, without building that
 dict.  Its oracle is ``json.dumps`` of the same value with ``class_to_json``
 of each class in its place.
 
+The "ok" entries of the ``invariants`` and ``essential`` reports are private
+values too, ``_InvariantsEntry`` and ``_EssentialEntry``: the class, its
+period data and predicates, or the essential part, its window and its
+uniqueness answer, as the CLI computed them.  ``_emit_invariants`` and
+``_emit_essential`` write each entry straight from those values, without
+building the entry's dict.  Their oracle is ``json.dumps`` of the entry's
+dict form, with fields in the report's key order: ``fr`` as rational texts,
+one ``{"id", "kind", "alpha", "beta", "screw"}`` object per orbit under
+``screws``, ``period`` as ``{"n", "k_boundary", "k_orbit"}``, and the
+exponent tuples as lists.  Error entries and the envelope are dicts.
+
 Rejection is total: a document that parses yields classes satisfying every
 core invariant, and every rejection carries position provenance (line and
 column for syntax errors, a JSON path for schema and invariant errors).
@@ -517,14 +528,33 @@ def _emit_box(box: _IntBox, out: list[str], indent: str) -> None:
 _KIND_TEXT = {kind: encode_basestring(kind.value) for kind in OrbitKind}
 
 
+def _ints_text(values: Union[tuple[int, ...], list[int]], indent: str) -> str:
+    """The canonical text of the list of ``values``, exact ints, read without a copy."""
+    if not values:
+        return "[]"
+    inner = indent + "  "
+    return "[" + inner + ("," + inner).join(map(int.__repr__, values)) + indent + "]"
+
+
+def _rationals_text(values: tuple[Fraction, ...], indent: str) -> str:
+    """The canonical text of the list of the texts of ``values``.
+
+    A rational's text holds only digits, ``-`` and ``/``, so it is quoted
+    without escaping.
+    """
+    if not values:
+        return "[]"
+    inner = indent + "  "
+    return f'[{inner}"' + f'",{inner}"'.join(map(format_rational, values)) + f'"{indent}]'
+
+
 def _emit_class(phi: NTClass, out: list[str], indent: str, head: str = "{") -> None:
     """Append the canonical text of ``class_to_json(phi)``, read from ``phi``'s fields.
 
     ``indent`` is as for :func:`_emit`, and ``head`` is the text before the
     first field: the object's opening brace, or the comma that follows the
     fields a document writes before the class's own.  Each value is formatted
-    once and each orbit is one string.  A rational's text holds only digits,
-    ``-`` and ``/``, so it is quoted without escaping.
+    once and each orbit is one string.
     """
     inner = indent + "  "
     row = inner + "  "
@@ -534,10 +564,7 @@ def _emit_class(phi: NTClass, out: list[str], indent: str, head: str = "{") -> N
         f'{head}{inner}"surface": {{{row}"genus": {surface.genus},'
         f'{row}"boundary": {surface.boundary_count}{inner}}},{inner}"fr": '
     )
-    if phi.fr:
-        out.append(f'[{row}"' + f'",{row}"'.join(map(format_rational, phi.fr)) + f'"{inner}]')
-    else:
-        out.append("[]")
+    out.append(_rationals_text(phi.fr, inner))
     if not phi.orbits:
         out.append(f',{inner}"orbits": []{indent}}}')
         return
@@ -552,6 +579,108 @@ def _emit_class(phi: NTClass, out: list[str], indent: str, head: str = "{") -> N
     out.append(f',{inner}"orbits": [{row}' + f",{row}".join(orbits) + f"{inner}]{indent}}}")
 
 
+class _InvariantsEntry:
+    """An "ok" entry of the ``invariants`` report, held as the values it is written from.
+
+    ``phi`` is the class, ``period`` its :class:`~posfact.core.PeriodData`, and
+    ``essential`` and ``fully_right_veering`` the two predicates.
+    :func:`_emit_invariants` writes it.
+    """
+
+    __slots__ = ("name", "phi", "period", "essential", "fully_right_veering")
+
+    def __init__(self, name, phi, period, essential, fully_right_veering) -> None:
+        self.name = name
+        self.phi = phi
+        self.period = period
+        self.essential = essential
+        self.fully_right_veering = fully_right_veering
+
+
+class _EssentialEntry:
+    """An "ok" entry of the ``essential`` report, held as the values it is written from.
+
+    ``result`` is the :class:`~posfact.invariants.EssentialResult`,
+    ``window`` the uniqueness window or None, and ``verified`` the
+    uniqueness answer, or None without a window.  :func:`_emit_essential`
+    writes it.
+    """
+
+    __slots__ = ("name", "result", "window", "verified")
+
+    def __init__(self, name, result, window, verified) -> None:
+        self.name = name
+        self.result = result
+        self.window = window
+        self.verified = verified
+
+
+def _emit_invariants(entry: _InvariantsEntry, out: list[str], indent: str) -> None:
+    """Append the canonical text of an ``invariants`` entry, read from its values.
+
+    The entry is the object ``{"name", "status": "ok", "fr", "screws",
+    "period", "essential", "fully_right_veering"}``: ``fr`` is the class's
+    rational texts, ``screws`` one object per orbit (``id``, ``kind``,
+    ``alpha``, ``beta``, ``screw``), and ``period`` holds ``n``,
+    ``k_boundary`` and ``k_orbit``.  Each orbit is one string.
+    """
+    inner = indent + "  "
+    row = inner + "  "
+    field = row + "  "
+    phi = entry.phi
+    period = entry.period
+    name = "null" if entry.name is None else encode_basestring(entry.name)
+    out.append(
+        f'{{{inner}"name": {name},{inner}"status": "ok",'
+        f'{inner}"fr": {_rationals_text(phi.fr, inner)},{inner}"screws": '
+    )
+    if phi.orbits:
+        kind_text = _KIND_TEXT
+        screws = [
+            f'{{{field}"id": {encode_basestring(orbit.id)},{field}"kind": {kind_text[orbit.kind]},'
+            f'{field}"alpha": {orbit.alpha},{field}"beta": {orbit.beta},'
+            f'{field}"screw": "{format_rational(orbit.screw)}"{row}}}'
+            for orbit in phi.orbits
+        ]
+        out.append(f"[{row}" + f",{row}".join(screws) + f"{inner}]")
+    else:
+        out.append("[]")
+    out.append(
+        f',{inner}"period": {{{row}"n": {period.n},'
+        f'{row}"k_boundary": {_ints_text(period.k_boundary, row)},'
+        f'{row}"k_orbit": {_ints_text(period.k_orbit, row)}{inner}}},'
+        f'{inner}"essential": {"true" if entry.essential else "false"},'
+        f'{inner}"fully_right_veering": {"true" if entry.fully_right_veering else "false"}{indent}}}'
+    )
+
+
+def _emit_essential(entry: _EssentialEntry, out: list[str], indent: str) -> None:
+    """Append the canonical text of an ``essential`` entry, read from its values.
+
+    The entry is the object ``{"name", "status": "ok", "boundary_exponents",
+    "orbit_exponents", "essential_class", "uniqueness_window",
+    "uniqueness_verified"}``; the essential class is written by
+    :func:`_emit_class`, and a window or answer of None as ``null``.
+    """
+    inner = indent + "  "
+    result = entry.result
+    window = entry.window
+    verified = entry.verified
+    name = "null" if entry.name is None else encode_basestring(entry.name)
+    out.append(
+        f'{{{inner}"name": {name},{inner}"status": "ok",'
+        f'{inner}"boundary_exponents": {_ints_text(result.boundary_exponents, inner)},'
+        f'{inner}"orbit_exponents": {_ints_text(result.orbit_exponents, inner)},'
+        f'{inner}"essential_class": '
+    )
+    _emit_class(result.essential, out, inner)
+    out.append(
+        f',{inner}"uniqueness_window": {"null" if window is None else int.__repr__(window)},'
+        f'{inner}"uniqueness_verified": '
+        f'{"null" if verified is None else "true" if verified else "false"}{indent}}}'
+    )
+
+
 def _emit(value: Any, out: list[str], indent: str) -> None:
     """Append the canonical text of ``value`` to ``out``.
 
@@ -559,8 +688,10 @@ def _emit(value: Any, out: list[str], indent: str) -> None:
     ``value`` starts on.  Only the types reports and documents hold are
     accepted: dicts with str keys, lists, str, int, bool, None,
     :class:`~posfact.core.NTClass` (written as :func:`class_to_json` of it,
-    by :func:`_emit_class`) and :class:`_IntBox`.  As for str keys, only the
-    exact types are: a subclass of any of them is rejected.
+    by :func:`_emit_class`), :class:`_IntBox`, and the report entries
+    :class:`_InvariantsEntry` and :class:`_EssentialEntry` (by
+    :func:`_emit_invariants` and :func:`_emit_essential`).  As for str keys,
+    only the exact types are: a subclass of any of them is rejected.
     """
     cls = value.__class__
     if cls is str:
@@ -605,7 +736,7 @@ def _emit(value: Any, out: list[str], indent: str) -> None:
         comma = "," + inner
         item_types = set(map(type, value))
         if item_types == _INT_ONLY:
-            out.append("[" + inner + comma.join(map(int.__repr__, value)) + indent + "]")
+            out.append(_ints_text(value, indent))
             return
         if item_types == _STR_ONLY:
             out.append("[" + inner + comma.join(map(encode_basestring, value)) + indent + "]")
@@ -620,6 +751,10 @@ def _emit(value: Any, out: list[str], indent: str) -> None:
         _emit_class(value, out, indent)
     elif cls is _IntBox:
         _emit_box(value, out, indent)
+    elif cls is _InvariantsEntry:
+        _emit_invariants(value, out, indent)
+    elif cls is _EssentialEntry:
+        _emit_essential(value, out, indent)
     else:
         raise TypeError(f"cannot serialize a value of type {cls.__name__}")
 

@@ -1151,6 +1151,9 @@ class _GoneReader(stdio.RawIOBase):
         return len(data)
 
 
+HELP_AND_VERSION = [["--help"], ["classify", "--help"], ["--version"]]
+
+
 class TestBrokenPipe:
     """A reader of stdout that goes early (``posfact classify BIG | head -1``) ends the run with
     exit status 1 and nothing on stderr."""
@@ -1194,6 +1197,50 @@ class TestBrokenPipe:
             err = child.stderr.read()
             assert child.wait(timeout=60) == 1
         assert err == b""
+
+    @pytest.mark.parametrize("argv", HELP_AND_VERSION, ids=" ".join)
+    def test_help_and_version_on_a_healthy_stdout(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        parser, commands = cli._build_parser()
+        expected = {
+            "--help": parser.format_help(),
+            "classify --help": commands["classify"].format_help(),
+            "--version": f"posfact {posfact.__version__}\n",
+        }[" ".join(argv)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr() == (expected, "")
+
+    @pytest.mark.parametrize("argv", HELP_AND_VERSION, ids=" ".join)
+    def test_help_and_version_in_process(self, capsys, monkeypatch, argv):
+        raw = _GoneReader()
+        stdout = stdio.TextIOWrapper(stdio.BufferedWriter(raw), encoding="utf-8")
+        with monkeypatch.context() as patch:
+            patch.setattr(sys, "stdout", stdout)
+            code = main(argv)
+        raw.gone = False
+        stdout.close()
+        assert code == 1
+        assert capsys.readouterr() == ("", "")
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv", HELP_AND_VERSION, ids=" ".join)
+    def test_help_and_version_to_a_reader_already_gone(self, argv, unbuffered):
+        # argparse writes this text itself and ignores a failed write: left to
+        # it, the text is lost with exit status 0 (unbuffered), or the
+        # interpreter's flush at exit fails with an "Exception ignored" line
+        # and status 120 (buffered).
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "posfact.cli", *argv],
+                stdout=write_end, stderr=subprocess.PIPE, env=self._env(unbuffered), timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (1, b"")
 
     @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
     def test_reader_gone_before_the_first_write(self, single_path, unbuffered):

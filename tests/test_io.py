@@ -8,13 +8,25 @@ import random
 import sys
 from fractions import Fraction
 from itertools import product
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import rand_applicable_ntclass, rand_ntclass, rand_poset_ntclass
-from posfact import CurveOrbit, NTClass, OrbitKind, Surface
+from posfact import (
+    CurveOrbit,
+    NTClass,
+    OrbitKind,
+    Surface,
+    cli,
+    essential_part,
+    is_essential,
+    is_fully_right_veering,
+    period_data,
+    verify_essential_uniqueness,
+)
 from posfact import io as docio
 from posfact.cli import main
 
@@ -309,6 +321,21 @@ class SubClass(NTClass):
     """An NTClass subclass: ``_emit`` writes only the exact type."""
 
 
+class InvariantsEntrySub(docio._InvariantsEntry):
+    """An invariants entry subclass: ``_emit`` writes only the exact type."""
+
+    __slots__ = ()
+
+
+class EssentialEntrySub(docio._EssentialEntry):
+    """An essential entry subclass: ``_emit`` writes only the exact type."""
+
+    __slots__ = ()
+
+
+_SUB_PHI = NTClass(Surface(2, 1), (Fraction(3),))
+
+
 # Values of a class: small, integer, negative, and of ~4,000 digits.
 EMIT_CLASS_VALUES = st.one_of(
     st.fractions(min_value=-50, max_value=50, max_denominator=12),
@@ -370,6 +397,8 @@ class TestCanonicalEmitter:
             {"a": CurveOrbit("O1", 1, OrbitKind.REGULAR, False, Fraction(1, 2))},
             {"a": [Surface(2, 1)]},
             {"a": SubClass(Surface(2, 1), (Fraction(3),))},
+            {"entries": [InvariantsEntrySub("a", _SUB_PHI, period_data(_SUB_PHI), False, True)]},
+            {"entries": [EssentialEntrySub(None, essential_part(_SUB_PHI), 3, True)]},
         ],
         ids=[
             "float",
@@ -381,6 +410,8 @@ class TestCanonicalEmitter:
             "orbit",
             "surface",
             "ntclass-subclass",
+            "invariants-entry-subclass",
+            "essential-entry-subclass",
         ],
     )
     def test_rejects_other_types(self, obj):
@@ -479,6 +510,106 @@ class TestCanonicalEmitter:
         with pytest.raises(ValueError) as exc:
             docio.serialize_report(obj)
         assert docio._exceeds_digit_limit(exc.value)
+
+
+def invariants_entry_dict(name, phi: NTClass) -> dict:
+    """The dict form of an ``invariants`` entry, restated here as the oracle for ``io``'s writer."""
+    period = period_data(phi)
+    return {
+        "name": name,
+        "status": "ok",
+        "fr": [str(x) for x in phi.fr],
+        "screws": [
+            {
+                "id": orbit.id,
+                "kind": orbit.kind.value,
+                "alpha": orbit.alpha,
+                "beta": orbit.beta,
+                "screw": str(orbit.screw),
+            }
+            for orbit in phi.orbits
+        ],
+        "period": {
+            "n": period.n,
+            "k_boundary": list(period.k_boundary),
+            "k_orbit": list(period.k_orbit),
+        },
+        "essential": is_essential(phi),
+        "fully_right_veering": is_fully_right_veering(phi),
+    }
+
+
+def essential_entry_dict(name, phi: NTClass, window) -> dict:
+    """The dict form of an ``essential`` entry, restated here as the oracle for ``io``'s writer."""
+    result = essential_part(phi)
+    return {
+        "name": name,
+        "status": "ok",
+        "boundary_exponents": list(result.boundary_exponents),
+        "orbit_exponents": list(result.orbit_exponents),
+        "essential_class": docio.class_to_json(result.essential),
+        "uniqueness_window": window,
+        "uniqueness_verified": (
+            verify_essential_uniqueness(phi, window) if window is not None else None
+        ),
+    }
+
+
+# The (name, class) items of a report: one class without a name, as a
+# single-class document gives, or a batch in which a str in place of a class
+# stands for an error entry with that message.
+ENTRY_ITEMS = st.one_of(
+    st.tuples(st.none(), EMIT_CLASSES).map(lambda item: [item]),
+    st.lists(st.tuples(EMIT_TEXT.filter(bool), EMIT_CLASSES | EMIT_TEXT), max_size=4),
+)
+
+
+class TestEntryWriters:
+    """The ``invariants`` and ``essential`` entries, as the CLI builds them, against
+    ``json.dumps`` of their dict forms."""
+
+    @staticmethod
+    def _check(kind: str, items, build, plain) -> None:
+        def report(make):
+            entries = [
+                {"name": name, "status": "error", "error": {"code": "domain-error", "message": value}}
+                if value.__class__ is str
+                else make(name, value)
+                for name, value in items
+            ]
+            return {"version": "1", "report": kind, "entries": entries}
+
+        try:
+            expected = (json.dumps(report(plain), indent=2, ensure_ascii=False) + "\n").encode("utf-8")
+        except ValueError as exc:  # a computed value past the interpreter's digit limit
+            assert docio._exceeds_digit_limit(exc)
+            with pytest.raises(ValueError) as raised:
+                docio.serialize_report(report(build))
+            assert str(raised.value) == str(exc)
+            return
+        assert docio.serialize_report(report(build)) == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(ENTRY_ITEMS)
+    def test_invariants_matches_json_dumps(self, items):
+        args = SimpleNamespace()
+        self._check(
+            "invariants",
+            items,
+            lambda name, phi: cli._invariants_entry(args, name, phi),
+            invariants_entry_dict,
+        )
+
+    @settings(max_examples=150, deadline=None)
+    @given(ENTRY_ITEMS, st.sampled_from([None, 1, 3]))
+    def test_essential_matches_json_dumps(self, items, window):
+        args = SimpleNamespace(check_uniqueness=window)
+        self._check(
+            "essential",
+            items,
+            lambda name, phi: cli._essential_entry(args, name, phi),
+            lambda name, phi: essential_entry_dict(name, phi, window),
+        )
 
 
 # Documents with one or more faults, and the ParseError each gives.  The texts

@@ -18,11 +18,15 @@ entry into lines and runs only under ``--format text``.  An entry holds the
 classes it reports (the essential class, a witness's corrected class) as
 :class:`~posfact.core.NTClass` values, not as dicts: ``io`` writes each
 straight from its fields, and the text renderers read them directly.  The
-entries of ``invariants`` and ``essential`` are values, not dicts: the class
-with its period data and its two predicates, or the essential part with the
-window and the uniqueness answer, which ``io`` writes straight from them and
-the text renderers read.  ``compose`` writes its classes through the same
-class writer, by ``io.serialize``.  ``poset
+entries of ``invariants``, ``essential``, ``classify`` and ``criterion`` are
+values, not dicts: the class with its period data and its two predicates;
+the essential part with the window and the uniqueness answer; or the route
+or result tag, the witness and the diagnostics, as the library returned
+them.  ``io`` writes each straight from those values and the text renderers
+read them.  The entries of ``validate`` and ``correcting-bound`` are dicts
+that hold their diagnostics as :class:`~posfact.factorization.Diagnostic`
+values, written by the same diagnostic writer.  ``compose`` writes its
+classes through the same class writer, by ``io.serialize``.  ``poset
 --box`` takes its member points from :func:`posfact.poset.enumerate_box`
 already in lexicographic order.  They are one sub-box, so it puts them in
 the report as that box, one ``range`` per coordinate from the first and the
@@ -126,24 +130,11 @@ def _load_document(path: str) -> docio.Document:
     return docio.parse(_read_input(path))
 
 
-def _diag_json(diag: Diagnostic) -> dict:
-    return {"code": diag.code, "message": diag.message, "data": dict(diag.data)}
-
-
-def _witness_json(witness: WitnessDecomposition) -> dict:
-    return {
-        "k": witness.k,
-        "corrections": [{"orbit": oid, "power": d} for oid, d in witness.corrections],
-        "total_multitwist_power": witness.total_multitwist_power,
-        "corrected": witness.corrected,
-    }
-
-
-def _witness_text(witness: dict) -> str:
+def _witness_text(witness: WitnessDecomposition) -> str:
     # The line leaves the corrected class out, but its text is still made:
     # a value too long to print fails the run as it does in a structured report.
-    docio._emit_class(witness["corrected"], [], "\n")
-    return f"(k={witness['k']}, total multitwist power {witness['total_multitwist_power']})"
+    docio._emit_class(witness.corrected, [], "\n")
+    return f"(k={witness.k}, total multitwist power {witness.total_multitwist_power})"
 
 
 def _entry_prefix(name: Optional[str]) -> str:
@@ -243,10 +234,12 @@ def _parse_box(text: str) -> tuple[int, int]:
 # A report command is two plain functions: an entry function
 # ``(args, name, phi) -> entry`` of the "ok" entry of one class, and a text
 # renderer ``(prefix, phi, entry) -> lines``.  _run_report runs both over the
-# document.  Most entries are dicts, written field by field.  An
-# ``invariants`` or ``essential`` entry is a value instead
-# (``io._InvariantsEntry``, ``io._EssentialEntry``) holding what the command
+# document.  An ``invariants``, ``essential``, ``classify`` or ``criterion``
+# entry is a value (``io._InvariantsEntry``, ``io._EssentialEntry``,
+# ``io._ClassifyEntry``, ``io._CriterionEntry``) holding what the command
 # computed, which ``io`` writes straight from it and the renderer reads.  The
+# ``validate``, ``poset`` and ``correcting-bound`` entries are dicts, written
+# field by field; their diagnostics are ``Diagnostic`` values.  The
 # entry functions look the library functions up as this module's globals at
 # call time, so code that rebinds ``posfact.cli.classify`` and the like
 # reaches them.
@@ -297,7 +290,7 @@ def _validate_entry(args, name: Optional[str], phi: NTClass) -> dict:
         "genus": phi.surface.genus,
         "boundary": phi.surface.boundary_count,
         "orbit_count": len(phi.orbits),
-        "warnings": [_diag_json(d) for d in genus_zero_diagnostics(phi)],
+        "warnings": list(genus_zero_diagnostics(phi)),
     }
 
 
@@ -306,7 +299,7 @@ def _validate_text(prefix: str, phi: NTClass, entry: dict) -> list[str]:
         f"{prefix}ok: genus {entry['genus']}, boundary {entry['boundary']}, "
         f"{entry['orbit_count']} orbit(s)"
     ]
-    lines += [f"  warning [{d['code']}]: {d['message']}" for d in entry["warnings"]]
+    lines += [f"  warning [{d.code}]: {d.message}" for d in entry["warnings"]]
     return lines
 
 
@@ -369,69 +362,38 @@ def _cmd_essential(args) -> int:
     return _run_report(args, "essential", _essential_entry, _essential_text)
 
 
-def _classify_entry(args, name: Optional[str], phi: NTClass) -> dict:
+def _classify_entry(args, name: Optional[str], phi: NTClass) -> docio._ClassifyEntry:
     report = classify(phi)
     if isinstance(report, PositivelyFactorizable):
-        criterion_route = not isinstance(report.route, MainTheoremRoute)
-        return {
-            "name": name,
-            "status": "ok",
-            "classification": "positively_factorizable",
-            "route": "criterion" if criterion_route else "main_theorem",
-            "witness": _witness_json(report.route.witness) if criterion_route else None,
-            "diagnostics": [],
-        }
-    return {
-        "name": name,
-        "status": "ok",
-        "classification": "unknown",
-        "route": None,
-        "witness": None,
-        "diagnostics": [_diag_json(d) for d in report.diagnostics],
-    }
+        if isinstance(report.route, MainTheoremRoute):
+            return docio._ClassifyEntry(name, "main_theorem", None, ())
+        return docio._ClassifyEntry(name, "criterion", report.route.witness, ())
+    return docio._ClassifyEntry(name, None, None, report.diagnostics)
 
 
-def _classify_text(prefix: str, phi: NTClass, entry: dict) -> list[str]:
-    if entry["route"] == "main_theorem":
+def _classify_text(prefix: str, phi: NTClass, entry: docio._ClassifyEntry) -> list[str]:
+    if entry.route == "main_theorem":
         return [f"{prefix}PositivelyFactorizable via MainTheorem"]
-    if entry["route"] == "criterion":
-        return [f"{prefix}PositivelyFactorizable via Criterion {_witness_text(entry['witness'])}"]
-    codes = ", ".join(d["code"] for d in entry["diagnostics"])
+    if entry.route == "criterion":
+        return [f"{prefix}PositivelyFactorizable via Criterion {_witness_text(entry.witness)}"]
+    codes = ", ".join(d.code for d in entry.diagnostics)
     return [f"{prefix}Unknown ({codes})"]
 
 
-def _criterion_entry(args, name: Optional[str], phi: NTClass) -> dict:
+def _criterion_entry(args, name: Optional[str], phi: NTClass) -> docio._CriterionEntry:
     result = criterion(phi)
     if isinstance(result, Sufficient):
-        return {
-            "name": name,
-            "status": "ok",
-            "result": "sufficient",
-            "witness": _witness_json(result.witness),
-            "diagnostics": [],
-        }
+        return docio._CriterionEntry(name, "sufficient", result.witness, ())
     if isinstance(result, Inconclusive):
-        return {
-            "name": name,
-            "status": "ok",
-            "result": "inconclusive",
-            "witness": None,
-            "diagnostics": [_diag_json(d) for d in result.reasons],
-        }
-    return {
-        "name": name,
-        "status": "ok",
-        "result": "not_applicable",
-        "witness": None,
-        "diagnostics": [_diag_json(result.reason)],
-    }
+        return docio._CriterionEntry(name, "inconclusive", None, result.reasons)
+    return docio._CriterionEntry(name, "not_applicable", None, (result.reason,))
 
 
-def _criterion_text(prefix: str, phi: NTClass, entry: dict) -> list[str]:
-    if entry["result"] == "sufficient":
-        return [f"{prefix}Sufficient {_witness_text(entry['witness'])}"]
-    messages = [d["message"] for d in entry["diagnostics"]]
-    if entry["result"] == "inconclusive":
+def _criterion_text(prefix: str, phi: NTClass, entry: docio._CriterionEntry) -> list[str]:
+    if entry.result == "sufficient":
+        return [f"{prefix}Sufficient {_witness_text(entry.witness)}"]
+    messages = [d.message for d in entry.diagnostics]
+    if entry.result == "inconclusive":
         return [f"{prefix}Inconclusive: " + "; ".join(messages)]
     return [f"{prefix}NotApplicable: {messages[0]}"]
 
@@ -499,7 +461,7 @@ def _correcting_bound_entry(args, name: Optional[str], phi: NTClass) -> dict:
         "name": name,
         "status": "ok",
         "bound": bound,
-        "diagnostics": [_diag_json(_NO_BOUND)] if bound is None else [],
+        "diagnostics": [_NO_BOUND] if bound is None else [],
     }
 
 

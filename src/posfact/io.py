@@ -64,7 +64,23 @@ building the entry's dict.  Their oracle is ``json.dumps`` of the entry's
 dict form, with fields in the report's key order: ``fr`` as rational texts,
 one ``{"id", "kind", "alpha", "beta", "screw"}`` object per orbit under
 ``screws``, ``period`` as ``{"n", "k_boundary", "k_orbit"}``, and the
-exponent tuples as lists.  Error entries and the envelope are dicts.
+exponent tuples as lists.
+
+The "ok" entries of the ``classify`` and ``criterion`` reports are values
+as well, ``_ClassifyEntry`` and ``_CriterionEntry``: the route or result
+tag that the CLI picked, the witness (a
+:class:`~posfact.factorization.WitnessDecomposition`, or None) and a tuple
+of :class:`~posfact.factorization.Diagnostic`.  ``_emit_classify`` and
+``_emit_criterion`` write them with one writer for a witness,
+``_emit_witness`` (``k``, the ``{"orbit", "power"}`` corrections, the total
+and the corrected class through ``_emit_class``), and one for a diagnostic,
+``_diagnostic_text`` (``code``, ``message`` and ``data`` as
+``dict(diag.data)``, so a repeated key keeps its first place and its last
+value).  The ``validate`` and ``correcting-bound`` entries are dicts that
+hold their ``Diagnostic`` values, which ``_emit`` writes by the same
+writer.  The oracle of all of them is ``json.dumps`` of the entry's dict
+form, with the witness and each diagnostic as the objects just named.
+Error entries and the envelope are dicts.
 
 Rejection is total: a document that parses yields classes satisfying every
 core invariant, and every rejection carries position provenance (line and
@@ -107,6 +123,7 @@ from math import prod
 from typing import Any, Optional, Union
 
 from .core import CurveOrbit, NTClass, OrbitKind, Surface, _curve_orbit, _nt_class
+from .factorization import Diagnostic, WitnessDecomposition
 
 __all__ = [
     "ParseError",
@@ -524,8 +541,11 @@ def _emit_box(box: _IntBox, out: list[str], indent: str) -> None:
     out.append("[" + inner + rows + indent + "]")
 
 
-# The quoted text of each orbit kind, made once at import; read-only.
-_KIND_TEXT = {kind: encode_basestring(kind.value) for kind in OrbitKind}
+# The quoted text of each orbit kind, made once at import.  A writer picks
+# one by an identity test against the regular kind, without hashing the member.
+_REGULAR = OrbitKind.REGULAR
+_REGULAR_TEXT = encode_basestring(OrbitKind.REGULAR.value)
+_AMPHIDROME_TEXT = encode_basestring(OrbitKind.AMPHIDROME.value)
 
 
 def _ints_text(values: Union[tuple[int, ...], list[int]], indent: str) -> str:
@@ -568,10 +588,10 @@ def _emit_class(phi: NTClass, out: list[str], indent: str, head: str = "{") -> N
     if not phi.orbits:
         out.append(f',{inner}"orbits": []{indent}}}')
         return
-    kind_text = _KIND_TEXT
+    regular, regular_text, amphidrome_text = _REGULAR, _REGULAR_TEXT, _AMPHIDROME_TEXT
     orbits = [
         f'{{{field}"id": {encode_basestring(orbit.id)},{field}"length": {orbit.length},'
-        f'{field}"kind": {kind_text[orbit.kind]},'
+        f'{field}"kind": {regular_text if orbit.kind is regular else amphidrome_text},'
         f'{field}"separating": {"true" if orbit.separating else "false"},'
         f'{field}"screw": "{format_rational(orbit.screw)}"{row}}}'
         for orbit in phi.orbits
@@ -635,9 +655,10 @@ def _emit_invariants(entry: _InvariantsEntry, out: list[str], indent: str) -> No
         f'{inner}"fr": {_rationals_text(phi.fr, inner)},{inner}"screws": '
     )
     if phi.orbits:
-        kind_text = _KIND_TEXT
+        regular, regular_text, amphidrome_text = _REGULAR, _REGULAR_TEXT, _AMPHIDROME_TEXT
         screws = [
-            f'{{{field}"id": {encode_basestring(orbit.id)},{field}"kind": {kind_text[orbit.kind]},'
+            f'{{{field}"id": {encode_basestring(orbit.id)},'
+            f'{field}"kind": {regular_text if orbit.kind is regular else amphidrome_text},'
             f'{field}"alpha": {orbit.alpha},{field}"beta": {orbit.beta},'
             f'{field}"screw": "{format_rational(orbit.screw)}"{row}}}'
             for orbit in phi.orbits
@@ -681,6 +702,151 @@ def _emit_essential(entry: _EssentialEntry, out: list[str], indent: str) -> None
     )
 
 
+class _ClassifyEntry:
+    """An "ok" entry of the ``classify`` report, held as the values it is written from.
+
+    ``route`` is ``"main_theorem"``, ``"criterion"`` or None (unknown),
+    ``witness`` the criterion route's
+    :class:`~posfact.factorization.WitnessDecomposition` or None, and
+    ``diagnostics`` a tuple of :class:`~posfact.factorization.Diagnostic`.
+    :func:`_emit_classify` writes it.
+    """
+
+    __slots__ = ("name", "route", "witness", "diagnostics")
+
+    def __init__(self, name, route, witness, diagnostics) -> None:
+        self.name = name
+        self.route = route
+        self.witness = witness
+        self.diagnostics = diagnostics
+
+
+class _CriterionEntry:
+    """An "ok" entry of the ``criterion`` report, held as the values it is written from.
+
+    ``result`` is ``"sufficient"``, ``"inconclusive"`` or
+    ``"not_applicable"``; ``witness`` and ``diagnostics`` are as for
+    :class:`_ClassifyEntry`.  :func:`_emit_criterion` writes it.
+    """
+
+    __slots__ = ("name", "result", "witness", "diagnostics")
+
+    def __init__(self, name, result, witness, diagnostics) -> None:
+        self.name = name
+        self.result = result
+        self.witness = witness
+        self.diagnostics = diagnostics
+
+
+def _diagnostic_text(diag: Diagnostic, indent: str) -> str:
+    """The canonical text of ``{"code", "message", "data": dict(diag.data)}``, read from ``diag``.
+
+    A key repeated in ``data`` keeps its first place and its last value, as
+    in ``dict``.  Keys and values must be exact strs.
+    """
+    inner = indent + "  "
+    data = diag.data
+    if data:
+        row = inner + "  "
+        items = []
+        for key, value in dict(data).items():
+            if key.__class__ is not str or value.__class__ is not str:
+                raise TypeError(
+                    f"diagnostic data must map str to str, not {type(key).__name__}"
+                    f" to {type(value).__name__}"
+                )
+            items.append(row + encode_basestring(key) + ": " + encode_basestring(value))
+        data_text = "{" + ",".join(items) + inner + "}"
+    else:
+        data_text = "{}"
+    return (
+        f'{{{inner}"code": {encode_basestring(diag.code)},'
+        f'{inner}"message": {encode_basestring(diag.message)},'
+        f'{inner}"data": {data_text}{indent}}}'
+    )
+
+
+def _diagnostics_text(diagnostics: tuple[Diagnostic, ...], indent: str) -> str:
+    """The canonical text of the list of ``diagnostics``, each by :func:`_diagnostic_text`."""
+    if not diagnostics:
+        return "[]"
+    inner = indent + "  "
+    items = [_diagnostic_text(d, inner) for d in diagnostics]
+    return "[" + inner + ("," + inner).join(items) + indent + "]"
+
+
+def _emit_witness(witness: WitnessDecomposition, out: list[str], indent: str) -> None:
+    """Append the canonical text of ``{"k", "corrections", "total_multitwist_power",
+    "corrected"}``, read from ``witness``.
+
+    Each correction is the object ``{"orbit", "power"}``; the corrected class
+    is written by :func:`_emit_class`.
+    """
+    inner = indent + "  "
+    corrections = witness.corrections
+    if corrections:
+        row = inner + "  "
+        field = row + "  "
+        items = [
+            f'{{{field}"orbit": {encode_basestring(orbit_id)},{field}"power": {power}{row}}}'
+            for orbit_id, power in corrections
+        ]
+        corrections_text = f"[{row}" + f",{row}".join(items) + f"{inner}]"
+    else:
+        corrections_text = "[]"
+    out.append(
+        f'{{{inner}"k": {witness.k},{inner}"corrections": {corrections_text},'
+        f'{inner}"total_multitwist_power": {witness.total_multitwist_power},{inner}"corrected": '
+    )
+    _emit_class(witness.corrected, out, inner)
+    out.append(indent + "}")
+
+
+def _emit_outcome(name, head: str, witness, diagnostics, out: list[str], indent: str) -> None:
+    """Append a ``classify`` or ``criterion`` entry: its name, ``head`` (the
+    fields between ``status`` and ``witness``, each ending in a comma), its
+    witness and its diagnostics."""
+    inner = indent + "  "
+    name_text = "null" if name is None else encode_basestring(name)
+    out.append(f'{{{inner}"name": {name_text},{inner}"status": "ok",{head}{inner}"witness": ')
+    if witness is None:
+        out.append("null")
+    else:
+        _emit_witness(witness, out, inner)
+    out.append(f',{inner}"diagnostics": {_diagnostics_text(diagnostics, inner)}{indent}}}')
+
+
+def _emit_classify(entry: _ClassifyEntry, out: list[str], indent: str) -> None:
+    """Append the canonical text of a ``classify`` entry, read from its values.
+
+    The entry is the object ``{"name", "status": "ok", "classification",
+    "route", "witness", "diagnostics"}``; the classification is
+    ``"positively_factorizable"`` when there is a route and ``"unknown"``
+    otherwise, and a route or witness of None is ``null``.
+    """
+    inner = indent + "  "
+    route = entry.route
+    if route is None:
+        head = f'{inner}"classification": "unknown",{inner}"route": null,'
+    else:
+        head = (
+            f'{inner}"classification": "positively_factorizable",'
+            f'{inner}"route": {encode_basestring(route)},'
+        )
+    _emit_outcome(entry.name, head, entry.witness, entry.diagnostics, out, indent)
+
+
+def _emit_criterion(entry: _CriterionEntry, out: list[str], indent: str) -> None:
+    """Append the canonical text of a ``criterion`` entry, read from its values.
+
+    The entry is the object ``{"name", "status": "ok", "result", "witness",
+    "diagnostics"}``, a witness of None written as ``null``.
+    """
+    inner = indent + "  "
+    head = f'{inner}"result": {encode_basestring(entry.result)},'
+    _emit_outcome(entry.name, head, entry.witness, entry.diagnostics, out, indent)
+
+
 def _emit(value: Any, out: list[str], indent: str) -> None:
     """Append the canonical text of ``value`` to ``out``.
 
@@ -688,10 +854,13 @@ def _emit(value: Any, out: list[str], indent: str) -> None:
     ``value`` starts on.  Only the types reports and documents hold are
     accepted: dicts with str keys, lists, str, int, bool, None,
     :class:`~posfact.core.NTClass` (written as :func:`class_to_json` of it,
-    by :func:`_emit_class`), :class:`_IntBox`, and the report entries
-    :class:`_InvariantsEntry` and :class:`_EssentialEntry` (by
-    :func:`_emit_invariants` and :func:`_emit_essential`).  As for str keys,
-    only the exact types are: a subclass of any of them is rejected.
+    by :func:`_emit_class`), :class:`_IntBox`, the report entries
+    :class:`_InvariantsEntry`, :class:`_EssentialEntry`,
+    :class:`_ClassifyEntry` and :class:`_CriterionEntry` (by
+    :func:`_emit_invariants`, :func:`_emit_essential`, :func:`_emit_classify`
+    and :func:`_emit_criterion`), and :class:`~posfact.factorization.Diagnostic`
+    (by :func:`_diagnostic_text`).  As for str keys, only the exact types are:
+    a subclass of any of them is rejected.
     """
     cls = value.__class__
     if cls is str:
@@ -755,6 +924,12 @@ def _emit(value: Any, out: list[str], indent: str) -> None:
         _emit_invariants(value, out, indent)
     elif cls is _EssentialEntry:
         _emit_essential(value, out, indent)
+    elif cls is _ClassifyEntry:
+        _emit_classify(value, out, indent)
+    elif cls is _CriterionEntry:
+        _emit_criterion(value, out, indent)
+    elif cls is Diagnostic:
+        out.append(_diagnostic_text(value, indent))
     else:
         raise TypeError(f"cannot serialize a value of type {cls.__name__}")
 

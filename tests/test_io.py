@@ -9,6 +9,7 @@ import sys
 from fractions import Fraction
 from itertools import product
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -16,12 +17,25 @@ from hypothesis import strategies as st
 
 from conftest import rand_applicable_ntclass, rand_ntclass, rand_poset_ntclass
 from posfact import (
+    CriterionRoute,
     CurveOrbit,
+    Diagnostic,
+    Inconclusive,
+    MainTheoremRoute,
+    NotApplicable,
     NTClass,
     OrbitKind,
+    PositivelyFactorizable,
+    Sufficient,
     Surface,
+    Unknown,
+    WitnessDecomposition,
+    classify,
     cli,
+    correcting_exponent_bound,
+    criterion,
     essential_part,
+    genus_zero_diagnostics,
     is_essential,
     is_fully_right_veering,
     period_data,
@@ -333,6 +347,22 @@ class EssentialEntrySub(docio._EssentialEntry):
     __slots__ = ()
 
 
+class ClassifyEntrySub(docio._ClassifyEntry):
+    """A classify entry subclass: ``_emit`` writes only the exact type."""
+
+    __slots__ = ()
+
+
+class CriterionEntrySub(docio._CriterionEntry):
+    """A criterion entry subclass: ``_emit`` writes only the exact type."""
+
+    __slots__ = ()
+
+
+class DiagnosticSub(Diagnostic):
+    """A Diagnostic subclass: ``_emit`` writes only the exact type."""
+
+
 _SUB_PHI = NTClass(Surface(2, 1), (Fraction(3),))
 
 
@@ -399,6 +429,11 @@ class TestCanonicalEmitter:
             {"a": SubClass(Surface(2, 1), (Fraction(3),))},
             {"entries": [InvariantsEntrySub("a", _SUB_PHI, period_data(_SUB_PHI), False, True)]},
             {"entries": [EssentialEntrySub(None, essential_part(_SUB_PHI), 3, True)]},
+            {"entries": [ClassifyEntrySub("a", None, None, ())]},
+            {"entries": [CriterionEntrySub("a", "not_applicable", None, ())]},
+            {"entries": [{"warnings": [DiagnosticSub("c", "m")]}]},
+            {"warnings": [Diagnostic("c", "m", (("k", 1),))]},
+            {"warnings": [Diagnostic("c", "m", ((StrKey("k"), "v"),))]},
         ],
         ids=[
             "float",
@@ -412,6 +447,11 @@ class TestCanonicalEmitter:
             "ntclass-subclass",
             "invariants-entry-subclass",
             "essential-entry-subclass",
+            "classify-entry-subclass",
+            "criterion-entry-subclass",
+            "diagnostic-subclass",
+            "diagnostic-int-data-value",
+            "diagnostic-str-subclass-data-key",
         ],
     )
     def test_rejects_other_types(self, obj):
@@ -555,13 +595,17 @@ def essential_entry_dict(name, phi: NTClass, window) -> dict:
     }
 
 
-# The (name, class) items of a report: one class without a name, as a
-# single-class document gives, or a batch in which a str in place of a class
-# stands for an error entry with that message.
-ENTRY_ITEMS = st.one_of(
-    st.tuples(st.none(), EMIT_CLASSES).map(lambda item: [item]),
-    st.lists(st.tuples(EMIT_TEXT.filter(bool), EMIT_CLASSES | EMIT_TEXT), max_size=4),
-)
+def entry_items(values):
+    """The (name, value) items of a report: one value without a name, as a
+    single-class document gives, or a batch in which a str in place of a value
+    stands for an error entry with that message."""
+    return st.one_of(
+        st.tuples(st.none(), values).map(lambda item: [item]),
+        st.lists(st.tuples(EMIT_TEXT.filter(bool), values | EMIT_TEXT), max_size=4),
+    )
+
+
+ENTRY_ITEMS = entry_items(EMIT_CLASSES)
 
 
 class TestEntryWriters:
@@ -610,6 +654,274 @@ class TestEntryWriters:
             lambda name, phi: cli._essential_entry(args, name, phi),
             lambda name, phi: essential_entry_dict(name, phi, window),
         )
+
+
+def diagnostic_dict(diag: Diagnostic) -> dict:
+    """The dict form of a diagnostic, restated here as the oracle for ``io``'s writer."""
+    return {"code": diag.code, "message": diag.message, "data": dict(diag.data)}
+
+
+def witness_dict(witness: WitnessDecomposition) -> dict:
+    """The dict form of a witness, restated here as the oracle for ``io``'s writer."""
+    return {
+        "k": witness.k,
+        "corrections": [{"orbit": oid, "power": d} for oid, d in witness.corrections],
+        "total_multitwist_power": witness.total_multitwist_power,
+        "corrected": docio.class_to_json(witness.corrected),
+    }
+
+
+def classify_entry_dict(name, report) -> dict:
+    """The dict form of the ``classify`` entry of the library's ``report``."""
+    if isinstance(report, PositivelyFactorizable):
+        criterion_route = not isinstance(report.route, MainTheoremRoute)
+        return {
+            "name": name,
+            "status": "ok",
+            "classification": "positively_factorizable",
+            "route": "criterion" if criterion_route else "main_theorem",
+            "witness": witness_dict(report.route.witness) if criterion_route else None,
+            "diagnostics": [],
+        }
+    return {
+        "name": name,
+        "status": "ok",
+        "classification": "unknown",
+        "route": None,
+        "witness": None,
+        "diagnostics": [diagnostic_dict(d) for d in report.diagnostics],
+    }
+
+
+def criterion_entry_dict(name, result) -> dict:
+    """The dict form of the ``criterion`` entry of the library's ``result``."""
+    if isinstance(result, Sufficient):
+        tag, witness, diagnostics = "sufficient", witness_dict(result.witness), []
+    elif isinstance(result, Inconclusive):
+        tag, witness = "inconclusive", None
+        diagnostics = [diagnostic_dict(d) for d in result.reasons]
+    else:
+        tag, witness, diagnostics = "not_applicable", None, [diagnostic_dict(result.reason)]
+    return {
+        "name": name,
+        "status": "ok",
+        "result": tag,
+        "witness": witness,
+        "diagnostics": diagnostics,
+    }
+
+
+def validate_entry_dict(name, phi: NTClass) -> dict:
+    """The dict form of a ``validate`` entry."""
+    return {
+        "name": name,
+        "status": "ok",
+        "genus": phi.surface.genus,
+        "boundary": phi.surface.boundary_count,
+        "orbit_count": len(phi.orbits),
+        "warnings": [diagnostic_dict(d) for d in genus_zero_diagnostics(phi)],
+    }
+
+
+NO_BOUND_DICT = {
+    "code": "no-bound",
+    "message": "neither certification route applies to any boundary shift of this class",
+    "data": {},
+}
+
+
+def correcting_bound_entry_dict(name, phi: NTClass) -> dict:
+    """The dict form of a ``correcting-bound`` entry."""
+    bound = correcting_exponent_bound(phi)
+    return {
+        "name": name,
+        "status": "ok",
+        "bound": bound,
+        "diagnostics": [NO_BOUND_DICT] if bound is None else [],
+    }
+
+
+# Diagnostics with texts that need escaping, and data that is empty or
+# repeats a key.
+DIAGNOSTIC_DATA = st.lists(
+    st.tuples(st.sampled_from(["orbits", "lhs", "a"]) | EMIT_TEXT, EMIT_TEXT), max_size=4
+).map(tuple)
+DIAGNOSTICS = st.builds(Diagnostic, EMIT_TEXT.filter(bool), EMIT_TEXT, DIAGNOSTIC_DATA)
+# Witnesses with escaped correction ids, large ints and edge corrected classes.
+WITNESSES = st.builds(
+    WitnessDecomposition,
+    st.integers(1, 10**40),
+    st.lists(st.tuples(EMIT_TEXT.filter(bool), st.integers(1, 10**40)), max_size=3).map(tuple),
+    st.integers(0, 10**40),
+    EMIT_CLASSES,
+)
+# Every outcome the library returns, built directly.
+CLASSIFY_REPORTS = st.one_of(
+    st.just(PositivelyFactorizable(MainTheoremRoute())),
+    WITNESSES.map(lambda w: PositivelyFactorizable(CriterionRoute(w))),
+    st.lists(DIAGNOSTICS, max_size=3).map(lambda ds: Unknown(tuple(ds))),
+)
+CRITERION_RESULTS = st.one_of(
+    WITNESSES.map(Sufficient),
+    st.lists(DIAGNOSTICS, min_size=1, max_size=3).map(lambda ds: Inconclusive(tuple(ds))),
+    DIAGNOSTICS.map(NotApplicable),
+)
+
+# For each report command, its entry of a class as the CLI builds it, and
+# the entry's dict form.
+CLASS_ENTRIES = {
+    "classify": (
+        lambda name, phi: cli._classify_entry(None, name, phi),
+        lambda name, phi: classify_entry_dict(name, classify(phi)),
+    ),
+    "criterion": (
+        lambda name, phi: cli._criterion_entry(None, name, phi),
+        lambda name, phi: criterion_entry_dict(name, criterion(phi)),
+    ),
+    "validate": (lambda name, phi: cli._validate_entry(None, name, phi), validate_entry_dict),
+    "correcting-bound": (
+        lambda name, phi: cli._correcting_bound_entry(None, name, phi),
+        correcting_bound_entry_dict,
+    ),
+}
+
+
+def classify_entry_of(name, report):
+    """The CLI's ``classify`` entry when the library returns ``report``."""
+    with mock.patch.object(cli, "classify", lambda phi: report):
+        return cli._classify_entry(None, name, _SUB_PHI)
+
+
+def criterion_entry_of(name, result):
+    """The CLI's ``criterion`` entry when the library returns ``result``."""
+    with mock.patch.object(cli, "criterion", lambda phi: result):
+        return cli._criterion_entry(None, name, _SUB_PHI)
+
+
+def _orbit(oid, screw, separating=False):
+    return CurveOrbit(oid, 1, OrbitKind.AMPHIDROME, separating, Fraction(screw))
+
+
+# One class per outcome: (classify's outcome, criterion's outcome, class).
+OUTCOME_CLASSES = {
+    "main-theorem": (
+        MainTheoremRoute,
+        Sufficient,
+        NTClass(Surface(2, 1), (Fraction(3),), (_orbit("O1", Fraction(1, 2)),)),
+    ),
+    "criterion": (
+        CriterionRoute,
+        Sufficient,
+        NTClass(Surface(2, 1), (Fraction(100),), (_orbit('"A"\n', Fraction(-1, 3)),)),
+    ),
+    "inconclusive": (
+        Unknown,
+        Inconclusive,
+        NTClass(Surface(2, 1), (Fraction(1, 2),), (_orbit("名\U0001f600", -5),)),
+    ),
+    "not-applicable": (
+        Unknown,
+        NotApplicable,
+        NTClass(Surface(2, 2), (Fraction(-1), Fraction(2)), (_orbit("O1", -1, separating=True),)),
+    ),
+    "no-boundary": (Unknown, NotApplicable, NTClass(Surface(2, 0), (), ())),
+}
+
+
+class TestOutcomeWriters:
+    """The ``classify``, ``criterion``, ``validate`` and ``correcting-bound`` entries, as the
+    CLI builds them, against ``json.dumps`` of their dict forms."""
+
+    _check = staticmethod(TestEntryWriters._check)
+
+    @pytest.mark.parametrize("kind", sorted(CLASS_ENTRIES))
+    @settings(max_examples=120, deadline=None)
+    @given(items=ENTRY_ITEMS)
+    def test_matches_json_dumps(self, kind, items):
+        self._check(kind, items, *CLASS_ENTRIES[kind])
+
+    @settings(max_examples=100, deadline=None)
+    @given(entry_items(CLASSIFY_REPORTS))
+    def test_classify_outcomes_match_json_dumps(self, items):
+        self._check("classify", items, classify_entry_of, classify_entry_dict)
+
+    @settings(max_examples=100, deadline=None)
+    @given(entry_items(CRITERION_RESULTS))
+    def test_criterion_outcomes_match_json_dumps(self, items):
+        self._check("criterion", items, criterion_entry_of, criterion_entry_dict)
+
+    @pytest.mark.parametrize("case", sorted(OUTCOME_CLASSES))
+    def test_each_outcome(self, case):
+        route, result, phi = OUTCOME_CLASSES[case]
+        report = classify(phi)
+        assert isinstance(getattr(report, "route", report), route)
+        assert isinstance(criterion(phi), result)
+        for items in ([(None, phi)], [("a", phi), ("b", "failed"), ("名\U0001f600", phi)]):
+            self._check("classify", items, *CLASS_ENTRIES["classify"])
+            self._check("criterion", items, *CLASS_ENTRIES["criterion"])
+
+    def test_all_positive_class_has_no_corrections(self):
+        phi = OUTCOME_CLASSES["main-theorem"][2]
+        entry = cli._criterion_entry(None, None, phi)
+        assert entry.witness.corrections == ()
+        assert '"corrections": [],' in docio.serialize_report({"entries": [entry]}).decode()
+
+    def test_unknown_without_diagnostics(self):
+        self._check(
+            "classify", [(None, Unknown(())), ("a", Unknown(()))], classify_entry_of, classify_entry_dict
+        )
+
+    @pytest.mark.parametrize(
+        "data",
+        [(), (("a", "1"), ("b", "2"), ("a", "3")), (("orbits", "A,B"),), (('"k"\n', "名\U0001f600"),)],
+        ids=["empty", "repeated-key", "one-key", "escaped"],
+    )
+    def test_diagnostic_data(self, data):
+        diag = Diagnostic("code\t", 'a "message"', data)
+        self._check("classify", [(None, Unknown((diag, diag)))], classify_entry_of, classify_entry_dict)
+        items = [("n", Inconclusive((diag,))), ("m", NotApplicable(diag))]
+        self._check("criterion", items, criterion_entry_of, criterion_entry_dict)
+        plain = {"warnings": [diagnostic_dict(diag)], "diagnostics": []}
+        expected = (json.dumps(plain, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
+        assert docio.serialize_report({"warnings": [diag], "diagnostics": []}) == expected
+
+    def test_repeated_key_keeps_first_place_and_last_value(self):
+        diag = Diagnostic("c", "m", (("a", "1"), ("b", "2"), ("a", "3")))
+        text = docio.serialize_report({"warnings": [diag]}).decode()
+        assert '"a": "3",' in text and text.index('"a"') < text.index('"b"') and '"1"' not in text
+
+    def test_no_bound_and_genus_zero_warnings(self):
+        no_bound = NTClass(Surface(2, 0), (), ())
+        orbit = CurveOrbit("O1", 2, OrbitKind.REGULAR, False, Fraction(1))
+        genus_zero = NTClass(Surface(0, 1), (Fraction(1),), (orbit,))
+        assert cli._correcting_bound_entry(None, None, no_bound)["diagnostics"] == [cli._NO_BOUND]
+        assert len(cli._validate_entry(None, None, genus_zero)["warnings"]) == 2
+        for kind in ("correcting-bound", "validate"):
+            self._check(kind, [(None, no_bound), ("g0", genus_zero)], *CLASS_ENTRIES[kind])
+
+    @needs_digit_limit
+    @pytest.mark.parametrize("place", ["k", "power", "total", "corrected"])
+    def test_witness_value_beyond_digit_limit(self, place):
+        big = 10**DIGIT_LIMIT
+        values = {"k": 2, "power": 1, "total": 2, "corrected": Fraction(3)}
+        values[place] = Fraction(big, 7) if place == "corrected" else big
+        corrected = NTClass(Surface(2, 1), (values["corrected"],), ())
+        witness = WitnessDecomposition(
+            values["k"], (("A", values["power"]),), values["total"], corrected
+        )
+        for kind, build, plain, outcome in (
+            (
+                "classify",
+                classify_entry_of,
+                classify_entry_dict,
+                PositivelyFactorizable(CriterionRoute(witness)),
+            ),
+            ("criterion", criterion_entry_of, criterion_entry_dict, Sufficient(witness)),
+        ):
+            with pytest.raises(ValueError) as exc:
+                docio.serialize_report({"entries": [build("a", outcome)]})
+            assert docio._exceeds_digit_limit(exc.value)
+            self._check(kind, [("a", outcome)], build, plain)  # the same error from json.dumps
 
 
 # Documents with one or more faults, and the ParseError each gives.  The texts

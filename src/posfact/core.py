@@ -20,11 +20,14 @@ function, so everything is safe for unrestricted concurrent use.
 
 The public constructors check every value they are given.  The private
 builders :func:`_curve_orbit` and :func:`_nt_class` check nothing: they
-store values their caller has already validated.  Two modules call them:
+store values their caller has already validated.  Three modules call them:
 :mod:`posfact.io`, after its own checks, and
-:func:`posfact.invariants.essential_part`, whose essential class takes its
-surface and every orbit's id, length, kind and separating flag unchanged
-from a class that was checked when it was built.
+:func:`posfact.invariants.essential_part` and
+:func:`posfact.factorization.criterion`.  The essential class and the
+correction witness take their surface and every orbit's id, length, kind
+and separating flag unchanged from a class that was checked when it was
+built; the only new values are Fractions ``Fraction(p + m*q, q)`` made by
+the public constructor from an integer shift m of a checked value p/q.
 
 .. warning::
    This data *underdetermines* the mapping class: two distinct mapping

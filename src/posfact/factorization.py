@@ -17,6 +17,16 @@ Each rule is written once: the two sign gates (fr <= 0, screw <= 0) in
 ``_correction_plan``.  :func:`classify` evaluates the gates once per class,
 and :func:`posfact.poset.known_region` reads the total off ``_certified_total``.
 
+The correction witness is built from integers, as
+:func:`posfact.invariants.essential_part` builds its class, and is not
+re-checked here.  It is fully right-veering by construction: each d_j lifts
+screw_j into (0, beta_j], and fr_i - k * sum(d_j) > 0 is the inequality
+itself.  The tests hold that fact apart from this module:
+``tests/test_integer_paths.py`` checks every witness of its corpus against a
+plain-Fraction restatement that asserts it, and ``tests/test_acceptance.py``
+and ``tests/test_factorization.py`` rebuild each witness with
+:func:`posfact.core.compose_twists` and check the result.
+
 Everything here consumes invariant data only; a "Sufficient"/"Positively
 factorizable" answer therefore holds for every mapping class realizing the
 data.  A negative answer is never produced: outside the two routes the
@@ -30,10 +40,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from typing import Optional, Union
 
-from .core import BoundaryTwist, DomainError, NTClass, OrbitTwist, compose_twists, trunc_div
-from .invariants import is_fully_right_veering
+from .core import DomainError, NTClass, _curve_orbit, _nt_class, trunc_div
 
 __all__ = [
     "GenusZeroUnsupportedError",
@@ -235,6 +245,9 @@ class WitnessDecomposition:
     ``corrected`` is the class obtained from the input by adding d_j twists
     on each corrected orbit and removing k * sum(d_j) boundary multitwists;
     it is fully right-veering, which is what certifies the original class.
+    It equals ``compose_twists`` of the input under those moves, but is
+    built from the integers of each value: its surface and uncorrected
+    orbits are the input's own.
     """
 
     k: int
@@ -267,7 +280,7 @@ def criterion(phi: NTClass) -> CriterionResult:
     NotApplicable when k is undefined for the surface, some fr_i <= 0, or
     some orbit with screw <= 0 is separating, checked in that order.
     Otherwise Sufficient iff k * sum(d_j) < min_i fr_i, and only then is the
-    witness built and checked; else Inconclusive with the exact inequality.
+    witness built; else Inconclusive with the exact inequality.
     """
     return _criterion(phi, *_sign_gates(phi))
 
@@ -285,13 +298,20 @@ def _criterion(phi: NTClass, bad_fr: list[int], to_correct: list) -> CriterionRe
             (("lhs", str(total)), ("rhs", str(min_fr))),
         )
         return Inconclusive((reason,))
-    moves = [OrbitTwist(orbit_id, d) for orbit_id, d in corrections]
-    moves += [BoundaryTwist(i + 1, -total) for i in range(phi.surface.boundary_count)]
-    corrected = compose_twists(phi, moves)
-    if not is_fully_right_veering(corrected):  # unreachable; defensive
-        return Inconclusive(
-            (Diagnostic("witness-not-fully-right-veering", "corrected class failed verification"),)
-        )
+    # Each corrected value p/q + m is Fraction(p + m*q, q), in lowest terms as
+    # gcd(p + m*q, q) = gcd(p, q) = 1; the surface and other orbits are reused.
+    fr = tuple(Fraction(x.numerator - total * x.denominator, x.denominator) for x in phi.fr)
+    powers = dict(corrections)
+    orbits = []
+    for orbit in phi.orbits:
+        d = powers.get(orbit.id)
+        if d:
+            p, q = orbit.screw.numerator, orbit.screw.denominator
+            orbit = _curve_orbit(
+                orbit.id, orbit.length, orbit.kind, orbit.separating, Fraction(p + orbit.beta * d * q, q)
+            )
+        orbits.append(orbit)
+    corrected = _nt_class(phi.surface, fr, tuple(orbits))
     return Sufficient(WitnessDecomposition(k, corrections, total, corrected))
 
 

@@ -814,6 +814,59 @@ COMPOSE_OUTPUT = [
 ]
 
 
+# Correction witnesses on three boundaries: an amphidrome screw at an exact
+# negative multiple of beta, a regular -1/2 screw, and a positive orbit that
+# stays uncorrected.  "tight" misses the inequality by equality; "huge" has
+# values of about 4,000 digits.
+WITNESS_BIG = 10**3999 + 7
+WITNESS_ORBITS = [
+    _orbit("A", 2, "amphidrome", False, "-4"),
+    _orbit("R", 1, "regular", False, "-1/2"),
+    _orbit("P", 3, "regular", True, "3/4"),
+]
+WITNESS_BATCH = {
+    "version": "1",
+    "batch": [
+        _entry("three", 2, ["20", "31/2", "53/3"], WITNESS_ORBITS),
+        _entry("tight", 2, ["8", "31/2", "53/3"], WITNESS_ORBITS),
+        _entry(
+            "huge",
+            4,
+            [f"{WITNESS_BIG}/3", str(WITNESS_BIG), f"{WITNESS_BIG}/11"],
+            [
+                _orbit("H", 1, "amphidrome", False, f"-{WITNESS_BIG}/7"),
+                _orbit("R", 1, "regular", False, "-1/2"),
+                _orbit("P", 2, "amphidrome", False, f"{WITNESS_BIG}/5"),
+            ],
+        ),
+    ],
+}
+WITNESS_HUGE_TOTAL = WITNESS_BIG // 14 + 2  # d_H = 1 + BIG // 14, d_R = 1, k = 1
+
+# (command line, text stdout lines, sha256 of the structured stdout); every
+# run exits 0 with an empty stderr.
+WITNESS_OUTPUT = [
+    (
+        ["classify"],
+        [
+            "three: PositivelyFactorizable via Criterion (k=2, total multitwist power 8)",
+            "tight: Unknown (sc-not-positive, criterion-inequality-failed)",
+            f"huge: PositivelyFactorizable via Criterion (k=1, total multitwist power {WITNESS_HUGE_TOTAL})",
+        ],
+        "baa9e38a64454fd6962509f34269a5aa10ee9adfaeda2409b42581832b812687",
+    ),
+    (
+        ["criterion"],
+        [
+            "three: Sufficient (k=2, total multitwist power 8)",
+            "tight: Inconclusive: k*sum(d) = 8 is not < min fr = 8",
+            f"huge: Sufficient (k=1, total multitwist power {WITNESS_HUGE_TOTAL})",
+        ],
+        "4a5d57eb76e9539341a1f26f740aced12bbb8fd2e7b4f5b6e97352192b133dd3",
+    ),
+]
+
+
 class TestExactOutput:
     @pytest.mark.parametrize("fmt", ["text", "structured"])
     @pytest.mark.parametrize("case", EXACT_OUTPUT, ids=lambda case: "-".join(case[0]))
@@ -838,6 +891,20 @@ class TestExactOutput:
         assert main([command[0], str(path), *command[1:], "--format", fmt]) == code
         captured = capsys.readouterr()
         assert captured.err == "".join(line + "\n" for line in err_lines)
+        if fmt == "text":
+            assert captured.out == "".join(line + "\n" for line in out_lines)
+        else:
+            assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("fmt", ["text", "structured"])
+    @pytest.mark.parametrize("case", WITNESS_OUTPUT, ids=lambda case: case[0][0])
+    def test_witness_bytes(self, tmp_path, capsys, fmt, case):
+        command, out_lines, digest = case
+        path = tmp_path / "witness.json"
+        path.write_text(json.dumps(WITNESS_BATCH))
+        assert main([*command, str(path), "--format", fmt]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
         if fmt == "text":
             assert captured.out == "".join(line + "\n" for line in out_lines)
         else:

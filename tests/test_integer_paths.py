@@ -18,6 +18,7 @@ from fractions import Fraction
 
 import pytest
 
+import posfact.core
 import posfact.factorization
 import posfact.invariants
 from posfact import (
@@ -420,22 +421,75 @@ def test_uniqueness_does_not_build_an_essential_part(classes, monkeypatch):
 
 
 def test_criterion_builds_a_witness_only_to_certify(classes, monkeypatch):
-    calls = []
+    # The witness is built from integers, so compose_twists stays an independent oracle for it.
+    composed, built = [], []
 
-    def sentinel(phi, moves):
-        calls.append(phi)
+    def compose_sentinel(phi, moves):
+        composed.append(phi)
         return compose_twists(phi, moves)
 
-    monkeypatch.setattr(posfact.factorization, "compose_twists", sentinel)
+    def nt_class_sentinel(surface, fr, orbits):
+        built.append(surface)
+        return posfact.core._nt_class(surface, fr, orbits)
+
+    monkeypatch.setattr(posfact.core, "compose_twists", compose_sentinel)
+    monkeypatch.setattr(posfact.factorization, "compose_twists", compose_sentinel, raising=False)
+    monkeypatch.setattr(posfact.factorization, "_nt_class", nt_class_sentinel)
     seen = set()
     for phi in classes:
-        calls.clear()
+        built.clear()
         result = criterion(phi)
-        assert len(calls) == (1 if isinstance(result, Sufficient) else 0)
+        assert len(built) == (1 if isinstance(result, Sufficient) else 0)
         assert result == ref_criterion(phi)
-        assert classify(phi) == ref_classify(phi)
+        built.clear()
+        report = classify(phi)
+        route = report.route if isinstance(report, PositivelyFactorizable) else None
+        assert len(built) == (1 if isinstance(route, CriterionRoute) else 0)
+        assert report == ref_classify(phi)
         seen.add(type(result))
     assert seen == {Sufficient, Inconclusive, NotApplicable}
+    assert composed == []
+
+
+def witness_edge_classes() -> list[NTClass]:
+    """The certified classes of ``test_cli.WITNESS_BATCH``: three boundaries; amphidrome -4,
+    regular -1/2 and a positive orbit left uncorrected; one with ~4,000-digit values."""
+    big = 10**3999 + 7
+    amph, reg = OrbitKind.AMPHIDROME, OrbitKind.REGULAR
+    orbits = (
+        CurveOrbit("A", 2, amph, False, Fraction(-4)),
+        CurveOrbit("R", 1, reg, False, Fraction(-1, 2)),
+        CurveOrbit("P", 3, reg, True, Fraction(3, 4)),
+    )
+    huge_orbits = (
+        CurveOrbit("H", 1, amph, False, Fraction(-big, 7)),
+        CurveOrbit("R", 1, reg, False, Fraction(-1, 2)),
+        CurveOrbit("P", 2, amph, False, Fraction(big, 5)),
+    )
+    return [
+        NTClass(Surface(2, 3), (Fraction(20), Fraction(31, 2), Fraction(53, 3)), orbits),
+        NTClass(Surface(4, 3), (Fraction(big, 3), Fraction(big), Fraction(big, 11)), huge_orbits),
+    ]
+
+
+def test_witness_values_are_canonical(classes):
+    # The corrected class is built without the checked constructors.
+    assert all(isinstance(criterion(phi), Sufficient) for phi in witness_edge_classes())
+    for phi in witness_edge_classes() + classes:
+        result = criterion(phi)
+        if not isinstance(result, Sufficient):
+            continue
+        corrected = result.witness.corrected
+        assert corrected.surface is phi.surface
+        for x in corrected.fr + tuple(o.screw for o in corrected.orbits):
+            assert type(x) is Fraction
+            assert x.denominator > 0
+            assert math.gcd(x.numerator, x.denominator) == 1
+        powers = dict(result.witness.corrections)
+        assert [o.id for o in corrected.orbits] == [o.id for o in phi.orbits]
+        for orbit, before in zip(corrected.orbits, phi.orbits):
+            if orbit.id not in powers:
+                assert orbit == before
 
 
 def test_known_region(classes):

@@ -6,6 +6,9 @@ twist coefficients, curve-orbit screw numbers), all of it in exact rational
 arithmetic.  That data underdetermines the mapping class; every positive
 certification produced here is valid for every mapping class realizing the
 given invariants, and no negative certification is ever produced.
+
+The names of :mod:`posfact.oracle`, an independent model that no command
+uses, are exported lazily: the module is imported on first access.
 """
 
 from ._backend import backend_name
@@ -54,7 +57,6 @@ from .invariants import (
     is_fully_right_veering,
     verify_essential_uniqueness,
 )
-from .oracle import OrbitModel, OrbitModelError, differential_check_formula, orbit_model_screw
 from .poset import (
     BoxTooLargeError,
     DimensionMismatchError,
@@ -126,3 +128,21 @@ __all__ = [
     "orbit_model_screw",
     "differential_check_formula",
 ]
+
+_ORACLE_NAMES = frozenset(
+    ("OrbitModelError", "OrbitModel", "orbit_model_screw", "differential_check_formula")
+)
+
+
+def __getattr__(name: str):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        value = getattr(oracle, name)
+        globals()[name] = value
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | _ORACLE_NAMES)

@@ -65,8 +65,8 @@ status are the root parser's either way.
 and turns it back on afterwards only if it was on at entry, whatever the
 exit (a return, argparse's ``SystemExit`` or an exception).  This is safe
 because the values a call builds hold no reference cycles: frozen
-dataclasses, the report entries' slotted values, ``Fraction``s, dicts, lists
-and strings, which reference counting frees.  On a batch document the
+value classes, the report entries' slotted values, ``Fraction``s, dicts,
+lists and strings, which reference counting frees.  On a batch document the
 collector's passes only walk that growing heap and free nothing.  Library
 functions never touch the collector.
 """

@@ -18,6 +18,12 @@ Fraction is built only where a new invariant value is stored.  Every type
 in this module is an immutable value and every operation is a pure
 function, so everything is safe for unrestricted concurrent use.
 
+The package's value types, here and in the other modules, are plain
+classes on one private base, :class:`_Value`, which gives them the
+equality, hashing, ``repr`` and read-only attributes of frozen dataclasses.
+They are not dataclasses because importing ``dataclasses`` and decorating
+each type were a large share of the start-up that every CLI call pays.
+
 The public constructors check every value they are given.  The private
 builders :func:`_curve_orbit` and :func:`_nt_class` check nothing: they
 store values their caller has already validated.  Three modules call them:
@@ -42,7 +48,6 @@ the public constructor from an integer shift m of a checked value p/q.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Union
@@ -89,6 +94,45 @@ def as_rational(value: RationalLike) -> Fraction:
     raise TypeError(f"expected an exact rational (int or Fraction), got {value!r}")
 
 
+class _Value:
+    """Base of the package's immutable value classes.
+
+    A subclass names its fields, in order, in ``__match_args__``, and its
+    ``__init__`` runs the type's checks and stores the fields in the
+    instance ``__dict__``, where the private builders below store them too.
+    Equality, hashing and ``repr`` are those of a frozen dataclass with the
+    same fields: equal when the classes are the same and the field tuples
+    are equal, the hash of the field tuple, and ``Name(field=value, ...)``.
+    Setting or deleting an attribute raises ``AttributeError``.  Pickling
+    and copying restore the ``__dict__`` without calling ``__init__``.
+    """
+
+    __match_args__: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        fields = self.__dict__
+        return tuple([fields[name] for name in self.__match_args__])
+
+    def __eq__(self, other: object):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = self.__dict__
+        args = ", ".join([f"{name}={fields[name]!r}" for name in self.__match_args__])
+        return f"{self.__class__.__qualname__}({args})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 def trunc_div(num: int, den: int) -> int:
     """trunc(num / den) toward zero, for integers with den > 0."""
     if num >= 0:
@@ -105,24 +149,27 @@ def int_variant(x: RationalLike) -> int:
     return trunc_div(x.numerator, x.denominator)
 
 
-@dataclass(frozen=True)
-class Surface:
+class Surface(_Value):
     """A compact connected oriented surface: genus and number of boundary circles.
 
     Boundary components are labelled 1..boundary_count by position.
     """
 
+    __match_args__ = ("genus", "boundary_count")
     genus: int
     boundary_count: int
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.genus, int) or isinstance(self.genus, bool) or self.genus < 0:
-            raise ValueError(f"genus must be a non-negative integer, got {self.genus!r}")
-        count = self.boundary_count
+    def __init__(self, genus: int, boundary_count: int) -> None:
+        if not isinstance(genus, int) or isinstance(genus, bool) or genus < 0:
+            raise ValueError(f"genus must be a non-negative integer, got {genus!r}")
+        count = boundary_count
         if not isinstance(count, int) or isinstance(count, bool) or count < 0:
             raise ValueError(
-                f"boundary_count must be a non-negative integer, got {self.boundary_count!r}"
+                f"boundary_count must be a non-negative integer, got {boundary_count!r}"
             )
+        fields = self.__dict__
+        fields["genus"] = genus
+        fields["boundary_count"] = boundary_count
 
 
 class OrbitKind(Enum):
@@ -132,8 +179,7 @@ class OrbitKind(Enum):
     AMPHIDROME = "amphidrome"
 
 
-@dataclass(frozen=True)
-class CurveOrbit:
+class CurveOrbit(_Value):
     """One orbit of the invariant curve system.
 
     ``length`` is the number of curves in the orbit.  The first-return map
@@ -149,22 +195,31 @@ class CurveOrbit:
     drop such an orbit, but twist composition can produce it transiently.
     """
 
+    __match_args__ = ("id", "length", "kind", "separating", "screw")
     id: str
     length: int
     kind: OrbitKind
     separating: bool
     screw: Fraction
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.id, str) or not self.id:
-            raise ValueError(f"orbit id must be a non-empty string, got {self.id!r}")
-        if not isinstance(self.length, int) or isinstance(self.length, bool) or self.length < 1:
-            raise ValueError(f"orbit length must be a positive integer, got {self.length!r}")
-        if not isinstance(self.kind, OrbitKind):
-            raise ValueError(f"orbit kind must be an OrbitKind, got {self.kind!r}")
-        if not isinstance(self.separating, bool):
-            raise ValueError(f"orbit separating flag must be a bool, got {self.separating!r}")
-        object.__setattr__(self, "screw", as_rational(self.screw))
+    def __init__(
+        self, id: str, length: int, kind: OrbitKind, separating: bool, screw: Fraction
+    ) -> None:
+        if not isinstance(id, str) or not id:
+            raise ValueError(f"orbit id must be a non-empty string, got {id!r}")
+        if not isinstance(length, int) or isinstance(length, bool) or length < 1:
+            raise ValueError(f"orbit length must be a positive integer, got {length!r}")
+        if not isinstance(kind, OrbitKind):
+            raise ValueError(f"orbit kind must be an OrbitKind, got {kind!r}")
+        if not isinstance(separating, bool):
+            raise ValueError(f"orbit separating flag must be a bool, got {separating!r}")
+        screw = as_rational(screw)
+        fields = self.__dict__
+        fields["id"] = id
+        fields["length"] = length
+        fields["kind"] = kind
+        fields["separating"] = separating
+        fields["screw"] = screw
 
     @property
     def alpha(self) -> int:
@@ -175,8 +230,7 @@ class CurveOrbit:
         return 1 if self.kind is OrbitKind.REGULAR else 2
 
 
-@dataclass(frozen=True)
-class NTClass:
+class NTClass(_Value):
     """Invariant data of a pseudoperiodic mapping class.
 
     ``fr`` holds one fractional Dehn twist coefficient per boundary
@@ -184,30 +238,35 @@ class NTClass:
     orbits, with pairwise distinct ids.
     """
 
+    __match_args__ = ("surface", "fr", "orbits")
     surface: Surface
     fr: tuple[Fraction, ...]
-    orbits: tuple[CurveOrbit, ...] = ()
+    orbits: tuple[CurveOrbit, ...]
 
-    def __post_init__(self) -> None:
-        fr = tuple(as_rational(x) for x in self.fr)
-        object.__setattr__(self, "fr", fr)
-        orbits = tuple(self.orbits)
-        object.__setattr__(self, "orbits", orbits)
-        if len(fr) != self.surface.boundary_count:
+    def __init__(
+        self, surface: Surface, fr: tuple[Fraction, ...], orbits: tuple[CurveOrbit, ...] = ()
+    ) -> None:
+        fr = tuple(as_rational(x) for x in fr)
+        orbits = tuple(orbits)
+        if len(fr) != surface.boundary_count:
             raise ValueError(
                 f"fr has {len(fr)} entries but the surface has "
-                f"{self.surface.boundary_count} boundary components"
+                f"{surface.boundary_count} boundary components"
             )
         ids = [orbit.id for orbit in orbits]
         if len(set(ids)) != len(ids):
             dupes = sorted({i for i in ids if ids.count(i) > 1})
             raise ValueError(f"orbit ids must be pairwise distinct, repeated: {dupes}")
+        fields = self.__dict__
+        fields["surface"] = surface
+        fields["fr"] = fr
+        fields["orbits"] = orbits
 
 
 def _curve_orbit(
     orbit_id: str, length: int, kind: OrbitKind, separating: bool, screw: Fraction
 ) -> CurveOrbit:
-    """A :class:`CurveOrbit` of already-checked values, built without ``__post_init__``."""
+    """A :class:`CurveOrbit` of already-checked values, built without its checks."""
     orbit = object.__new__(CurveOrbit)
     fields = orbit.__dict__
     fields["id"] = orbit_id
@@ -221,7 +280,7 @@ def _curve_orbit(
 def _nt_class(
     surface: Surface, fr: tuple[Fraction, ...], orbits: tuple[CurveOrbit, ...]
 ) -> NTClass:
-    """An :class:`NTClass` of already-checked values, built without ``__post_init__``."""
+    """An :class:`NTClass` of already-checked values, built without its checks."""
     phi = object.__new__(NTClass)
     fields = phi.__dict__
     fields["surface"] = surface
@@ -230,20 +289,30 @@ def _nt_class(
     return phi
 
 
-@dataclass(frozen=True)
-class BoundaryTwist:
+class BoundaryTwist(_Value):
     """Compose with the m-th power of the boundary Dehn twist at boundary ``index`` (1-based)."""
 
+    __match_args__ = ("index", "power")
     index: int
     power: int
 
+    def __init__(self, index: int, power: int) -> None:
+        fields = self.__dict__
+        fields["index"] = index
+        fields["power"] = power
 
-@dataclass(frozen=True)
-class OrbitTwist:
+
+class OrbitTwist(_Value):
     """Compose with the m-th power of a Dehn twist around one curve of orbit ``orbit_id``."""
 
+    __match_args__ = ("orbit_id", "power")
     orbit_id: str
     power: int
+
+    def __init__(self, orbit_id: str, power: int) -> None:
+        fields = self.__dict__
+        fields["orbit_id"] = orbit_id
+        fields["power"] = power
 
 
 TwistMove = Union[BoundaryTwist, OrbitTwist]
@@ -289,8 +358,7 @@ def compose_twists(phi: NTClass, moves: Iterable[TwistMove]) -> NTClass:
     return NTClass(phi.surface, fr, orbits)
 
 
-@dataclass(frozen=True)
-class PeriodData:
+class PeriodData(_Value):
     """Least common period of the invariant data.
 
     ``n`` is the least positive integer with n * fr_i integral for every
@@ -298,9 +366,16 @@ class PeriodData:
     ``k_boundary`` and ``k_orbit`` are those integer values.
     """
 
+    __match_args__ = ("n", "k_boundary", "k_orbit")
     n: int
     k_boundary: tuple[int, ...]
     k_orbit: tuple[int, ...]
+
+    def __init__(self, n: int, k_boundary: tuple[int, ...], k_orbit: tuple[int, ...]) -> None:
+        fields = self.__dict__
+        fields["n"] = n
+        fields["k_boundary"] = k_boundary
+        fields["k_orbit"] = k_orbit
 
 
 def period_data(phi: NTClass) -> PeriodData:

@@ -38,12 +38,11 @@ separates and invariant orbits are singletons; see :func:`genus_zero_diagnostics
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Optional, Union
 
-from .core import DomainError, NTClass, _curve_orbit, _nt_class, trunc_div
+from .core import DomainError, NTClass, _curve_orbit, _nt_class, _Value, trunc_div
 
 __all__ = [
     "GenusZeroUnsupportedError",
@@ -85,19 +84,22 @@ class LTag(Enum):
     EXACT = "exact"
 
 
-@dataclass(frozen=True)
-class LValue:
+class LValue(_Value):
     """Supremum of non-separating positive twist counts: a tag, plus the exact count when known."""
 
+    __match_args__ = ("tag", "value")
     tag: LTag
-    value: Optional[int] = None
+    value: Optional[int]
 
-    def __post_init__(self) -> None:
-        if self.tag is LTag.EXACT:
-            if not isinstance(self.value, int) or self.value < 1:
+    def __init__(self, tag: LTag, value: Optional[int] = None) -> None:
+        if tag is LTag.EXACT:
+            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
                 raise ValueError("exact L values must be positive integers")
-        elif self.value is not None:
-            raise ValueError(f"tag {self.tag.value} carries no value")
+        elif value is not None:
+            raise ValueError(f"tag {tag.value} carries no value")
+        fields = self.__dict__
+        fields["tag"] = tag
+        fields["value"] = value
 
     def __str__(self) -> str:
         if self.tag is LTag.EXACT:
@@ -105,13 +107,19 @@ class LValue:
         return {"plus_infinity": "PlusInfinity", "minus_infinity": "MinusInfinity", "finite": "Finite"}[self.tag.value]
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(_Value):
     """Machine-readable reason: a stable code, a human message, structured data."""
 
+    __match_args__ = ("code", "message", "data")
     code: str
     message: str
-    data: tuple[tuple[str, str], ...] = ()
+    data: tuple[tuple[str, str], ...]
+
+    def __init__(self, code: str, message: str, data: tuple[tuple[str, str], ...] = ()) -> None:
+        fields = self.__dict__
+        fields["code"] = code
+        fields["message"] = message
+        fields["data"] = data
 
     def get(self, key: str) -> Optional[str]:
         for k, v in self.data:
@@ -121,9 +129,9 @@ class Diagnostic:
 
 
 def _check_table_args(genus: int, boundary_count: int) -> None:
-    if not isinstance(genus, int) or genus < 0:
+    if not isinstance(genus, int) or isinstance(genus, bool) or genus < 0:
         raise DomainError(f"genus must be a non-negative integer, got {genus!r}")
-    if not isinstance(boundary_count, int) or boundary_count < 1:
+    if not isinstance(boundary_count, int) or isinstance(boundary_count, bool) or boundary_count < 1:
         raise DomainError(f"boundary count must be a positive integer, got {boundary_count!r}")
 
 
@@ -155,7 +163,7 @@ def l_multitwist_power(genus: int, boundary_count: int, power: int) -> LValue:
     :class:`TableUndefinedError` (genus 0 raises the dedicated error).
     """
     _check_table_args(genus, boundary_count)
-    if not isinstance(power, int) or power < 1:
+    if not isinstance(power, int) or isinstance(power, bool) or power < 1:
         raise DomainError(f"power must be a positive integer, got {power!r}")
     if genus == 0:
         raise GenusZeroUnsupportedError("the multitwist case table does not cover genus 0")
@@ -238,8 +246,7 @@ def _certified_total(phi: NTClass) -> Optional[int]:
     return None if isinstance(plan, Diagnostic) else plan[2]
 
 
-@dataclass(frozen=True)
-class WitnessDecomposition:
+class WitnessDecomposition(_Value):
     """Explicit correction certifying the correction route.
 
     ``corrected`` is the class obtained from the input by adding d_j twists
@@ -250,25 +257,54 @@ class WitnessDecomposition:
     orbits are the input's own.
     """
 
+    __match_args__ = ("k", "corrections", "total_multitwist_power", "corrected")
     k: int
     corrections: tuple[tuple[str, int], ...]
     total_multitwist_power: int
     corrected: NTClass
 
+    def __init__(
+        self,
+        k: int,
+        corrections: tuple[tuple[str, int], ...],
+        total_multitwist_power: int,
+        corrected: NTClass,
+    ) -> None:
+        fields = self.__dict__
+        fields["k"] = k
+        fields["corrections"] = corrections
+        fields["total_multitwist_power"] = total_multitwist_power
+        fields["corrected"] = corrected
 
-@dataclass(frozen=True)
-class Sufficient:
+
+class Sufficient(_Value):
+    """The correction route certifies the class, with its witness."""
+
+    __match_args__ = ("witness",)
     witness: WitnessDecomposition
 
+    def __init__(self, witness: WitnessDecomposition) -> None:
+        self.__dict__["witness"] = witness
 
-@dataclass(frozen=True)
-class Inconclusive:
+
+class Inconclusive(_Value):
+    """The correction route applies, but its inequality fails."""
+
+    __match_args__ = ("reasons",)
     reasons: tuple[Diagnostic, ...]
 
+    def __init__(self, reasons: tuple[Diagnostic, ...]) -> None:
+        self.__dict__["reasons"] = reasons
 
-@dataclass(frozen=True)
-class NotApplicable:
+
+class NotApplicable(_Value):
+    """The correction route does not apply to the class."""
+
+    __match_args__ = ("reason",)
     reason: Diagnostic
+
+    def __init__(self, reason: Diagnostic) -> None:
+        self.__dict__["reason"] = reason
 
 
 CriterionResult = Union[Sufficient, Inconclusive, NotApplicable]
@@ -315,26 +351,41 @@ def _criterion(phi: NTClass, bad_fr: list[int], to_correct: list) -> CriterionRe
     return Sufficient(WitnessDecomposition(k, corrections, total, corrected))
 
 
-@dataclass(frozen=True)
-class MainTheoremRoute:
+class MainTheoremRoute(_Value):
     """Certified directly: all invariants strictly positive."""
 
+    def __init__(self) -> None:
+        pass
 
-@dataclass(frozen=True)
-class CriterionRoute:
+
+class CriterionRoute(_Value):
     """Certified through an explicit correction witness."""
 
+    __match_args__ = ("witness",)
     witness: WitnessDecomposition
 
+    def __init__(self, witness: WitnessDecomposition) -> None:
+        self.__dict__["witness"] = witness
 
-@dataclass(frozen=True)
-class PositivelyFactorizable:
+
+class PositivelyFactorizable(_Value):
+    """Every class with these invariants is positively factorizable, by ``route``."""
+
+    __match_args__ = ("route",)
     route: Union[MainTheoremRoute, CriterionRoute]
 
+    def __init__(self, route: Union[MainTheoremRoute, CriterionRoute]) -> None:
+        self.__dict__["route"] = route
 
-@dataclass(frozen=True)
-class Unknown:
+
+class Unknown(_Value):
+    """Neither route certifies the class; the diagnostics say why."""
+
+    __match_args__ = ("diagnostics",)
     diagnostics: tuple[Diagnostic, ...]
+
+    def __init__(self, diagnostics: tuple[Diagnostic, ...]) -> None:
+        self.__dict__["diagnostics"] = diagnostics
 
 
 ClassificationReport = Union[PositivelyFactorizable, Unknown]

@@ -21,7 +21,6 @@ the orbit list permutes outputs correspondingly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from ._backend import kernel
@@ -32,6 +31,7 @@ from .core import (
     TwistMove,
     _curve_orbit,
     _nt_class,
+    _Value,
     trunc_div,
 )
 
@@ -52,8 +52,7 @@ def is_essential(phi: NTClass) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class EssentialResult:
+class EssentialResult(_Value):
     """The essential part together with the twist exponents producing it.
 
     ``essential == compose_twists(original, moves)`` exactly, where the
@@ -61,9 +60,21 @@ class EssentialResult:
     ``orbit_exponents[j]`` at orbit j.
     """
 
+    __match_args__ = ("essential", "boundary_exponents", "orbit_exponents")
     essential: NTClass
     boundary_exponents: tuple[int, ...]
     orbit_exponents: tuple[int, ...]
+
+    def __init__(
+        self,
+        essential: NTClass,
+        boundary_exponents: tuple[int, ...],
+        orbit_exponents: tuple[int, ...],
+    ) -> None:
+        fields = self.__dict__
+        fields["essential"] = essential
+        fields["boundary_exponents"] = boundary_exponents
+        fields["orbit_exponents"] = orbit_exponents
 
     def moves(self, phi: NTClass) -> tuple[TwistMove, ...]:
         """The twist moves realizing the correction on ``phi``."""

@@ -115,14 +115,13 @@ from __future__ import annotations
 import json
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, product
 from json.encoder import encode_basestring
 from math import prod
 from typing import Any, Optional, Union
 
-from .core import CurveOrbit, NTClass, OrbitKind, Surface, _curve_orbit, _nt_class
+from .core import CurveOrbit, NTClass, OrbitKind, Surface, _curve_orbit, _nt_class, _Value
 from .factorization import Diagnostic, WitnessDecomposition
 
 __all__ = [
@@ -177,18 +176,30 @@ class ParseError(Exception):
         return self.message
 
 
-@dataclass(frozen=True)
-class NamedClass:
+class NamedClass(_Value):
+    """One entry of a batch document: its name and its class."""
+
+    __match_args__ = ("name", "nt_class")
     name: str
     nt_class: NTClass
 
+    def __init__(self, name: str, nt_class: NTClass) -> None:
+        fields = self.__dict__
+        fields["name"] = name
+        fields["nt_class"] = nt_class
 
-@dataclass(frozen=True)
-class Document:
+
+class Document(_Value):
     """A validated input document: one class, or an ordered batch of named classes."""
 
+    __match_args__ = ("version", "payload")
     version: str
     payload: Union[NTClass, tuple[NamedClass, ...]]
+
+    def __init__(self, version: str, payload: Union[NTClass, tuple[NamedClass, ...]]) -> None:
+        fields = self.__dict__
+        fields["version"] = version
+        fields["payload"] = payload
 
     def entries(self) -> tuple[tuple[Optional[str], NTClass], ...]:
         """Uniform (name, class) view; the single-class name is None."""

@@ -19,11 +19,10 @@ is in the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from typing import Optional, Sequence
 
-from .core import DomainError, NTClass
+from .core import DomainError, NTClass, _Value
 # Unused here; posbench/test_posbench.py looks the name up on this module.
 from .core import compose_twists  # noqa: F401
 from .factorization import _certified_total
@@ -49,25 +48,26 @@ class BoxTooLargeError(DomainError):
     """The requested box exceeds the enumeration cap."""
 
 
-@dataclass(frozen=True)
-class PosetRegion:
+class PosetRegion(_Value):
     """Upward-closed subset of Z^dimension: the points dominating ``corner`` (none if None)."""
 
+    __match_args__ = ("dimension", "corner")
     dimension: int
     corner: Optional[tuple[int, ...]]
 
-    def __post_init__(self) -> None:
-        dimension = self.dimension
+    def __init__(self, dimension: int, corner: Optional[tuple[int, ...]]) -> None:
         if not isinstance(dimension, int) or isinstance(dimension, bool) or dimension < 1:
             raise ValueError(f"dimension must be a positive integer, got {dimension!r}")
-        if self.corner is not None:
-            corner = tuple(self.corner)
-            object.__setattr__(self, "corner", corner)
+        if corner is not None:
+            corner = tuple(corner)
             if len(corner) != dimension:
                 raise ValueError(f"corner {corner} does not have dimension {dimension}")
             for c in corner:
                 if not isinstance(c, int) or isinstance(c, bool):
                     raise ValueError(f"corner entries must be integers, got {c!r}")
+        fields = self.__dict__
+        fields["dimension"] = dimension
+        fields["corner"] = corner
 
 
 def contains(region: PosetRegion, point: Sequence[int]) -> bool:

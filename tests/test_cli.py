@@ -1195,6 +1195,25 @@ class TestEntryPoints:
         digest = "9c6c215b6877b539bd8451948faa8dd43b347e9cc43bf20cf3c600f86f8d4182"
         assert hashlib.sha256(done.stdout).hexdigest() == digest
 
+    def test_cli_import_leaves_out_dataclasses_and_oracle(self):
+        """A fresh ``import posfact.cli`` loads neither ``dataclasses`` nor the oracle,
+        and every exported name still resolves, the oracle's on first access."""
+        child = (
+            "import json, sys\n"
+            "import posfact.cli\n"
+            "loaded = [m for m in ('dataclasses', 'inspect', 'posfact.oracle') if m in sys.modules]\n"
+            "import posfact\n"
+            "listed = set(dir(posfact))\n"
+            "missing = [n for n in posfact.__all__ if n not in listed or not hasattr(posfact, n)]\n"
+            "print(json.dumps([loaded, missing, 'posfact.oracle' in sys.modules]))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(posfact.__file__)))
+        done = subprocess.run(
+            [sys.executable, "-c", child], capture_output=True, env=env, timeout=60
+        )
+        assert (done.returncode, done.stderr) == (0, b"")
+        assert json.loads(done.stdout) == [[], [], True]
+
 
 def _main_theorem_batch(size: int, name_width: int = 8) -> dict:
     cls = {k: SINGLE[k] for k in ("surface", "fr", "orbits")}

@@ -66,6 +66,13 @@ class TestLTable:
         with pytest.raises(DomainError):
             l_multitwist(2, 0)
 
+    def test_bools_are_not_integers(self):
+        # True == 1, but a flag is not a genus or a boundary count.
+        with pytest.raises(DomainError):
+            l_multitwist(True, 3)
+        with pytest.raises(DomainError):
+            l_multitwist(2, True)
+
     def test_branches_are_exclusive_and_exhaustive(self):
         for g in range(1, 21):
             for r in range(1, 101):
@@ -101,6 +108,17 @@ class TestLTablePower:
     def test_power_must_be_positive(self):
         with pytest.raises(DomainError):
             l_multitwist_power(1, 3, 0)
+
+    def test_bools_are_not_integers(self):
+        with pytest.raises(DomainError):
+            l_multitwist_power(1, True, True)
+        with pytest.raises(DomainError):
+            l_multitwist_power(1, 3, True)
+
+    def test_exact_value_must_not_be_a_bool(self):
+        with pytest.raises(ValueError):
+            LValue(LTag.EXACT, True)
+        assert LValue(LTag.EXACT, 1).value == 1
 
     def test_string_rendering(self):
         assert str(l_multitwist_power(1, 5, 3)) == "Exact 36"

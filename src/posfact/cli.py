@@ -12,46 +12,48 @@ an operand of exactly ``--``, is an input error.
 
 The report commands (``validate``, ``invariants``, ``essential``,
 ``classify``, ``criterion``, ``poset``, ``correcting-bound``) share one
-batch loop, :func:`_run_report`.  Each command is an entry function, which
-gives the "ok" entry of one class, and a text renderer, which turns that
-entry into lines and runs only under ``--format text``.  An entry holds the
-classes it reports (the essential class, a witness's corrected class) as
-:class:`~posfact.core.NTClass` values, not as dicts: ``io`` writes each
-straight from its fields, and the text renderers read them directly.  The
-entries of ``invariants``, ``essential``, ``classify`` and ``criterion`` are
-values, not dicts: the class with its period data and its two predicates;
-the essential part with the window and the uniqueness answer; or the route
-or result tag, the witness and the diagnostics, as the library returned
-them.  ``io`` writes each straight from those values and the text renderers
-read them.  The entries of ``validate`` and ``correcting-bound`` are dicts
-that hold their diagnostics as :class:`~posfact.factorization.Diagnostic`
-values, written by the same diagnostic writer.  ``compose`` writes its
-classes through the same class writer, by ``io.serialize``.  ``poset
---box`` takes its member points from :func:`posfact.poset.enumerate_box`
-already in lexicographic order.  They are one sub-box, so it puts them in
-the report as that box, one ``range`` per coordinate from the first and the
-last member, which ``io`` writes row by row and the text renderer reads as
-a list of points; no point is copied into a list.  ``--generators`` lists
-the known region's corner, or nothing for an empty region.
+batch driver, :func:`_run_report`, which builds every entry and then writes
+the report.  Each command is an entry function, which gives the "ok" entry
+of one class, and a text renderer, which turns that entry into lines and
+runs only under ``--format text``.  The entries of ``invariants``,
+``essential``, ``classify`` and ``criterion`` are values, not dicts: the
+class with its period data and its two predicates; the essential part with
+the window and the uniqueness answer; or the route or result tag, the
+witness and the diagnostics, as the library returned them.  The classes
+they hold (the essential class, a witness's corrected class) are
+:class:`~posfact.core.NTClass` values.  ``io`` writes each entry straight
+from its values, and the text renderers read them.  The entries of
+``validate``, ``poset`` and ``correcting-bound`` are dicts; their
+diagnostics are :class:`~posfact.factorization.Diagnostic` values, written
+by the same diagnostic writer.  ``compose`` writes its classes through the
+same class writer, by ``io.serialize``.  ``poset --box`` takes its member
+points from :func:`posfact.poset.enumerate_box` already in lexicographic
+order.  They are one sub-box, so it puts them in the report as that box,
+one ``range`` per coordinate from the first and the last member, which
+``io`` writes row by row and the text renderer reads as a list of points;
+no point is copied into a list.  ``--generators`` lists the known region's
+corner, or nothing for an empty region.
 
 Exit status: 0 on success (NotApplicable and Unknown outcomes are
 successful runs), 1 on domain errors, 2 on input/schema errors.  Batch
-entries are processed independently.  In a report command a domain error
-on one entry becomes an error entry (``"status": "error"``) and an
-``error: <name>: <message>`` line on stderr, the other entries are
-reported as usual, and the process exits 1.  ``compose`` writes a class
-document, which has no error entries, so it leaves a failed entry out of
-its output, reports it on stderr and exits 1.  A computed value too long
-to print (more digits than the interpreter's int-to-str limit) is a domain
-error that ends the run with one error line and nothing on stdout.  A reader
-of a command's output that goes before its end (``posfact classify BIG |
-head -1``) ends the run with exit status 1 and nothing more on stderr:
-:func:`main` flushes stdout before it returns, so a broken pipe shows
-there, and then points stdout at the null device, so the interpreter's own
-flush at exit finds nothing left to fail on.  Help and version text to such
-a reader (``posfact --help | true``) end the same way: argparse writes that
-text itself and ignores a failed write, so the parser here writes and
-flushes it at once and the failure reaches :func:`main`.
+entries are processed independently.  In a report command an entry fails
+alone, on a domain error or on a computed integer with more digits than the
+interpreter's int-to-str limit, which cannot be printed: it becomes an
+error entry (``"status": "error"``, code ``domain-error`` or
+``value-too-long``) and one ``error: <name>: <message>`` line on stderr,
+the same in both formats; the other entries are reported as usual, and the
+process exits 1.  ``compose`` writes a class document, which has no error
+entries, so it leaves a failed entry out of its output, reports it on
+stderr and exits 1.  In ``compose`` and ``ltable`` a value too long to print
+ends the run with one error line.  A reader of a command's output that goes
+before its end (``posfact classify BIG | head -1``) ends the run with exit
+status 1 and nothing more on stderr: :func:`main` flushes stdout before it
+returns, so a broken pipe shows there, and then points stdout at the null
+device, so the interpreter's own flush at exit finds nothing left to fail
+on.  Help and version text to such a reader (``posfact --help | true``) end
+the same way: argparse writes that text itself and ignores a failed write,
+so the parser here writes and flushes it at once and the failure reaches
+:func:`main`.
 
 A call is parsed in one argparse pass.  When ``argv[0]`` is a command word,
 :func:`main` hands the rest of argv straight to that command's subparser,
@@ -116,37 +118,26 @@ from .poset import _dimension, contains, correcting_exponent_bound, enumerate_bo
 __all__ = ["main"]
 
 
-def _read_input(path: str) -> bytes:
+def _load_document(path: str) -> docio.Document:
     if path == "-":
-        return sys.stdin.buffer.read()
+        return docio.parse(sys.stdin.buffer.read())
     try:
         with open(path, "rb") as handle:
-            return handle.read()
+            data = handle.read()
     except OSError as exc:
         raise docio.ParseError(f"cannot read {path}: {exc.strerror}") from None
-
-
-def _load_document(path: str) -> docio.Document:
-    return docio.parse(_read_input(path))
+    return docio.parse(data)
 
 
 def _witness_text(witness: WitnessDecomposition) -> str:
     # The line leaves the corrected class out, but its text is still made:
-    # a value too long to print fails the run as it does in a structured report.
+    # a value too long to print fails the entry as it does in a structured report.
     docio._emit_class(witness.corrected, [], "\n")
     return f"(k={witness.k}, total multitwist power {witness.total_multitwist_power})"
 
 
 def _entry_prefix(name: Optional[str]) -> str:
     return f"{name}: " if name is not None else ""
-
-
-def _emit_report(args, report: dict, text_lines: list[str]) -> None:
-    if args.format == "structured":
-        sys.stdout.buffer.write(docio.serialize_report(report))
-    else:
-        for line in text_lines:
-            print(line)
 
 
 _INT_TEXT = re.compile(r"-?[0-9]+")
@@ -170,26 +161,18 @@ def _int_option(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
-def _operand_text(value, flag: str) -> str:
-    """The one string an operand flag was given.
+def _operand(value, flag: str):
+    """The value argparse gave ``flag``; ``[]``, for an operand of exactly ``--``, is an error.
 
-    Python 3.11's argparse drops an operand that is exactly ``--`` (as in
-    ``--box=--``) and passes ``[]`` in its place; that is an input error.
+    Python 3.11's argparse drops such an operand (``--box=--``, ``--genus --``) and passes ``[]``.
     """
-    if not isinstance(value, str):
-        raise docio.ParseError(f"missing operand for {flag}")
-    return value
-
-
-def _int_option_value(value, flag: str) -> Optional[int]:
-    """The value of an integer option; like :func:`_operand_text`, ``[]`` is an input error."""
     if value.__class__ is list:
         raise docio.ParseError(f"missing operand for {flag}")
     return value
 
 
 def _parse_twist_flag(text: str) -> TwistMove:
-    text = _operand_text(text, "--twist")
+    text = _operand(text, "--twist")
     target, sep, power_text = text.rpartition(":")
     if not sep or not target:
         raise docio.ParseError(f"malformed --twist {text!r}, expected B<i>:<m> or O<id>:<m>")
@@ -211,7 +194,7 @@ def _parse_twist_flag(text: str) -> TwistMove:
 
 
 def _parse_point(text: str) -> tuple[int, ...]:
-    text = _operand_text(text, "--query")
+    text = _operand(text, "--query")
     try:
         return tuple(map(_operand_int, text.split(",")))
     except ValueError:
@@ -219,7 +202,7 @@ def _parse_point(text: str) -> tuple[int, ...]:
 
 
 def _parse_box(text: str) -> tuple[int, int]:
-    text = _operand_text(text, "--box")
+    text = _operand(text, "--box")
     lo_text, sep, hi_text = text.partition("..")
     if not sep:
         raise docio.ParseError(f"malformed box {text!r}, expected lo..hi")
@@ -230,56 +213,69 @@ def _parse_box(text: str) -> tuple[int, int]:
 
 
 # --- report commands -------------------------------------------------------
-#
-# A report command is two plain functions: an entry function
-# ``(args, name, phi) -> entry`` of the "ok" entry of one class, and a text
-# renderer ``(prefix, phi, entry) -> lines``.  _run_report runs both over the
-# document.  An ``invariants``, ``essential``, ``classify`` or ``criterion``
-# entry is a value (``io._InvariantsEntry``, ``io._EssentialEntry``,
-# ``io._ClassifyEntry``, ``io._CriterionEntry``) holding what the command
-# computed, which ``io`` writes straight from it and the renderer reads.  The
-# ``validate``, ``poset`` and ``correcting-bound`` entries are dicts, written
-# field by field; their diagnostics are ``Diagnostic`` values.  The
-# entry functions look the library functions up as this module's globals at
-# call time, so code that rebinds ``posfact.cli.classify`` and the like
-# reaches them.
+
+
+def _error_entry(name: Optional[str], exc: Exception) -> dict:
+    """The error entry for a DomainError or a digit-limit ValueError; others are raised again."""
+    if isinstance(exc, DomainError):
+        error = {"code": "domain-error", "message": str(exc)}
+    elif isinstance(exc, ValueError) and docio._exceeds_digit_limit(exc):
+        error = {"code": "value-too-long", "message": f"computed {docio._digit_limit_message()}"}
+    else:
+        raise exc
+    return {"name": name, "status": "error", "error": error}
 
 
 def _run_report(args, kind: str, build, render, prepare=None) -> int:
-    """Load the document, build one entry per class and emit the report.
+    """Load the document, build every entry, then write the report: two passes.
 
-    ``prepare(args)``, if given, runs once after the document has loaded.
-    The renderer runs only under ``--format text``.  A domain error fails
-    its own entry alone: the entry becomes an error entry, ``error: <name>:
-    <message>`` goes to stderr, the other entries carry on, and the run
-    exits 1.
+    ``build(args, name, phi)`` gives the entry of one class and
+    ``render(prefix, phi, entry)`` its lines, only under ``--format text``.
+    Both look the library functions up as this module's globals at call
+    time, so code that rebinds ``posfact.cli.classify`` and the like reaches
+    them.  ``prepare(args)``, if given, runs once the document has loaded.
+    An entry that fails to build or to be written becomes an error entry; its
+    ``error:`` line goes to stderr, in entry order, before the report.  Only
+    if the one ``io.serialize_report`` call raises are the entries written one
+    by one, to find those that cannot be printed.
     """
     doc = _load_document(args.path)
     if prepare is not None:
         prepare(args)
-    text = args.format == "text"
+    items = doc.entries()
     entries = []
-    lines: list[str] = []
-    failed = False
-    for name, phi in doc.entries():
-        prefix = _entry_prefix(name)
+    for name, phi in items:
         try:
-            entry = build(args, name, phi)
-        except DomainError as exc:
-            failed = True
-            entries.append(
-                {
-                    "name": name,
-                    "status": "error",
-                    "error": {"code": "domain-error", "message": str(exc)},
-                }
-            )
-            print(f"error: {prefix}{exc}", file=sys.stderr)
-            continue
-        entries.append(entry)
-        if text:
-            lines += render(prefix, phi, entry)
-    _emit_report(args, {"version": "1", "report": kind, "entries": entries}, lines)
+            entries.append(build(args, name, phi))
+        except (DomainError, ValueError) as exc:
+            entries.append(_error_entry(name, exc))
+    if args.format == "text":
+        lines: list[str] = []
+        for i, (name, phi) in enumerate(items):
+            if not (entries[i].__class__ is dict and entries[i]["status"] == "error"):
+                try:
+                    lines += render(_entry_prefix(name), phi, entries[i])
+                except ValueError as exc:
+                    entries[i] = _error_entry(name, exc)
+    else:
+        report = {"version": "1", "report": kind, "entries": entries}
+        try:
+            data = docio.serialize_report(report)
+        except ValueError:
+            for i, entry in enumerate(entries):
+                try:
+                    docio._emit(entry, [], "\n")
+                except ValueError as exc:
+                    entries[i] = _error_entry(items[i][0], exc)
+            data = docio.serialize_report(report)
+    failed = [entry for entry in entries if entry.__class__ is dict and entry["status"] == "error"]
+    for entry in failed:
+        print(f"error: {_entry_prefix(entry['name'])}{entry['error']['message']}", file=sys.stderr)
+    if args.format == "text":
+        for line in lines:
+            print(line)
+    else:
+        sys.stdout.buffer.write(data)
     return 1 if failed else 0
 
 
@@ -356,7 +352,7 @@ def _essential_text(prefix: str, phi: NTClass, entry: docio._EssentialEntry) -> 
 
 
 def _cmd_essential(args) -> int:
-    window = _int_option_value(args.check_uniqueness, "--check-uniqueness")
+    window = _operand(args.check_uniqueness, "--check-uniqueness")
     if window is not None and window < 1:
         raise docio.ParseError(f"--check-uniqueness must be at least 1, got {window}")
     return _run_report(args, "essential", _essential_entry, _essential_text)
@@ -504,9 +500,9 @@ def _cmd_compose(args) -> int:
 
 
 def _cmd_ltable(args) -> int:
-    genus = _int_option_value(args.genus, "--genus")
-    boundary = _int_option_value(args.boundary, "--boundary")
-    power = _int_option_value(args.power, "--power")
+    genus = _operand(args.genus, "--genus")
+    boundary = _operand(args.boundary, "--boundary")
+    power = _operand(args.power, "--power")
     if power is None:
         value = l_multitwist(genus, boundary)
     else:
@@ -519,7 +515,10 @@ def _cmd_ltable(args) -> int:
         "power": power,
         "result": {"tag": value.tag.value, "value": value.value},
     }
-    _emit_report(args, report, [str(value)])
+    if args.format == "structured":
+        sys.stdout.buffer.write(docio.serialize_report(report))
+    else:
+        print(value)
     return 0
 
 
@@ -697,8 +696,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 1
         except ValueError as exc:
-            # Inputs are held to the interpreter's int digit limit, but computed
-            # values (sums, periods) can outgrow it: they cannot be printed.
+            # A computed value too long to print, in compose or ltable; the
+            # report commands fail the entry that holds one instead.
             if not docio._exceeds_digit_limit(exc):
                 raise
             print(f"error: computed {docio._digit_limit_message()}", file=sys.stderr)

@@ -92,6 +92,8 @@ class LValue(_Value):
     value: Optional[int]
 
     def __init__(self, tag: LTag, value: Optional[int] = None) -> None:
+        if not isinstance(tag, LTag):
+            raise ValueError(f"L value tag must be an LTag, got {tag!r}")
         if tag is LTag.EXACT:
             if not isinstance(value, int) or isinstance(value, bool) or value < 1:
                 raise ValueError("exact L values must be positive integers")

@@ -495,7 +495,15 @@ def _digit_limit_cases():
     ]
 
 
+def _value_too_long(name):
+    """The error entry of a class whose computed value is too long to print."""
+    message = f"computed integer longer than the limit of {sys.get_int_max_str_digits()} digits"
+    return {"name": name, "status": "error", "error": {"code": "value-too-long", "message": message}}
+
+
 class TestDigitLimitOnOutput:
+    """A computed value too long to print fails its own entry in a report; it ends a ``compose`` run."""
+
     @pytest.mark.parametrize("fmt", ["text", "structured"])
     @pytest.mark.parametrize("case", _digit_limit_cases(), ids=lambda case: case[0])
     def test_unprintable_value_is_domain_error(self, tmp_path, capsys, fmt, case):
@@ -504,9 +512,12 @@ class TestDigitLimitOnOutput:
         path.write_text(json.dumps(doc))
         assert main([command, str(path), *extra, "--format", fmt]) == 1
         captured = capsys.readouterr()
-        assert captured.out == ""
         limit = sys.get_int_max_str_digits()
         assert captured.err == f"error: computed integer longer than the limit of {limit} digits\n"
+        if fmt == "text" or command == "compose":
+            assert captured.out == ""
+        else:
+            assert docio.parse_report(captured.out)["entries"] == [_value_too_long(None)]
 
     @pytest.mark.parametrize("fmt", ["text", "structured"])
     @pytest.mark.parametrize("command", ["classify", "criterion"])
@@ -526,8 +537,60 @@ class TestDigitLimitOnOutput:
         path.write_text(json.dumps(doc))
         assert main([command, str(path), "--format", fmt]) == 1
         captured = capsys.readouterr()
-        assert captured.out == ""
         assert captured.err == f"error: computed integer longer than the limit of {limit} digits\n"
+        if fmt == "text":
+            assert captured.out == ""
+        else:
+            assert docio.parse_report(captured.out)["entries"] == [_value_too_long(None)]
+
+    @pytest.mark.parametrize(
+        "command",
+        [["poset", "--generators"], ["classify"], ["criterion"], ["correcting-bound"]],
+        ids=lambda command: command[0],
+    )
+    def test_batch_fails_only_the_unprintable_entry(self, tmp_path, capsys, command):
+        """Both formats fail the same entries, with the same stderr in entry order.
+
+        ``e1``'s correction total is too long to print: ``classify`` and
+        ``criterion`` fail it while building, ``poset --generators`` while
+        writing its corner.  ``e0`` and ``e2`` have no boundary, a domain
+        error for ``poset`` alone.
+        """
+        closed = {"surface": {"genus": 2, "boundary": 0}, "fr": [], "orbits": []}
+        doc = next(doc for word, _, doc in _digit_limit_cases() if word == "classify")
+        correction = {k: doc[k] for k in ("surface", "fr", "orbits")}
+        batch = {
+            "version": "1",
+            "batch": [
+                {"name": "e0", "class": closed},
+                {"name": "e1", "class": correction},
+                {"name": "e2", "class": closed},
+            ],
+        }
+        path = tmp_path / "batch.json"
+        path.write_text(json.dumps(batch))
+        runs = {}
+        for fmt in ("text", "structured"):
+            assert main([command[0], str(path), *command[1:], "--format", fmt]) == 1
+            runs[fmt] = capsys.readouterr()
+        assert runs["text"].err == runs["structured"].err
+        entries = docio.parse_report(runs["structured"].out)["entries"]
+        assert [entry["name"] for entry in entries] == ["e0", "e1", "e2"]
+        assert entries[1] == _value_too_long("e1")
+        failed = [entry for entry in entries if entry["status"] == "error"]
+        assert runs["text"].err == "".join(
+            f"error: {entry['name']}: {entry['error']['message']}\n" for entry in failed
+        )
+        if command[0] == "poset":
+            codes = [entry["error"]["code"] for entry in failed]
+            assert codes == ["domain-error", "value-too-long", "domain-error"]
+            assert runs["text"].out == ""
+        else:
+            assert failed == [entries[1]]
+            assert [line.split(":")[0] for line in runs["text"].out.splitlines()] == ["e0", "e2"]
+        if command[0] == "classify":
+            assert runs["text"].out == "e0: Unknown (no-boundary)\ne2: Unknown (no-boundary)\n"
+            assert [entries[0]["classification"], entries[2]["classification"]] == ["unknown"] * 2
 
 
 class TestStdin:

@@ -120,6 +120,14 @@ class TestLTablePower:
             LValue(LTag.EXACT, True)
         assert LValue(LTag.EXACT, 1).value == 1
 
+    def test_tag_must_be_an_ltag_with_a_value(self):
+        with pytest.raises(ValueError, match="must be an LTag"):
+            LValue("finite", 3)
+
+    def test_tag_must_be_an_ltag(self):
+        with pytest.raises(ValueError, match="must be an LTag"):
+            LValue("finite")
+
     def test_string_rendering(self):
         assert str(l_multitwist_power(1, 5, 3)) == "Exact 36"
         assert str(l_multitwist(1, 10)) == "PlusInfinity"

@@ -1,0 +1,229 @@
+"""A seeded corpus of documents and command lines, run in process through ``posfact.cli.main``.
+
+The corpus is the sameness proof for changes that must not change what the
+CLI prints: every report command, ``poset`` in its three modes,
+``essential`` with windows 1 and 3, ``compose`` and ``ltable``, each in both
+formats, over these documents:
+
+* single classes and batches drawn from the conftest distributions, with
+  batch names that need escaping or lie outside the Basic Multilingual Plane;
+* the edge classes of ``test_integer_paths`` (values of ~4,000 digits,
+  exact multiples of beta, ``r = 0``, genus 0) and its certified witness
+  classes;
+* documents whose computed values pass the interpreter's int-to-str digit
+  limit: the three-entry batch ``[r = 0, correction total too long, r = 0]``,
+  a period too long, and an ``fr`` that ``compose --twist B1:1`` pushes past
+  the limit;
+* an empty batch, a malformed document and a schema-error document.
+
+Each run records the exit status and the sha256 of stdout and of stderr;
+``pin.json`` keeps the first 8 hex digits of each, per run, and one sha256
+over all runs, under the Python major.minor version (the ``json`` module's
+error texts may differ between versions).  The documents are written with
+``json.dumps`` from a plain dict form, so they do not depend on the writer
+they help to check.
+
+Rewrite the pin for the running Python version, after a change that alters
+output on purpose, with::
+
+    PYTHONPATH=src python tests/golden/corpus.py
+"""
+
+from __future__ import annotations
+
+import hashlib
+import io
+import json
+import random
+import sys
+from pathlib import Path
+
+from posfact.cli import main
+
+PIN_PATH = Path(__file__).with_name("pin.json")
+
+# The int-to-str digit limit the documents are built for: the interpreter's default.
+DIGIT_LIMIT = 4300
+
+# Command lines run on every document, in both formats.
+DOC_COMMANDS = [
+    ["validate"],
+    ["invariants"],
+    ["essential"],
+    ["essential", "--check-uniqueness", "1"],
+    ["essential", "--check-uniqueness", "3"],
+    ["classify"],
+    ["criterion"],
+    ["poset", "--generators"],
+    ["poset", "--query", "0,1"],
+    ["poset", "--box=0..1"],
+    ["correcting-bound"],
+    ["compose", "--twist", "B1:1", "--twist", "OO0:-1"],
+]
+
+# ltable reads no document: every tag and both kinds of domain error.
+LTABLE_COMMANDS = [
+    ["ltable", "--genus", "1", "--boundary", "3"],
+    ["ltable", "--genus", "1", "--boundary", "10"],
+    ["ltable", "--genus", "2", "--boundary", "13"],
+    ["ltable", "--genus", "6", "--boundary", "2"],
+    ["ltable", "--genus", "1", "--boundary", "3", "--power", "2"],
+    ["ltable", "--genus", "2", "--boundary", "3", "--power", "2"],
+    ["ltable", "--genus", "2", "--boundary", "3", "--power", "1"],
+    ["ltable", "--genus", "0", "--boundary", "1"],
+]
+
+FORMATS = ("text", "structured")
+
+# Batch names: plain, and ones that need escaping or are outside the BMP.
+NAMES = ["plain", 'quote"', "back\\slash", "line\nbreak", "tab\t\x01", "sep ", "é名", "\U0001f600"]
+
+
+def _rational(x) -> str:
+    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+
+
+def _class_dict(phi) -> dict:
+    """The document form of a class, built here, independent of ``posfact.io``."""
+    return {
+        "surface": {"genus": phi.surface.genus, "boundary": phi.surface.boundary_count},
+        "fr": [_rational(x) for x in phi.fr],
+        "orbits": [
+            {
+                "id": orbit.id,
+                "length": orbit.length,
+                "kind": orbit.kind.value,
+                "separating": orbit.separating,
+                "screw": _rational(orbit.screw),
+            }
+            for orbit in phi.orbits
+        ],
+    }
+
+
+def _single(phi) -> dict:
+    return {"version": "1", **_class_dict(phi)}
+
+
+def _batch(named) -> dict:
+    return {"version": "1", "batch": [{"name": n, "class": _class_dict(phi)} for n, phi in named]}
+
+
+def _digit_limit_documents() -> list[tuple[str, dict]]:
+    big = 10 ** (DIGIT_LIMIT - 1)  # as many digits as the limit allows
+    closed = {"surface": {"genus": 2, "boundary": 0}, "fr": [], "orbits": []}
+    correction = {  # k * sum(d) = 2 * (9 * big + 1) has one digit too many
+        "surface": {"genus": 2, "boundary": 2},
+        "fr": ["1", "1"],
+        "orbits": [
+            {"id": "A", "length": 1, "kind": "regular", "separating": False, "screw": -9 * big}
+        ],
+    }
+    period = {  # the period n is the product of the two denominators
+        "surface": {"genus": 2, "boundary": 2},
+        "fr": [f"1/{big + 1}", f"1/{big + 3}"],
+        "orbits": [],
+    }
+    largest = {  # B1:1 adds a digit
+        "surface": {"genus": 2, "boundary": 1},
+        "fr": [str(10 * big - 1)],
+        "orbits": [{"id": "O0", "length": 1, "kind": "regular", "separating": False, "screw": "1"}],
+    }
+    batch = [{"name": f"e{i}", "class": c} for i, c in enumerate((closed, correction, closed))]
+    return [
+        ("digit-limit-batch", {"version": "1", "batch": batch}),
+        ("digit-limit-period", {"version": "1", **period}),
+        ("digit-limit-compose", {"version": "1", **largest}),
+    ]
+
+
+def documents() -> list[tuple[str, bytes]]:
+    """The corpus documents, each with its name, in a fixed order."""
+    from conftest import rand_applicable_ntclass, rand_ntclass, rand_poset_ntclass
+    from test_integer_paths import edge_classes, witness_edge_classes
+
+    rng = random.Random(20261019)
+    makers = [("rand", rand_ntclass), ("applicable", rand_applicable_ntclass), ("poset", rand_poset_ntclass)]
+    docs: list[tuple[str, dict]] = []
+    for label, make in makers:
+        docs += [(f"single-{label}-{i}", _single(make(rng))) for i in range(4)]
+        named = [(f"{label}{i}", make(rng)) for i in range(80)]
+        docs.append((f"batch-{label}", _batch(named)))
+    docs.append(("batch-names", _batch([(name, rand_poset_ntclass(rng)) for name in NAMES])))
+    edges = edge_classes()
+    docs += [(f"edge-{i}", _single(phi)) for i, phi in enumerate(edges)]
+    docs.append(("batch-edges", _batch([(f"edge{i}", phi) for i, phi in enumerate(edges)])))
+    witnesses = witness_edge_classes()
+    docs.append(("batch-witnesses", _batch([(f"w{i}", phi) for i, phi in enumerate(witnesses)])))
+    docs += _digit_limit_documents()
+    docs.append(("empty-batch", {"version": "1", "batch": []}))
+    encoded = [
+        # ASCII-escaped text on every other document, raw UTF-8 on the rest.
+        (name, json.dumps(doc, ensure_ascii=i % 2 == 0).encode("utf-8"))
+        for i, (name, doc) in enumerate(docs)
+    ]
+    encoded.append(("malformed", b'{"version": "1", "surface": {"genus": 2,'))
+    encoded.append(
+        ("schema-error", b'{"version": "1", "batch": [{"name": "a", "class": {"surface": []}}]}')
+    )
+    return encoded
+
+
+def run(document: bytes, argv: list[str]) -> tuple[int, bytes, bytes]:
+    """Exit status, stdout and stderr of ``main(argv)`` with ``document`` on stdin."""
+    stdin = io.TextIOWrapper(io.BytesIO(document), encoding="utf-8")
+    stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", newline="\n", write_through=True)
+    stderr = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", newline="\n", write_through=True)
+    saved = sys.stdin, sys.stdout, sys.stderr
+    sys.stdin, sys.stdout, sys.stderr = stdin, stdout, stderr
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse's usage errors
+        code = exc.code
+    finally:
+        sys.stdin, sys.stdout, sys.stderr = saved
+    return code, stdout.buffer.getvalue(), stderr.buffer.getvalue()
+
+
+def runs():
+    """Each run of the corpus: (document name, argv, exit status, stdout, stderr)."""
+    for name, document in documents():
+        for command in DOC_COMMANDS:
+            for fmt in FORMATS:
+                argv = [command[0], "-", *command[1:], "--format", fmt]
+                yield (name, argv, *run(document, argv))
+    for command in LTABLE_COMMANDS:
+        for fmt in FORMATS:
+            argv = [*command, "--format", fmt]
+            yield ("-", argv, *run(b"", argv))
+
+
+def digest_line(name: str, argv: list[str], code: int, out: bytes, err: bytes) -> str:
+    """The pinned line of one run: document, argv, exit status, and 8 hex digits of stdout and stderr."""
+    out_hex = hashlib.sha256(out).hexdigest()[:8]
+    err_hex = hashlib.sha256(err).hexdigest()[:8]
+    return f"{name} | {' '.join(argv)} | {code} {out_hex} {err_hex}"
+
+
+def combined_digest(lines: list[str]) -> str:
+    return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+
+
+def version_key() -> str:
+    return f"{sys.version_info.major}.{sys.version_info.minor}"
+
+
+def write_pin() -> None:
+    """Run the corpus and store its digests for the running Python version in ``pin.json``."""
+    lines = [digest_line(*r) for r in runs()]
+    pins = json.loads(PIN_PATH.read_text()) if PIN_PATH.exists() else {}
+    pins[version_key()] = {"combined": combined_digest(lines), "runs": lines}
+    PIN_PATH.write_text(json.dumps(pins, indent=1, sort_keys=True, ensure_ascii=False) + "\n")
+    print(f"pinned {len(lines)} runs for Python {version_key()} in {PIN_PATH}")
+
+
+if __name__ == "__main__":
+    if sys.get_int_max_str_digits() != DIGIT_LIMIT:
+        sys.exit(f"the corpus needs the default int digit limit of {DIGIT_LIMIT}")
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent))  # conftest, test_integer_paths
+    write_pin()

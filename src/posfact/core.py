@@ -289,27 +289,45 @@ def _nt_class(
     return phi
 
 
+def _check_int(value: object, what: str) -> None:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
 class BoundaryTwist(_Value):
-    """Compose with the m-th power of the boundary Dehn twist at boundary ``index`` (1-based)."""
+    """Compose with the m-th power of the boundary Dehn twist at boundary ``index`` (1-based).
+
+    ``index`` and ``power`` must be ints, not bools (ValueError otherwise);
+    :func:`compose_twists` checks that the index names a boundary.
+    """
 
     __match_args__ = ("index", "power")
     index: int
     power: int
 
     def __init__(self, index: int, power: int) -> None:
+        _check_int(index, "boundary index")
+        _check_int(power, "twist power")
         fields = self.__dict__
         fields["index"] = index
         fields["power"] = power
 
 
 class OrbitTwist(_Value):
-    """Compose with the m-th power of a Dehn twist around one curve of orbit ``orbit_id``."""
+    """Compose with the m-th power of a Dehn twist around one curve of orbit ``orbit_id``.
+
+    ``orbit_id`` must be a str and ``power`` an int, not a bool (ValueError
+    otherwise); :func:`compose_twists` checks that the id names an orbit.
+    """
 
     __match_args__ = ("orbit_id", "power")
     orbit_id: str
     power: int
 
     def __init__(self, orbit_id: str, power: int) -> None:
+        if not isinstance(orbit_id, str):
+            raise ValueError(f"orbit id must be a string, got {orbit_id!r}")
+        _check_int(power, "twist power")
         fields = self.__dict__
         fields["orbit_id"] = orbit_id
         fields["power"] = power
@@ -343,7 +361,7 @@ def compose_twists(phi: NTClass, moves: Iterable[TwistMove]) -> NTClass:
                 orbit_index = {orbit.id: j for j, orbit in enumerate(phi.orbits)}
             try:
                 j = orbit_index[move.orbit_id]
-            except (KeyError, TypeError):  # TypeError: an unhashable id matches no orbit
+            except KeyError:
                 raise InvalidMoveError(f"unknown orbit id {move.orbit_id!r}") from None
             screw_shift[j] += phi.orbits[j].beta * move.power
         else:

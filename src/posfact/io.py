@@ -37,9 +37,7 @@ The canonical byte format is this module's own, written by ``_emit``:
 
 These are the bytes that ``json.dumps(obj, indent=2, ensure_ascii=False)``
 plus a newline gives for the same object; the tests hold the emitter to that
-as an independent oracle.  The text ``"key": `` of every key that the field
-declarations below name is encoded once, at import, into a read-only table;
-any other key is encoded where it is written.
+as an independent oracle.
 
 A report may hold the points of a box as a private value, ``_IntBox``: one
 ``range`` per coordinate (the members that ``poset --box`` lists).  It is
@@ -116,7 +114,7 @@ import json
 import re
 import sys
 from fractions import Fraction
-from itertools import chain, product
+from itertools import product
 from json.encoder import encode_basestring
 from math import prod
 from typing import Any, Optional, Union
@@ -504,10 +502,6 @@ def class_to_json(phi: NTClass) -> dict:
     }
 
 
-_INT_ONLY = frozenset({int})
-_STR_ONLY = frozenset({str})
-
-
 class _IntBox:
     """The integer points of a box, held as one ``range`` per coordinate.
 
@@ -559,7 +553,7 @@ _REGULAR_TEXT = encode_basestring(OrbitKind.REGULAR.value)
 _AMPHIDROME_TEXT = encode_basestring(OrbitKind.AMPHIDROME.value)
 
 
-def _ints_text(values: Union[tuple[int, ...], list[int]], indent: str) -> str:
+def _ints_text(values: tuple[int, ...], indent: str) -> str:
     """The canonical text of the list of ``values``, exact ints, read without a copy."""
     if not values:
         return "[]"
@@ -862,8 +856,10 @@ def _emit(value: Any, out: list[str], indent: str) -> None:
     """Append the canonical text of ``value`` to ``out``.
 
     ``indent`` is a newline followed by the indentation of the line that
-    ``value`` starts on.  Only the types reports and documents hold are
-    accepted: dicts with str keys, lists, str, int, bool, None,
+    ``value`` starts on.  It is a plain walker: a dict writes each key's
+    quoted text and recurses into its value, and a list recurses once per
+    item.  Only the types reports and documents hold are accepted: dicts
+    with str keys, lists, str, int, bool, None,
     :class:`~posfact.core.NTClass` (written as :func:`class_to_json` of it,
     by :func:`_emit_class`), :class:`_IntBox`, the report entries
     :class:`_InvariantsEntry`, :class:`_EssentialEntry`,
@@ -889,23 +885,11 @@ def _emit(value: Any, out: list[str], indent: str) -> None:
         inner = indent + "  "
         comma = "," + inner
         sep = "{" + inner
-        key_text = _KEY_TEXT
         for key, item in value.items():
-            if key.__class__ is not str:  # before the lookup: a str subclass may equal a key
+            if key.__class__ is not str:
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
-            head = sep + (key_text.get(key) or encode_basestring(key) + ": ")
-            item_cls = item.__class__
-            if item_cls is str:  # scalars inline, without a call per value
-                out.append(head + encode_basestring(item))
-            elif item_cls is int:
-                out.append(head + int.__repr__(item))
-            elif item_cls is bool:
-                out.append(head + ("true" if item else "false"))
-            elif item is None:
-                out.append(head + "null")
-            else:
-                out.append(head)
-                _emit(item, out, inner)
+            out.append(sep + encode_basestring(key) + ": ")
+            _emit(item, out, inner)
             sep = comma
         out.append(indent + "}")
     elif cls is list:
@@ -914,13 +898,6 @@ def _emit(value: Any, out: list[str], indent: str) -> None:
             return
         inner = indent + "  "
         comma = "," + inner
-        item_types = set(map(type, value))
-        if item_types == _INT_ONLY:
-            out.append(_ints_text(value, indent))
-            return
-        if item_types == _STR_ONLY:
-            out.append("[" + inner + comma.join(map(encode_basestring, value)) + indent + "]")
-            return
         sep = "[" + inner
         for item in value:
             out.append(sep)
@@ -1044,31 +1021,6 @@ _ENTRY_FIELDS = {
     "correcting-bound": ("bound", "diagnostics"),
 }
 _ENTRY_ENVELOPE = ("name", "status", "error")
-
-# The text ``_emit`` writes before the value of each key declared above:
-# ``"key": ``, encoded once at import.  Nothing writes to it afterwards.
-_KEY_TEXT = {
-    key: encode_basestring(key) + ": "
-    for key in chain(
-        _ORBIT_FIELDS,
-        _CLASS_FIELDS,
-        _SURFACE_FIELDS,
-        _BATCH_FIELDS,
-        _BATCH_ITEM_FIELDS,
-        _SINGLE_FIELDS,
-        _DIAG_FIELDS,
-        _WITNESS_FIELDS,
-        _CORRECTION_FIELDS,
-        _ERROR_FIELDS,
-        _SCREW_FIELDS,
-        _PERIOD_FIELDS,
-        _LTABLE_FIELDS,
-        _LTABLE_RESULT_FIELDS,
-        _ENTRIES_FIELDS,
-        _ENTRY_ENVELOPE,
-        *_ENTRY_FIELDS.values(),
-    )
-}
 
 
 def _check_entry_payload(kind: str, obj: dict, path: Any) -> None:

@@ -71,8 +71,15 @@ class PosetRegion(_Value):
 
 
 def contains(region: PosetRegion, point: Sequence[int]) -> bool:
-    """True iff ``point`` dominates the region's corner componentwise."""
+    """True iff ``point`` dominates the region's corner componentwise.
+
+    The coordinates must be ints (TypeError otherwise, a bool included,
+    checked first), as for :func:`enumerate_box`'s bounds.
+    """
     point = tuple(point)
+    for coordinate in point:
+        if not isinstance(coordinate, int) or isinstance(coordinate, bool):
+            raise TypeError(f"point coordinates must be integers, got {coordinate!r}")
     if len(point) != region.dimension:
         raise DimensionMismatchError(
             f"point of length {len(point)} queried against dimension {region.dimension}"

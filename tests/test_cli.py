@@ -234,6 +234,12 @@ class TestCompose:
     def test_malformed_twist_flag(self, single_path, capsys):
         assert main(["compose", single_path, "--twist", "B1"]) == 2
 
+    def test_boundary_index_out_of_range(self, single_path, capsys):
+        assert main(["compose", single_path, "--twist", "B0:1"]) == 1
+        assert capsys.readouterr().err == (
+            "error: unknown boundary index 0 (surface has 2 boundary components)\n"
+        )
+
 
 class TestPoset:
     def test_generators(self, single_path, capsys):

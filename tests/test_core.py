@@ -131,6 +131,29 @@ class TestComposeTwists:
             compose_twists(phi, [OrbitTwist("missing", 1)])
 
 
+class TestTwistMoves:
+    """A twist move's index and power are ints and its orbit id a str, checked when it is built."""
+
+    def test_fractional_power_is_rejected(self):
+        phi = nt(2, [Fraction(1, 2)])
+        with pytest.raises(ValueError, match=r"twist power must be an integer, got Fraction\(1, 2\)"):
+            compose_twists(phi, [BoundaryTwist(1, Fraction(1, 2))])
+
+    @pytest.mark.parametrize("index, power", [(True, True), (True, 1), (1, True)])
+    def test_bool_index_or_power_is_rejected(self, index, power):
+        with pytest.raises(ValueError, match="must be an integer, got True"):
+            BoundaryTwist(index, power)
+
+    def test_float_index_is_rejected(self):
+        with pytest.raises(ValueError, match=r"boundary index must be an integer, got 1\.0"):
+            BoundaryTwist(1.0, 1)
+
+    @pytest.mark.parametrize("power", [False, 2.0, Fraction(3)], ids=repr)
+    def test_orbit_power_must_be_int(self, power):
+        with pytest.raises(ValueError, match="twist power must be an integer"):
+            OrbitTwist("O1", power)
+
+
 def brute_force_period(phi: NTClass, limit: int = 10**6) -> int:
     """Independent oracle: scan n = 1, 2, ... for the least common period."""
     for n in range(1, limit + 1):

@@ -394,11 +394,9 @@ def test_compose_twists(classes):
         assert outcome(compose_twists, phi, moves) == outcome(ref_compose, phi, moves)
 
 
-def test_unhashable_orbit_id_is_unknown():
-    orbit = CurveOrbit("A", 1, OrbitKind.REGULAR, False, Fraction(1))
-    phi = NTClass(Surface(1, 1), (Fraction(1),), (orbit,))
-    move = OrbitTwist(["A"], 1)
-    assert outcome(compose_twists, phi, [move]) == outcome(ref_compose, phi, [move])
+def test_unhashable_orbit_id_is_rejected():
+    with pytest.raises(ValueError, match=r"orbit id must be a string, got \['A'\]"):
+        OrbitTwist(["A"], 1)
 
 
 def test_criterion_and_classify(classes):

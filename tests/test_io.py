@@ -276,8 +276,21 @@ EMIT_TEXT = st.text(
     ),
     max_size=8,
 )
-# Keys from the emitter's table of declared keys, and any other text.
-EMIT_KEYS = EMIT_TEXT | st.sampled_from(sorted(docio._KEY_TEXT))
+# The keys that documents and reports use, in the envelope, the entries and
+# the objects inside them.
+REPORT_KEYS = (
+    "alpha", "batch", "beta", "bound", "boundary", "boundary_exponents", "class",
+    "classification", "code", "corrected", "corrections", "data", "diagnostics",
+    "dimension", "entries", "error", "essential", "essential_class", "fr",
+    "fully_right_veering", "generators", "genus", "hi", "id", "k", "k_boundary", "k_orbit",
+    "kind", "length", "lo", "member", "message", "mode", "n", "name", "orbit", "orbit_count",
+    "orbit_exponents", "orbits", "period", "point", "points", "power", "report", "result",
+    "route", "screw", "screws", "separating", "status", "surface", "tag",
+    "total_multitwist_power", "uniqueness_verified", "uniqueness_window", "value", "version",
+    "warnings", "witness",
+)
+# Keys from those, and any other text.
+EMIT_KEYS = EMIT_TEXT | st.sampled_from(REPORT_KEYS)
 EMIT_LEAVES = st.one_of(
     st.none(),
     st.booleans(),
@@ -306,8 +319,9 @@ EMIT_TREES = st.recursive(
 )
 
 
-# Report entries as most reports hold them: objects whose values are scalars
-# or lists of strings, which the emitter writes without recursing.
+# Report entries as the dict-form entries hold them (validate, poset,
+# correcting-bound and error entries): objects whose values are scalars or
+# lists of strings.
 EMIT_ENTRIES = st.lists(
     st.dictionaries(EMIT_KEYS, EMIT_LEAVES | st.lists(EMIT_TEXT, max_size=4), max_size=6),
     max_size=3,

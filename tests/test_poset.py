@@ -77,6 +77,14 @@ class TestContains:
         with pytest.raises(DimensionMismatchError):
             contains(self.region, (0, 0, 0))
 
+    @pytest.mark.parametrize("coordinate", [Fraction(1, 2), 0.0, True, "0", None], ids=repr)
+    def test_coordinates_must_be_int(self, coordinate):
+        with pytest.raises(TypeError, match="point coordinates must be integers"):
+            contains(self.region, (coordinate, 5))
+        # Before the dimension check.
+        with pytest.raises(TypeError, match="point coordinates must be integers"):
+            contains(self.region, (coordinate,))
+
 
 class TestKnownRegion:
     def test_positive_screws_single_generator(self):

@@ -18,8 +18,9 @@ of one class, and a text renderer, which turns that entry into lines and
 runs only under ``--format text``.  The entries of ``invariants``,
 ``essential``, ``classify`` and ``criterion`` are values, not dicts: the
 class with its period data and its two predicates; the essential part with
-the window and the uniqueness answer; or the route or result tag, the
-witness and the diagnostics, as the library returned them.  The classes
+the window and the uniqueness answer; or the outcome itself, as
+:func:`~posfact.factorization.classify` or
+:func:`~posfact.factorization.criterion` returned it.  The classes
 they hold (the essential class, a witness's corrected class) are
 :class:`~posfact.core.NTClass` values.  ``io`` writes each entry straight
 from its values, and the text renderers read them.  The entries of
@@ -98,8 +99,8 @@ from .factorization import (
     Diagnostic,
     Inconclusive,
     MainTheoremRoute,
-    PositivelyFactorizable,
     Sufficient,
+    Unknown,
     WitnessDecomposition,
     classify,
     criterion,
@@ -358,40 +359,30 @@ def _cmd_essential(args) -> int:
     return _run_report(args, "essential", _essential_entry, _essential_text)
 
 
-def _classify_entry(args, name: Optional[str], phi: NTClass) -> docio._ClassifyEntry:
-    report = classify(phi)
-    if isinstance(report, PositivelyFactorizable):
-        if isinstance(report.route, MainTheoremRoute):
-            return docio._ClassifyEntry(name, "main_theorem", None, ())
-        return docio._ClassifyEntry(name, "criterion", report.route.witness, ())
-    return docio._ClassifyEntry(name, None, None, report.diagnostics)
+def _classify_entry(args, name: Optional[str], phi: NTClass) -> docio._OutcomeEntry:
+    return docio._OutcomeEntry(name, classify(phi))
 
 
-def _classify_text(prefix: str, phi: NTClass, entry: docio._ClassifyEntry) -> list[str]:
-    if entry.route == "main_theorem":
+def _classify_text(prefix: str, phi: NTClass, entry: docio._OutcomeEntry) -> list[str]:
+    outcome = entry.outcome
+    if outcome.__class__ is Unknown:
+        return [f"{prefix}Unknown ({', '.join(d.code for d in outcome.diagnostics)})"]
+    if outcome.route.__class__ is MainTheoremRoute:
         return [f"{prefix}PositivelyFactorizable via MainTheorem"]
-    if entry.route == "criterion":
-        return [f"{prefix}PositivelyFactorizable via Criterion {_witness_text(entry.witness)}"]
-    codes = ", ".join(d.code for d in entry.diagnostics)
-    return [f"{prefix}Unknown ({codes})"]
+    return [f"{prefix}PositivelyFactorizable via Criterion {_witness_text(outcome.route.witness)}"]
 
 
-def _criterion_entry(args, name: Optional[str], phi: NTClass) -> docio._CriterionEntry:
-    result = criterion(phi)
-    if isinstance(result, Sufficient):
-        return docio._CriterionEntry(name, "sufficient", result.witness, ())
-    if isinstance(result, Inconclusive):
-        return docio._CriterionEntry(name, "inconclusive", None, result.reasons)
-    return docio._CriterionEntry(name, "not_applicable", None, (result.reason,))
+def _criterion_entry(args, name: Optional[str], phi: NTClass) -> docio._OutcomeEntry:
+    return docio._OutcomeEntry(name, criterion(phi))
 
 
-def _criterion_text(prefix: str, phi: NTClass, entry: docio._CriterionEntry) -> list[str]:
-    if entry.result == "sufficient":
-        return [f"{prefix}Sufficient {_witness_text(entry.witness)}"]
-    messages = [d.message for d in entry.diagnostics]
-    if entry.result == "inconclusive":
-        return [f"{prefix}Inconclusive: " + "; ".join(messages)]
-    return [f"{prefix}NotApplicable: {messages[0]}"]
+def _criterion_text(prefix: str, phi: NTClass, entry: docio._OutcomeEntry) -> list[str]:
+    outcome = entry.outcome
+    if outcome.__class__ is Sufficient:
+        return [f"{prefix}Sufficient {_witness_text(outcome.witness)}"]
+    if outcome.__class__ is Inconclusive:
+        return [f"{prefix}Inconclusive: " + "; ".join(d.message for d in outcome.reasons)]
+    return [f"{prefix}NotApplicable: {outcome.reason.message}"]
 
 
 def _poset_mode(args) -> None:

@@ -64,14 +64,13 @@ one ``{"id", "kind", "alpha", "beta", "screw"}`` object per orbit under
 ``screws``, ``period`` as ``{"n", "k_boundary", "k_orbit"}``, and the
 exponent tuples as lists.
 
-The "ok" entries of the ``classify`` and ``criterion`` reports are values
-as well, ``_ClassifyEntry`` and ``_CriterionEntry``: the route or result
-tag that the CLI picked, the witness (a
-:class:`~posfact.factorization.WitnessDecomposition`, or None) and a tuple
-of :class:`~posfact.factorization.Diagnostic`.  ``_emit_classify`` and
-``_emit_criterion`` write them with one writer for a witness,
-``_emit_witness`` (``k``, the ``{"orbit", "power"}`` corrections, the total
-and the corrected class through ``_emit_class``), and one for a diagnostic,
+The "ok" entries of the ``classify`` and ``criterion`` reports are one
+value, ``_OutcomeEntry``: the name and the outcome the library returned.
+``_emit_outcome`` reads the head fields, the witness and the diagnostics
+off the five outcome classes by exact class, and writes them with one
+writer for a witness, ``_emit_witness``
+(``k``, the ``{"orbit", "power"}`` corrections, the total and the corrected
+class through ``_emit_class``), and one for a diagnostic,
 ``_diagnostic_text`` (``code``, ``message`` and ``data`` as
 ``dict(diag.data)``, so a repeated key keeps its first place and its last
 value).  The ``validate`` and ``correcting-bound`` entries are dicts that
@@ -120,7 +119,17 @@ from math import prod
 from typing import Any, Optional, Union
 
 from .core import CurveOrbit, NTClass, OrbitKind, Surface, _curve_orbit, _nt_class, _Value
-from .factorization import Diagnostic, WitnessDecomposition
+from .factorization import (
+    CriterionRoute,
+    Diagnostic,
+    Inconclusive,
+    MainTheoremRoute,
+    NotApplicable,
+    PositivelyFactorizable,
+    Sufficient,
+    Unknown,
+    WitnessDecomposition,
+)
 
 __all__ = [
     "ParseError",
@@ -707,40 +716,19 @@ def _emit_essential(entry: _EssentialEntry, out: list[str], indent: str) -> None
     )
 
 
-class _ClassifyEntry:
-    """An "ok" entry of the ``classify`` report, held as the values it is written from.
+class _OutcomeEntry:
+    """An "ok" entry of the ``classify`` or ``criterion`` report: the outcome the library returned.
 
-    ``route`` is ``"main_theorem"``, ``"criterion"`` or None (unknown),
-    ``witness`` the criterion route's
-    :class:`~posfact.factorization.WitnessDecomposition` or None, and
-    ``diagnostics`` a tuple of :class:`~posfact.factorization.Diagnostic`.
-    :func:`_emit_classify` writes it.
+    ``outcome`` is what :func:`~posfact.factorization.classify` or
+    :func:`~posfact.factorization.criterion` gave for the class.
+    :func:`_emit_outcome` writes it.
     """
 
-    __slots__ = ("name", "route", "witness", "diagnostics")
+    __slots__ = ("name", "outcome")
 
-    def __init__(self, name, route, witness, diagnostics) -> None:
+    def __init__(self, name, outcome) -> None:
         self.name = name
-        self.route = route
-        self.witness = witness
-        self.diagnostics = diagnostics
-
-
-class _CriterionEntry:
-    """An "ok" entry of the ``criterion`` report, held as the values it is written from.
-
-    ``result`` is ``"sufficient"``, ``"inconclusive"`` or
-    ``"not_applicable"``; ``witness`` and ``diagnostics`` are as for
-    :class:`_ClassifyEntry`.  :func:`_emit_criterion` writes it.
-    """
-
-    __slots__ = ("name", "result", "witness", "diagnostics")
-
-    def __init__(self, name, result, witness, diagnostics) -> None:
-        self.name = name
-        self.result = result
-        self.witness = witness
-        self.diagnostics = diagnostics
+        self.outcome = outcome
 
 
 def _diagnostic_text(diag: Diagnostic, indent: str) -> str:
@@ -807,49 +795,48 @@ def _emit_witness(witness: WitnessDecomposition, out: list[str], indent: str) ->
     out.append(indent + "}")
 
 
-def _emit_outcome(name, head: str, witness, diagnostics, out: list[str], indent: str) -> None:
-    """Append a ``classify`` or ``criterion`` entry: its name, ``head`` (the
-    fields between ``status`` and ``witness``, each ending in a comma), its
-    witness and its diagnostics."""
+def _emit_outcome(entry: _OutcomeEntry, out: list[str], indent: str) -> None:
+    """Append the canonical text of a ``classify`` or ``criterion`` entry, read from its outcome.
+
+    A ``classify`` entry is the object ``{"name", "status": "ok",
+    "classification", "route", "witness", "diagnostics"}`` and a
+    ``criterion`` entry ``{"name", "status": "ok", "result", "witness",
+    "diagnostics"}``.  The head fields, the witness and the diagnostics are
+    read off the outcome by its exact class (and a
+    :class:`~posfact.factorization.PositivelyFactorizable` by its route's);
+    any other value raises TypeError.  A witness of None is ``null``.
+    """
     inner = indent + "  "
-    name_text = "null" if name is None else encode_basestring(name)
-    out.append(f'{{{inner}"name": {name_text},{inner}"status": "ok",{head}{inner}"witness": ')
+    outcome = entry.outcome
+    cls = outcome.__class__
+    witness = None
+    diagnostics = ()
+    if cls is Unknown:
+        head = f'"classification": "unknown",{inner}"route": null'
+        diagnostics = outcome.diagnostics
+    elif cls is PositivelyFactorizable and outcome.route.__class__ is MainTheoremRoute:
+        head = f'"classification": "positively_factorizable",{inner}"route": "main_theorem"'
+    elif cls is PositivelyFactorizable and outcome.route.__class__ is CriterionRoute:
+        head = f'"classification": "positively_factorizable",{inner}"route": "criterion"'
+        witness = outcome.route.witness
+    elif cls is Sufficient:
+        head = '"result": "sufficient"'
+        witness = outcome.witness
+    elif cls is Inconclusive:
+        head = '"result": "inconclusive"'
+        diagnostics = outcome.reasons
+    elif cls is NotApplicable:
+        head = '"result": "not_applicable"'
+        diagnostics = (outcome.reason,)
+    else:
+        raise TypeError(f"cannot serialize an outcome of type {cls.__name__}")
+    name = "null" if entry.name is None else encode_basestring(entry.name)
+    out.append(f'{{{inner}"name": {name},{inner}"status": "ok",{inner}{head},{inner}"witness": ')
     if witness is None:
         out.append("null")
     else:
         _emit_witness(witness, out, inner)
     out.append(f',{inner}"diagnostics": {_diagnostics_text(diagnostics, inner)}{indent}}}')
-
-
-def _emit_classify(entry: _ClassifyEntry, out: list[str], indent: str) -> None:
-    """Append the canonical text of a ``classify`` entry, read from its values.
-
-    The entry is the object ``{"name", "status": "ok", "classification",
-    "route", "witness", "diagnostics"}``; the classification is
-    ``"positively_factorizable"`` when there is a route and ``"unknown"``
-    otherwise, and a route or witness of None is ``null``.
-    """
-    inner = indent + "  "
-    route = entry.route
-    if route is None:
-        head = f'{inner}"classification": "unknown",{inner}"route": null,'
-    else:
-        head = (
-            f'{inner}"classification": "positively_factorizable",'
-            f'{inner}"route": {encode_basestring(route)},'
-        )
-    _emit_outcome(entry.name, head, entry.witness, entry.diagnostics, out, indent)
-
-
-def _emit_criterion(entry: _CriterionEntry, out: list[str], indent: str) -> None:
-    """Append the canonical text of a ``criterion`` entry, read from its values.
-
-    The entry is the object ``{"name", "status": "ok", "result", "witness",
-    "diagnostics"}``, a witness of None written as ``null``.
-    """
-    inner = indent + "  "
-    head = f'{inner}"result": {encode_basestring(entry.result)},'
-    _emit_outcome(entry.name, head, entry.witness, entry.diagnostics, out, indent)
 
 
 def _emit(value: Any, out: list[str], indent: str) -> None:
@@ -862,10 +849,10 @@ def _emit(value: Any, out: list[str], indent: str) -> None:
     with str keys, lists, str, int, bool, None,
     :class:`~posfact.core.NTClass` (written as :func:`class_to_json` of it,
     by :func:`_emit_class`), :class:`_IntBox`, the report entries
-    :class:`_InvariantsEntry`, :class:`_EssentialEntry`,
-    :class:`_ClassifyEntry` and :class:`_CriterionEntry` (by
-    :func:`_emit_invariants`, :func:`_emit_essential`, :func:`_emit_classify`
-    and :func:`_emit_criterion`), and :class:`~posfact.factorization.Diagnostic`
+    :class:`_InvariantsEntry`, :class:`_EssentialEntry` and
+    :class:`_OutcomeEntry` (by :func:`_emit_invariants`,
+    :func:`_emit_essential` and :func:`_emit_outcome`, which also rejects an
+    outcome of any other type), and :class:`~posfact.factorization.Diagnostic`
     (by :func:`_diagnostic_text`).  As for str keys, only the exact types are:
     a subclass of any of them is rejected.
     """
@@ -912,10 +899,8 @@ def _emit(value: Any, out: list[str], indent: str) -> None:
         _emit_invariants(value, out, indent)
     elif cls is _EssentialEntry:
         _emit_essential(value, out, indent)
-    elif cls is _ClassifyEntry:
-        _emit_classify(value, out, indent)
-    elif cls is _CriterionEntry:
-        _emit_criterion(value, out, indent)
+    elif cls is _OutcomeEntry:
+        _emit_outcome(value, out, indent)
     elif cls is Diagnostic:
         out.append(_diagnostic_text(value, indent))
     else:

@@ -361,16 +361,14 @@ class EssentialEntrySub(docio._EssentialEntry):
     __slots__ = ()
 
 
-class ClassifyEntrySub(docio._ClassifyEntry):
-    """A classify entry subclass: ``_emit`` writes only the exact type."""
+class OutcomeEntrySub(docio._OutcomeEntry):
+    """An outcome entry subclass: ``_emit`` writes only the exact type."""
 
     __slots__ = ()
 
 
-class CriterionEntrySub(docio._CriterionEntry):
-    """A criterion entry subclass: ``_emit`` writes only the exact type."""
-
-    __slots__ = ()
+class UnknownSub(Unknown):
+    """An Unknown subclass: ``_emit`` writes only the exact outcome types."""
 
 
 class DiagnosticSub(Diagnostic):
@@ -443,8 +441,12 @@ class TestCanonicalEmitter:
             {"a": SubClass(Surface(2, 1), (Fraction(3),))},
             {"entries": [InvariantsEntrySub("a", _SUB_PHI, period_data(_SUB_PHI), False, True)]},
             {"entries": [EssentialEntrySub(None, essential_part(_SUB_PHI), 3, True)]},
-            {"entries": [ClassifyEntrySub("a", None, None, ())]},
-            {"entries": [CriterionEntrySub("a", "not_applicable", None, ())]},
+            {"entries": [OutcomeEntrySub("a", Unknown(()))]},
+            {"entries": [OutcomeEntrySub("a", NotApplicable(Diagnostic("c", "m")))]},
+            {"entries": [docio._OutcomeEntry("a", None)]},
+            {"entries": [docio._OutcomeEntry("a", MainTheoremRoute())]},
+            {"entries": [docio._OutcomeEntry("a", UnknownSub(()))]},
+            {"entries": [docio._OutcomeEntry("a", PositivelyFactorizable(Unknown(())))]},
             {"entries": [{"warnings": [DiagnosticSub("c", "m")]}]},
             {"warnings": [Diagnostic("c", "m", (("k", 1),))]},
             {"warnings": [Diagnostic("c", "m", ((StrKey("k"), "v"),))]},
@@ -463,6 +465,10 @@ class TestCanonicalEmitter:
             "essential-entry-subclass",
             "classify-entry-subclass",
             "criterion-entry-subclass",
+            "outcome-none",
+            "outcome-route",
+            "outcome-subclass",
+            "outcome-route-not-a-route",
             "diagnostic-subclass",
             "diagnostic-int-data-value",
             "diagnostic-str-subclass-data-key",
@@ -877,7 +883,7 @@ class TestOutcomeWriters:
     def test_all_positive_class_has_no_corrections(self):
         phi = OUTCOME_CLASSES["main-theorem"][2]
         entry = cli._criterion_entry(None, None, phi)
-        assert entry.witness.corrections == ()
+        assert entry.outcome.witness.corrections == ()
         assert '"corrections": [],' in docio.serialize_report({"entries": [entry]}).decode()
 
     def test_unknown_without_diagnostics(self):

@@ -8,7 +8,9 @@ canonical JSON report that round-trips through :mod:`posfact.io`.
 version.  The integers in every operand (``--query``, ``--box``,
 ``--twist``, ``--check-uniqueness``, ``--genus``, ``--boundary``,
 ``--power``) follow the documents' grammar ``-?[0-9]+``; anything else, and
-an operand of exactly ``--``, is an input error.
+an operand of exactly ``--``, is an input error.  Every command writes its
+output as one byte string to ``sys.stdout.buffer``, text as UTF-8 whatever
+stdout's own encoding.
 
 The report commands (``validate``, ``invariants``, ``essential``,
 ``classify``, ``criterion``, ``poset``, ``correcting-bound``) share one
@@ -54,7 +56,10 @@ device, so the interpreter's own flush at exit finds nothing left to fail
 on.  Help and version text to such a reader (``posfact --help | true``) end
 the same way: argparse writes that text itself and ignores a failed write,
 so the parser here writes and flushes it at once and the failure reaches
-:func:`main`.
+:func:`main`.  Any other failure to write stdout (a full device, or no
+stdout at all, ``>&-``) ends the run with one ``error:`` line and exit
+status 1, and stdout is pointed at the null device in the same way; a
+closed stdin (``posfact classify - <&-``) is an input error.
 
 A call is parsed in one argparse pass.  When ``argv[0]`` is a command word,
 :func:`main` hands the rest of argv straight to that command's subparser,
@@ -77,6 +82,7 @@ functions never touch the collector.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import gc
 import os
@@ -120,14 +126,39 @@ __all__ = ["main"]
 
 
 def _load_document(path: str) -> docio.Document:
-    if path == "-":
-        return docio.parse(sys.stdin.buffer.read())
     try:
-        with open(path, "rb") as handle:
-            data = handle.read()
+        if path == "-":
+            if sys.stdin is None:  # no stdin at start-up (``<&-``)
+                raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+            data = sys.stdin.buffer.read()
+        else:
+            with open(path, "rb") as handle:
+                data = handle.read()
     except OSError as exc:
-        raise docio.ParseError(f"cannot read {path}: {exc.strerror}") from None
+        source = "stdin" if path == "-" else path
+        raise docio.ParseError(f"cannot read {source}: {exc.strerror or exc}") from None
     return docio.parse(data)
+
+
+def _write_stdout(data: bytes) -> None:
+    """Write all of ``data`` to stdout's byte stream.
+
+    With no stdout at all (``>&-``) it fails as a closed descriptor does.
+    Unbuffered (``PYTHONUNBUFFERED``), the stream is the raw file, one write
+    of which may take only part of ``data``: the rest is written again, so a
+    reader gone early shows as a broken pipe.
+    """
+    if sys.stdout is None:
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+    stream = sys.stdout.buffer
+    view = memoryview(data)
+    while view:
+        view = view[stream.write(view):]
+
+
+def _text_bytes(lines: list[str]) -> bytes:
+    """Text output: each line and a newline, in UTF-8 whatever stdout's own encoding."""
+    return "".join([line + "\n" for line in lines]).encode("utf-8")
 
 
 def _witness_text(witness: WitnessDecomposition) -> str:
@@ -258,6 +289,7 @@ def _run_report(args, kind: str, build, render, prepare=None) -> int:
                     lines += render(_entry_prefix(name), phi, entries[i])
                 except ValueError as exc:
                     entries[i] = _error_entry(name, exc)
+        data = _text_bytes(lines)
     else:
         report = {"version": "1", "report": kind, "entries": entries}
         try:
@@ -272,11 +304,7 @@ def _run_report(args, kind: str, build, render, prepare=None) -> int:
     failed = [entry for entry in entries if entry.__class__ is dict and entry["status"] == "error"]
     for entry in failed:
         print(f"error: {_entry_prefix(entry['name'])}{entry['error']['message']}", file=sys.stderr)
-    if args.format == "text":
-        for line in lines:
-            print(line)
-    else:
-        sys.stdout.buffer.write(data)
+    _write_stdout(data)
     return 1 if failed else 0
 
 
@@ -482,11 +510,7 @@ def _cmd_compose(args) -> int:
             for orbit in result.orbits
         ]
         out_doc = docio.Document("1", result)
-    if args.format == "structured":
-        sys.stdout.buffer.write(docio.serialize(out_doc))
-    else:
-        for line in lines:
-            print(line)
+    _write_stdout(docio.serialize(out_doc) if args.format == "structured" else _text_bytes(lines))
     return 1 if failed else 0
 
 
@@ -506,10 +530,9 @@ def _cmd_ltable(args) -> int:
         "power": power,
         "result": {"tag": value.tag.value, "value": value.value},
     }
-    if args.format == "structured":
-        sys.stdout.buffer.write(docio.serialize_report(report))
-    else:
-        print(value)
+    _write_stdout(
+        docio.serialize_report(report) if args.format == "structured" else _text_bytes([str(value)])
+    )
     return 0
 
 
@@ -675,9 +698,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         try:
             args = _parse_args(argv)  # help and version text is flushed as it is written
             code = args.handler(args)
-            sys.stdout.flush()  # a reader gone early fails here, not at interpreter exit
+            if sys.stdout is not None:
+                sys.stdout.flush()  # a reader gone early fails here, not at interpreter exit
             return code
         except BrokenPipeError:
+            _discard_stdout()
+            return 1
+        except OSError as exc:
+            # Any other failed write to stdout (a full device, no stdout at all);
+            # reading the input turns its own failures into ParseErrors.
+            print(f"error: cannot write to stdout: {exc.strerror or exc}", file=sys.stderr)
             _discard_stdout()
             return 1
         except docio.ParseError as exc:

@@ -124,10 +124,8 @@ class Diagnostic(_Value):
         fields["data"] = data
 
     def get(self, key: str) -> Optional[str]:
-        for k, v in self.data:
-            if k == key:
-                return v
-        return None
+        """The value of ``key`` in ``data``, or None; a repeated key's last value, as reports show."""
+        return dict(self.data).get(key)
 
 
 def _check_table_args(genus: int, boundary_count: int) -> None:

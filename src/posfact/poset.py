@@ -138,11 +138,16 @@ def enumerate_box(
         )
     if any(a > b for a, b in zip(lo, hi)):
         raise DomainError(f"empty box: lo={lo} exceeds hi={hi} in some coordinate")
+    # The volume is multiplied out only until it passes the cap, and the
+    # message names the cap alone: the full volume of a box with long bounds
+    # may have more digits than an int can be printed with.
     volume = 1
     for a, b in zip(lo, hi):
+        if volume > max_points:
+            break
         volume *= b - a + 1
     if volume > max_points:
-        raise BoxTooLargeError(f"box holds {volume} points, cap is {max_points}")
+        raise BoxTooLargeError(f"box holds at least {max_points + 1} points, cap is {max_points}")
     if r == 0:
         return ()
     corner = known_region(phi).corner

@@ -315,6 +315,25 @@ class TestPosetBox:
         assert kinds == {"empty-region", "above-hi", "below-lo", 1, 2, 3}
 
 
+    @pytest.mark.parametrize("fmt", ["text", "structured"])
+    def test_over_the_cap_with_the_longest_bounds(self, tmp_path, capsys, fmt):
+        # Bounds of as many digits as an int can be printed with, in two
+        # coordinates: the volume has twice that, and the run reports the cap.
+        bound = "1" + "0" * (sys.get_int_max_str_digits() - 1)
+        path = tmp_path / "one.json"
+        phi = NTClass(Surface(1, 2), (Fraction(1), Fraction(2)), ())
+        path.write_text(json.dumps({"version": "1", **docio.class_to_json(phi)}))
+        assert main(["poset", str(path), f"--box=-{bound}..{bound}", "--format", fmt]) == 1
+        out, err = capsys.readouterr()
+        message = "box holds at least 1000001 points, cap is 1000000"
+        assert err == f"error: {message}\n"
+        if fmt == "structured":
+            [entry] = docio.parse_report(out)["entries"]
+            assert entry["error"] == {"code": "domain-error", "message": message}
+        else:
+            assert out == ""
+
+
 class TestOperandGrammar:
     """--query, --box and --twist hold integers to the documents' grammar -?[0-9]+."""
 
@@ -1353,6 +1372,22 @@ class TestBrokenPipe:
             assert child.wait(timeout=60) == 1
         assert err == b""
 
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_reader_gone_mid_structured_report(self, tmp_path, unbuffered):
+        # The report is one write of ~1 MB. Unbuffered, the raw file takes only
+        # what the pipe holds until the reader goes; the rest must still be written.
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(_main_theorem_batch(5000, name_width=100)))
+        with subprocess.Popen(
+            [sys.executable, "-m", "posfact.cli", "classify", str(path), "--format", "structured"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=self._env(unbuffered),
+        ) as child:
+            assert child.stdout.read(10) == b'{\n  "versi'
+            child.stdout.close()
+            err = child.stderr.read()
+            assert child.wait(timeout=60) == 1
+        assert err == b""
+
     @pytest.mark.parametrize("argv", HELP_AND_VERSION, ids=" ".join)
     def test_help_and_version_on_a_healthy_stdout(self, capsys, monkeypatch, argv):
         monkeypatch.setenv("COLUMNS", "80")
@@ -1411,3 +1446,114 @@ class TestBrokenPipe:
         finally:
             os.close(write_end)
         assert (done.returncode, done.stderr) == (1, b"")
+
+
+class _FullDevice(stdio.RawIOBase):
+    """A stream on a full device: every write fails with ENOSPC."""
+
+    def writable(self) -> bool:
+        return True
+
+    def write(self, data) -> int:
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def _run_cli(shell_redirect: str, *args: str, **kwargs) -> subprocess.CompletedProcess:
+    """``python -m posfact.cli ARGS`` in a child, through ``sh`` for the given redirection."""
+    return subprocess.run(
+        ["sh", "-c", f'exec "$0" "$@" {shell_redirect}', sys.executable, "-m", "posfact.cli", *args],
+        stdout=kwargs.pop("stdout", subprocess.PIPE), stderr=subprocess.PIPE,
+        env=TestBrokenPipe._env(False), timeout=60, **kwargs,
+    )
+
+
+FULL_DEVICE_ARGVS = [
+    ["classify", "DOC", "--format", "text"],
+    ["classify", "DOC", "--format", "structured"],
+    ["compose", "DOC", "--format", "text"],
+    ["ltable", "--genus", "1", "--boundary", "2"],
+    ["ltable", "--genus", "1", "--boundary", "2", "--format", "structured"],
+]
+
+
+class TestStreamFailures:
+    """Stdout that cannot be written (a full device, or none at all) ends the run with one
+    ``error:`` line and exit status 1; a closed stdin is an input error.  A broken pipe stays
+    quiet: see :class:`TestBrokenPipe`."""
+
+    @pytest.mark.parametrize("fmt", ["text", "structured"])
+    @pytest.mark.parametrize("size", [1, 500], ids=["buffered", "mid-run"])
+    def test_full_device_in_process(self, tmp_path, capsys, monkeypatch, fmt, size):
+        path = tmp_path / "batch.json"
+        path.write_text(json.dumps(_main_theorem_batch(size)))
+        stdout = stdio.TextIOWrapper(stdio.BufferedWriter(_FullDevice()), encoding="utf-8")
+        with monkeypatch.context() as patch:
+            patch.setattr(sys, "stdout", stdout)
+            code = main(["classify", str(path), "--format", fmt])
+        assert code == 1
+        assert capsys.readouterr() == ("", "error: cannot write to stdout: No space left on device\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("argv", FULL_DEVICE_ARGVS, ids=" ".join)
+    def test_full_device(self, single_path, argv):
+        argv = [single_path if arg == "DOC" else arg for arg in argv]
+        with open("/dev/full", "wb") as full:
+            done = _run_cli("", *argv, stdout=full)
+        # One line, and no "Exception ignored" from the interpreter's flush at exit.
+        assert (done.returncode, done.stderr) == (
+            1, b"error: cannot write to stdout: No space left on device\n"
+        )
+
+    @pytest.mark.parametrize("fmt", ["text", "structured"])
+    def test_closed_stdout(self, single_path, fmt):
+        done = _run_cli(">&-", "classify", single_path, "--format", fmt)
+        assert (done.returncode, done.stderr) == (1, b"error: cannot write to stdout: Bad file descriptor\n")
+
+    def test_no_stdout_in_process(self, single_path, capsys, monkeypatch):
+        with monkeypatch.context() as patch:
+            patch.setattr(sys, "stdout", None)
+            code = main(["ltable", "--genus", "1", "--boundary", "2"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: cannot write to stdout: Bad file descriptor\n"
+
+    def test_closed_stdin(self):
+        done = _run_cli("<&-", "classify", "-")
+        assert (done.returncode, done.stdout, done.stderr) == (
+            2, b"", b"error: cannot read stdin: Bad file descriptor\n"
+        )
+
+    def test_no_stdin_in_process(self, capsys, monkeypatch):
+        with monkeypatch.context() as patch:
+            patch.setattr(sys, "stdin", None)
+            code = main(["classify", "-"])
+        assert code == 2
+        assert capsys.readouterr() == ("", "error: cannot read stdin: Bad file descriptor\n")
+
+
+NON_UTF8_STDOUT = {
+    "ascii": {"PYTHONIOENCODING": "ascii"},
+    "c-locale": {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"},
+}
+
+
+class TestTextEncoding:
+    """Text output is UTF-8, whatever stdout's own encoding."""
+
+    @pytest.mark.parametrize("locale", sorted(NON_UTF8_STDOUT))
+    @pytest.mark.parametrize("command", [["classify"], ["poset", "--generators"], ["compose"]], ids=" ".join)
+    def test_non_utf8_stdout(self, tmp_path, capsys, locale, command):
+        batch = {"version": "1", "batch": [{"name": "名\U0001f600", "class": BATCH["batch"][0]["class"]}]}
+        path = tmp_path / "batch.json"
+        path.write_text(json.dumps(batch))
+        assert main([command[0], str(path), *command[1:]]) == 0
+        expected = capsys.readouterr().out.encode("utf-8")
+        env = dict(TestBrokenPipe._env(False), **NON_UTF8_STDOUT[locale])
+        for name in ("PYTHONIOENCODING", "PYTHONUTF8", "LC_ALL", "LANG"):
+            if name not in NON_UTF8_STDOUT[locale]:
+                env.pop(name, None)
+        done = subprocess.run(
+            [sys.executable, "-m", "posfact.cli", command[0], str(path), *command[1:]],
+            capture_output=True, env=env, timeout=60,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (0, expected, b"")
+        assert "名\U0001f600: ".encode("utf-8") in expected

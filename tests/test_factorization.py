@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -36,6 +37,7 @@ from posfact import (
     l_multitwist,
     l_multitwist_power,
 )
+from posfact import io as docio
 from conftest import rand_applicable_ntclass, rand_poset_ntclass
 
 
@@ -46,6 +48,14 @@ def orbit(screw, kind=OrbitKind.REGULAR, separating=False, oid="O1", length=1):
 def nt(genus, fr, orbits=()):
     fr = tuple(Fraction(x) for x in fr)
     return NTClass(Surface(genus, len(fr)), fr, tuple(orbits))
+
+
+class TestDiagnostic:
+    def test_get_reads_the_value_a_report_shows(self):
+        diag = Diagnostic("c", "m", (("a", "1"), ("b", "2"), ("a", "3")))
+        shown = json.loads(docio.serialize_report({"diagnostic": diag}))["diagnostic"]["data"]
+        assert shown == {"a": "3", "b": "2"}
+        assert [diag.get(key) for key in ("a", "b", "c")] == ["3", "2", None]
 
 
 class TestLTable:

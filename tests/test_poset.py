@@ -144,6 +144,13 @@ class TestEnumerateBox:
         with pytest.raises(BoxTooLargeError):
             enumerate_box(phi, (-2, -2), (2, 2), max_points=20)
 
+    def test_cap_message_names_only_the_cap(self):
+        # The volume of this box has ~10,000 digits, more than an int can be printed with.
+        phi = nt(2, [0, 0])
+        with pytest.raises(BoxTooLargeError) as exc:
+            enumerate_box(phi, (-(10**5000),) * 2, (10**5000,) * 2, max_points=20)
+        assert str(exc.value) == "box holds at least 21 points, cap is 20"
+
     def test_invalid_bounds(self):
         phi = nt(2, [0])
         with pytest.raises(DomainError):

@@ -698,8 +698,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         try:
             args = _parse_args(argv)  # help and version text is flushed as it is written
             code = args.handler(args)
-            if sys.stdout is not None:
-                sys.stdout.flush()  # a reader gone early fails here, not at interpreter exit
+            sys.stdout.flush()  # a reader gone early fails here, not at interpreter exit
             return code
         except BrokenPipeError:
             _discard_stdout()

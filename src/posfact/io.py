@@ -68,12 +68,11 @@ The "ok" entries of the ``classify`` and ``criterion`` reports are one
 value, ``_OutcomeEntry``: the name and the outcome the library returned.
 ``_emit_outcome`` reads the head fields, the witness and the diagnostics
 off the five outcome classes by exact class, and writes them with one
-writer for a witness, ``_emit_witness``
-(``k``, the ``{"orbit", "power"}`` corrections, the total and the corrected
-class through ``_emit_class``), and one for a diagnostic,
-``_diagnostic_text`` (``code``, ``message`` and ``data`` as
-``dict(diag.data)``, so a repeated key keeps its first place and its last
-value).  The ``validate`` and ``correcting-bound`` entries are dicts that
+writer for a witness, ``_emit_witness`` (``k``, the ``{"orbit", "power"}``
+corrections, the total and the corrected class through ``_emit_class``),
+and one for a diagnostic, ``_diagnostic_text`` (``code``, ``message`` and
+``data`` as ``dict(diag.data)``, so a repeated key keeps its first place and
+its last value).  The ``validate`` and ``correcting-bound`` entries are dicts that
 hold their ``Diagnostic`` values, which ``_emit`` writes by the same
 writer.  The oracle of all of them is ``json.dumps`` of the entry's dict
 form, with the witness and each diagnostic as the objects just named.

@@ -1458,12 +1458,11 @@ class _FullDevice(stdio.RawIOBase):
         raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
 
-def _run_cli(shell_redirect: str, *args: str, **kwargs) -> subprocess.CompletedProcess:
+def _run_cli(shell_redirect: str, *args: str, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
     """``python -m posfact.cli ARGS`` in a child, through ``sh`` for the given redirection."""
     return subprocess.run(
         ["sh", "-c", f'exec "$0" "$@" {shell_redirect}', sys.executable, "-m", "posfact.cli", *args],
-        stdout=kwargs.pop("stdout", subprocess.PIPE), stderr=subprocess.PIPE,
-        env=TestBrokenPipe._env(False), timeout=60, **kwargs,
+        stdout=stdout, stderr=subprocess.PIPE, env=TestBrokenPipe._env(False), timeout=60,
     )
 
 
@@ -1509,7 +1508,7 @@ class TestStreamFailures:
         done = _run_cli(">&-", "classify", single_path, "--format", fmt)
         assert (done.returncode, done.stderr) == (1, b"error: cannot write to stdout: Bad file descriptor\n")
 
-    def test_no_stdout_in_process(self, single_path, capsys, monkeypatch):
+    def test_no_stdout_in_process(self, capsys, monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(sys, "stdout", None)
             code = main(["ltable", "--genus", "1", "--boundary", "2"])
@@ -1547,10 +1546,10 @@ class TestTextEncoding:
         path.write_text(json.dumps(batch))
         assert main([command[0], str(path), *command[1:]]) == 0
         expected = capsys.readouterr().out.encode("utf-8")
-        env = dict(TestBrokenPipe._env(False), **NON_UTF8_STDOUT[locale])
+        env = TestBrokenPipe._env(False)
         for name in ("PYTHONIOENCODING", "PYTHONUTF8", "LC_ALL", "LANG"):
-            if name not in NON_UTF8_STDOUT[locale]:
-                env.pop(name, None)
+            env.pop(name, None)
+        env.update(NON_UTF8_STDOUT[locale])
         done = subprocess.run(
             [sys.executable, "-m", "posfact.cli", command[0], str(path), *command[1:]],
             capture_output=True, env=env, timeout=60,

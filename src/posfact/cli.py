@@ -14,13 +14,13 @@ stdout's own encoding.
 
 The report commands (``validate``, ``invariants``, ``essential``,
 ``classify``, ``criterion``, ``poset``, ``correcting-bound``) share one
-batch driver, :func:`_run_report`, which builds every entry and then writes
-the report.  Each command is an entry function, which gives the "ok" entry
-of one class, and a text renderer, which turns that entry into lines and
-runs only under ``--format text``.  The entries of ``invariants``,
-``essential``, ``classify`` and ``criterion`` are values, not dicts: the
-class with its period data and its two predicates; the essential part with
-the window and the uniqueness answer; or the outcome itself, as
+batch driver, :func:`_run_report`, which builds each entry (and renders it,
+under ``--format text``) in one loop and then writes the report.  Each
+command is an entry function, which gives the "ok" entry of one class, and a
+text renderer, which turns that entry into lines.  The entries of
+``invariants``, ``essential``, ``classify`` and ``criterion`` are values, not
+dicts: the class with its period data and its two predicates; the essential
+part with the window and the uniqueness answer; or the outcome itself, as
 :func:`~posfact.factorization.classify` or
 :func:`~posfact.factorization.criterion` returned it.  The classes
 they hold (the essential class, a witness's corrected class) are
@@ -38,28 +38,31 @@ no point is copied into a list.  ``--generators`` lists the known region's
 corner, or nothing for an empty region.
 
 Exit status: 0 on success (NotApplicable and Unknown outcomes are
-successful runs), 1 on domain errors, 2 on input/schema errors.  Batch
-entries are processed independently.  In a report command an entry fails
-alone, on a domain error or on a computed integer with more digits than the
-interpreter's int-to-str limit, which cannot be printed: it becomes an
-error entry (``"status": "error"``, code ``domain-error`` or
-``value-too-long``) and one ``error: <name>: <message>`` line on stderr,
-the same in both formats; the other entries are reported as usual, and the
-process exits 1.  ``compose`` writes a class document, which has no error
-entries, so it leaves a failed entry out of its output, reports it on
-stderr and exits 1.  In ``compose`` and ``ltable`` a value too long to print
-ends the run with one error line.  A reader of a command's output that goes
-before its end (``posfact classify BIG | head -1``) ends the run with exit
-status 1 and nothing more on stderr: :func:`main` flushes stdout before it
-returns, so a broken pipe shows there, and then points stdout at the null
-device, so the interpreter's own flush at exit finds nothing left to fail
-on.  Help and version text to such a reader (``posfact --help | true``) end
-the same way: argparse writes that text itself and ignores a failed write,
-so the parser here writes and flushes it at once and the failure reaches
-:func:`main`.  Any other failure to write stdout (a full device, or no
-stdout at all, ``>&-``) ends the run with one ``error:`` line and exit
-status 1, and stdout is pointed at the null device in the same way; a
-closed stdin (``posfact classify - <&-``) is an input error.
+successful runs), 1 on domain errors, 2 on input/schema errors.  One map,
+:func:`_failure`, gives the error of a failure: a domain error, or a computed
+integer with more digits than the interpreter's int-to-str limit, which
+cannot be printed (code ``domain-error`` or ``value-too-long``); any other
+exception is raised again.  In a report command an entry fails alone: it
+becomes an error entry (``"status": "error"``) and one ``error: <name>:
+<message>`` line on stderr, the same in both formats; the other entries are
+reported as usual, and the process exits 1.  ``compose`` writes a class
+document, which has no error entries, so it leaves a failed entry out of its
+output, reports it on stderr and exits 1.  In ``compose`` and ``ltable`` a
+value too long to print ends the run with one error line.
+
+Every stderr line goes through :func:`_write_stderr`, in UTF-8 as stdout is.
+A stderr that is missing or cannot be written (``2>&-``, ``2>/dev/full``)
+is passed over: it changes no exit status and loses no stdout.  A reader of
+a command's output that goes before its end (``posfact classify BIG | head
+-1``) ends the run with exit status 1 and nothing more on stderr:
+:func:`main` flushes stdout before it returns, so a broken pipe shows there,
+and then points stdout at the null device, so the interpreter's own flush at
+exit finds nothing left to fail on.  Any other failure to write stdout (a
+full device, or no stdout at all, ``>&-``) ends the run with one ``error:``
+line and exit status 1, and stdout is pointed at the null device in the
+same way.  Help and version text follow both rules: see
+:class:`_ArgumentParser`.  A closed stdin (``posfact classify - <&-``) is an
+input error.
 
 A call is parsed in one argparse pass.  When ``argv[0]`` is a command word,
 :func:`main` hands the rest of argv straight to that command's subparser,
@@ -156,6 +159,27 @@ def _write_stdout(data: bytes) -> None:
         view = view[stream.write(view):]
 
 
+def _write_stderr(lines: list[str]) -> None:
+    """Write each line and a newline to stderr, as UTF-8 bytes when it has a byte stream.
+
+    A stderr that is missing (``2>&-``) or cannot be written (``2>/dev/full``)
+    is passed over: it changes no exit status and loses no other output.
+    What a failed write leaves in the stream is sent to the null device, so
+    the interpreter's flush at exit does not fail on it again.
+    """
+    stderr = sys.stderr
+    data = _text_bytes(lines)
+    try:
+        if hasattr(stderr, "buffer"):
+            stderr.flush()  # what the text layer holds goes first
+            stderr.buffer.write(data)
+            stderr.buffer.flush()
+        elif stderr is not None:
+            stderr.write(data.decode("utf-8"))
+    except OSError:
+        _discard(stderr)
+
+
 def _text_bytes(lines: list[str]) -> bytes:
     """Text output: each line and a newline, in UTF-8 whatever stdout's own encoding."""
     return "".join([line + "\n" for line in lines]).encode("utf-8")
@@ -247,19 +271,22 @@ def _parse_box(text: str) -> tuple[int, int]:
 # --- report commands -------------------------------------------------------
 
 
-def _error_entry(name: Optional[str], exc: Exception) -> dict:
-    """The error entry for a DomainError or a digit-limit ValueError; others are raised again."""
+def _failure(exc: Exception) -> tuple[str, str]:
+    """The code and message of a DomainError or a digit-limit ValueError; others are raised again."""
     if isinstance(exc, DomainError):
-        error = {"code": "domain-error", "message": str(exc)}
-    elif isinstance(exc, ValueError) and docio._exceeds_digit_limit(exc):
-        error = {"code": "value-too-long", "message": f"computed {docio._digit_limit_message()}"}
-    else:
-        raise exc
-    return {"name": name, "status": "error", "error": error}
+        return "domain-error", str(exc)
+    if isinstance(exc, ValueError) and docio._exceeds_digit_limit(exc):
+        return "value-too-long", f"computed {docio._digit_limit_message()}"
+    raise exc
+
+
+def _error_entry(name: Optional[str], exc: Exception) -> dict:
+    code, message = _failure(exc)
+    return {"name": name, "status": "error", "error": {"code": code, "message": message}}
 
 
 def _run_report(args, kind: str, build, render, prepare=None) -> int:
-    """Load the document, build every entry, then write the report: two passes.
+    """Load the document, build and render each entry in one loop, then write the report.
 
     ``build(args, name, phi)`` gives the entry of one class and
     ``render(prefix, phi, entry)`` its lines, only under ``--format text``.
@@ -276,19 +303,16 @@ def _run_report(args, kind: str, build, render, prepare=None) -> int:
         prepare(args)
     items = doc.entries()
     entries = []
+    lines: list[str] = []
     for name, phi in items:
         try:
-            entries.append(build(args, name, phi))
+            entry = build(args, name, phi)
+            if args.format == "text":
+                lines += render(_entry_prefix(name), phi, entry)
         except (DomainError, ValueError) as exc:
-            entries.append(_error_entry(name, exc))
+            entry = _error_entry(name, exc)
+        entries.append(entry)
     if args.format == "text":
-        lines: list[str] = []
-        for i, (name, phi) in enumerate(items):
-            if not (entries[i].__class__ is dict and entries[i]["status"] == "error"):
-                try:
-                    lines += render(_entry_prefix(name), phi, entries[i])
-                except ValueError as exc:
-                    entries[i] = _error_entry(name, exc)
         data = _text_bytes(lines)
     else:
         report = {"version": "1", "report": kind, "entries": entries}
@@ -302,8 +326,8 @@ def _run_report(args, kind: str, build, render, prepare=None) -> int:
                     entries[i] = _error_entry(items[i][0], exc)
             data = docio.serialize_report(report)
     failed = [entry for entry in entries if entry.__class__ is dict and entry["status"] == "error"]
-    for entry in failed:
-        print(f"error: {_entry_prefix(entry['name'])}{entry['error']['message']}", file=sys.stderr)
+    if failed:
+        _write_stderr([f"error: {_entry_prefix(e['name'])}{e['error']['message']}" for e in failed])
     _write_stdout(data)
     return 1 if failed else 0
 
@@ -497,7 +521,7 @@ def _cmd_compose(args) -> int:
                 result = compose_twists(entry.nt_class, moves)
             except DomainError as exc:
                 failed = True
-                print(f"error: {entry.name}: {exc}", file=sys.stderr)
+                _write_stderr([f"error: {entry.name}: {exc}"])
                 continue
             composed_entries.append(docio.NamedClass(entry.name, result))
             lines.append(f"{entry.name}: fr " + ", ".join(docio.format_rational(x) for x in result.fr))
@@ -567,20 +591,24 @@ def _report_parser(sub, name: str, help_text: str, build, render, prepare=None):
 class _ArgumentParser(argparse.ArgumentParser):
     """argparse's parser, with its help and version text for stdout written and flushed at once.
 
-    argparse ignores an ``OSError`` from writing its own messages.  Help or
-    version text for a reader already gone would then be lost without a sign
+    argparse ignores an ``OSError`` from writing its own messages, and with no
+    stdout (``>&-``) writes help and version text to stderr.  Help or version
+    text for a reader already gone would then be lost without a sign
     (unbuffered stdout), or fail at the interpreter's flush at exit with an
-    "Exception ignored" line and exit status 120 (buffered).  Flushed here,
-    the ``BrokenPipeError`` reaches :func:`main` instead.  Messages for
-    stderr, the usage errors, stay argparse's own.
+    "Exception ignored" line and exit status 120 (buffered).  Here the write's
+    failure reaches :func:`main`.  Usage errors go through :func:`_write_stderr`.
     """
 
     def _print_message(self, message, file=None):
-        if file is None or file is not sys.stdout:
-            super()._print_message(message, file)
-        elif message:
+        if file is None:  # help or version text with no stdout; usage errors go by error()
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+        if message:
             file.write(message)
             file.flush()
+
+    def error(self, message):
+        _write_stderr([f"{self.format_usage()}{self.prog}: error: {message}"])
+        self.exit(2)
 
 
 @functools.cache
@@ -676,14 +704,14 @@ def _parse_args(argv: Optional[Sequence[str]]) -> argparse.Namespace:
     return args
 
 
-def _discard_stdout() -> None:
-    """Point stdout's file descriptor, if it has one, at the null device.
+def _discard(stream) -> None:
+    """Point ``stream``'s file descriptor, if it has one, at the null device.
 
-    The interpreter flushes stdout at exit; what it still holds then goes
-    nowhere instead of failing again with an "Exception ignored" line.
+    The interpreter flushes stdout and stderr at exit; what the stream still
+    holds then goes nowhere instead of failing again (exit status 120).
     """
     try:
-        fd = sys.stdout.fileno()
+        fd = stream.fileno()
     except (AttributeError, OSError):  # io.UnsupportedOperation is an OSError
         return
     devnull = os.open(os.devnull, os.O_WRONLY)
@@ -695,33 +723,25 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     collecting = gc.isenabled()
     gc.disable()  # for this call only: see the module docstring
     try:
-        try:
-            args = _parse_args(argv)  # help and version text is flushed as it is written
-            code = args.handler(args)
-            sys.stdout.flush()  # a reader gone early fails here, not at interpreter exit
-            return code
-        except BrokenPipeError:
-            _discard_stdout()
-            return 1
-        except OSError as exc:
-            # Any other failed write to stdout (a full device, no stdout at all);
-            # reading the input turns its own failures into ParseErrors.
-            print(f"error: cannot write to stdout: {exc.strerror or exc}", file=sys.stderr)
-            _discard_stdout()
-            return 1
-        except docio.ParseError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        except DomainError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        except ValueError as exc:
-            # A computed value too long to print, in compose or ltable; the
-            # report commands fail the entry that holds one instead.
-            if not docio._exceeds_digit_limit(exc):
-                raise
-            print(f"error: computed {docio._digit_limit_message()}", file=sys.stderr)
-            return 1
+        args = _parse_args(argv)  # help and version text is flushed as it is written
+        code = args.handler(args)
+        sys.stdout.flush()  # a reader gone early fails here, not at interpreter exit
+        return code
+    except OSError as exc:
+        # A failed write to stdout: a broken pipe is quiet, a full device or no
+        # stdout is not. Reading the input turns its own failures into ParseErrors.
+        if not isinstance(exc, BrokenPipeError):
+            _write_stderr([f"error: cannot write to stdout: {exc.strerror or exc}"])
+        _discard(sys.stdout)
+        return 1
+    except docio.ParseError as exc:
+        _write_stderr([f"error: {exc}"])
+        return 2
+    except (DomainError, ValueError) as exc:
+        # A domain error, or a computed value too long to print, in compose
+        # or ltable; the report commands fail the entry that holds one instead.
+        _write_stderr([f"error: {_failure(exc)[1]}"])
+        return 1
     finally:
         if collecting:
             gc.enable()

@@ -1042,6 +1042,17 @@ class TestPerEntryErrors:
         }
         assert [new[0], new[2]] == [old[0], old[2]]
 
+    @pytest.mark.parametrize("command, function", [("classify", "classify"), ("compose", "compose_twists")])
+    @pytest.mark.parametrize("fmt", ["text", "structured"])
+    def test_other_value_error_is_raised(self, batch_path, monkeypatch, command, function, fmt):
+        # Only a domain error or the digit limit becomes an error entry or line.
+        def raising(*args):
+            raise ValueError("not the digit limit")
+
+        monkeypatch.setattr(posfact.cli, function, raising)
+        with pytest.raises(ValueError, match="not the digit limit"):
+            main([command, batch_path, "--format", fmt])
+
 
 class TestCollectorPause:
     """main pauses the cyclic garbage collector for one call and leaves its state as it found it."""
@@ -1475,10 +1486,22 @@ FULL_DEVICE_ARGVS = [
 ]
 
 
+CLOSED_BATCH = {
+    "version": "1",
+    "batch": [
+        BATCH["batch"][0],
+        {"name": "closed", "class": {"surface": {"genus": 2, "boundary": 0}, "fr": [], "orbits": []}},
+    ],
+}
+
+STDERR_FAILURES = pytest.mark.parametrize("redirect", ["2>/dev/full", "2>&-"], ids=["full", "closed"])
+
+
 class TestStreamFailures:
     """Stdout that cannot be written (a full device, or none at all) ends the run with one
     ``error:`` line and exit status 1; a closed stdin is an input error.  A broken pipe stays
-    quiet: see :class:`TestBrokenPipe`."""
+    quiet: see :class:`TestBrokenPipe`.  A stderr that cannot be written changes neither the
+    exit status nor stdout."""
 
     @pytest.mark.parametrize("fmt", ["text", "structured"])
     @pytest.mark.parametrize("size", [1, 500], ids=["buffered", "mid-run"])
@@ -1514,6 +1537,64 @@ class TestStreamFailures:
             code = main(["ltable", "--genus", "1", "--boundary", "2"])
         assert code == 1
         assert capsys.readouterr().err == "error: cannot write to stdout: Bad file descriptor\n"
+
+    @pytest.mark.parametrize("argv", HELP_AND_VERSION, ids=" ".join)
+    def test_help_and_version_with_closed_stdout(self, argv):
+        done = _run_cli(">&-", *argv)
+        assert (done.returncode, done.stderr) == (1, b"error: cannot write to stdout: Bad file descriptor\n")
+
+    @pytest.mark.parametrize("argv", HELP_AND_VERSION, ids=" ".join)
+    def test_help_and_version_with_no_stdout_in_process(self, capsys, monkeypatch, argv):
+        with monkeypatch.context() as patch:
+            patch.setattr(sys, "stdout", None)
+            code = main(argv)
+        assert code == 1
+        assert capsys.readouterr() == ("", "error: cannot write to stdout: Bad file descriptor\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @STDERR_FAILURES
+    def test_stderr_fails_on_an_input_error(self, tmp_path, redirect):
+        path = tmp_path / "bad.json"
+        path.write_text('{"version": "1", "surface": 3')
+        done = _run_cli(redirect, "classify", str(path))
+        assert (done.returncode, done.stdout, done.stderr) == (2, b"", b"")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @STDERR_FAILURES
+    @pytest.mark.parametrize("fmt", ["text", "structured"])
+    def test_stderr_fails_on_a_failed_entry(self, tmp_path, capsys, redirect, fmt):
+        path = tmp_path / "batch.json"
+        path.write_text(json.dumps(CLOSED_BATCH))
+        argv = ["poset", str(path), "--generators", "--format", fmt]
+        assert main(argv) == 1
+        expected = capsys.readouterr().out.encode("utf-8")
+        done = _run_cli(redirect, *argv)
+        assert (done.returncode, done.stdout, done.stderr) == (1, expected, b"")
+        assert b"generators" in expected
+
+    @pytest.mark.parametrize("kind", ["none", "full-device", "text-only"])
+    def test_stderr_in_process(self, tmp_path, capsys, monkeypatch, kind):
+        stderr = {
+            "none": lambda: None,
+            "full-device": lambda: stdio.TextIOWrapper(
+                stdio.BufferedWriter(_FullDevice()), encoding="utf-8", line_buffering=True
+            ),
+            "text-only": stdio.StringIO,
+        }[kind]()
+        path = tmp_path / "batch.json"
+        path.write_text(json.dumps(CLOSED_BATCH))
+        argv = ["poset", str(path), "--generators", "--format", "structured"]
+        assert main(argv) == 1
+        expected = capsys.readouterr()
+        with monkeypatch.context() as patch:
+            patch.setattr(sys, "stderr", stderr)
+            assert main(argv) == 1
+            assert main(["classify", str(tmp_path / "missing.json")]) == 2
+        assert capsys.readouterr() == (expected.out, "")
+        if kind == "text-only":
+            assert stderr.getvalue() == expected.err + (
+                f"error: cannot read {tmp_path / 'missing.json'}: No such file or directory\n"
+            )
 
     def test_closed_stdin(self):
         done = _run_cli("<&-", "classify", "-")
@@ -1556,3 +1637,21 @@ class TestTextEncoding:
         )
         assert (done.returncode, done.stdout, done.stderr) == (0, expected, b"")
         assert "名\U0001f600: ".encode("utf-8") in expected
+
+    @pytest.mark.parametrize("locale", sorted(NON_UTF8_STDOUT))
+    def test_non_utf8_stderr(self, tmp_path, capsys, locale):
+        batch = {"version": "1", "batch": [dict(CLOSED_BATCH["batch"][1], name="名\U0001f600")]}
+        path = tmp_path / "batch.json"
+        path.write_text(json.dumps(batch))
+        assert main(["poset", str(path), "--generators"]) == 1
+        expected = capsys.readouterr().err.encode("utf-8")
+        env = TestBrokenPipe._env(False)
+        for name in ("PYTHONIOENCODING", "PYTHONUTF8", "LC_ALL", "LANG"):
+            env.pop(name, None)
+        env.update(NON_UTF8_STDOUT[locale])
+        done = subprocess.run(
+            [sys.executable, "-m", "posfact.cli", "poset", str(path), "--generators"],
+            capture_output=True, env=env, timeout=60,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (1, b"", expected)
+        assert expected.startswith("error: 名\U0001f600: ".encode("utf-8"))

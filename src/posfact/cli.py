@@ -50,7 +50,8 @@ document, which has no error entries, so it leaves a failed entry out of its
 output, reports it on stderr and exits 1.  In ``compose`` and ``ltable`` a
 value too long to print ends the run with one error line.
 
-Every stderr line goes through :func:`_write_stderr`, in UTF-8 as stdout is.
+Every stderr line goes through :func:`_write_stderr`, in UTF-8 as stdout is,
+with backslash escapes for argument bytes that are not UTF-8.
 A stderr that is missing or cannot be written (``2>&-``, ``2>/dev/full``)
 is passed over: it changes no exit status and loses no stdout.  A reader of
 a command's output that goes before its end (``posfact classify BIG | head
@@ -144,16 +145,15 @@ def _load_document(path: str) -> docio.Document:
 
 
 def _write_stdout(data: bytes) -> None:
-    """Write all of ``data`` to stdout's byte stream.
-
-    With no stdout at all (``>&-``) it fails as a closed descriptor does.
-    Unbuffered (``PYTHONUNBUFFERED``), the stream is the raw file, one write
-    of which may take only part of ``data``: the rest is written again, so a
-    reader gone early shows as a broken pipe.
-    """
+    """Write all of ``data`` to stdout; with no stdout at all (``>&-``), fail as a closed one does."""
     if sys.stdout is None:
         raise OSError(errno.EBADF, os.strerror(errno.EBADF))
-    stream = sys.stdout.buffer
+    _write_all(sys.stdout.buffer, data)
+
+
+def _write_all(stream, data: bytes) -> None:
+    """Write all of ``data`` to a byte stream: unbuffered (``PYTHONUNBUFFERED``), a std
+    stream's is the raw file, one write of which may take only part of ``data``."""
     view = memoryview(data)
     while view:
         view = view[stream.write(view):]
@@ -165,14 +165,16 @@ def _write_stderr(lines: list[str]) -> None:
     A stderr that is missing (``2>&-``) or cannot be written (``2>/dev/full``)
     is passed over: it changes no exit status and loses no other output.
     What a failed write leaves in the stream is sent to the null device, so
-    the interpreter's flush at exit does not fail on it again.
+    the interpreter's flush at exit does not fail on it again.  A character
+    UTF-8 cannot hold, a lone surrogate from argument bytes that are not
+    UTF-8, is written as its backslash escape, as Python's own stderr does.
     """
     stderr = sys.stderr
-    data = _text_bytes(lines)
+    data = _text_bytes(lines, errors="backslashreplace")
     try:
         if hasattr(stderr, "buffer"):
             stderr.flush()  # what the text layer holds goes first
-            stderr.buffer.write(data)
+            _write_all(stderr.buffer, data)
             stderr.buffer.flush()
         elif stderr is not None:
             stderr.write(data.decode("utf-8"))
@@ -180,9 +182,9 @@ def _write_stderr(lines: list[str]) -> None:
         _discard(stderr)
 
 
-def _text_bytes(lines: list[str]) -> bytes:
+def _text_bytes(lines: list[str], errors: str = "strict") -> bytes:
     """Text output: each line and a newline, in UTF-8 whatever stdout's own encoding."""
-    return "".join([line + "\n" for line in lines]).encode("utf-8")
+    return "".join([line + "\n" for line in lines]).encode("utf-8", errors)
 
 
 def _witness_text(witness: WitnessDecomposition) -> str:

@@ -1469,11 +1469,28 @@ class _FullDevice(stdio.RawIOBase):
         raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
 
-def _run_cli(shell_redirect: str, *args: str, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
+class _ShortWrites(stdio.RawIOBase):
+    """A raw stream that takes at most a few bytes per write, as an unbuffered pipe may."""
+
+    def __init__(self):
+        self.data = bytearray()
+
+    def writable(self) -> bool:
+        return True
+
+    def write(self, data) -> int:
+        taken = bytes(data[:7])
+        self.data += taken
+        return len(taken)
+
+
+def _run_cli(
+    shell_redirect: str, *args: str, stdout=subprocess.PIPE, unbuffered: bool = False
+) -> subprocess.CompletedProcess:
     """``python -m posfact.cli ARGS`` in a child, through ``sh`` for the given redirection."""
     return subprocess.run(
         ["sh", "-c", f'exec "$0" "$@" {shell_redirect}', sys.executable, "-m", "posfact.cli", *args],
-        stdout=stdout, stderr=subprocess.PIPE, env=TestBrokenPipe._env(False), timeout=60,
+        stdout=stdout, stderr=subprocess.PIPE, env=TestBrokenPipe._env(unbuffered), timeout=60,
     )
 
 
@@ -1553,11 +1570,50 @@ class TestStreamFailures:
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     @STDERR_FAILURES
-    def test_stderr_fails_on_an_input_error(self, tmp_path, redirect):
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_stderr_fails_on_an_input_error(self, tmp_path, redirect, unbuffered):
         path = tmp_path / "bad.json"
         path.write_text('{"version": "1", "surface": 3')
-        done = _run_cli(redirect, "classify", str(path))
+        done = _run_cli(redirect, "classify", str(path), unbuffered=unbuffered)
         assert (done.returncode, done.stdout, done.stderr) == (2, b"", b"")
+
+    @pytest.mark.parametrize("stream", ["stdout", "stderr"])
+    def test_short_writes_in_process(self, tmp_path, capsys, monkeypatch, stream):
+        # Unbuffered, a std stream's byte layer is the raw file; what one write
+        # leaves over is written again, and nothing is lost.
+        path = tmp_path / "batch.json"
+        path.write_text(json.dumps(CLOSED_BATCH))
+        argv = ["poset", str(path), "--generators"]
+        assert main(argv) == 1
+        expected = getattr(capsys.readouterr(), "out" if stream == "stdout" else "err")
+        raw = _ShortWrites()
+        with monkeypatch.context() as patch:
+            patch.setattr(sys, stream, stdio.TextIOWrapper(raw, encoding="utf-8", write_through=True))
+            assert main(argv) == 1
+        assert raw.data.decode("utf-8") == expected
+        assert len(expected) > 7
+
+    @pytest.mark.parametrize(
+        "argv, last_line",
+        [
+            (["classify", "PATH"], "error: cannot read PATH: No such file or directory"),
+            (
+                ["ltable", "--genus", "1", "--boundary", "2", "\udcff"],
+                "posfact: error: unrecognized arguments: \\udcff",
+            ),
+        ],
+        ids=["missing-path", "unrecognized-argument"],
+    )
+    def test_non_utf8_argument_on_stderr(self, tmp_path, argv, last_line):
+        # Argument bytes that are not UTF-8 reach Python as lone surrogates; an
+        # error line shows them as backslash escapes, as Python's stderr does.
+        path = os.path.join(os.fsdecode(tmp_path), os.fsdecode(b"\xff.json"))
+        argv = [path if arg == "PATH" else arg for arg in argv]
+        done = _run_cli("", *argv)
+        lines = done.stderr.decode("ascii").splitlines()
+        assert (done.returncode, done.stdout) == (2, b"")
+        assert lines[-1] == last_line.replace("PATH", path.encode("utf-8", "backslashreplace").decode())
+        assert len(lines) == 1 or lines[0].startswith("usage: ")
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     @STDERR_FAILURES

@@ -14,28 +14,30 @@ stdout's own encoding.
 
 The report commands (``validate``, ``invariants``, ``essential``,
 ``classify``, ``criterion``, ``poset``, ``correcting-bound``) share one
-batch driver, :func:`_run_report`, which builds each entry (and renders it,
-under ``--format text``) in one loop and then writes the report.  Each
-command is an entry function, which gives the "ok" entry of one class, and a
-text renderer, which turns that entry into lines.  The entries of
-``invariants``, ``essential``, ``classify`` and ``criterion`` are values, not
-dicts: the class with its period data and its two predicates; the essential
-part with the window and the uniqueness answer; or the outcome itself, as
-:func:`~posfact.factorization.classify` or
-:func:`~posfact.factorization.criterion` returned it.  The classes
-they hold (the essential class, a witness's corrected class) are
-:class:`~posfact.core.NTClass` values.  ``io`` writes each entry straight
-from its values, and the text renderers read them.  The entries of
-``validate``, ``poset`` and ``correcting-bound`` are dicts; their
-diagnostics are :class:`~posfact.factorization.Diagnostic` values, written
-by the same diagnostic writer.  ``compose`` writes its classes through the
-same class writer, by ``io.serialize``.  ``poset --box`` takes its member
-points from :func:`posfact.poset.enumerate_box` already in lexicographic
-order.  They are one sub-box, so it puts them in the report as that box,
-one ``range`` per coordinate from the first and the last member, which
-``io`` writes row by row and the text renderer reads as a list of points;
-no point is copied into a list.  ``--generators`` lists the known region's
-corner, or nothing for an empty region.
+batch driver, :func:`_run_report`.  Each command names four functions: an
+operand check, run before the input is read, so a bad operand fails at once
+even on a stdin left open; an entry builder, which gives the entry of one
+class; a text renderer, which turns an entry into lines; and the ``io``
+writer of its report shape.  An entry is the library's own value: the
+outcome itself, as :func:`~posfact.factorization.classify` or
+:func:`~posfact.factorization.criterion` returned it; the essential part
+with the window and the uniqueness answer; the period data with the two
+predicates; or, for ``validate``, ``poset`` and ``correcting-bound``, a
+dict of the entry's fields.  The driver builds every entry first and then
+writes each one once, rendered or by its writer, into one list of chunks;
+writing each entry inside the build loop measured slower.  The classes an
+entry holds (the essential class, a witness's corrected class) are
+:class:`~posfact.core.NTClass` values, and its diagnostics
+:class:`~posfact.factorization.Diagnostic` values, written by one class
+writer and one diagnostic writer.  ``compose`` writes its classes through
+the same class writer, by ``io.serialize``, and parses its ``--twist``
+operands before it reads.  ``poset --box`` takes its member points from
+:func:`posfact.poset.enumerate_box` already in lexicographic order.  They
+are one sub-box, so it puts them in the entry as that box, one ``range``
+per coordinate from the first and the last member, which ``io`` writes row
+by row and the text renderer reads as a list of points; no point is copied
+into a list.  ``--generators`` lists the known region's corner, or nothing
+for an empty region.
 
 Exit status: 0 on success (NotApplicable and Unknown outcomes are
 successful runs), 1 on domain errors, 2 on input/schema errors.  One map,
@@ -77,8 +79,8 @@ status are the root parser's either way.
 and turns it back on afterwards only if it was on at entry, whatever the
 exit (a return, argparse's ``SystemExit`` or an exception).  This is safe
 because the values a call builds hold no reference cycles: frozen
-value classes, the report entries' slotted values, ``Fraction``s, dicts,
-lists and strings, which reference counting frees.  On a batch document the
+value classes, ``Fraction``s, tuples, dicts, lists and strings, which
+reference counting frees.  On a batch document the
 collector's passes only walk that growing heap and free nothing.  Library
 functions never touch the collector.
 """
@@ -282,62 +284,55 @@ def _failure(exc: Exception) -> tuple[str, str]:
     raise exc
 
 
-def _error_entry(name: Optional[str], exc: Exception) -> dict:
-    code, message = _failure(exc)
-    return {"name": name, "status": "error", "error": {"code": code, "message": message}}
+def _run_report(args, kind: str, build, render, write, prepare=None) -> int:
+    """Check the operands, load the document, build every entry, then write each one once.
 
-
-def _run_report(args, kind: str, build, render, prepare=None) -> int:
-    """Load the document, build and render each entry in one loop, then write the report.
-
-    ``build(args, name, phi)`` gives the entry of one class and
-    ``render(prefix, phi, entry)`` its lines, only under ``--format text``.
-    Both look the library functions up as this module's globals at call
-    time, so code that rebinds ``posfact.cli.classify`` and the like reaches
-    them.  ``prepare(args)``, if given, runs once the document has loaded.
-    An entry that fails to build or to be written becomes an error entry; its
-    ``error:`` line goes to stderr, in entry order, before the report.  Only
-    if the one ``io.serialize_report`` call raises are the entries written one
-    by one, to find those that cannot be printed.
+    ``prepare(args)``, if given, checks the command's operands before the
+    input is read, so a bad operand fails at once, even on a stdin left open.
+    The first loop builds each class's entry, the library's value, by
+    ``build(args, phi)``.  The second writes each entry once into one chunk
+    list: as lines by ``render(prefix, phi, entry)`` under ``--format text``,
+    or as report text by the io writer ``write(name, phi, entry)``.  The loops
+    are kept apart because writing each entry inside the build loop measured
+    slower.  ``build`` and ``render`` look the library functions up as this
+    module's globals at call time, so code that rebinds
+    ``posfact.cli.classify`` and the like reaches them.  An entry that fails
+    to build, or holds a value too long to print, becomes an error entry; its
+    ``error:`` line goes to stderr, in entry order, before the report.
     """
-    doc = _load_document(args.path)
     if prepare is not None:
         prepare(args)
-    items = doc.entries()
-    entries = []
-    lines: list[str] = []
+    items = _load_document(args.path).entries()
+    built = []
     for name, phi in items:
         try:
-            entry = build(args, name, phi)
-            if args.format == "text":
-                lines += render(_entry_prefix(name), phi, entry)
+            built.append((build(args, phi), None))
         except (DomainError, ValueError) as exc:
-            entry = _error_entry(name, exc)
-        entries.append(entry)
-    if args.format == "text":
-        data = _text_bytes(lines)
-    else:
-        report = {"version": "1", "report": kind, "entries": entries}
-        try:
-            data = docio.serialize_report(report)
-        except ValueError:
-            for i, entry in enumerate(entries):
-                try:
-                    docio._emit(entry, [], "\n")
-                except ValueError as exc:
-                    entries[i] = _error_entry(items[i][0], exc)
-            data = docio.serialize_report(report)
-    failed = [entry for entry in entries if entry.__class__ is dict and entry["status"] == "error"]
-    if failed:
-        _write_stderr([f"error: {_entry_prefix(e['name'])}{e['error']['message']}" for e in failed])
-    _write_stdout(data)
-    return 1 if failed else 0
+            built.append((None, _failure(exc)))
+    structured = args.format == "structured"
+    chunks: list[str] = []
+    errors: list[str] = []
+    for (name, phi), (entry, failure) in zip(items, built):
+        prefix = _entry_prefix(name)
+        if failure is None:
+            try:
+                chunks += write(name, phi, entry) if structured else render(prefix, phi, entry)
+                continue
+            except ValueError as exc:  # a value too long to print: nothing of the entry is kept
+                failure = _failure(exc)
+        code, message = failure
+        errors.append(f"error: {prefix}{message}")
+        if structured:
+            error = {"code": code, "message": message}
+            chunks += docio._emit_fields(name, phi, {"error": error}, "error")
+    if errors:
+        _write_stderr(errors)
+    _write_stdout(docio._entries_report(kind, chunks) if structured else _text_bytes(chunks))
+    return 1 if errors else 0
 
 
-def _validate_entry(args, name: Optional[str], phi: NTClass) -> dict:
+def _validate_entry(args, phi: NTClass) -> dict:
     return {
-        "name": name,
-        "status": "ok",
         "genus": phi.surface.genus,
         "boundary": phi.surface.boundary_count,
         "orbit_count": len(phi.orbits),
@@ -354,43 +349,34 @@ def _validate_text(prefix: str, phi: NTClass, entry: dict) -> list[str]:
     return lines
 
 
-def _invariants_entry(args, name: Optional[str], phi: NTClass) -> docio._InvariantsEntry:
-    return docio._InvariantsEntry(
-        name, phi, period_data(phi), is_essential(phi), is_fully_right_veering(phi)
-    )
+def _invariants_entry(args, phi: NTClass) -> tuple:
+    return period_data(phi), is_essential(phi), is_fully_right_veering(phi)
 
 
-def _invariants_text(prefix: str, phi: NTClass, entry: docio._InvariantsEntry) -> list[str]:
+def _invariants_text(prefix: str, phi: NTClass, entry: tuple) -> list[str]:
+    period, essential, fully_right_veering = entry
     lines = [prefix + "fr: " + ", ".join(map(docio.format_rational, phi.fr))]
     lines += [
         f"{prefix}orbit {orbit.id} ({orbit.kind.value}, length {orbit.length}): "
         f"screw {docio.format_rational(orbit.screw)}, alpha {orbit.alpha}, beta {orbit.beta}"
         for orbit in phi.orbits
     ]
-    period = entry.period
     lines.append(
         f"{prefix}period n={period.n}, k_boundary={list(period.k_boundary)}, "
         f"k_orbit={list(period.k_orbit)}"
     )
-    lines.append(
-        f"{prefix}essential: {entry.essential}, "
-        f"fully right-veering: {entry.fully_right_veering}"
-    )
+    lines.append(f"{prefix}essential: {essential}, fully right-veering: {fully_right_veering}")
     return lines
 
 
-def _essential_entry(args, name: Optional[str], phi: NTClass) -> docio._EssentialEntry:
+def _essential_entry(args, phi: NTClass) -> tuple:
     window = args.check_uniqueness
-    return docio._EssentialEntry(
-        name,
-        essential_part(phi),
-        window,
-        verify_essential_uniqueness(phi, window) if window is not None else None,
-    )
+    result = essential_part(phi)
+    return result, window, verify_essential_uniqueness(phi, window) if window is not None else None
 
 
-def _essential_text(prefix: str, phi: NTClass, entry: docio._EssentialEntry) -> list[str]:
-    result = entry.result
+def _essential_text(prefix: str, phi: NTClass, entry: tuple) -> list[str]:
+    result, window, verified = entry
     essential = result.essential
     lines = [
         f"{prefix}boundary exponents {list(result.boundary_exponents)}, "
@@ -401,24 +387,23 @@ def _essential_text(prefix: str, phi: NTClass, entry: docio._EssentialEntry) -> 
         f"{prefix}essential orbit {orbit.id}: screw {docio.format_rational(orbit.screw)}"
         for orbit in essential.orbits
     ]
-    if entry.verified is not None:
-        lines.append(f"{prefix}uniqueness (window {entry.window}): {entry.verified}")
+    if verified is not None:
+        lines.append(f"{prefix}uniqueness (window {window}): {verified}")
     return lines
 
 
-def _cmd_essential(args) -> int:
+def _uniqueness_window(args) -> None:
+    """Check the ``essential`` operand: a window, if given, is at least 1."""
     window = _operand(args.check_uniqueness, "--check-uniqueness")
     if window is not None and window < 1:
         raise docio.ParseError(f"--check-uniqueness must be at least 1, got {window}")
-    return _run_report(args, "essential", _essential_entry, _essential_text)
 
 
-def _classify_entry(args, name: Optional[str], phi: NTClass) -> docio._OutcomeEntry:
-    return docio._OutcomeEntry(name, classify(phi))
+def _classify_entry(args, phi: NTClass):
+    return classify(phi)
 
 
-def _classify_text(prefix: str, phi: NTClass, entry: docio._OutcomeEntry) -> list[str]:
-    outcome = entry.outcome
+def _classify_text(prefix: str, phi: NTClass, outcome) -> list[str]:
     if outcome.__class__ is Unknown:
         return [f"{prefix}Unknown ({', '.join(d.code for d in outcome.diagnostics)})"]
     if outcome.route.__class__ is MainTheoremRoute:
@@ -426,12 +411,11 @@ def _classify_text(prefix: str, phi: NTClass, entry: docio._OutcomeEntry) -> lis
     return [f"{prefix}PositivelyFactorizable via Criterion {_witness_text(outcome.route.witness)}"]
 
 
-def _criterion_entry(args, name: Optional[str], phi: NTClass) -> docio._OutcomeEntry:
-    return docio._OutcomeEntry(name, criterion(phi))
+def _criterion_entry(args, phi: NTClass):
+    return criterion(phi)
 
 
-def _criterion_text(prefix: str, phi: NTClass, entry: docio._OutcomeEntry) -> list[str]:
-    outcome = entry.outcome
+def _criterion_text(prefix: str, phi: NTClass, outcome) -> list[str]:
     if outcome.__class__ is Sufficient:
         return [f"{prefix}Sufficient {_witness_text(outcome.witness)}"]
     if outcome.__class__ is Inconclusive:
@@ -440,7 +424,7 @@ def _criterion_text(prefix: str, phi: NTClass, entry: docio._OutcomeEntry) -> li
 
 
 def _poset_mode(args) -> None:
-    """Read the poset mode's operand; it is checked once the document has loaded."""
+    """Read and check the poset mode's operand."""
     if args.query is not None:
         args.mode = "query"
         args.point = _parse_point(args.query)
@@ -451,9 +435,9 @@ def _poset_mode(args) -> None:
         args.mode = "generators"
 
 
-def _poset_entry(args, name: Optional[str], phi: NTClass) -> dict:
+def _poset_entry(args, phi: NTClass) -> dict:
     r = _dimension(phi)
-    entry = {"name": name, "status": "ok", "mode": args.mode, "dimension": r}
+    entry = {"mode": args.mode, "dimension": r}
     if args.mode == "generators":
         corner = known_region(phi).corner
         entry["generators"] = [] if corner is None else [list(corner)]
@@ -496,14 +480,9 @@ _NO_BOUND = Diagnostic(
 )
 
 
-def _correcting_bound_entry(args, name: Optional[str], phi: NTClass) -> dict:
+def _correcting_bound_entry(args, phi: NTClass) -> dict:
     bound = correcting_exponent_bound(phi)
-    return {
-        "name": name,
-        "status": "ok",
-        "bound": bound,
-        "diagnostics": [_NO_BOUND] if bound is None else [],
-    }
+    return {"bound": bound, "diagnostics": [_NO_BOUND] if bound is None else []}
 
 
 def _correcting_bound_text(prefix: str, phi: NTClass, entry: dict) -> list[str]:
@@ -512,8 +491,8 @@ def _correcting_bound_text(prefix: str, phi: NTClass, entry: dict) -> list[str]:
 
 
 def _cmd_compose(args) -> int:
-    doc = _load_document(args.path)
     moves = [_parse_twist_flag(text) for text in args.twist or []]
+    doc = _load_document(args.path)
     failed = False
     if doc.is_batch:
         composed_entries = []
@@ -578,13 +557,14 @@ def _add_path(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("path", nargs="?", default="-", help='input document, "-" for stdin')
 
 
-def _report_parser(sub, name: str, help_text: str, build, render, prepare=None):
+def _report_parser(sub, name: str, help_text: str, build, render, write, prepare=None):
+    """A report command's subparser: its entry builder, renderer, writer and operand check."""
     p = sub.add_parser(name, help=help_text)
     _add_path(p)
     _add_format(p)
     p.set_defaults(
         handler=functools.partial(
-            _run_report, kind=name, build=build, render=render, prepare=prepare
+            _run_report, kind=name, build=build, render=render, write=write, prepare=prepare
         )
     )
     return p
@@ -631,14 +611,31 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(required=True)
 
-    _report_parser(sub, "validate", "parse and validate a document", _validate_entry, _validate_text)
     _report_parser(
-        sub, "invariants", "period data and basic predicates", _invariants_entry, _invariants_text
+        sub,
+        "validate",
+        "parse and validate a document",
+        _validate_entry,
+        _validate_text,
+        docio._emit_fields,
     )
-
-    p = sub.add_parser("essential", help="essential part and correction exponents")
-    _add_path(p)
-    _add_format(p)
+    _report_parser(
+        sub,
+        "invariants",
+        "period data and basic predicates",
+        _invariants_entry,
+        _invariants_text,
+        docio._emit_invariants,
+    )
+    p = _report_parser(
+        sub,
+        "essential",
+        "essential part and correction exponents",
+        _essential_entry,
+        _essential_text,
+        docio._emit_essential,
+        _uniqueness_window,
+    )
     p.add_argument(
         "--check-uniqueness",
         type=_int_option,
@@ -646,11 +643,21 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
         default=None,
         help="also verify exponent uniqueness by a window scan of radius W >= 1",
     )
-    p.set_defaults(handler=_cmd_essential)
-
-    _report_parser(sub, "classify", "certify positive factorizability", _classify_entry, _classify_text)
     _report_parser(
-        sub, "criterion", "run the correction route only", _criterion_entry, _criterion_text
+        sub,
+        "classify",
+        "certify positive factorizability",
+        _classify_entry,
+        _classify_text,
+        docio._emit_outcome,
+    )
+    _report_parser(
+        sub,
+        "criterion",
+        "run the correction route only",
+        _criterion_entry,
+        _criterion_text,
+        docio._emit_outcome,
     )
 
     p = sub.add_parser("compose", help="compose with boundary/orbit twist powers")
@@ -665,7 +672,13 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p.set_defaults(handler=_cmd_compose)
 
     p = _report_parser(
-        sub, "poset", "known region of the correcting poset", _poset_entry, _poset_text, _poset_mode
+        sub,
+        "poset",
+        "known region of the correcting poset",
+        _poset_entry,
+        _poset_text,
+        docio._emit_fields,
+        _poset_mode,
     )
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument(
@@ -689,6 +702,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
         "least certified boundary-multitwist power",
         _correcting_bound_entry,
         _correcting_bound_text,
+        docio._emit_fields,
     )
 
     return parser, sub.choices

@@ -53,30 +53,29 @@ fields as the object :func:`class_to_json` gives, without building that
 dict.  Its oracle is ``json.dumps`` of the same value with ``class_to_json``
 of each class in its place.
 
-The "ok" entries of the ``invariants`` and ``essential`` reports are private
-values too, ``_InvariantsEntry`` and ``_EssentialEntry``: the class, its
-period data and predicates, or the essential part, its window and its
-uniqueness answer, as the CLI computed them.  ``_emit_invariants`` and
-``_emit_essential`` write each entry straight from those values, without
-building the entry's dict.  Their oracle is ``json.dumps`` of the entry's
-dict form, with fields in the report's key order: ``fr`` as rational texts,
-one ``{"id", "kind", "alpha", "beta", "screw"}`` object per orbit under
-``screws``, ``period`` as ``{"n", "k_boundary", "k_orbit"}``, and the
-exponent tuples as lists.
-
-The "ok" entries of the ``classify`` and ``criterion`` reports are one
-value, ``_OutcomeEntry``: the name and the outcome the library returned.
-``_emit_outcome`` reads the head fields, the witness and the diagnostics
+A report's entries are written by one writer per report shape, each called
+as ``write(name, phi, entry)`` with the entry's name, its class and what the
+CLI built for it, the library's own values; there is no entry type.
+``_emit_outcome`` writes the ``classify`` and ``criterion`` entries from the
+outcome itself: it reads the head fields, the witness and the diagnostics
 off the five outcome classes by exact class, and writes them with one
 writer for a witness, ``_emit_witness`` (``k``, the ``{"orbit", "power"}``
 corrections, the total and the corrected class through ``_emit_class``),
 and one for a diagnostic, ``_diagnostic_text`` (``code``, ``message`` and
 ``data`` as ``dict(diag.data)``, so a repeated key keeps its first place and
-its last value).  The ``validate`` and ``correcting-bound`` entries are dicts that
-hold their ``Diagnostic`` values, which ``_emit`` writes by the same
-writer.  The oracle of all of them is ``json.dumps`` of the entry's dict
-form, with the witness and each diagnostic as the objects just named.
-Error entries and the envelope are dicts.
+its last value).  ``_emit_invariants`` writes an ``invariants`` entry from
+the class, its period data and its two predicates, and ``_emit_essential``
+an ``essential`` entry from the essential part, the window and the
+uniqueness answer, each without building the entry's dict.  The
+``validate``, ``poset`` and ``correcting-bound`` entries are dicts of their
+fields, which may hold ``Diagnostic`` values; ``_emit_fields`` writes them,
+and error entries, by ``_emit``.  ``_entries_report`` puts the entries' text
+in the report envelope.  The oracle of every writer is ``json.dumps`` of the
+entry's dict form, with fields in the report's key order: ``fr`` as
+rational texts, one ``{"id", "kind", "alpha", "beta", "screw"}`` object per
+orbit under ``screws``, ``period`` as ``{"n", "k_boundary", "k_orbit"}``,
+the exponent tuples as lists, and the witness and each diagnostic as the
+objects just named.
 
 Rejection is total: a document that parses yields classes satisfying every
 core invariant, and every rejection carries position provenance (line and
@@ -612,61 +611,36 @@ def _emit_class(phi: NTClass, out: list[str], indent: str, head: str = "{") -> N
     out.append(f',{inner}"orbits": [{row}' + f",{row}".join(orbits) + f"{inner}]{indent}}}")
 
 
-class _InvariantsEntry:
-    """An "ok" entry of the ``invariants`` report, held as the values it is written from.
+# A report's entries sit at one depth.  An entry writer returns its entry's
+# text as a list of chunks, the first beginning with the comma that separates
+# it from the entry before; :func:`_entries_report` drops the first entry's.
+_ENTRY_INDENT = "\n    "
+_FIELD_INDENT = _ENTRY_INDENT + "  "
 
-    ``phi`` is the class, ``period`` its :class:`~posfact.core.PeriodData`, and
-    ``essential`` and ``fully_right_veering`` the two predicates.
-    :func:`_emit_invariants` writes it.
+
+def _entry_head(name: Optional[str]) -> str:
+    """The text an "ok" entry begins with, up to its third field's key."""
+    name_text = "null" if name is None else encode_basestring(name)
+    field = _FIELD_INDENT
+    return f',{_ENTRY_INDENT}{{{field}"name": {name_text},{field}"status": "ok",{field}'
+
+
+def _emit_invariants(name: Optional[str], phi: NTClass, entry: tuple) -> list[str]:
+    """The canonical text of an ``invariants`` entry, read from ``phi`` and ``entry``.
+
+    ``entry`` is ``(period_data(phi), is_essential(phi),
+    is_fully_right_veering(phi))``.  The entry is the object ``{"name",
+    "status": "ok", "fr", "screws", "period", "essential",
+    "fully_right_veering"}``: ``fr`` is the class's rational texts, ``screws``
+    one object per orbit (``id``, ``kind``, ``alpha``, ``beta``, ``screw``),
+    and ``period`` holds ``n``, ``k_boundary`` and ``k_orbit``.  Each orbit is
+    one string.
     """
-
-    __slots__ = ("name", "phi", "period", "essential", "fully_right_veering")
-
-    def __init__(self, name, phi, period, essential, fully_right_veering) -> None:
-        self.name = name
-        self.phi = phi
-        self.period = period
-        self.essential = essential
-        self.fully_right_veering = fully_right_veering
-
-
-class _EssentialEntry:
-    """An "ok" entry of the ``essential`` report, held as the values it is written from.
-
-    ``result`` is the :class:`~posfact.invariants.EssentialResult`,
-    ``window`` the uniqueness window or None, and ``verified`` the
-    uniqueness answer, or None without a window.  :func:`_emit_essential`
-    writes it.
-    """
-
-    __slots__ = ("name", "result", "window", "verified")
-
-    def __init__(self, name, result, window, verified) -> None:
-        self.name = name
-        self.result = result
-        self.window = window
-        self.verified = verified
-
-
-def _emit_invariants(entry: _InvariantsEntry, out: list[str], indent: str) -> None:
-    """Append the canonical text of an ``invariants`` entry, read from its values.
-
-    The entry is the object ``{"name", "status": "ok", "fr", "screws",
-    "period", "essential", "fully_right_veering"}``: ``fr`` is the class's
-    rational texts, ``screws`` one object per orbit (``id``, ``kind``,
-    ``alpha``, ``beta``, ``screw``), and ``period`` holds ``n``,
-    ``k_boundary`` and ``k_orbit``.  Each orbit is one string.
-    """
-    inner = indent + "  "
+    period, essential, fully_right_veering = entry
+    indent, inner = _ENTRY_INDENT, _FIELD_INDENT
     row = inner + "  "
     field = row + "  "
-    phi = entry.phi
-    period = entry.period
-    name = "null" if entry.name is None else encode_basestring(entry.name)
-    out.append(
-        f'{{{inner}"name": {name},{inner}"status": "ok",'
-        f'{inner}"fr": {_rationals_text(phi.fr, inner)},{inner}"screws": '
-    )
+    out = [f'{_entry_head(name)}"fr": {_rationals_text(phi.fr, inner)},{inner}"screws": ']
     if phi.orbits:
         regular, regular_text, amphidrome_text = _REGULAR, _REGULAR_TEXT, _AMPHIDROME_TEXT
         screws = [
@@ -683,51 +657,37 @@ def _emit_invariants(entry: _InvariantsEntry, out: list[str], indent: str) -> No
         f',{inner}"period": {{{row}"n": {period.n},'
         f'{row}"k_boundary": {_ints_text(period.k_boundary, row)},'
         f'{row}"k_orbit": {_ints_text(period.k_orbit, row)}{inner}}},'
-        f'{inner}"essential": {"true" if entry.essential else "false"},'
-        f'{inner}"fully_right_veering": {"true" if entry.fully_right_veering else "false"}{indent}}}'
+        f'{inner}"essential": {"true" if essential else "false"},'
+        f'{inner}"fully_right_veering": {"true" if fully_right_veering else "false"}{indent}}}'
     )
+    return out
 
 
-def _emit_essential(entry: _EssentialEntry, out: list[str], indent: str) -> None:
-    """Append the canonical text of an ``essential`` entry, read from its values.
+def _emit_essential(name: Optional[str], phi: NTClass, entry: tuple) -> list[str]:
+    """The canonical text of an ``essential`` entry, read from ``entry``.
 
-    The entry is the object ``{"name", "status": "ok", "boundary_exponents",
+    ``entry`` is ``(essential_part(phi), window, verified)``: the
+    :class:`~posfact.invariants.EssentialResult`, the uniqueness window or
+    None, and the uniqueness answer, or None without a window.  The entry is
+    the object ``{"name", "status": "ok", "boundary_exponents",
     "orbit_exponents", "essential_class", "uniqueness_window",
     "uniqueness_verified"}``; the essential class is written by
     :func:`_emit_class`, and a window or answer of None as ``null``.
     """
-    inner = indent + "  "
-    result = entry.result
-    window = entry.window
-    verified = entry.verified
-    name = "null" if entry.name is None else encode_basestring(entry.name)
-    out.append(
-        f'{{{inner}"name": {name},{inner}"status": "ok",'
-        f'{inner}"boundary_exponents": {_ints_text(result.boundary_exponents, inner)},'
+    result, window, verified = entry
+    indent, inner = _ENTRY_INDENT, _FIELD_INDENT
+    out = [
+        f'{_entry_head(name)}"boundary_exponents": {_ints_text(result.boundary_exponents, inner)},'
         f'{inner}"orbit_exponents": {_ints_text(result.orbit_exponents, inner)},'
         f'{inner}"essential_class": '
-    )
+    ]
     _emit_class(result.essential, out, inner)
     out.append(
         f',{inner}"uniqueness_window": {"null" if window is None else int.__repr__(window)},'
         f'{inner}"uniqueness_verified": '
         f'{"null" if verified is None else "true" if verified else "false"}{indent}}}'
     )
-
-
-class _OutcomeEntry:
-    """An "ok" entry of the ``classify`` or ``criterion`` report: the outcome the library returned.
-
-    ``outcome`` is what :func:`~posfact.factorization.classify` or
-    :func:`~posfact.factorization.criterion` gave for the class.
-    :func:`_emit_outcome` writes it.
-    """
-
-    __slots__ = ("name", "outcome")
-
-    def __init__(self, name, outcome) -> None:
-        self.name = name
-        self.outcome = outcome
+    return out
 
 
 def _diagnostic_text(diag: Diagnostic, indent: str) -> str:
@@ -794,10 +754,12 @@ def _emit_witness(witness: WitnessDecomposition, out: list[str], indent: str) ->
     out.append(indent + "}")
 
 
-def _emit_outcome(entry: _OutcomeEntry, out: list[str], indent: str) -> None:
-    """Append the canonical text of a ``classify`` or ``criterion`` entry, read from its outcome.
+def _emit_outcome(name: Optional[str], phi: NTClass, outcome: Any) -> list[str]:
+    """The canonical text of a ``classify`` or ``criterion`` entry, read from ``outcome``.
 
-    A ``classify`` entry is the object ``{"name", "status": "ok",
+    ``outcome`` is what :func:`~posfact.factorization.classify` or
+    :func:`~posfact.factorization.criterion` returned for ``phi``.  A
+    ``classify`` entry is the object ``{"name", "status": "ok",
     "classification", "route", "witness", "diagnostics"}`` and a
     ``criterion`` entry ``{"name", "status": "ok", "result", "witness",
     "diagnostics"}``.  The head fields, the witness and the diagnostics are
@@ -805,8 +767,7 @@ def _emit_outcome(entry: _OutcomeEntry, out: list[str], indent: str) -> None:
     :class:`~posfact.factorization.PositivelyFactorizable` by its route's);
     any other value raises TypeError.  A witness of None is ``null``.
     """
-    inner = indent + "  "
-    outcome = entry.outcome
+    indent, inner = _ENTRY_INDENT, _FIELD_INDENT
     cls = outcome.__class__
     witness = None
     diagnostics = ()
@@ -829,13 +790,39 @@ def _emit_outcome(entry: _OutcomeEntry, out: list[str], indent: str) -> None:
         diagnostics = (outcome.reason,)
     else:
         raise TypeError(f"cannot serialize an outcome of type {cls.__name__}")
-    name = "null" if entry.name is None else encode_basestring(entry.name)
-    out.append(f'{{{inner}"name": {name},{inner}"status": "ok",{inner}{head},{inner}"witness": ')
+    out = [f'{_entry_head(name)}{head},{inner}"witness": ']
     if witness is None:
         out.append("null")
     else:
         _emit_witness(witness, out, inner)
     out.append(f',{inner}"diagnostics": {_diagnostics_text(diagnostics, inner)}{indent}}}')
+    return out
+
+
+def _emit_fields(name: Optional[str], phi: NTClass, fields: dict, status: str = "ok") -> list[str]:
+    """The canonical text of the entry ``{"name", "status", **fields}``, written by :func:`_emit`.
+
+    It writes the ``validate``, ``poset`` and ``correcting-bound`` entries,
+    whose fields the CLI builds as a dict, and, with status ``"error"``, an
+    error entry, whose one field is ``{"error": {"code", "message"}}``.
+    """
+    out = ["," + _ENTRY_INDENT]
+    _emit({"name": name, "status": status, **fields}, out, _ENTRY_INDENT)
+    return out
+
+
+def _entries_report(kind: str, chunks: list[str]) -> bytes:
+    """Canonical bytes of the report ``{"version": "1", "report": kind, "entries": [...]}``.
+
+    ``chunks`` holds the text of its entries, in order, each as an entry
+    writer returned it; the list is consumed.
+    """
+    head = f'{{\n  "version": "1",\n  "report": {encode_basestring(kind)},\n  "entries": '
+    if not chunks:
+        return (head + "[]\n}\n").encode("utf-8")
+    chunks[0] = head + "[" + chunks[0][1:]  # the first entry has no comma before it
+    chunks.append("\n  ]\n}\n")
+    return "".join(chunks).encode("utf-8")
 
 
 def _emit(value: Any, out: list[str], indent: str) -> None:
@@ -847,13 +834,12 @@ def _emit(value: Any, out: list[str], indent: str) -> None:
     item.  Only the types reports and documents hold are accepted: dicts
     with str keys, lists, str, int, bool, None,
     :class:`~posfact.core.NTClass` (written as :func:`class_to_json` of it,
-    by :func:`_emit_class`), :class:`_IntBox`, the report entries
-    :class:`_InvariantsEntry`, :class:`_EssentialEntry` and
-    :class:`_OutcomeEntry` (by :func:`_emit_invariants`,
-    :func:`_emit_essential` and :func:`_emit_outcome`, which also rejects an
-    outcome of any other type), and :class:`~posfact.factorization.Diagnostic`
-    (by :func:`_diagnostic_text`).  As for str keys, only the exact types are:
-    a subclass of any of them is rejected.
+    by :func:`_emit_class`), :class:`_IntBox` and
+    :class:`~posfact.factorization.Diagnostic` (by :func:`_diagnostic_text`).
+    As for str keys, only the exact types are: a subclass of any of them is
+    rejected.  Report entries are not values of their own: the entry writers
+    write each one from the library's values, and :func:`_emit_fields`
+    writes the entries the CLI builds as dicts through this walker.
     """
     cls = value.__class__
     if cls is str:
@@ -894,12 +880,6 @@ def _emit(value: Any, out: list[str], indent: str) -> None:
         _emit_class(value, out, indent)
     elif cls is _IntBox:
         _emit_box(value, out, indent)
-    elif cls is _InvariantsEntry:
-        _emit_invariants(value, out, indent)
-    elif cls is _EssentialEntry:
-        _emit_essential(value, out, indent)
-    elif cls is _OutcomeEntry:
-        _emit_outcome(value, out, indent)
     elif cls is Diagnostic:
         out.append(_diagnostic_text(value, indent))
     else:

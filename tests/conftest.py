@@ -1,107 +1,31 @@
-"""Shared randomized generators for the test suite.
+"""Shared randomized generators and oracles for the test suite.
 
-All randomness is drawn from explicitly seeded ``random.Random`` instances
-so every test run is reproducible.
+The class distributions live in ``sample_classes``, which needs neither
+pytest nor hypothesis, and are re-exported here.  All randomness is drawn
+from explicitly seeded ``random.Random`` instances so every test run is
+reproducible.
 """
 
 from __future__ import annotations
 
 import gc
 import itertools
+import os
 import random
-from fractions import Fraction
+import sys
 from typing import Sequence
 
 import pytest
 from hypothesis.internal.charmap import intervals_from_codec
 
-from posfact import (
-    BoundaryTwist,
-    CurveOrbit,
-    NTClass,
-    OrbitKind,
-    PositivelyFactorizable,
-    Surface,
-    classify,
-    compose_twists,
-)
+from posfact import BoundaryTwist, NTClass, PositivelyFactorizable, classify, compose_twists
 
+# posbench's mirror test loads this file by its path, with this directory not on sys.path.
+_HERE = os.path.dirname(os.path.abspath(__file__))
+if _HERE not in sys.path:
+    sys.path.insert(0, _HERE)
 
-def rand_rational(rng: random.Random, max_num: int = 50, max_den: int = 12) -> Fraction:
-    return Fraction(rng.randint(-max_num, max_num), rng.randint(1, max_den))
-
-
-def rand_orbit(
-    rng: random.Random,
-    orbit_id: str,
-    max_num: int = 50,
-    max_den: int = 12,
-    screw: Fraction | None = None,
-    separating: bool | None = None,
-) -> CurveOrbit:
-    if screw is None:
-        screw = rand_rational(rng, max_num, max_den)
-    kind = OrbitKind.AMPHIDROME if rng.random() < 0.5 else OrbitKind.REGULAR
-    if separating is None:
-        separating = rng.random() < 0.5
-    return CurveOrbit(orbit_id, rng.randint(1, 4), kind, separating, screw)
-
-
-def rand_ntclass(
-    rng: random.Random,
-    max_boundary: int = 6,
-    max_orbits: int = 6,
-    min_boundary: int = 0,
-    max_num: int = 50,
-    max_den: int = 12,
-    max_genus: int = 3,
-) -> NTClass:
-    genus = rng.randint(0, max_genus)
-    boundary = rng.randint(min_boundary, max_boundary)
-    fr = tuple(rand_rational(rng, max_num, max_den) for _ in range(boundary))
-    orbits = tuple(
-        rand_orbit(rng, f"O{j}", max_num, max_den) for j in range(rng.randint(0, max_orbits))
-    )
-    return NTClass(Surface(genus, boundary), fr, orbits)
-
-
-def rand_applicable_ntclass(rng: random.Random) -> NTClass:
-    """Random class passing the correction route's applicability gate.
-
-    Positive boundary coefficients, a surface with a defined correction
-    cost, and non-positive screw numbers only on non-separating orbits.
-    Half the draws use large coefficients and tame screws so both the
-    sufficient and the inconclusive branch are exercised in bulk.
-    """
-    genus = rng.randint(1, 6)
-    boundary = rng.randint(1, 6)
-    gentle = rng.random() < 0.5
-    if gentle:
-        fr = tuple(Fraction(rng.randint(20, 50), rng.randint(1, 3)) for _ in range(boundary))
-    else:
-        fr = tuple(Fraction(rng.randint(1, 50), rng.randint(1, 12)) for _ in range(boundary))
-    orbits = []
-    for j in range(rng.randint(0, 6)):
-        if gentle:
-            screw = Fraction(rng.randint(-3, 12), rng.randint(1, 12))
-        else:
-            screw = rand_rational(rng)
-        separating = screw > 0 and rng.random() < 0.5
-        orbits.append(rand_orbit(rng, f"O{j}", screw=screw, separating=separating))
-    return NTClass(Surface(genus, boundary), fr, tuple(orbits))
-
-
-def rand_poset_ntclass(rng: random.Random) -> NTClass:
-    """Random class with small invariants so poset thresholds land near the origin."""
-    genus = rng.randint(0, 4)
-    boundary = rng.randint(1, 3)
-    fr = tuple(Fraction(rng.randint(-8, 8), rng.randint(1, 4)) for _ in range(boundary))
-    orbits = []
-    for j in range(rng.randint(0, 3)):
-        screw = Fraction(rng.randint(-4, 8), rng.randint(1, 4))
-        separating = rng.random() < 0.3
-        orbits.append(rand_orbit(rng, f"O{j}", screw=screw, separating=separating))
-    return NTClass(Surface(genus, boundary), fr, tuple(orbits))
+from sample_classes import rand_applicable_ntclass, rand_ntclass, rand_poset_ntclass  # noqa: E402, F401
 
 
 def pointwise_box(phi: NTClass, lo: Sequence[int], hi: Sequence[int]) -> frozenset[tuple[int, ...]]:

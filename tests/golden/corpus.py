@@ -16,6 +16,10 @@ formats, over these documents:
   the limit;
 * an empty batch, a malformed document and a schema-error document.
 
+The malformed document is also run with a bad operand to each of ``poset``,
+``compose`` and ``essential``: operands are checked before the input is
+read, so the operand's error is the one reported.
+
 Each run records the exit status and the sha256 of stdout and of stderr;
 ``pin.json`` keeps the first 8 hex digits of each, per run, and one sha256
 over all runs, under the Python major.minor version (the ``json`` module's
@@ -23,10 +27,14 @@ error texts may differ between versions).  The documents are written with
 ``json.dumps`` from a plain dict form, so they do not depend on the writer
 they help to check.
 
-Rewrite the pin for the running Python version, after a change that alters
-output on purpose, with::
+The corpus needs neither pytest nor hypothesis: its classes come from
+``tests/sample_classes.py``.  Rewrite the pin for the running Python
+version, after a change that alters output on purpose, with::
 
     PYTHONPATH=src python tests/golden/corpus.py
+
+and with ``/path/to/python3.X`` in place of ``python`` for each other
+installed version (3.10 and later).
 """
 
 from __future__ import annotations
@@ -73,7 +81,16 @@ LTABLE_COMMANDS = [
     ["ltable", "--genus", "0", "--boundary", "1"],
 ]
 
+# Command lines with a bad operand, run on the malformed document only.
+OPERAND_ERROR_COMMANDS = [
+    ["poset", "--box=1..x"],
+    ["compose", "--twist", "X"],
+    ["essential", "--check-uniqueness", "0"],
+]
+
 FORMATS = ("text", "structured")
+
+MALFORMED = b'{"version": "1", "surface": {"genus": 2,'
 
 # Batch names: plain, and ones that need escaping or are outside the BMP.
 NAMES = ["plain", 'quote"', "back\\slash", "line\nbreak", "tab\t\x01", "sep ", "é名", "\U0001f600"]
@@ -139,8 +156,13 @@ def _digit_limit_documents() -> list[tuple[str, dict]]:
 
 def documents() -> list[tuple[str, bytes]]:
     """The corpus documents, each with its name, in a fixed order."""
-    from conftest import rand_applicable_ntclass, rand_ntclass, rand_poset_ntclass
-    from test_integer_paths import edge_classes, witness_edge_classes
+    from sample_classes import (
+        edge_classes,
+        rand_applicable_ntclass,
+        rand_ntclass,
+        rand_poset_ntclass,
+        witness_edge_classes,
+    )
 
     rng = random.Random(20261019)
     makers = [("rand", rand_ntclass), ("applicable", rand_applicable_ntclass), ("poset", rand_poset_ntclass)]
@@ -162,7 +184,7 @@ def documents() -> list[tuple[str, bytes]]:
         (name, json.dumps(doc, ensure_ascii=i % 2 == 0).encode("utf-8"))
         for i, (name, doc) in enumerate(docs)
     ]
-    encoded.append(("malformed", b'{"version": "1", "surface": {"genus": 2,'))
+    encoded.append(("malformed", MALFORMED))
     encoded.append(
         ("schema-error", b'{"version": "1", "batch": [{"name": "a", "class": {"surface": []}}]}')
     )
@@ -196,6 +218,10 @@ def runs():
         for fmt in FORMATS:
             argv = [*command, "--format", fmt]
             yield ("-", argv, *run(b"", argv))
+    for command in OPERAND_ERROR_COMMANDS:
+        for fmt in FORMATS:
+            argv = [command[0], "-", *command[1:], "--format", fmt]
+            yield ("malformed", argv, *run(MALFORMED, argv))
 
 
 def digest_line(name: str, argv: list[str], code: int, out: bytes, err: bytes) -> str:
@@ -225,5 +251,5 @@ def write_pin() -> None:
 if __name__ == "__main__":
     if sys.get_int_max_str_digits() != DIGIT_LIMIT:
         sys.exit(f"the corpus needs the default int digit limit of {DIGIT_LIMIT}")
-    sys.path.insert(0, str(Path(__file__).resolve().parent.parent))  # conftest, test_integer_paths
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent))  # sample_classes
     write_pin()

@@ -372,6 +372,30 @@ class TestOperandGrammar:
         assert main([command, single_path, option]) == 0
         assert expected in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["poset", "--box=x"], "malformed box 'x', expected lo..hi"),
+            (["poset", "--query", "a"], "malformed point 'a', expected a1,a2,..."),
+            (["compose", "--twist", "X"], "malformed --twist 'X', expected B<i>:<m> or O<id>:<m>"),
+        ],
+        ids=["poset-box", "poset-query", "compose-twist"],
+    )
+    def test_bad_operand_fails_before_reading_stdin(self, argv, message):
+        # stdin stays open: a command that read it first would wait for ever.
+        with subprocess.Popen(
+            [sys.executable, "-m", "posfact.cli", *argv], stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=TestBrokenPipe._env(False),
+        ) as child:
+            try:
+                code = child.wait(timeout=20)
+            except subprocess.TimeoutExpired:
+                child.kill()
+                pytest.fail(f"{argv} read stdin before checking its operand")
+            assert code == 2
+            assert child.stdout.read() == b""
+            assert child.stderr.read() == f"error: {message}\n".encode()
+
     # The integer options are read by argparse, which rejects them with its
     # own usage line and message and exit status 2.
     @pytest.mark.parametrize(

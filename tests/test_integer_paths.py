@@ -52,6 +52,7 @@ from posfact import (
     period_data,
     verify_essential_uniqueness,
 )
+from sample_classes import edge_classes, witness_edge_classes
 
 # --- restatements ----------------------------------------------------------
 
@@ -274,27 +275,6 @@ def rand_class(rng: random.Random) -> NTClass:
     return NTClass(Surface(rng.randint(0, 6), boundary), fr, tuple(orbits))
 
 
-def edge_classes() -> list[NTClass]:
-    big = 10**3999 + 7
-    amph, reg = OrbitKind.AMPHIDROME, OrbitKind.REGULAR
-
-    def nt(genus, fr, *orbits):
-        return NTClass(Surface(genus, len(fr)), tuple(Fraction(x) for x in fr), orbits)
-
-    return [
-        nt(2, ()),
-        nt(2, (0, 0), CurveOrbit("Z", 1, reg, False, Fraction(0))),
-        nt(3, (4,), CurveOrbit("A", 2, amph, False, Fraction(-4))),
-        nt(3, (9,), CurveOrbit("A", 3, amph, False, Fraction(-2))),
-        nt(1, (1, -1), CurveOrbit("R", 1, reg, False, Fraction(-3))),
-        nt(2, (Fraction(big, 3),), CurveOrbit("H", 1, amph, False, Fraction(-big, 7))),
-        nt(2, (Fraction(-big, 11),), CurveOrbit("H", 2, amph, True, Fraction(big, 2))),
-        nt(5, (big, Fraction(1, big)), CurveOrbit("S", 1, reg, False, Fraction(-1, big))),
-        nt(1, tuple(Fraction(i + 1, 2) for i in range(9))),
-        nt(0, (Fraction(5, 2),), CurveOrbit("G", 1, amph, True, Fraction(-6))),
-    ]
-
-
 @pytest.fixture(scope="module")
 def classes() -> list[NTClass]:
     rng = random.Random(20261018)
@@ -447,27 +427,6 @@ def test_criterion_builds_a_witness_only_to_certify(classes, monkeypatch):
         seen.add(type(result))
     assert seen == {Sufficient, Inconclusive, NotApplicable}
     assert composed == []
-
-
-def witness_edge_classes() -> list[NTClass]:
-    """The certified classes of ``test_cli.WITNESS_BATCH``: three boundaries; amphidrome -4,
-    regular -1/2 and a positive orbit left uncorrected; one with ~4,000-digit values."""
-    big = 10**3999 + 7
-    amph, reg = OrbitKind.AMPHIDROME, OrbitKind.REGULAR
-    orbits = (
-        CurveOrbit("A", 2, amph, False, Fraction(-4)),
-        CurveOrbit("R", 1, reg, False, Fraction(-1, 2)),
-        CurveOrbit("P", 3, reg, True, Fraction(3, 4)),
-    )
-    huge_orbits = (
-        CurveOrbit("H", 1, amph, False, Fraction(-big, 7)),
-        CurveOrbit("R", 1, reg, False, Fraction(-1, 2)),
-        CurveOrbit("P", 2, amph, False, Fraction(big, 5)),
-    )
-    return [
-        NTClass(Surface(2, 3), (Fraction(20), Fraction(31, 2), Fraction(53, 3)), orbits),
-        NTClass(Surface(4, 3), (Fraction(big, 3), Fraction(big), Fraction(big, 11)), huge_orbits),
-    ]
 
 
 def test_witness_values_are_canonical(classes):

@@ -319,11 +319,15 @@ EMIT_TREES = st.recursive(
 )
 
 
-# Report entries as the dict-form entries hold them (validate, poset,
-# correcting-bound and error entries): objects whose values are scalars or
-# lists of strings.
+# Report entries as ``io._emit_fields`` writes them (validate, poset,
+# correcting-bound and error entries): a name, a status, and fields whose
+# values are scalars or lists of strings.
 EMIT_ENTRIES = st.lists(
-    st.dictionaries(EMIT_KEYS, EMIT_LEAVES | st.lists(EMIT_TEXT, max_size=4), max_size=6),
+    st.tuples(
+        st.none() | EMIT_TEXT.filter(bool),
+        st.sampled_from(["ok", "error"]),
+        st.dictionaries(EMIT_KEYS, EMIT_LEAVES | st.lists(EMIT_TEXT, max_size=4), max_size=6),
+    ),
     max_size=3,
 )
 
@@ -349,26 +353,8 @@ class SubClass(NTClass):
     """An NTClass subclass: ``_emit`` writes only the exact type."""
 
 
-class InvariantsEntrySub(docio._InvariantsEntry):
-    """An invariants entry subclass: ``_emit`` writes only the exact type."""
-
-    __slots__ = ()
-
-
-class EssentialEntrySub(docio._EssentialEntry):
-    """An essential entry subclass: ``_emit`` writes only the exact type."""
-
-    __slots__ = ()
-
-
-class OutcomeEntrySub(docio._OutcomeEntry):
-    """An outcome entry subclass: ``_emit`` writes only the exact type."""
-
-    __slots__ = ()
-
-
 class UnknownSub(Unknown):
-    """An Unknown subclass: ``_emit`` writes only the exact outcome types."""
+    """An Unknown subclass: ``_emit_outcome`` writes only the exact outcome types."""
 
 
 class DiagnosticSub(Diagnostic):
@@ -422,10 +408,24 @@ class TestCanonicalEmitter:
     """The emitter against ``json.dumps(indent=2)``, which serves only as an oracle here."""
 
     @settings(max_examples=150)
-    @given(st.dictionaries(EMIT_KEYS, EMIT_TREES | EMIT_ENTRIES, max_size=4))
+    @given(st.dictionaries(EMIT_KEYS, EMIT_TREES, max_size=4))
     def test_matches_json_dumps(self, obj):
         expected = (json.dumps(obj, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
         assert docio.serialize_report(obj) == expected
+
+    @settings(max_examples=150)
+    @given(EMIT_TEXT, EMIT_ENTRIES)
+    def test_fields_entries_match_json_dumps(self, kind, entries):
+        chunks = []
+        for name, status, fields in entries:
+            chunks += docio._emit_fields(name, _SUB_PHI, fields, status)
+        plain = {
+            "version": "1",
+            "report": kind,
+            "entries": [{"name": name, "status": status, **fields} for name, status, fields in entries],
+        }
+        expected = (json.dumps(plain, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
+        assert docio._entries_report(kind, chunks) == expected
 
     @pytest.mark.parametrize(
         "obj",
@@ -439,14 +439,10 @@ class TestCanonicalEmitter:
             {"a": CurveOrbit("O1", 1, OrbitKind.REGULAR, False, Fraction(1, 2))},
             {"a": [Surface(2, 1)]},
             {"a": SubClass(Surface(2, 1), (Fraction(3),))},
-            {"entries": [InvariantsEntrySub("a", _SUB_PHI, period_data(_SUB_PHI), False, True)]},
-            {"entries": [EssentialEntrySub(None, essential_part(_SUB_PHI), 3, True)]},
-            {"entries": [OutcomeEntrySub("a", Unknown(()))]},
-            {"entries": [OutcomeEntrySub("a", NotApplicable(Diagnostic("c", "m")))]},
-            {"entries": [docio._OutcomeEntry("a", None)]},
-            {"entries": [docio._OutcomeEntry("a", MainTheoremRoute())]},
-            {"entries": [docio._OutcomeEntry("a", UnknownSub(()))]},
-            {"entries": [docio._OutcomeEntry("a", PositivelyFactorizable(Unknown(())))]},
+            None,
+            MainTheoremRoute(),
+            UnknownSub(()),
+            PositivelyFactorizable(Unknown(())),
             {"entries": [{"warnings": [DiagnosticSub("c", "m")]}]},
             {"warnings": [Diagnostic("c", "m", (("k", 1),))]},
             {"warnings": [Diagnostic("c", "m", ((StrKey("k"), "v"),))]},
@@ -461,10 +457,6 @@ class TestCanonicalEmitter:
             "orbit",
             "surface",
             "ntclass-subclass",
-            "invariants-entry-subclass",
-            "essential-entry-subclass",
-            "classify-entry-subclass",
-            "criterion-entry-subclass",
             "outcome-none",
             "outcome-route",
             "outcome-subclass",
@@ -475,8 +467,12 @@ class TestCanonicalEmitter:
         ],
     )
     def test_rejects_other_types(self, obj):
+        # A dict is a report for the walker; anything else, an outcome for its writer.
         with pytest.raises(TypeError):
-            docio.serialize_report(obj)
+            if obj.__class__ is dict:
+                docio.serialize_report(obj)
+            else:
+                docio._emit_outcome("a", _SUB_PHI, obj)
 
     @settings(max_examples=150)
     @given(st.lists(EMIT_CLASSES, min_size=1, max_size=3), EMIT_TEXT.filter(bool))
@@ -628,50 +624,73 @@ def entry_items(values):
 ENTRY_ITEMS = entry_items(EMIT_CLASSES)
 
 
+def built_by(build, args=None):
+    """The (class, entry) pair the CLI's entry builder ``build`` gives for a class."""
+    return lambda phi: (phi, build(args, phi))
+
+
 class TestEntryWriters:
-    """The ``invariants`` and ``essential`` entries, as the CLI builds them, against
-    ``json.dumps`` of their dict forms."""
+    """The ``invariants`` and ``essential`` entries, as the CLI builds and writes them,
+    against ``json.dumps`` of their dict forms."""
 
     @staticmethod
-    def _check(kind: str, items, build, plain) -> None:
-        def report(make):
+    def _check(kind: str, items, entry_of, write, plain) -> None:
+        """The report of ``items`` as the CLI writes it, against ``json.dumps`` of ``plain``.
+
+        ``entry_of(value)`` gives the (class, entry) pair of an item's value,
+        ``write`` is the io writer of the report's entries, and ``plain(name,
+        value)`` the entry's dict form.  An error entry is written as the CLI
+        writes one.
+        """
+
+        def written() -> bytes:
+            chunks = []
+            for name, value in items:
+                if value.__class__ is str:
+                    error = {"code": "domain-error", "message": value}
+                    chunks += docio._emit_fields(name, None, {"error": error}, "error")
+                else:
+                    chunks += write(name, *entry_of(value))
+            return docio._entries_report(kind, chunks)
+
+        def plain_report() -> dict:
             entries = [
                 {"name": name, "status": "error", "error": {"code": "domain-error", "message": value}}
                 if value.__class__ is str
-                else make(name, value)
+                else plain(name, value)
                 for name, value in items
             ]
             return {"version": "1", "report": kind, "entries": entries}
 
         try:
-            expected = (json.dumps(report(plain), indent=2, ensure_ascii=False) + "\n").encode("utf-8")
+            expected = (json.dumps(plain_report(), indent=2, ensure_ascii=False) + "\n").encode("utf-8")
         except ValueError as exc:  # a computed value past the interpreter's digit limit
             assert docio._exceeds_digit_limit(exc)
             with pytest.raises(ValueError) as raised:
-                docio.serialize_report(report(build))
+                written()
             assert str(raised.value) == str(exc)
             return
-        assert docio.serialize_report(report(build)) == expected
+        assert written() == expected
 
     @settings(max_examples=150, deadline=None)
     @given(ENTRY_ITEMS)
     def test_invariants_matches_json_dumps(self, items):
-        args = SimpleNamespace()
         self._check(
             "invariants",
             items,
-            lambda name, phi: cli._invariants_entry(args, name, phi),
+            built_by(cli._invariants_entry),
+            docio._emit_invariants,
             invariants_entry_dict,
         )
 
     @settings(max_examples=150, deadline=None)
     @given(ENTRY_ITEMS, st.sampled_from([None, 1, 3]))
     def test_essential_matches_json_dumps(self, items, window):
-        args = SimpleNamespace(check_uniqueness=window)
         self._check(
             "essential",
             items,
-            lambda name, phi: cli._essential_entry(args, name, phi),
+            built_by(cli._essential_entry, SimpleNamespace(check_uniqueness=window)),
+            docio._emit_essential,
             lambda name, phi: essential_entry_dict(name, phi, window),
         )
 
@@ -787,35 +806,38 @@ CRITERION_RESULTS = st.one_of(
     DIAGNOSTICS.map(NotApplicable),
 )
 
-# For each report command, its entry of a class as the CLI builds it, and
-# the entry's dict form.
+# For each report command, its (class, entry) pair as the CLI builds it, the
+# writer of its entries, and the entry's dict form.
 CLASS_ENTRIES = {
     "classify": (
-        lambda name, phi: cli._classify_entry(None, name, phi),
+        built_by(cli._classify_entry),
+        docio._emit_outcome,
         lambda name, phi: classify_entry_dict(name, classify(phi)),
     ),
     "criterion": (
-        lambda name, phi: cli._criterion_entry(None, name, phi),
+        built_by(cli._criterion_entry),
+        docio._emit_outcome,
         lambda name, phi: criterion_entry_dict(name, criterion(phi)),
     ),
-    "validate": (lambda name, phi: cli._validate_entry(None, name, phi), validate_entry_dict),
+    "validate": (built_by(cli._validate_entry), docio._emit_fields, validate_entry_dict),
     "correcting-bound": (
-        lambda name, phi: cli._correcting_bound_entry(None, name, phi),
+        built_by(cli._correcting_bound_entry),
+        docio._emit_fields,
         correcting_bound_entry_dict,
     ),
 }
 
 
-def classify_entry_of(name, report):
-    """The CLI's ``classify`` entry when the library returns ``report``."""
+def classify_entry_of(report):
+    """The CLI's (class, ``classify`` entry) pair when the library returns ``report``."""
     with mock.patch.object(cli, "classify", lambda phi: report):
-        return cli._classify_entry(None, name, _SUB_PHI)
+        return _SUB_PHI, cli._classify_entry(None, _SUB_PHI)
 
 
-def criterion_entry_of(name, result):
-    """The CLI's ``criterion`` entry when the library returns ``result``."""
+def criterion_entry_of(result):
+    """The CLI's (class, ``criterion`` entry) pair when the library returns ``result``."""
     with mock.patch.object(cli, "criterion", lambda phi: result):
-        return cli._criterion_entry(None, name, _SUB_PHI)
+        return _SUB_PHI, cli._criterion_entry(None, _SUB_PHI)
 
 
 def _orbit(oid, screw, separating=False):
@@ -863,12 +885,12 @@ class TestOutcomeWriters:
     @settings(max_examples=100, deadline=None)
     @given(entry_items(CLASSIFY_REPORTS))
     def test_classify_outcomes_match_json_dumps(self, items):
-        self._check("classify", items, classify_entry_of, classify_entry_dict)
+        self._check("classify", items, classify_entry_of, docio._emit_outcome, classify_entry_dict)
 
     @settings(max_examples=100, deadline=None)
     @given(entry_items(CRITERION_RESULTS))
     def test_criterion_outcomes_match_json_dumps(self, items):
-        self._check("criterion", items, criterion_entry_of, criterion_entry_dict)
+        self._check("criterion", items, criterion_entry_of, docio._emit_outcome, criterion_entry_dict)
 
     @pytest.mark.parametrize("case", sorted(OUTCOME_CLASSES))
     def test_each_outcome(self, case):
@@ -882,14 +904,13 @@ class TestOutcomeWriters:
 
     def test_all_positive_class_has_no_corrections(self):
         phi = OUTCOME_CLASSES["main-theorem"][2]
-        entry = cli._criterion_entry(None, None, phi)
-        assert entry.outcome.witness.corrections == ()
-        assert '"corrections": [],' in docio.serialize_report({"entries": [entry]}).decode()
+        outcome = cli._criterion_entry(None, phi)
+        assert outcome.witness.corrections == ()
+        assert '"corrections": [],' in "".join(docio._emit_outcome(None, phi, outcome))
 
     def test_unknown_without_diagnostics(self):
-        self._check(
-            "classify", [(None, Unknown(())), ("a", Unknown(()))], classify_entry_of, classify_entry_dict
-        )
+        items = [(None, Unknown(())), ("a", Unknown(()))]
+        self._check("classify", items, classify_entry_of, docio._emit_outcome, classify_entry_dict)
 
     @pytest.mark.parametrize(
         "data",
@@ -898,9 +919,10 @@ class TestOutcomeWriters:
     )
     def test_diagnostic_data(self, data):
         diag = Diagnostic("code\t", 'a "message"', data)
-        self._check("classify", [(None, Unknown((diag, diag)))], classify_entry_of, classify_entry_dict)
+        items = [(None, Unknown((diag, diag)))]
+        self._check("classify", items, classify_entry_of, docio._emit_outcome, classify_entry_dict)
         items = [("n", Inconclusive((diag,))), ("m", NotApplicable(diag))]
-        self._check("criterion", items, criterion_entry_of, criterion_entry_dict)
+        self._check("criterion", items, criterion_entry_of, docio._emit_outcome, criterion_entry_dict)
         plain = {"warnings": [diagnostic_dict(diag)], "diagnostics": []}
         expected = (json.dumps(plain, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
         assert docio.serialize_report({"warnings": [diag], "diagnostics": []}) == expected
@@ -914,8 +936,8 @@ class TestOutcomeWriters:
         no_bound = NTClass(Surface(2, 0), (), ())
         orbit = CurveOrbit("O1", 2, OrbitKind.REGULAR, False, Fraction(1))
         genus_zero = NTClass(Surface(0, 1), (Fraction(1),), (orbit,))
-        assert cli._correcting_bound_entry(None, None, no_bound)["diagnostics"] == [cli._NO_BOUND]
-        assert len(cli._validate_entry(None, None, genus_zero)["warnings"]) == 2
+        assert cli._correcting_bound_entry(None, no_bound)["diagnostics"] == [cli._NO_BOUND]
+        assert len(cli._validate_entry(None, genus_zero)["warnings"]) == 2
         for kind in ("correcting-bound", "validate"):
             self._check(kind, [(None, no_bound), ("g0", genus_zero)], *CLASS_ENTRIES[kind])
 
@@ -929,7 +951,7 @@ class TestOutcomeWriters:
         witness = WitnessDecomposition(
             values["k"], (("A", values["power"]),), values["total"], corrected
         )
-        for kind, build, plain, outcome in (
+        for kind, entry_of, plain, outcome in (
             (
                 "classify",
                 classify_entry_of,
@@ -939,9 +961,10 @@ class TestOutcomeWriters:
             ("criterion", criterion_entry_of, criterion_entry_dict, Sufficient(witness)),
         ):
             with pytest.raises(ValueError) as exc:
-                docio.serialize_report({"entries": [build("a", outcome)]})
+                docio._emit_outcome("a", *entry_of(outcome))
             assert docio._exceeds_digit_limit(exc.value)
-            self._check(kind, [("a", outcome)], build, plain)  # the same error from json.dumps
+            # the same error from json.dumps
+            self._check(kind, [("a", outcome)], entry_of, docio._emit_outcome, plain)
 
 
 # Documents with one or more faults, and the ParseError each gives.  The texts

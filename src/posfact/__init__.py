@@ -60,6 +60,7 @@ from .invariants import (
 from .poset import (
     BoxTooLargeError,
     DimensionMismatchError,
+    MemberBox,
     PosetRegion,
     contains,
     correcting_exponent_bound,
@@ -118,6 +119,7 @@ __all__ = [
     "DimensionMismatchError",
     "BoxTooLargeError",
     "PosetRegion",
+    "MemberBox",
     "known_region",
     "contains",
     "enumerate_box",

@@ -29,15 +29,12 @@ writing each entry inside the build loop measured slower.  The classes an
 entry holds (the essential class, a witness's corrected class) are
 :class:`~posfact.core.NTClass` values, and its diagnostics
 :class:`~posfact.factorization.Diagnostic` values, written by one class
-writer and one diagnostic writer.  ``compose`` writes its classes through
-the same class writer, by ``io.serialize``, and parses its ``--twist``
-operands before it reads.  ``poset --box`` takes its member points from
-:func:`posfact.poset.enumerate_box` already in lexicographic order.  They
-are one sub-box, so it puts them in the entry as that box, one ``range``
-per coordinate from the first and the last member, which ``io`` writes row
-by row and the text renderer reads as a list of points; no point is copied
-into a list.  ``--generators`` lists the known region's corner, or nothing
-for an empty region.
+writer and one diagnostic writer.  ``compose`` writes its classes by
+``io.serialize``, and parses its ``--twist`` operands before it reads.
+``poset --box`` puts the :class:`~posfact.poset.MemberBox` that
+:func:`~posfact.poset.enumerate_box` returns in its entry as it is.
+``--generators`` lists the known region's corner, or nothing for an empty
+region.
 
 Exit status: 0 on success (NotApplicable and Unknown outcomes are
 successful runs), 1 on domain errors, 2 on input/schema errors.  One map,
@@ -445,16 +442,9 @@ def _poset_entry(args, phi: NTClass) -> dict:
         entry["point"] = list(args.point)
         entry["member"] = contains(known_region(phi), args.point)
     else:  # enumerate_box computes the known region itself
-        members = enumerate_box(phi, (args.lo,) * r, (args.hi,) * r)
         entry["lo"] = args.lo
         entry["hi"] = args.hi
-        # The members are one sub-box in lexicographic order, so the first
-        # and the last are its corners.
-        entry["points"] = (
-            docio._IntBox(tuple(map(range, members[0], [c + 1 for c in members[-1]])))
-            if members
-            else []
-        )
+        entry["points"] = enumerate_box(phi, (args.lo,) * r, (args.hi,) * r)
     return entry
 
 
@@ -471,7 +461,7 @@ def _poset_text(prefix: str, phi: NTClass, entry: dict) -> list[str]:
         f"{prefix}{len(points)} member point(s) in [{entry['lo']}, {entry['hi']}]"
         f"^{phi.surface.boundary_count}"
     ]
-    lines += [f"{prefix}  {tuple(p)}" for p in points]
+    lines += [f"{prefix}  {p}" for p in points]
     return lines
 
 

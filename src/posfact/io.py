@@ -39,19 +39,19 @@ These are the bytes that ``json.dumps(obj, indent=2, ensure_ascii=False)``
 plus a newline gives for the same object; the tests hold the emitter to that
 as an independent oracle.
 
-A report may hold the points of a box as a private value, ``_IntBox``: one
-``range`` per coordinate (the members that ``poset --box`` lists).  It is
+A report may hold the members of a box as the library's own value, a
+:class:`~posfact.poset.MemberBox` (what ``poset --box`` lists).  It is
 written as the list of its points in lexicographic order, from each
 coordinate's value texts made once, without building a point.  Its oracle is
 ``json.dumps`` of the same report with the box materialized as a list of
 point lists.
 
 Reports and documents may hold a class, an :class:`~posfact.core.NTClass`
-itself (the CLI's essential and corrected classes, and the classes that
-:func:`serialize` writes).  ``_emit_class`` writes it straight from its
-fields as the object :func:`class_to_json` gives, without building that
-dict.  Its oracle is ``json.dumps`` of the same value with ``class_to_json``
-of each class in its place.
+itself (the CLI's essential and corrected classes, and the classes of a
+batch that :func:`serialize` writes).  ``_emit_class`` writes it straight
+from its fields as the object :func:`class_to_json` gives, without building
+that dict.  Its oracle is ``json.dumps`` of the same value with
+``class_to_json`` of each class in its place.
 
 A report's entries are written by one writer per report shape, each called
 as ``write(name, phi, entry)`` with the entry's name, its class and what the
@@ -113,7 +113,6 @@ import sys
 from fractions import Fraction
 from itertools import product
 from json.encoder import encode_basestring
-from math import prod
 from typing import Any, Optional, Union
 
 from .core import CurveOrbit, NTClass, OrbitKind, Surface, _curve_orbit, _nt_class, _Value
@@ -128,6 +127,7 @@ from .factorization import (
     Unknown,
     WitnessDecomposition,
 )
+from .poset import MemberBox
 
 __all__ = [
     "ParseError",
@@ -488,10 +488,10 @@ def parse(data: Union[bytes, str]) -> Document:
 def class_to_json(phi: NTClass) -> dict:
     """JSON object for one class, in canonical key order.
 
-    Documents and reports do not go through this dict: :func:`_emit_class`
-    writes a class straight from its fields.  It is kept as the public dict
-    form of a class, and ``json.dumps`` of it is the tests' oracle for that
-    writer.
+    Reports and batch documents do not go through this dict:
+    :func:`_emit_class` writes a class straight from its fields.  A
+    single-class document is written from it, and ``json.dumps`` of it is
+    the tests' oracle for that writer.
     """
     return {
         "surface": {"genus": phi.surface.genus, "boundary": phi.surface.boundary_count},
@@ -509,27 +509,7 @@ def class_to_json(phi: NTClass) -> dict:
     }
 
 
-class _IntBox:
-    """The integer points of a box, held as one ``range`` per coordinate.
-
-    It iterates over its points, as tuples in lexicographic order, and has
-    a length, so it reads as the list of its points; :func:`_emit` writes it
-    as that list.
-    """
-
-    __slots__ = ("ranges",)
-
-    def __init__(self, ranges: tuple[range, ...]) -> None:
-        self.ranges = ranges
-
-    def __iter__(self):
-        return product(*self.ranges)
-
-    def __len__(self) -> int:
-        return prod(map(len, self.ranges))
-
-
-def _emit_box(box: _IntBox, out: list[str], indent: str) -> None:
+def _emit_box(box: MemberBox, out: list[str], indent: str) -> None:
     """Append the canonical text of the list of ``box``'s points.
 
     Each value's text is made once per coordinate, joined to what comes
@@ -542,9 +522,6 @@ def _emit_box(box: _IntBox, out: list[str], indent: str) -> None:
         out.append("[]")
         return
     inner = indent + "  "
-    if not ranges:
-        out.append("[" + inner + "[]" + indent + "]")
-        return
     row_inner = inner + "  "
     heads = ["[" + row_inner] + ["," + row_inner] * (len(ranges) - 1)
     pieces = [[head + text for text in map(int.__repr__, r)] for head, r in zip(heads, ranges)]
@@ -580,20 +557,18 @@ def _rationals_text(values: tuple[Fraction, ...], indent: str) -> str:
     return f'[{inner}"' + f'",{inner}"'.join(map(format_rational, values)) + f'"{indent}]'
 
 
-def _emit_class(phi: NTClass, out: list[str], indent: str, head: str = "{") -> None:
+def _emit_class(phi: NTClass, out: list[str], indent: str) -> None:
     """Append the canonical text of ``class_to_json(phi)``, read from ``phi``'s fields.
 
-    ``indent`` is as for :func:`_emit`, and ``head`` is the text before the
-    first field: the object's opening brace, or the comma that follows the
-    fields a document writes before the class's own.  Each value is formatted
-    once and each orbit is one string.
+    ``indent`` is as for :func:`_emit`.  Each value is formatted once and
+    each orbit is one string.
     """
     inner = indent + "  "
     row = inner + "  "
     field = row + "  "
     surface = phi.surface
     out.append(
-        f'{head}{inner}"surface": {{{row}"genus": {surface.genus},'
+        f'{{{inner}"surface": {{{row}"genus": {surface.genus},'
         f'{row}"boundary": {surface.boundary_count}{inner}}},{inner}"fr": '
     )
     out.append(_rationals_text(phi.fr, inner))
@@ -834,7 +809,8 @@ def _emit(value: Any, out: list[str], indent: str) -> None:
     item.  Only the types reports and documents hold are accepted: dicts
     with str keys, lists, str, int, bool, None,
     :class:`~posfact.core.NTClass` (written as :func:`class_to_json` of it,
-    by :func:`_emit_class`), :class:`_IntBox` and
+    by :func:`_emit_class`), :class:`~posfact.poset.MemberBox` (as the list
+    of its points, by :func:`_emit_box`) and
     :class:`~posfact.factorization.Diagnostic` (by :func:`_diagnostic_text`).
     As for str keys, only the exact types are: a subclass of any of them is
     rejected.  Report entries are not values of their own: the entry writers
@@ -878,7 +854,7 @@ def _emit(value: Any, out: list[str], indent: str) -> None:
         out.append(indent + "]")
     elif cls is NTClass:
         _emit_class(value, out, indent)
-    elif cls is _IntBox:
+    elif cls is MemberBox:
         _emit_box(value, out, indent)
     elif cls is Diagnostic:
         out.append(_diagnostic_text(value, indent))
@@ -896,11 +872,7 @@ def _dump(obj: dict) -> bytes:
 def serialize(doc: Document) -> bytes:
     """Canonical bytes for a document; ``parse(serialize(doc)) == doc``."""
     if isinstance(doc.payload, NTClass):
-        out = ['{\n  "version": ']
-        _emit(doc.version, out, "\n  ")
-        _emit_class(doc.payload, out, "\n", ",")
-        out.append("\n")
-        return "".join(out).encode("utf-8")
+        return _dump({"version": doc.version, **class_to_json(doc.payload)})
     return _dump(
         {
             "version": doc.version,

@@ -9,10 +9,10 @@ the two routes of :mod:`posfact.factorization`, which decides them.
 
 A shift a is certified exactly when fr_i + a_i > total for every i, with
 one total from ``factorization``, so the region is an orthant above one
-corner, or empty.  Only that corner geometry lives here: :func:`enumerate_box`
-lists a box's members as one sub-box in lexicographic order, so its first
-and last members are the sub-box's corners (``poset --box`` writes its rows
-from them), and :func:`correcting_exponent_bound` reads the least certified
+corner, or empty.  Only that corner geometry lives here: the members inside
+a box are one sub-box, which :func:`enumerate_box` returns as a
+:class:`MemberBox` (one ``range`` per coordinate, built without listing its
+points), and :func:`correcting_exponent_bound` reads the least certified
 diagonal shift off the corner.  The pointwise oracle (classify every point)
 is in the tests.
 """
@@ -20,6 +20,7 @@ is in the tests.
 from __future__ import annotations
 
 from itertools import product
+from math import prod
 from typing import Optional, Sequence
 
 from .core import DomainError, NTClass, _Value
@@ -31,6 +32,7 @@ __all__ = [
     "DimensionMismatchError",
     "BoxTooLargeError",
     "PosetRegion",
+    "MemberBox",
     "known_region",
     "contains",
     "enumerate_box",
@@ -68,6 +70,37 @@ class PosetRegion(_Value):
         fields = self.__dict__
         fields["dimension"] = dimension
         fields["corner"] = corner
+
+
+class MemberBox(_Value):
+    """The members of a known region inside a box: one sub-box, one ``range`` per coordinate.
+
+    Iterating gives its points, as tuples in lexicographic order, and ``len``
+    their number, so it reads as the list of its points without holding
+    one.  Every coordinate's range has step 1, and there is at least one
+    coordinate.  An empty box holds ``range(0)`` in every coordinate, so two
+    boxes with the same members compare equal.
+    """
+
+    __match_args__ = ("ranges",)
+    ranges: tuple[range, ...]
+
+    def __init__(self, ranges: tuple[range, ...]) -> None:
+        ranges = tuple(ranges)
+        if not ranges:
+            raise ValueError("a member box needs at least one coordinate")
+        for r in ranges:
+            if r.__class__ is not range or r.step != 1:
+                raise ValueError(f"member box coordinates must be ranges of step 1, got {r!r}")
+        if not all(ranges):
+            ranges = (range(0),) * len(ranges)
+        self.__dict__["ranges"] = ranges
+
+    def __iter__(self):
+        return product(*self.ranges)
+
+    def __len__(self) -> int:
+        return prod(map(len, self.ranges))
 
 
 def contains(region: PosetRegion, point: Sequence[int]) -> bool:
@@ -116,15 +149,16 @@ def enumerate_box(
     lo: Sequence[int],
     hi: Sequence[int],
     max_points: int = DEFAULT_BOX_CAP,
-) -> tuple[tuple[int, ...], ...]:
-    """All members of :func:`known_region` inside the box ``[lo, hi]``, in lexicographic order.
+) -> MemberBox:
+    """The members of :func:`known_region` inside the box ``[lo, hi]``.
 
-    Output-sensitive: the members are the sub-box prod_i [max(lo_i, c_i), hi_i]
-    above the region's corner c, so the cost is proportional to the number
-    of members, not to the box volume.  The bounds must be ints (TypeError
-    otherwise, a bool included, checked first) and the box volume must not
-    exceed ``max_points``.  A class without boundary components has no
-    certified shifts and yields no members.
+    They are the sub-box prod_i [max(lo_i, c_i), hi_i] above the region's
+    corner c, returned as that :class:`MemberBox` (empty for an empty
+    region), so the cost does not grow with the box or the number of
+    members.  The bounds must be ints (TypeError otherwise, a bool
+    included, checked first) and the box volume must not exceed
+    ``max_points``.  A class without boundary components then raises the
+    ``DomainError`` of :func:`known_region`.
     """
     lo = tuple(lo)
     hi = tuple(hi)
@@ -148,12 +182,10 @@ def enumerate_box(
         volume *= b - a + 1
     if volume > max_points:
         raise BoxTooLargeError(f"box holds at least {max_points + 1} points, cap is {max_points}")
-    if r == 0:
-        return ()
     corner = known_region(phi).corner
     if corner is None:
-        return ()
-    return tuple(product(*[range(max(a, c), b + 1) for a, c, b in zip(lo, corner, hi)]))
+        return MemberBox((range(0),) * r)
+    return MemberBox([range(max(a, c), b + 1) for a, c, b in zip(lo, corner, hi)])
 
 
 def correcting_exponent_bound(phi: NTClass) -> Optional[int]:

@@ -13,7 +13,7 @@ import itertools
 import os
 import random
 import sys
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import pytest
 from hypothesis.internal.charmap import intervals_from_codec
@@ -44,8 +44,9 @@ def pointwise_box(phi: NTClass, lo: Sequence[int], hi: Sequence[int]) -> frozens
     return frozenset(members)
 
 
-def ordered_members(members: Sequence[tuple[int, ...]]) -> frozenset[tuple[int, ...]]:
+def ordered_members(box: Iterable[tuple[int, ...]]) -> frozenset[tuple[int, ...]]:
     """The points ``enumerate_box`` returned, as a set, once checked to be strictly increasing."""
+    members = list(box)
     assert all(a < b for a, b in zip(members, members[1:])), "members not in strictly increasing order"
     return frozenset(members)
 

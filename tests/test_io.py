@@ -22,6 +22,7 @@ from posfact import (
     Diagnostic,
     Inconclusive,
     MainTheoremRoute,
+    MemberBox,
     NotApplicable,
     NTClass,
     OrbitKind,
@@ -298,7 +299,7 @@ EMIT_LEAVES = st.one_of(
     st.sampled_from([0, -1, 2**63, -(2**64)]),
     EMIT_TEXT,
 )
-# Lists of rows, as generators are written (box members are an ``_IntBox``):
+# Lists of rows, as generators are written (box members are a ``MemberBox``):
 # exact int rows, ragged or empty, and rows holding a bool, a str or None
 # among the ints.
 EMIT_ROWS = st.lists(
@@ -332,8 +333,8 @@ EMIT_ENTRIES = st.lists(
 )
 
 
-# The ranges of a box of points, as ``poset --box`` holds its members: up to
-# four coordinates, some empty (a start above the stop among them), with
+# The ranges of a box of points, as ``poset --box`` holds its members: one
+# to four coordinates, some empty (a start above the stop among them), with
 # large and negative values.
 EMIT_BOX_RANGES = st.lists(
     st.builds(
@@ -341,6 +342,7 @@ EMIT_BOX_RANGES = st.lists(
         st.integers(min_value=-(10**40), max_value=10**40) | st.integers(-3, 3),
         st.integers(-1, 4),
     ),
+    min_size=1,
     max_size=4,
 )
 
@@ -522,7 +524,7 @@ class TestCanonicalEmitter:
     @settings(max_examples=150)
     @given(EMIT_BOX_RANGES, st.sampled_from(["top", "nested"]))
     def test_box_matches_json_dumps_of_its_points(self, ranges, place):
-        box = docio._IntBox(tuple(ranges))
+        box = MemberBox(tuple(ranges))
         points = [list(p) for p in product(*ranges)]
         if place == "top":
             obj, plain = {"points": box}, {"points": points}
@@ -541,7 +543,7 @@ class TestCanonicalEmitter:
         ranges = [range(-1, 1)] * 3
         ranges[coordinate] = range(big - 1, big + 1)
         with pytest.raises(ValueError) as exc:
-            docio.serialize_report({"points": docio._IntBox(tuple(ranges))})
+            docio.serialize_report({"points": MemberBox(tuple(ranges))})
         with pytest.raises(ValueError) as plain:
             docio.serialize_report({"points": [list(p) for p in product(*ranges)]})
         assert docio._exceeds_digit_limit(exc.value)

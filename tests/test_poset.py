@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from posfact import (
     CurveOrbit,
     DimensionMismatchError,
     DomainError,
+    MemberBox,
     NTClass,
     OrbitKind,
     PosetRegion,
@@ -137,7 +139,7 @@ class TestEnumerateBox:
 
     def test_empty_region_box(self):
         phi = nt(2, [5], [orbit(Fraction(-1, 2), separating=True)])
-        assert enumerate_box(phi, (-5,), (5,)) == ()
+        assert len(enumerate_box(phi, (-5,), (5,))) == 0
 
     def test_box_cap(self):
         phi = nt(2, [0, 0])
@@ -194,25 +196,39 @@ class TestEnumerateBox:
                 if kind == "inside":
                     assert len(members) == math.prod(b - a + 1 for a, b in zip(lo, hi))
                 if kind in ("outside", "empty-region"):
-                    assert members == ()
+                    assert len(members) == 0
                 kinds[kind] += 1
         assert min(kinds.values()) > 0, kinds
 
-    def test_no_boundary_is_empty(self):
+    def test_no_boundary_is_rejected(self):
         phi = NTClass(Surface(2, 0), ())
-        assert enumerate_box(phi, (), ()) == ()
-        assert pointwise_box(phi, (), ()) == frozenset()
+        with pytest.raises(DomainError, match="at least one boundary component"):
+            enumerate_box(phi, (), ())
+        assert pointwise_box(phi, (), ()) == frozenset()  # no shift is certified either
+
+    def test_members_are_not_materialized(self):
+        phi = NTClass(Surface(2, 3), (Fraction(60),) * 3)
+        tracemalloc.start()
+        try:
+            members = enumerate_box(phi, (-49,) * 3, (50,) * 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert members == MemberBox((range(-49, 51),) * 3)
+        assert len(members) == 10**6
+        assert peak < 2**20
 
     @pytest.mark.parametrize(
         "fr, lo, hi, cap, error, match",
         [
-            # The first three rows also fail every later check; the last two
-            # show the checks run before a boundaryless class returns empty.
+            # The first three rows also fail every later check; the last three
+            # show the checks run before a boundaryless class is rejected.
             ([5, 5], (3, 9, 0), (1, -9), 1, DimensionMismatchError, "lengths 3/2"),
             ([5, 5], (3, 9), (1, -9), 1, DomainError, "empty box"),
             ([5, 5], (-9, -9), (9, 9), 360, BoxTooLargeError, "361 points"),
             ([], (0,), (), 1, DimensionMismatchError, "lengths 1/0"),
             ([], (), (), 0, BoxTooLargeError, "1 points"),
+            ([], (), (), 1, DomainError, "at least one boundary"),
         ],
     )
     def test_check_order(self, fr, lo, hi, cap, error, match):
@@ -277,3 +293,31 @@ class TestEssentialInclusion:
         # the shrunken known region genuinely escapes the original one.
         phi = nt(2, [Fraction(1, 2)], [orbit(Fraction(-3))])
         assert essential_inclusion(phi) is False
+
+
+class TestMemberBox:
+    @pytest.mark.parametrize(
+        "ranges, match",
+        [
+            ((), "at least one coordinate"),
+            ((range(3), [0, 1, 2]), "ranges of step 1"),
+            ((range(0, 6, 2),), "ranges of step 1"),
+            ((range(3, 0, -1),), "ranges of step 1"),
+            ((3,), "ranges of step 1"),
+        ],
+        ids=["no-coordinate", "list", "step-2", "step-minus-1", "int"],
+    )
+    def test_rejects(self, ranges, match):
+        with pytest.raises(ValueError, match=match):
+            MemberBox(ranges)
+
+    def test_empty_boxes_of_one_dimension_are_equal(self):
+        empties = [
+            MemberBox((range(0), range(0))),
+            MemberBox((range(2, 5), range(7, 7))),
+            MemberBox((range(4, 1), range(-3, 3))),
+        ]
+        for box in empties:
+            assert box == empties[0] and hash(box) == hash(empties[0])
+            assert box.ranges == (range(0), range(0)) and len(box) == 0 and list(box) == []
+        assert MemberBox((range(0),)) != empties[0]

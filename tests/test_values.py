@@ -29,6 +29,7 @@ from posfact import (
     LTag,
     LValue,
     MainTheoremRoute,
+    MemberBox,
     NotApplicable,
     NTClass,
     OrbitKind,
@@ -88,6 +89,7 @@ TWIN_FIELDS = {
     NamedClass: [("name", str), ("nt_class", NTClass)],
     Document: [("version", str), ("payload", Union[NTClass, tuple[NamedClass, ...]])],
     PosetRegion: [("dimension", int), ("corner", Optional[tuple[int, ...]])],
+    MemberBox: [("ranges", tuple[range, ...])],
 }
 
 TWINS = {cls: make_dataclass(cls.__name__, spec, frozen=True) for cls, spec in TWIN_FIELDS.items()}
@@ -171,6 +173,12 @@ CASES = {
         ("2", PHI),
     ],
     PosetRegion: [(2, (0, -1)), (2, (0, -1)), (2, None), (2, (1, -1)), (1, (0,))],
+    MemberBox: [
+        ((range(-2, 3), range(0, 1)),),
+        ((range(-2, 3), range(0, 1)),),
+        ((range(-2, 3),),),
+        ((range(0), range(0)),),
+    ],
 }
 
 TYPES = list(TWIN_FIELDS)

@@ -34,7 +34,9 @@ writer and one diagnostic writer.  ``compose`` writes its classes by
 ``poset --box`` puts the :class:`~posfact.poset.MemberBox` that
 :func:`~posfact.poset.enumerate_box` returns in its entry as it is.
 ``--generators`` lists the known region's corner, or nothing for an empty
-region.
+region.  A ``poset`` entry in each of its three modes has its own writer,
+``io._emit_poset``; ``validate``, ``correcting-bound`` and error entries are
+written by ``io._emit_fields``.
 
 Exit status: 0 on success (NotApplicable and Unknown outcomes are
 successful runs), 1 on domain errors, 2 on input/schema errors.  One map,
@@ -667,7 +669,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
         "known region of the correcting poset",
         _poset_entry,
         _poset_text,
-        docio._emit_fields,
+        docio._emit_poset,
         _poset_mode,
     )
     group = p.add_mutually_exclusive_group(required=True)

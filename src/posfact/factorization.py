@@ -215,13 +215,16 @@ def _fr_diagnostic(bad_fr: list[int]) -> Diagnostic:
     )
 
 
-def _correction_plan(phi: NTClass, bad_fr: list[int], to_correct: list):
-    """The correction plan (k, corrections, total), or its first failed gate: k, fr, separating."""
+def _correction_plan(phi: NTClass, fr_diagnostic: Optional[Diagnostic], to_correct: list):
+    """The correction plan (k, corrections, total), or its first failed gate: k, fr, separating.
+
+    ``fr_diagnostic`` is the fr gate's diagnostic, or None when every fr_i > 0.
+    """
     k = criterion_k(phi.surface.genus, phi.surface.boundary_count)
     if isinstance(k, Diagnostic):
         return k
-    if bad_fr:
-        return _fr_diagnostic(bad_fr)
+    if fr_diagnostic is not None:
+        return fr_diagnostic
     separating = [orbit.id for orbit in to_correct if orbit.separating]
     if separating:
         return Diagnostic(
@@ -242,7 +245,7 @@ def _certified_total(phi: NTClass) -> Optional[int]:
     to_correct = _sign_gates(phi)[1]
     if not to_correct:
         return 0  # the direct route
-    plan = _correction_plan(phi, [], to_correct)  # a shift lifts fr: no fr gate
+    plan = _correction_plan(phi, None, to_correct)  # a shift lifts fr: no fr gate
     return None if isinstance(plan, Diagnostic) else plan[2]
 
 
@@ -318,11 +321,12 @@ def criterion(phi: NTClass) -> CriterionResult:
     Otherwise Sufficient iff k * sum(d_j) < min_i fr_i, and only then is the
     witness built; else Inconclusive with the exact inequality.
     """
-    return _criterion(phi, *_sign_gates(phi))
+    bad_fr, to_correct = _sign_gates(phi)
+    return _criterion(phi, _fr_diagnostic(bad_fr) if bad_fr else None, to_correct)
 
 
-def _criterion(phi: NTClass, bad_fr: list[int], to_correct: list) -> CriterionResult:
-    plan = _correction_plan(phi, bad_fr, to_correct)
+def _criterion(phi: NTClass, fr_diagnostic: Optional[Diagnostic], to_correct: list) -> CriterionResult:
+    plan = _correction_plan(phi, fr_diagnostic, to_correct)
     if isinstance(plan, Diagnostic):
         return NotApplicable(plan)
     k, corrections, total = plan
@@ -406,10 +410,12 @@ def classify(phi: NTClass) -> ClassificationReport:
     bad_fr, to_correct = _sign_gates(phi)
     if not bad_fr and not to_correct:
         return PositivelyFactorizable(MainTheoremRoute())
-    result = _criterion(phi, bad_fr, to_correct)
+    # Built once: the criterion's fr gate and the Unknown's diagnostics share it.
+    fr_diagnostic = _fr_diagnostic(bad_fr) if bad_fr else None
+    result = _criterion(phi, fr_diagnostic, to_correct)
     if isinstance(result, Sufficient):
         return PositivelyFactorizable(CriterionRoute(result.witness))
-    diagnostics = [_fr_diagnostic(bad_fr)] if bad_fr else []
+    diagnostics = [] if fr_diagnostic is None else [fr_diagnostic]
     if to_correct:
         bad_sc = [orbit.id for orbit in to_correct]
         diagnostics.append(

@@ -42,9 +42,10 @@ as an independent oracle.
 A report may hold the members of a box as the library's own value, a
 :class:`~posfact.poset.MemberBox` (what ``poset --box`` lists).  It is
 written as the list of its points in lexicographic order, from each
-coordinate's value texts made once, without building a point.  Its oracle is
-``json.dumps`` of the same report with the box materialized as a list of
-point lists.
+coordinate's value texts made once, without building a point: the rows that
+share a prefix of every coordinate but the last are one join of the last
+coordinate's texts, made once per prefix.  Its oracle is ``json.dumps`` of
+the same report with the box materialized as a list of point lists.
 
 Reports and documents may hold a class, an :class:`~posfact.core.NTClass`
 itself (the CLI's essential and corrected classes, and the classes of a
@@ -66,10 +67,12 @@ and one for a diagnostic, ``_diagnostic_text`` (``code``, ``message`` and
 its last value).  ``_emit_invariants`` writes an ``invariants`` entry from
 the class, its period data and its two predicates, and ``_emit_essential``
 an ``essential`` entry from the essential part, the window and the
-uniqueness answer, each without building the entry's dict.  The
-``validate``, ``poset`` and ``correcting-bound`` entries are dicts of their
-fields, which may hold ``Diagnostic`` values; ``_emit_fields`` writes them,
-and error entries, by ``_emit``.  ``_entries_report`` puts the entries' text
+uniqueness answer, each without building the entry's dict.  The ``poset``
+entry is a dict of its fields, and ``_emit_poset`` writes it in each of its
+three modes, the box through ``_emit_box``, without the walker.  The
+``validate`` and ``correcting-bound`` entries are dicts of their fields,
+which may hold ``Diagnostic`` values; ``_emit_fields`` writes them, and
+error entries, by ``_emit``.  ``_entries_report`` puts the entries' text
 in the report envelope.  The oracle of every writer is ``json.dumps`` of the
 entry's dict form, with fields in the report's key order: ``fr`` as
 rational texts, one ``{"id", "kind", "alpha", "beta", "screw"}`` object per
@@ -512,10 +515,15 @@ def class_to_json(phi: NTClass) -> dict:
 def _emit_box(box: MemberBox, out: list[str], indent: str) -> None:
     """Append the canonical text of the list of ``box``'s points.
 
-    Each value's text is made once per coordinate, joined to what comes
-    before it in a row (the row's opening, or a comma) and, in the last
-    coordinate, to the row's closing; a row is then the concatenation of one
-    piece per coordinate.  A range holds only ints, so no type is checked.
+    A row is its values' texts, each after the row's opening or a comma, and
+    then the row's closing.  Each value's text is made once per coordinate.
+    The rows that share a prefix, the values of every coordinate but the
+    last, form one block: a single join of the last coordinate's texts, each
+    after what ends the row before (its closing and a comma) and begins its
+    own row (the prefix), so a prefix is joined once and not once per row.
+    The blocks go to ``out`` as they are; only the first, which follows no
+    row, is cut to open the list.  A range holds only ints, so no type is
+    checked.
     """
     ranges = box.ranges
     if not all(ranges):
@@ -523,11 +531,16 @@ def _emit_box(box: MemberBox, out: list[str], indent: str) -> None:
         return
     inner = indent + "  "
     row_inner = inner + "  "
-    heads = ["[" + row_inner] + ["," + row_inner] * (len(ranges) - 1)
+    close = inner + "]"
+    after_row = close + "," + inner
+    heads = [after_row + "[" + row_inner] + ["," + row_inner] * (len(ranges) - 1)
+    last_head = (heads.pop(),)
     pieces = [[head + text for text in map(int.__repr__, r)] for head, r in zip(heads, ranges)]
-    pieces[-1] = [piece + inner + "]" for piece in pieces[-1]]
-    rows = ("," + inner).join(map("".join, product(*pieces)))
-    out.append("[" + inner + rows + indent + "]")
+    texts = ["", *map(int.__repr__, ranges[-1])]  # "": a block's first row has its start too
+    blocks = [start.join(texts) for start in map("".join, product(*pieces, last_head))]
+    blocks[0] = "[" + inner + blocks[0][len(after_row):]
+    out += blocks
+    out.append(close + indent + "]")
 
 
 # The quoted text of each orbit kind, made once at import.  A writer picks
@@ -535,6 +548,11 @@ def _emit_box(box: MemberBox, out: list[str], indent: str) -> None:
 _REGULAR = OrbitKind.REGULAR
 _REGULAR_TEXT = encode_basestring(OrbitKind.REGULAR.value)
 _AMPHIDROME_TEXT = encode_basestring(OrbitKind.AMPHIDROME.value)
+
+# The text of a Fraction, as format_rational gives it: ``Fraction.__str__``
+# called unbound, so no subclass's override applies.  It reads the value's
+# slots, where format_rational reads its numerator and denominator properties.
+_fraction_text = Fraction.__str__
 
 
 def _ints_text(values: tuple[int, ...], indent: str) -> str:
@@ -554,7 +572,7 @@ def _rationals_text(values: tuple[Fraction, ...], indent: str) -> str:
     if not values:
         return "[]"
     inner = indent + "  "
-    return f'[{inner}"' + f'",{inner}"'.join(map(format_rational, values)) + f'"{indent}]'
+    return f'[{inner}"' + f'",{inner}"'.join(map(_fraction_text, values)) + f'"{indent}]'
 
 
 def _emit_class(phi: NTClass, out: list[str], indent: str) -> None:
@@ -580,7 +598,7 @@ def _emit_class(phi: NTClass, out: list[str], indent: str) -> None:
         f'{{{field}"id": {encode_basestring(orbit.id)},{field}"length": {orbit.length},'
         f'{field}"kind": {regular_text if orbit.kind is regular else amphidrome_text},'
         f'{field}"separating": {"true" if orbit.separating else "false"},'
-        f'{field}"screw": "{format_rational(orbit.screw)}"{row}}}'
+        f'{field}"screw": "{_fraction_text(orbit.screw)}"{row}}}'
         for orbit in phi.orbits
     ]
     out.append(f',{inner}"orbits": [{row}' + f",{row}".join(orbits) + f"{inner}]{indent}}}")
@@ -622,7 +640,7 @@ def _emit_invariants(name: Optional[str], phi: NTClass, entry: tuple) -> list[st
             f'{{{field}"id": {encode_basestring(orbit.id)},'
             f'{field}"kind": {regular_text if orbit.kind is regular else amphidrome_text},'
             f'{field}"alpha": {orbit.alpha},{field}"beta": {orbit.beta},'
-            f'{field}"screw": "{format_rational(orbit.screw)}"{row}}}'
+            f'{field}"screw": "{_fraction_text(orbit.screw)}"{row}}}'
             for orbit in phi.orbits
         ]
         out.append(f"[{row}" + f",{row}".join(screws) + f"{inner}]")
@@ -774,12 +792,43 @@ def _emit_outcome(name: Optional[str], phi: NTClass, outcome: Any) -> list[str]:
     return out
 
 
+def _emit_poset(name: Optional[str], phi: NTClass, entry: dict) -> list[str]:
+    """The canonical text of a ``poset`` entry, read from ``entry``.
+
+    ``entry`` is the dict of fields the CLI builds: ``mode`` and
+    ``dimension``, then by mode ``generators`` (``[]`` or the one corner
+    row), ``point`` and ``member``, or ``lo``, ``hi`` and ``points``, a
+    :class:`~posfact.poset.MemberBox` written by :func:`_emit_box`.  The
+    entry is the object ``{"name", "status": "ok", **entry}``, each mode's
+    fields written in one string without the walker.  The mode is one of
+    the three words, so it is quoted without escaping.
+    """
+    indent, inner = _ENTRY_INDENT, _FIELD_INDENT
+    mode = entry["mode"]
+    head = f'{_entry_head(name)}"mode": "{mode}",{inner}"dimension": {entry["dimension"]},{inner}'
+    if mode == "generators":
+        generators = entry["generators"]
+        row = inner + "  "
+        text = f"[{row}{_ints_text(generators[0], row)}{inner}]" if generators else "[]"
+        return [f'{head}"generators": {text}{indent}}}']
+    if mode == "query":
+        return [
+            f'{head}"point": {_ints_text(entry["point"], inner)},'
+            f'{inner}"member": {"true" if entry["member"] else "false"}{indent}}}'
+        ]
+    out = [f'{head}"lo": {entry["lo"]},{inner}"hi": {entry["hi"]},{inner}"points": ']
+    _emit_box(entry["points"], out, inner)
+    out.append(indent + "}")
+    return out
+
+
 def _emit_fields(name: Optional[str], phi: NTClass, fields: dict, status: str = "ok") -> list[str]:
     """The canonical text of the entry ``{"name", "status", **fields}``, written by :func:`_emit`.
 
-    It writes the ``validate``, ``poset`` and ``correcting-bound`` entries,
-    whose fields the CLI builds as a dict, and, with status ``"error"``, an
-    error entry, whose one field is ``{"error": {"code", "message"}}``.
+    It writes the ``validate`` and ``correcting-bound`` entries, whose
+    fields the CLI builds as a dict and which may hold ``Diagnostic`` values,
+    and, with status ``"error"``, an error entry, whose one field is
+    ``{"error": {"code", "message"}}``.
     """
     out = ["," + _ENTRY_INDENT]
     _emit({"name": name, "status": status, **fields}, out, _ENTRY_INDENT)
@@ -815,7 +864,10 @@ def _emit(value: Any, out: list[str], indent: str) -> None:
     As for str keys, only the exact types are: a subclass of any of them is
     rejected.  Report entries are not values of their own: the entry writers
     write each one from the library's values, and :func:`_emit_fields`
-    writes the entries the CLI builds as dicts through this walker.
+    writes the ``validate``, ``correcting-bound`` and error entries through
+    this walker.  A box reaches it only in a report given to
+    :func:`serialize_report`; a ``poset`` entry's box is written by
+    :func:`_emit_poset`.
     """
     cls = value.__class__
     if cls is str:

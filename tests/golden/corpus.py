@@ -28,13 +28,19 @@ error texts may differ between versions).  The documents are written with
 they help to check.
 
 The corpus needs neither pytest nor hypothesis: its classes come from
-``tests/sample_classes.py``.  Rewrite the pin for the running Python
-version, after a change that alters output on purpose, with::
+``tests/sample_classes.py``.  Compare it with the pin of the running Python
+version, without rewriting anything, with::
+
+    PYTHONPATH=src python tests/golden/corpus.py --check
+
+which exits 0 on a match and 1, naming the first run that differs, on any
+difference; ``test_golden.py`` makes the same comparison.  Rewrite the pin,
+after a change that alters output on purpose, with::
 
     PYTHONPATH=src python tests/golden/corpus.py
 
-and with ``/path/to/python3.X`` in place of ``python`` for each other
-installed version (3.10 and later).
+Both work with ``/path/to/python3.X`` in place of ``python`` for each other
+installed version (3.10 and later), which need no pytest.
 """
 
 from __future__ import annotations
@@ -45,6 +51,7 @@ import json
 import random
 import sys
 from pathlib import Path
+from typing import Optional
 
 from posfact.cli import main
 
@@ -239,6 +246,43 @@ def version_key() -> str:
     return f"{sys.version_info.major}.{sys.version_info.minor}"
 
 
+def pinned() -> Optional[dict]:
+    """The pin of the running Python version, or None if ``pin.json`` has none."""
+    return json.loads(PIN_PATH.read_text()).get(version_key())
+
+
+def difference(pin: dict) -> Optional[str]:
+    """Run the corpus against ``pin``: None if every run matches, else what differs first."""
+    runs_pinned = pin["runs"]
+    lines = []
+    for name, argv, code, out, err in runs():
+        line = digest_line(name, argv, code, out, err)
+        expected = runs_pinned[len(lines)] if len(lines) < len(runs_pinned) else "(no pinned run)"
+        if line != expected:
+            return (
+                f"first run that differs from the pin: document {name!r}, argv {argv}\n"
+                f"pinned: {expected}\nnow:    {line}\n"
+                f"stdout: {out[:2000]!r}\nstderr: {err[:2000]!r}"
+            )
+        lines.append(line)
+    if len(lines) != len(runs_pinned):
+        return f"{len(runs_pinned) - len(lines)} pinned runs were not made"
+    if combined_digest(lines) != pin["combined"]:
+        return "every run matches, but the combined digest does not"
+    return None
+
+
+def check_pin() -> int:
+    """Compare the corpus with the pin of the running Python version: 0 on a match, else 1."""
+    pin = pinned()
+    found = f"no golden pin for Python {version_key()}" if pin is None else difference(pin)
+    if found is not None:
+        print(found, file=sys.stderr)
+        return 1
+    print(f"all {len(pin['runs'])} runs match the pin for Python {version_key()}")
+    return 0
+
+
 def write_pin() -> None:
     """Run the corpus and store its digests for the running Python version in ``pin.json``."""
     lines = [digest_line(*r) for r in runs()]
@@ -252,4 +296,8 @@ if __name__ == "__main__":
     if sys.get_int_max_str_digits() != DIGIT_LIMIT:
         sys.exit(f"the corpus needs the default int digit limit of {DIGIT_LIMIT}")
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent))  # sample_classes
+    if sys.argv[1:] == ["--check"]:
+        sys.exit(check_pin())
+    if sys.argv[1:]:
+        sys.exit(f"usage: {sys.argv[0]} [--check]")
     write_pin()

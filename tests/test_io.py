@@ -6,6 +6,7 @@ import copy
 import json
 import random
 import sys
+from argparse import Namespace
 from fractions import Fraction
 from itertools import product
 from types import SimpleNamespace
@@ -33,12 +34,14 @@ from posfact import (
     WitnessDecomposition,
     classify,
     cli,
+    contains,
     correcting_exponent_bound,
     criterion,
     essential_part,
     genus_zero_diagnostics,
     is_essential,
     is_fully_right_veering,
+    known_region,
     period_data,
     verify_essential_uniqueness,
 )
@@ -320,7 +323,7 @@ EMIT_TREES = st.recursive(
 )
 
 
-# Report entries as ``io._emit_fields`` writes them (validate, poset,
+# Report entries as ``io._emit_fields`` writes them (validate,
 # correcting-bound and error entries): a name, a status, and fields whose
 # values are scalars or lists of strings.
 EMIT_ENTRIES = st.lists(
@@ -967,6 +970,140 @@ class TestOutcomeWriters:
             assert docio._exceeds_digit_limit(exc.value)
             # the same error from json.dumps
             self._check(kind, [("a", outcome)], entry_of, docio._emit_outcome, plain)
+
+
+def poset_entry_dict(name, value) -> dict:
+    """The dict form of the ``poset`` entry of a (class, operands) value, restated here as
+    the oracle for ``io``'s writer.
+
+    A box's members are the points of the box that the region contains,
+    listed as point lists.
+    """
+    phi, args = value
+    region = known_region(phi)
+    r = phi.surface.boundary_count
+    entry = {"name": name, "status": "ok", "mode": args.mode, "dimension": r}
+    if args.mode == "generators":
+        entry["generators"] = [] if region.corner is None else [list(region.corner)]
+    elif args.mode == "query":
+        entry["point"] = list(args.point)
+        entry["member"] = contains(region, args.point)
+    else:
+        box = product(range(args.lo, args.hi + 1), repeat=r)
+        entry.update(lo=args.lo, hi=args.hi, points=[list(p) for p in box if contains(region, p)])
+    return entry
+
+
+def poset_entry_of(value):
+    """The CLI's (class, ``poset`` entry) pair for a (class, operands) value."""
+    phi, args = value
+    return phi, cli._poset_entry(args, phi)
+
+
+def poset_args(mode: str, r: int):
+    """The operands of a ``poset`` mode, as ``_poset_mode`` leaves them, for dimension ``r``."""
+    if mode == "generators":
+        return st.just(Namespace(mode=mode))
+    if mode == "query":
+        return st.lists(st.integers(-4, 4), min_size=r, max_size=r).map(
+            lambda point: Namespace(mode=mode, point=tuple(point))
+        )
+    return st.builds(
+        lambda lo, width: Namespace(mode=mode, lo=lo, hi=lo + width), st.integers(-5, 3), st.integers(0, 4)
+    )
+
+
+def poset_values(mode: str):
+    """(class, operands) values of one ``poset`` mode, for classes with boundary components."""
+    classes = EMIT_CLASSES.filter(lambda phi: phi.surface.boundary_count >= 1)
+    return classes.flatmap(
+        lambda phi: poset_args(mode, phi.surface.boundary_count).map(lambda args: (phi, args))
+    )
+
+
+POSET_MODES = ("generators", "query", "box")
+
+# A class whose region is every shift with a_1 >= -2, and one whose region is
+# empty (a negative orbit on a separating curve).
+FULL_REGION = OUTCOME_CLASSES["main-theorem"][2]
+EMPTY_REGION = OUTCOME_CLASSES["not-applicable"][2]
+
+
+class TestPosetWriter:
+    """The ``poset`` entries in each mode, as the CLI builds them, against ``json.dumps`` of
+    their dict forms, with error entries among them."""
+
+    _check = staticmethod(TestEntryWriters._check)
+
+    @pytest.mark.parametrize("mode", POSET_MODES)
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_matches_json_dumps(self, mode, data):
+        items = data.draw(entry_items(poset_values(mode)))
+        self._check("poset", items, poset_entry_of, docio._emit_poset, poset_entry_dict)
+
+    @pytest.mark.parametrize(
+        "mode, cases",
+        [
+            ("generators", [(FULL_REGION, {}), (EMPTY_REGION, {})]),
+            ("query", [(FULL_REGION, {"point": (0,)}), (FULL_REGION, {"point": (-5,)})]),
+            (
+                "box",
+                [(FULL_REGION, {"lo": -3, "hi": 1}), (EMPTY_REGION, {"lo": -1, "hi": 1}),
+                 (FULL_REGION, {"lo": -9, "hi": -3})],
+            ),
+        ],
+        ids=POSET_MODES,
+    )
+    def test_each_mode(self, mode, cases):
+        """Each mode's two kinds of answer (a region or none, a member or not, members or none)."""
+        values = [(phi, Namespace(mode=mode, **operands)) for phi, operands in cases]
+        field = {"generators": "generators", "query": "member", "box": "points"}[mode]
+        answers = [poset_entry_dict(None, value)[field] for value in values]
+        assert any(answers) and not all(answers)
+        items = [("a", values[0]), ("b", "failed")]
+        items += [(f"c{i}", value) for i, value in enumerate(values[1:])] + [("d", "failed")]
+        for value in values:
+            self._check("poset", [(None, value)], poset_entry_of, docio._emit_poset, poset_entry_dict)
+        self._check("poset", items, poset_entry_of, docio._emit_poset, poset_entry_dict)
+
+    @pytest.mark.parametrize("dimension", [1, 2, 3, 4])
+    def test_box_with_a_last_coordinate_of_thirteen(self, dimension):
+        """Rows that share a prefix, 13 to a prefix, in an entry and in a report of its own."""
+        ranges = tuple(range(-1 - i, 1) for i in range(dimension - 1)) + (range(-6, 7),)
+        points = [list(p) for p in product(*ranges)]
+        entry = {"mode": "box", "dimension": dimension, "lo": -6, "hi": 6}
+        chunks = docio._emit_poset("a", None, {**entry, "points": MemberBox(ranges)})
+        chunks += docio._emit_fields("b", None, {"error": {"code": "c", "message": "m"}}, "error")
+        chunks += docio._emit_poset(None, None, {**entry, "points": MemberBox(ranges)})
+        plain = {
+            "version": "1",
+            "report": "poset",
+            "entries": [
+                {"name": "a", "status": "ok", **entry, "points": points},
+                {"name": "b", "status": "error", "error": {"code": "c", "message": "m"}},
+                {"name": None, "status": "ok", **entry, "points": points},
+            ],
+        }
+        expected = (json.dumps(plain, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
+        assert docio._entries_report("poset", chunks) == expected
+        expected = (json.dumps({"points": points}, indent=2) + "\n").encode("utf-8")
+        assert docio.serialize_report({"points": MemberBox(ranges)}) == expected
+
+    def test_poset_entries_do_not_reach_the_walker(self):
+        """The poset command names its own writer, and no mode of it calls ``_emit``."""
+        handler = cli._build_parser()[1]["poset"].get_default("handler")
+        assert handler.keywords["write"] is docio._emit_poset
+        values = [
+            (phi, Namespace(mode="generators")) for phi in (FULL_REGION, EMPTY_REGION)
+        ] + [
+            (FULL_REGION, Namespace(mode="query", point=(0,))),
+            (FULL_REGION, Namespace(mode="box", lo=-3, hi=3)),
+            (EMPTY_REGION, Namespace(mode="box", lo=-3, hi=3)),
+        ]
+        with mock.patch.object(docio, "_emit", side_effect=AssertionError("_emit called")):
+            for value in values:
+                assert docio._emit_poset("a", *poset_entry_of(value))
 
 
 # Documents with one or more faults, and the ParseError each gives.  The texts

@@ -22,21 +22,20 @@ writer of its report shape.  An entry is the library's own value: the
 outcome itself, as :func:`~posfact.factorization.classify` or
 :func:`~posfact.factorization.criterion` returned it; the essential part
 with the window and the uniqueness answer; the period data with the two
-predicates; or, for ``validate``, ``poset`` and ``correcting-bound``, a
-dict of the entry's fields.  The driver builds every entry first and then
-writes each one once, rendered or by its writer, into one list of chunks;
-writing each entry inside the build loop measured slower.  The classes an
-entry holds (the essential class, a witness's corrected class) are
-:class:`~posfact.core.NTClass` values, and its diagnostics
-:class:`~posfact.factorization.Diagnostic` values, written by one class
-writer and one diagnostic writer.  ``compose`` writes its classes by
-``io.serialize``, and parses its ``--twist`` operands before it reads.
-``poset --box`` puts the :class:`~posfact.poset.MemberBox` that
-:func:`~posfact.poset.enumerate_box` returns in its entry as it is.
+predicates; the genus-zero warnings for ``validate``; the bound, or None,
+for ``correcting-bound``; or, for ``poset``, a dict of the entry's fields.
+:func:`_run_report` builds every entry first and then writes each one once,
+rendered or by its writer, into one list of chunks; writing each entry
+inside the build loop measured slower.  The classes an entry holds (the essential
+class, a witness's corrected class) are :class:`~posfact.core.NTClass`
+values, and its diagnostics :class:`~posfact.factorization.Diagnostic`
+values, written by one class writer and one diagnostic writer.  ``compose``
+writes its classes by ``io.serialize``, and parses its ``--twist`` operands
+before it reads.  ``poset --box`` puts the :class:`~posfact.poset.MemberBox`
+that :func:`~posfact.poset.enumerate_box` returns in its entry as it is.
 ``--generators`` lists the known region's corner, or nothing for an empty
-region.  A ``poset`` entry in each of its three modes has its own writer,
-``io._emit_poset``; ``validate``, ``correcting-bound`` and error entries are
-written by ``io._emit_fields``.
+region.  An error entry is written by ``io._emit_error``, and the
+``ltable`` report by ``io._ltable_report``.
 
 Exit status: 0 on success (NotApplicable and Unknown outcomes are
 successful runs), 1 on domain errors, 2 on input/schema errors.  One map,
@@ -107,7 +106,6 @@ from .core import (
     period_data,
 )
 from .factorization import (
-    Diagnostic,
     Inconclusive,
     MainTheoremRoute,
     Sufficient,
@@ -322,29 +320,23 @@ def _run_report(args, kind: str, build, render, write, prepare=None) -> int:
         code, message = failure
         errors.append(f"error: {prefix}{message}")
         if structured:
-            error = {"code": code, "message": message}
-            chunks += docio._emit_fields(name, phi, {"error": error}, "error")
+            chunks += docio._emit_error(name, code, message)
     if errors:
         _write_stderr(errors)
     _write_stdout(docio._entries_report(kind, chunks) if structured else _text_bytes(chunks))
     return 1 if errors else 0
 
 
-def _validate_entry(args, phi: NTClass) -> dict:
-    return {
-        "genus": phi.surface.genus,
-        "boundary": phi.surface.boundary_count,
-        "orbit_count": len(phi.orbits),
-        "warnings": list(genus_zero_diagnostics(phi)),
-    }
+def _validate_entry(args, phi: NTClass) -> tuple:
+    return genus_zero_diagnostics(phi)
 
 
-def _validate_text(prefix: str, phi: NTClass, entry: dict) -> list[str]:
+def _validate_text(prefix: str, phi: NTClass, warnings: tuple) -> list[str]:
     lines = [
-        f"{prefix}ok: genus {entry['genus']}, boundary {entry['boundary']}, "
-        f"{entry['orbit_count']} orbit(s)"
+        f"{prefix}ok: genus {phi.surface.genus}, boundary {phi.surface.boundary_count}, "
+        f"{len(phi.orbits)} orbit(s)"
     ]
-    lines += [f"  warning [{d.code}]: {d.message}" for d in entry["warnings"]]
+    lines += [f"  warning [{d.code}]: {d.message}" for d in warnings]
     return lines
 
 
@@ -467,18 +459,11 @@ def _poset_text(prefix: str, phi: NTClass, entry: dict) -> list[str]:
     return lines
 
 
-_NO_BOUND = Diagnostic(
-    "no-bound", "neither certification route applies to any boundary shift of this class"
-)
+def _correcting_bound_entry(args, phi: NTClass) -> Optional[int]:
+    return correcting_exponent_bound(phi)
 
 
-def _correcting_bound_entry(args, phi: NTClass) -> dict:
-    bound = correcting_exponent_bound(phi)
-    return {"bound": bound, "diagnostics": [_NO_BOUND] if bound is None else []}
-
-
-def _correcting_bound_text(prefix: str, phi: NTClass, entry: dict) -> list[str]:
-    bound = entry["bound"]
+def _correcting_bound_text(prefix: str, phi: NTClass, bound: Optional[int]) -> list[str]:
     return [f"{prefix}bound {bound}" if bound is not None else f"{prefix}no bound"]
 
 
@@ -519,16 +504,9 @@ def _cmd_ltable(args) -> int:
         value = l_multitwist(genus, boundary)
     else:
         value = l_multitwist_power(genus, boundary, power)
-    report = {
-        "version": "1",
-        "report": "ltable",
-        "genus": genus,
-        "boundary": boundary,
-        "power": power,
-        "result": {"tag": value.tag.value, "value": value.value},
-    }
+    structured = args.format == "structured"
     _write_stdout(
-        docio.serialize_report(report) if args.format == "structured" else _text_bytes([str(value)])
+        docio._ltable_report(genus, boundary, power, value) if structured else _text_bytes([str(value)])
     )
     return 0
 
@@ -609,7 +587,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
         "parse and validate a document",
         _validate_entry,
         _validate_text,
-        docio._emit_fields,
+        docio._emit_validate,
     )
     _report_parser(
         sub,
@@ -694,7 +672,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
         "least certified boundary-multitwist power",
         _correcting_bound_entry,
         _correcting_bound_text,
-        docio._emit_fields,
+        docio._emit_bound,
     )
 
     return parser, sub.choices

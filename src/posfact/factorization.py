@@ -12,10 +12,10 @@ right-handed Dehn twists:
   table below) certifies a positive factorization provided
   k * sum(d_j) < min_i fr_i, with d_j = -int_variant(screw_j / beta_j) + 1.
 
-Each rule is written once: the two sign gates (fr <= 0, screw <= 0) in
-``_sign_gates``; k, the separating gate, each d_j and the total in
-``_correction_plan``.  :func:`classify` evaluates the gates once per class,
-and :func:`posfact.poset.known_region` reads the total off ``_certified_total``.
+Each rule is written once: the sign gates (fr <= 0 in ``_sign_gates``,
+screw <= 0 in ``_screw_gate``); k, the separating gate, each d_j and the
+total in ``_correction_plan``.  :func:`classify` evaluates the gates once
+per class; :func:`posfact.poset.known_region` reads ``_certified_total``.
 
 The correction witness is built from integers, as
 :func:`posfact.invariants.essential_part` builds its class, and is not
@@ -199,12 +199,14 @@ def criterion_k(genus: int, boundary_count: int) -> Union[int, Diagnostic]:
     return 1 if r <= 2 * g - 4 else 2
 
 
+def _screw_gate(phi: NTClass) -> list:
+    """The screw sign gate: the orbits with screw <= 0."""
+    return [orbit for orbit in phi.orbits if orbit.screw.numerator <= 0]
+
+
 def _sign_gates(phi: NTClass) -> tuple[list[int], list]:
-    """The sign gates: the (1-based) boundaries with fr <= 0, the orbits with screw <= 0."""
-    return (
-        [i + 1 for i, x in enumerate(phi.fr) if x.numerator <= 0],
-        [orbit for orbit in phi.orbits if orbit.screw.numerator <= 0],
-    )
+    """The sign gates: the (1-based) boundaries with fr <= 0, and :func:`_screw_gate`."""
+    return [i + 1 for i, x in enumerate(phi.fr) if x.numerator <= 0], _screw_gate(phi)
 
 
 def _fr_diagnostic(bad_fr: list[int]) -> Diagnostic:
@@ -242,7 +244,7 @@ def _correction_plan(phi: NTClass, fr_diagnostic: Optional[Diagnostic], to_corre
 
 def _certified_total(phi: NTClass) -> Optional[int]:
     """The total that fr_i + a_i must exceed for all i to certify a shift a of ``phi``, or None."""
-    to_correct = _sign_gates(phi)[1]
+    to_correct = _screw_gate(phi)
     if not to_correct:
         return 0  # the direct route
     plan = _correction_plan(phi, None, to_correct)  # a shift lifts fr: no fr gate

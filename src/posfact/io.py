@@ -22,7 +22,8 @@ exact.  Canonical output uses fixed key order and string rationals in lowest
 terms with positive denominator, so ``parse o serialize`` is the identity
 and ``serialize o parse`` is idempotent on accepted inputs.
 
-The canonical byte format is this module's own, written by ``_emit``:
+The canonical byte format is this module's own; every document, report
+and entry has its own writer of it:
 
 * keys in the fixed order the document or report declares them;
 * each value of a non-empty object or array on its own line, indented by
@@ -36,8 +37,8 @@ The canonical byte format is this module's own, written by ``_emit``:
 * one trailing newline.
 
 These are the bytes that ``json.dumps(obj, indent=2, ensure_ascii=False)``
-plus a newline gives for the same object; the tests hold the emitter to that
-as an independent oracle.
+plus a newline gives for the same object's dict form; the tests hold every
+writer to that as an independent oracle.
 
 A report may hold the members of a box as the library's own value, a
 :class:`~posfact.poset.MemberBox` (what ``poset --box`` lists).  It is
@@ -48,10 +49,10 @@ coordinate's texts, made once per prefix.  Its oracle is ``json.dumps`` of
 the same report with the box materialized as a list of point lists.
 
 Reports and documents may hold a class, an :class:`~posfact.core.NTClass`
-itself (the CLI's essential and corrected classes, and the classes of a
-batch that :func:`serialize` writes).  ``_emit_class`` writes it straight
-from its fields as the object :func:`class_to_json` gives, without building
-that dict.  Its oracle is ``json.dumps`` of the same value with
+itself (the CLI's essential and corrected classes, and the classes of the
+documents that :func:`serialize` writes).  ``_emit_class`` writes it
+straight from its fields as the object :func:`class_to_json` gives, without
+building that dict.  Its oracle is ``json.dumps`` of the same value with
 ``class_to_json`` of each class in its place.
 
 A report's entries are written by one writer per report shape, each called
@@ -65,20 +66,21 @@ corrections, the total and the corrected class through ``_emit_class``),
 and one for a diagnostic, ``_diagnostic_text`` (``code``, ``message`` and
 ``data`` as ``dict(diag.data)``, so a repeated key keeps its first place and
 its last value).  ``_emit_invariants`` writes an ``invariants`` entry from
-the class, its period data and its two predicates, and ``_emit_essential``
-an ``essential`` entry from the essential part, the window and the
-uniqueness answer, each without building the entry's dict.  The ``poset``
-entry is a dict of its fields, and ``_emit_poset`` writes it in each of its
-three modes, the box through ``_emit_box``, without the walker.  The
-``validate`` and ``correcting-bound`` entries are dicts of their fields,
-which may hold ``Diagnostic`` values; ``_emit_fields`` writes them, and
-error entries, by ``_emit``.  ``_entries_report`` puts the entries' text
-in the report envelope.  The oracle of every writer is ``json.dumps`` of the
-entry's dict form, with fields in the report's key order: ``fr`` as
-rational texts, one ``{"id", "kind", "alpha", "beta", "screw"}`` object per
-orbit under ``screws``, ``period`` as ``{"n", "k_boundary", "k_orbit"}``,
-the exponent tuples as lists, and the witness and each diagnostic as the
-objects just named.
+the class, its period data and its two predicates; ``_emit_essential`` an
+``essential`` entry from the essential part, the window and the uniqueness
+answer; ``_emit_validate`` a ``validate`` entry from the class and its
+genus-zero warnings; ``_emit_bound`` a ``correcting-bound`` entry from the
+bound (None, with the ``no-bound`` diagnostic); and ``_emit_error`` an error
+entry from its code and message.  The ``poset`` entry is a dict of its
+fields, and ``_emit_poset`` writes it in each of its three modes, the box
+through ``_emit_box``.  ``_entries_report`` puts the entries' text in the
+report envelope, and ``_ltable_report`` writes the ``ltable`` report, which
+has no entries.  The oracle of every writer is ``json.dumps`` of the entry's
+dict form, with fields in the report's key order: ``fr`` as rational texts,
+one ``{"id", "kind", "alpha", "beta", "screw"}`` object per orbit under
+``screws``, ``period`` as ``{"n", "k_boundary", "k_orbit"}``, the exponent
+tuples as lists, and the witness and each diagnostic as the objects just
+named.
 
 Rejection is total: a document that parses yields classes satisfying every
 core invariant, and every rejection carries position provenance (line and
@@ -123,6 +125,7 @@ from .factorization import (
     CriterionRoute,
     Diagnostic,
     Inconclusive,
+    LValue,
     MainTheoremRoute,
     NotApplicable,
     PositivelyFactorizable,
@@ -142,7 +145,6 @@ __all__ = [
     "format_rational",
     "class_to_json",
     "parse_report",
-    "serialize_report",
     "REPORT_KINDS",
 ]
 
@@ -491,10 +493,8 @@ def parse(data: Union[bytes, str]) -> Document:
 def class_to_json(phi: NTClass) -> dict:
     """JSON object for one class, in canonical key order.
 
-    Reports and batch documents do not go through this dict:
-    :func:`_emit_class` writes a class straight from its fields.  A
-    single-class document is written from it, and ``json.dumps`` of it is
-    the tests' oracle for that writer.
+    No writer builds it: ``json.dumps`` of it is the tests' oracle for
+    :func:`_emit_class`, which writes a class straight from its fields.
     """
     return {
         "surface": {"genus": phi.surface.genus, "boundary": phi.surface.boundary_count},
@@ -578,8 +578,8 @@ def _rationals_text(values: tuple[Fraction, ...], indent: str) -> str:
 def _emit_class(phi: NTClass, out: list[str], indent: str) -> None:
     """Append the canonical text of ``class_to_json(phi)``, read from ``phi``'s fields.
 
-    ``indent`` is as for :func:`_emit`.  Each value is formatted once and
-    each orbit is one string.
+    ``indent`` is a newline and the indentation of the class's first line.
+    Each value is formatted once and each orbit is one string.
     """
     inner = indent + "  "
     row = inner + "  "
@@ -800,8 +800,8 @@ def _emit_poset(name: Optional[str], phi: NTClass, entry: dict) -> list[str]:
     row), ``point`` and ``member``, or ``lo``, ``hi`` and ``points``, a
     :class:`~posfact.poset.MemberBox` written by :func:`_emit_box`.  The
     entry is the object ``{"name", "status": "ok", **entry}``, each mode's
-    fields written in one string without the walker.  The mode is one of
-    the three words, so it is quoted without escaping.
+    fields written in one string.  The mode is one of the three words, so
+    it is quoted without escaping.
     """
     indent, inner = _ENTRY_INDENT, _FIELD_INDENT
     mode = entry["mode"]
@@ -822,17 +822,44 @@ def _emit_poset(name: Optional[str], phi: NTClass, entry: dict) -> list[str]:
     return out
 
 
-def _emit_fields(name: Optional[str], phi: NTClass, fields: dict, status: str = "ok") -> list[str]:
-    """The canonical text of the entry ``{"name", "status", **fields}``, written by :func:`_emit`.
+def _emit_validate(name: Optional[str], phi: NTClass, warnings: tuple[Diagnostic, ...]) -> list[str]:
+    """The canonical text of the ``validate`` entry ``{"name", "status": "ok", "genus",
+    "boundary", "orbit_count", "warnings"}``; ``warnings`` is ``genus_zero_diagnostics(phi)``."""
+    indent, inner = _ENTRY_INDENT, _FIELD_INDENT
+    surface = phi.surface
+    return [
+        f'{_entry_head(name)}"genus": {surface.genus},{inner}"boundary": {surface.boundary_count},'
+        f'{inner}"orbit_count": {len(phi.orbits)},'
+        f'{inner}"warnings": {_diagnostics_text(warnings, inner)}{indent}}}'
+    ]
 
-    It writes the ``validate`` and ``correcting-bound`` entries, whose
-    fields the CLI builds as a dict and which may hold ``Diagnostic`` values,
-    and, with status ``"error"``, an error entry, whose one field is
-    ``{"error": {"code", "message"}}``.
-    """
-    out = ["," + _ENTRY_INDENT]
-    _emit({"name": name, "status": status, **fields}, out, _ENTRY_INDENT)
-    return out
+
+_NO_BOUND = Diagnostic(
+    "no-bound", "neither certification route applies to any boundary shift of this class"
+)
+
+
+def _emit_bound(name: Optional[str], phi: NTClass, bound: Optional[int]) -> list[str]:
+    """The canonical text of the ``correcting-bound`` entry ``{"name", "status": "ok", "bound",
+    "diagnostics"}`` of ``correcting_exponent_bound(phi)``; None has the ``no-bound`` diagnostic."""
+    indent, inner = _ENTRY_INDENT, _FIELD_INDENT
+    if bound is None:
+        head = f'"bound": null,{inner}"diagnostics": {_diagnostics_text((_NO_BOUND,), inner)}'
+    else:
+        head = f'"bound": {bound},{inner}"diagnostics": []'
+    return [f"{_entry_head(name)}{head}{indent}}}"]
+
+
+def _emit_error(name: Optional[str], code: str, message: str) -> list[str]:
+    """The canonical text of the error entry ``{"name", "status": "error", "error": {"code",
+    "message"}}``."""
+    name_text = "null" if name is None else encode_basestring(name)
+    indent, inner = _ENTRY_INDENT, _FIELD_INDENT
+    row = inner + "  "
+    return [
+        f',{indent}{{{inner}"name": {name_text},{inner}"status": "error",{inner}"error": {{{row}"code": '
+        f'{encode_basestring(code)},{row}"message": {encode_basestring(message)}{inner}}}{indent}}}'
+    ]
 
 
 def _entries_report(kind: str, chunks: list[str]) -> bytes:
@@ -849,95 +876,43 @@ def _entries_report(kind: str, chunks: list[str]) -> bytes:
     return "".join(chunks).encode("utf-8")
 
 
-def _emit(value: Any, out: list[str], indent: str) -> None:
-    """Append the canonical text of ``value`` to ``out``.
-
-    ``indent`` is a newline followed by the indentation of the line that
-    ``value`` starts on.  It is a plain walker: a dict writes each key's
-    quoted text and recurses into its value, and a list recurses once per
-    item.  Only the types reports and documents hold are accepted: dicts
-    with str keys, lists, str, int, bool, None,
-    :class:`~posfact.core.NTClass` (written as :func:`class_to_json` of it,
-    by :func:`_emit_class`), :class:`~posfact.poset.MemberBox` (as the list
-    of its points, by :func:`_emit_box`) and
-    :class:`~posfact.factorization.Diagnostic` (by :func:`_diagnostic_text`).
-    As for str keys, only the exact types are: a subclass of any of them is
-    rejected.  Report entries are not values of their own: the entry writers
-    write each one from the library's values, and :func:`_emit_fields`
-    writes the ``validate``, ``correcting-bound`` and error entries through
-    this walker.  A box reaches it only in a report given to
-    :func:`serialize_report`; a ``poset`` entry's box is written by
-    :func:`_emit_poset`.
-    """
-    cls = value.__class__
-    if cls is str:
-        out.append(encode_basestring(value))
-    elif cls is int:
-        out.append(int.__repr__(value))
-    elif cls is bool:
-        out.append("true" if value else "false")
-    elif value is None:
-        out.append("null")
-    elif cls is dict:
-        if not value:
-            out.append("{}")
-            return
-        inner = indent + "  "
-        comma = "," + inner
-        sep = "{" + inner
-        for key, item in value.items():
-            if key.__class__ is not str:
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-            out.append(sep + encode_basestring(key) + ": ")
-            _emit(item, out, inner)
-            sep = comma
-        out.append(indent + "}")
-    elif cls is list:
-        if not value:
-            out.append("[]")
-            return
-        inner = indent + "  "
-        comma = "," + inner
-        sep = "[" + inner
-        for item in value:
-            out.append(sep)
-            _emit(item, out, inner)
-            sep = comma
-        out.append(indent + "]")
-    elif cls is NTClass:
-        _emit_class(value, out, indent)
-    elif cls is MemberBox:
-        _emit_box(value, out, indent)
-    elif cls is Diagnostic:
-        out.append(_diagnostic_text(value, indent))
-    else:
-        raise TypeError(f"cannot serialize a value of type {cls.__name__}")
-
-
-def _dump(obj: dict) -> bytes:
-    out: list[str] = []
-    _emit(obj, out, "\n")
-    out.append("\n")
-    return "".join(out).encode("utf-8")
+def _ltable_report(genus: int, boundary: int, power: Optional[int], value: LValue) -> bytes:
+    """Canonical bytes of the report ``{"version": "1", "report": "ltable", "genus", "boundary",
+    "power", "result": {"tag", "value"}}`` of ``value``, the L value of its operands."""
+    power_text = "null" if power is None else power
+    value_text = "null" if value.value is None else value.value
+    return (
+        f'{{\n  "version": "1",\n  "report": "ltable",\n  "genus": {genus},'
+        f'\n  "boundary": {boundary},\n  "power": {power_text},'
+        f'\n  "result": {{\n    "tag": {encode_basestring(value.tag.value)},'
+        f'\n    "value": {value_text}\n  }}\n}}\n'
+    ).encode("utf-8")
 
 
 def serialize(doc: Document) -> bytes:
     """Canonical bytes for a document; ``parse(serialize(doc)) == doc``."""
+    version = encode_basestring(doc.version)
+    out: list[str] = []
     if isinstance(doc.payload, NTClass):
-        return _dump({"version": doc.version, **class_to_json(doc.payload)})
-    return _dump(
-        {
-            "version": doc.version,
-            "batch": [{"name": e.name, "class": e.nt_class} for e in doc.payload],
-        }
-    )
+        _emit_class(doc.payload, out, "\n")
+        out[0] = f'{{\n  "version": {version},' + out[0][1:]  # the class's own opening brace goes
+    else:
+        out.append(f'{{\n  "version": {version},\n  "batch": ')
+        start = "["
+        for entry in doc.payload:
+            out.append(f'{start}\n    {{\n      "name": {encode_basestring(entry.name)},\n      "class": ')
+            _emit_class(entry.nt_class, out, "\n      ")
+            out.append("\n    }")
+            start = ","
+        out.append("[]\n}" if start == "[" else "\n  ]\n}")
+    out.append("\n")
+    return "".join(out).encode("utf-8")
 
 
 # --- report envelope -------------------------------------------------------
 #
-# Reports are plain JSON objects built by the CLI in deterministic key
-# order; parse_report validates them structurally so that every structured
-# CLI output can be re-read.
+# parse_report validates the writers' reports structurally, so that every
+# structured CLI output can be re-read.
 
 _DIAG_FIELDS = frozenset(("code", "message", "data"))
 _WITNESS_FIELDS = frozenset(("k", "corrections", "total_multitwist_power", "corrected"))
@@ -1130,8 +1105,3 @@ def parse_report(data: Union[bytes, str]) -> dict:
         else:
             raise ParseError(f"unknown status {status!r}", _path(path, "status"))
     return root
-
-
-def serialize_report(report: dict) -> bytes:
-    """Canonical bytes for a report object built in deterministic key order."""
-    return _dump(report)

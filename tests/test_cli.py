@@ -665,18 +665,23 @@ STRUCTURED_DOC_COMMANDS = [
 ]
 
 
+def dumped(report: dict) -> bytes:
+    """``json.dumps`` of a report read back, laid out as the canonical format is: an oracle
+    that shares no code with the writers."""
+    return (json.dumps(report, indent=2, ensure_ascii=False) + "\n").encode()
+
+
 class TestStructuredRoundTrip:
     @pytest.mark.parametrize("command", STRUCTURED_DOC_COMMANDS, ids=lambda c: "-".join(c))
     def test_reports_round_trip(self, command, uniform_batch_path, capsys):
         assert main([command[0], uniform_batch_path, *command[1:], "--format", "structured"]) == 0
         data = capsys.readouterr().out.encode()
-        report = docio.parse_report(data)
-        assert docio.serialize_report(report) == data
+        assert dumped(docio.parse_report(data)) == data
 
     def test_ltable_report_round_trips(self, capsys):
         assert main(["ltable", "--genus", "2", "--boundary", "3", "--format", "structured"]) == 0
         data = capsys.readouterr().out.encode()
-        assert docio.serialize_report(docio.parse_report(data)) == data
+        assert dumped(docio.parse_report(data)) == data
 
     @pytest.mark.parametrize("command", STRUCTURED_DOC_COMMANDS[:5], ids=lambda c: "-".join(c))
     def test_determinism(self, command, uniform_batch_path, capsys):

@@ -53,7 +53,9 @@ def nt(genus, fr, orbits=()):
 class TestDiagnostic:
     def test_get_reads_the_value_a_report_shows(self):
         diag = Diagnostic("c", "m", (("a", "1"), ("b", "2"), ("a", "3")))
-        shown = json.loads(docio.serialize_report({"diagnostic": diag}))["diagnostic"]["data"]
+        phi = nt(2, [3])
+        report = docio._entries_report("validate", docio._emit_validate(None, phi, (diag,)))
+        shown = json.loads(report)["entries"][0]["warnings"][0]["data"]
         assert shown == {"a": "3", "b": "2"}
         assert [diag.get(key) for key in ("a", "b", "c")] == ["3", "2", None]
 

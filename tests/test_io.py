@@ -22,6 +22,8 @@ from posfact import (
     CurveOrbit,
     Diagnostic,
     Inconclusive,
+    LTag,
+    LValue,
     MainTheoremRoute,
     MemberBox,
     NotApplicable,
@@ -226,17 +228,24 @@ class TestSerialize:
 
 class TestReports:
     def test_ltable_report_round_trip(self):
-        report = {
-            "version": "1",
-            "report": "ltable",
-            "genus": 1,
-            "boundary": 5,
-            "power": 3,
-            "result": {"tag": "exact", "value": 36},
-        }
-        data = docio.serialize_report(report)
-        assert docio.parse_report(data) == report
-        assert docio.serialize_report(docio.parse_report(data)) == data
+        """The ltable writer against ``json.dumps`` of what ``parse_report`` reads back, per tag."""
+        for genus, boundary, power, value in (
+            (1, 5, 3, LValue(LTag.EXACT, 36)),
+            (2, 3, None, LValue(LTag.FINITE)),
+            (1, 10, None, LValue(LTag.PLUS_INFINITY)),
+            (3, 2, 2, LValue(LTag.MINUS_INFINITY)),
+        ):
+            data = docio._ltable_report(genus, boundary, power, value)
+            report = docio.parse_report(data)
+            assert report == {
+                "version": "1",
+                "report": "ltable",
+                "genus": genus,
+                "boundary": boundary,
+                "power": power,
+                "result": {"tag": value.tag.value, "value": value.value},
+            }
+            assert data == (json.dumps(report, indent=2, ensure_ascii=False) + "\n").encode()
 
     def test_unknown_report_kind(self):
         with pytest.raises(docio.ParseError, match="unknown report kind"):
@@ -280,59 +289,10 @@ EMIT_TEXT = st.text(
     ),
     max_size=8,
 )
-# The keys that documents and reports use, in the envelope, the entries and
-# the objects inside them.
-REPORT_KEYS = (
-    "alpha", "batch", "beta", "bound", "boundary", "boundary_exponents", "class",
-    "classification", "code", "corrected", "corrections", "data", "diagnostics",
-    "dimension", "entries", "error", "essential", "essential_class", "fr",
-    "fully_right_veering", "generators", "genus", "hi", "id", "k", "k_boundary", "k_orbit",
-    "kind", "length", "lo", "member", "message", "mode", "n", "name", "orbit", "orbit_count",
-    "orbit_exponents", "orbits", "period", "point", "points", "power", "report", "result",
-    "route", "screw", "screws", "separating", "status", "surface", "tag",
-    "total_multitwist_power", "uniqueness_verified", "uniqueness_window", "value", "version",
-    "warnings", "witness",
-)
-# Keys from those, and any other text.
-EMIT_KEYS = EMIT_TEXT | st.sampled_from(REPORT_KEYS)
-EMIT_LEAVES = st.one_of(
-    st.none(),
-    st.booleans(),
-    st.integers(min_value=-(10**40), max_value=10**40),
-    st.sampled_from([0, -1, 2**63, -(2**64)]),
-    EMIT_TEXT,
-)
-# Lists of rows, as generators are written (box members are a ``MemberBox``):
-# exact int rows, ragged or empty, and rows holding a bool, a str or None
-# among the ints.
-EMIT_ROWS = st.lists(
-    st.lists(
-        st.one_of(st.integers(), st.sampled_from([True, False, None, "1", 2**63])), max_size=4
-    )
-    | st.lists(st.integers(), max_size=4),
-    max_size=5,
-)
-EMIT_TREES = st.recursive(
-    EMIT_LEAVES | EMIT_ROWS,
-    lambda children: st.one_of(
-        st.lists(children, max_size=4),
-        st.lists(st.integers(), max_size=5),
-        st.dictionaries(EMIT_KEYS, children, max_size=4),
-    ),
-    max_leaves=16,
-)
-
-
-# Report entries as ``io._emit_fields`` writes them (validate,
-# correcting-bound and error entries): a name, a status, and fields whose
-# values are scalars or lists of strings.
-EMIT_ENTRIES = st.lists(
-    st.tuples(
-        st.none() | EMIT_TEXT.filter(bool),
-        st.sampled_from(["ok", "error"]),
-        st.dictionaries(EMIT_KEYS, EMIT_LEAVES | st.lists(EMIT_TEXT, max_size=4), max_size=6),
-    ),
-    max_size=3,
+# Error entries as the CLI writes them: a name or none, a code and a message,
+# each with text that may need escaping.
+ERROR_ENTRIES = st.lists(
+    st.tuples(st.none() | EMIT_TEXT.filter(bool), EMIT_TEXT.filter(bool), EMIT_TEXT), max_size=3
 )
 
 
@@ -354,16 +314,8 @@ class StrKey(str):
     """A str subclass: equal to, and hashed like, the text it holds."""
 
 
-class SubClass(NTClass):
-    """An NTClass subclass: ``_emit`` writes only the exact type."""
-
-
 class UnknownSub(Unknown):
     """An Unknown subclass: ``_emit_outcome`` writes only the exact outcome types."""
-
-
-class DiagnosticSub(Diagnostic):
-    """A Diagnostic subclass: ``_emit`` writes only the exact type."""
 
 
 _SUB_PHI = NTClass(Surface(2, 1), (Fraction(3),))
@@ -410,104 +362,64 @@ EMIT_CLASSES = st.builds(
 
 
 class TestCanonicalEmitter:
-    """The emitter against ``json.dumps(indent=2)``, which serves only as an oracle here."""
+    """The writers against ``json.dumps(indent=2)``, which serves only as an oracle here."""
 
     @settings(max_examples=150)
-    @given(st.dictionaries(EMIT_KEYS, EMIT_TREES, max_size=4))
-    def test_matches_json_dumps(self, obj):
-        expected = (json.dumps(obj, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
-        assert docio.serialize_report(obj) == expected
-
-    @settings(max_examples=150)
-    @given(EMIT_TEXT, EMIT_ENTRIES)
+    @given(EMIT_TEXT, ERROR_ENTRIES)
     def test_fields_entries_match_json_dumps(self, kind, entries):
+        """Error entries, with names, codes and messages that need escaping."""
         chunks = []
-        for name, status, fields in entries:
-            chunks += docio._emit_fields(name, _SUB_PHI, fields, status)
+        for name, code, message in entries:
+            chunks += docio._emit_error(name, code, message)
         plain = {
             "version": "1",
             "report": kind,
-            "entries": [{"name": name, "status": status, **fields} for name, status, fields in entries],
+            "entries": [
+                {"name": name, "status": "error", "error": {"code": code, "message": message}}
+                for name, code, message in entries
+            ],
         }
         expected = (json.dumps(plain, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
         assert docio._entries_report(kind, chunks) == expected
 
     @pytest.mark.parametrize(
-        "obj",
+        "outcome",
         [
-            {"a": 1.5},
-            {"a": (1, 2)},
-            {1: "x"},
-            {"a": Fraction(1, 2)},
-            {"a": [{"b": {1}}]},
-            {StrKey("name"): "x"},
-            {"a": CurveOrbit("O1", 1, OrbitKind.REGULAR, False, Fraction(1, 2))},
-            {"a": [Surface(2, 1)]},
-            {"a": SubClass(Surface(2, 1), (Fraction(3),))},
             None,
             MainTheoremRoute(),
             UnknownSub(()),
             PositivelyFactorizable(Unknown(())),
-            {"entries": [{"warnings": [DiagnosticSub("c", "m")]}]},
-            {"warnings": [Diagnostic("c", "m", (("k", 1),))]},
-            {"warnings": [Diagnostic("c", "m", ((StrKey("k"), "v"),))]},
+            Unknown((Diagnostic("c", "m", (("k", 1),)),)),
+            Unknown((Diagnostic("c", "m", ((StrKey("k"), "v"),)),)),
         ],
         ids=[
-            "float",
-            "tuple",
-            "int-key",
-            "fraction",
-            "nested-set",
-            "str-subclass-key",
-            "orbit",
-            "surface",
-            "ntclass-subclass",
             "outcome-none",
             "outcome-route",
             "outcome-subclass",
             "outcome-route-not-a-route",
-            "diagnostic-subclass",
             "diagnostic-int-data-value",
             "diagnostic-str-subclass-data-key",
         ],
     )
-    def test_rejects_other_types(self, obj):
-        # A dict is a report for the walker; anything else, an outcome for its writer.
+    def test_rejects_other_types(self, outcome):
         with pytest.raises(TypeError):
-            if obj.__class__ is dict:
-                docio.serialize_report(obj)
-            else:
-                docio._emit_outcome("a", _SUB_PHI, obj)
+            docio._emit_outcome("a", _SUB_PHI, outcome)
 
     @settings(max_examples=150)
     @given(st.lists(EMIT_CLASSES, min_size=1, max_size=3), EMIT_TEXT.filter(bool))
     def test_class_matches_json_dumps_of_class_to_json(self, classes, name):
-        """A class at the top level, as a dict value, inside report entries and in documents."""
+        """A class in a single-class document and in a batch; an empty batch."""
 
         def dumps(obj) -> bytes:
             return (json.dumps(obj, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
 
-        phi, plain = classes[0], docio.class_to_json(classes[0])
-        assert docio.serialize_report(phi) == dumps(plain)
-        assert docio.serialize_report({"essential_class": phi}) == dumps({"essential_class": plain})
-
-        def report(corrected):
-            witness = {"k": 2, "corrections": [], "total_multitwist_power": 0}
-            return {
-                "version": "1",
-                "entries": [
-                    {"name": name, "essential_class": c, "witness": {**witness, "corrected": c}}
-                    for c in corrected
-                ],
-            }
-
         plains = [docio.class_to_json(c) for c in classes]
-        assert docio.serialize_report(report(classes)) == dumps(report(plains))
+        assert docio.serialize(docio.Document("1", classes[0])) == dumps({"version": "1", **plains[0]})
         batch = docio.Document("1", tuple(docio.NamedClass(name, c) for c in classes))
         assert docio.serialize(batch) == dumps(
             {"version": "1", "batch": [{"name": name, "class": c} for c in plains]}
         )
-        assert docio.serialize(docio.Document("1", phi)) == dumps({"version": "1", **plain})
+        assert docio.serialize(docio.Document("1", ())) == dumps({"version": "1", "batch": []})
 
     @needs_digit_limit
     @pytest.mark.parametrize("place", ["fr", "screw", "genus", "length"])
@@ -517,25 +429,39 @@ class TestCanonicalEmitter:
         values[place] = Fraction(big, 7) if place in ("fr", "screw") else big
         orbit = CurveOrbit("O1", values["length"], OrbitKind.AMPHIDROME, False, values["screw"])
         phi = NTClass(Surface(values["genus"], 1), (values["fr"],), (orbit,))
-        with pytest.raises(ValueError) as exc:
-            docio.serialize_report({"entries": [{"essential_class": phi}]})
-        with pytest.raises(ValueError) as plain:
-            docio.serialize_report({"entries": [{"essential_class": docio.class_to_json(phi)}]})
-        assert docio._exceeds_digit_limit(exc.value)
-        assert str(exc.value) == str(plain.value)
+        for doc, plain in (
+            (docio.Document("1", phi), lambda: {"version": "1", **docio.class_to_json(phi)}),
+            (
+                docio.Document("1", (docio.NamedClass("a", phi),)),
+                lambda: {"version": "1", "batch": [{"name": "a", "class": docio.class_to_json(phi)}]},
+            ),
+        ):
+            with pytest.raises(ValueError) as exc:
+                docio.serialize(doc)
+            with pytest.raises(ValueError) as expected:
+                json.dumps(plain())
+            assert docio._exceeds_digit_limit(exc.value)
+            assert str(exc.value) == str(expected.value)
 
     @settings(max_examples=150)
-    @given(EMIT_BOX_RANGES, st.sampled_from(["top", "nested"]))
+    @given(EMIT_BOX_RANGES, st.sampled_from(["top", "entry"]))
     def test_box_matches_json_dumps_of_its_points(self, ranges, place):
         box = MemberBox(tuple(ranges))
         points = [list(p) for p in product(*ranges)]
         if place == "top":
-            obj, plain = {"points": box}, {"points": points}
+            out = []
+            docio._emit_box(box, out, "\n")
+            assert "".join(out) == json.dumps(points, indent=2)
         else:
-            obj = {"entries": [{"name": "a", "points": box, "lo": -1}]}
-            plain = {"entries": [{"name": "a", "points": points, "lo": -1}]}
-        expected = (json.dumps(plain, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
-        assert docio.serialize_report(obj) == expected
+            entry = {"mode": "box", "dimension": len(ranges), "lo": -1, "hi": 1}
+            chunks = docio._emit_poset("a", None, {**entry, "points": box})
+            plain = {
+                "version": "1",
+                "report": "poset",
+                "entries": [{"name": "a", "status": "ok", **entry, "points": points}],
+            }
+            expected = (json.dumps(plain, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
+            assert docio._entries_report("poset", chunks) == expected
         assert len(box) == len(points)
         assert [list(p) for p in box] == points
 
@@ -546,31 +472,28 @@ class TestCanonicalEmitter:
         ranges = [range(-1, 1)] * 3
         ranges[coordinate] = range(big - 1, big + 1)
         with pytest.raises(ValueError) as exc:
-            docio.serialize_report({"points": MemberBox(tuple(ranges))})
+            docio._emit_box(MemberBox(tuple(ranges)), [], "\n")
         with pytest.raises(ValueError) as plain:
-            docio.serialize_report({"points": [list(p) for p in product(*ranges)]})
+            json.dumps([list(p) for p in product(*ranges)])
         assert docio._exceeds_digit_limit(exc.value)
         assert str(exc.value) == str(plain.value)
 
     @needs_digit_limit
-    @pytest.mark.parametrize("row", [[1, 0], [True, 0], [0, "x"]], ids=["int-row", "bool-row", "str-row"])
-    def test_row_int_beyond_digit_limit(self, row):
-        obj = {"points": [[0, 0], row + [10**DIGIT_LIMIT]]}
+    @pytest.mark.parametrize("kind", ["validate", "correcting-bound", "ltable"])
+    def test_report_int_beyond_digit_limit(self, kind):
+        """A genus, a bound or an L value too long to print fails as ``json.dumps`` fails."""
+        big = 10**DIGIT_LIMIT
         with pytest.raises(ValueError) as exc:
-            docio.serialize_report(obj)
+            if kind == "validate":
+                docio._emit_validate("a", NTClass(Surface(big, 1), (Fraction(1),)), ())
+            elif kind == "correcting-bound":
+                docio._emit_bound("a", _SUB_PHI, big)
+            else:
+                docio._ltable_report(2, 3, 1, LValue(LTag.EXACT, big))
+        with pytest.raises(ValueError) as plain:
+            json.dumps(big)
         assert docio._exceeds_digit_limit(exc.value)
-
-    @needs_digit_limit
-    @pytest.mark.parametrize(
-        "make",
-        [lambda big: {"bound": big}, lambda big: [0, big], lambda big: ["x", big]],
-        ids=["dict-value", "int-list-item", "mixed-list-item"],
-    )
-    def test_int_beyond_digit_limit(self, make):
-        obj = {"entries": [{"name": "a", "value": make(10**DIGIT_LIMIT)}]}
-        with pytest.raises(ValueError) as exc:
-            docio.serialize_report(obj)
-        assert docio._exceeds_digit_limit(exc.value)
+        assert str(exc.value) == str(plain.value)
 
 
 def invariants_entry_dict(name, phi: NTClass) -> dict:
@@ -652,8 +575,7 @@ class TestEntryWriters:
             chunks = []
             for name, value in items:
                 if value.__class__ is str:
-                    error = {"code": "domain-error", "message": value}
-                    chunks += docio._emit_fields(name, None, {"error": error}, "error")
+                    chunks += docio._emit_error(name, "domain-error", value)
                 else:
                     chunks += write(name, *entry_of(value))
             return docio._entries_report(kind, chunks)
@@ -824,10 +746,10 @@ CLASS_ENTRIES = {
         docio._emit_outcome,
         lambda name, phi: criterion_entry_dict(name, criterion(phi)),
     ),
-    "validate": (built_by(cli._validate_entry), docio._emit_fields, validate_entry_dict),
+    "validate": (built_by(cli._validate_entry), docio._emit_validate, validate_entry_dict),
     "correcting-bound": (
         built_by(cli._correcting_bound_entry),
-        docio._emit_fields,
+        docio._emit_bound,
         correcting_bound_entry_dict,
     ),
 }
@@ -843,6 +765,16 @@ def criterion_entry_of(result):
     """The CLI's (class, ``criterion`` entry) pair when the library returns ``result``."""
     with mock.patch.object(cli, "criterion", lambda phi: result):
         return _SUB_PHI, cli._criterion_entry(None, _SUB_PHI)
+
+
+def validate_entry_of(warnings):
+    """The (class, ``validate`` entry) pair of a class with ``warnings``."""
+    return _SUB_PHI, warnings
+
+
+def validate_warnings_dict(name, warnings) -> dict:
+    """The dict form of the ``validate`` entry of a class with ``warnings``."""
+    return {**validate_entry_dict(name, _SUB_PHI), "warnings": [diagnostic_dict(d) for d in warnings]}
 
 
 def _orbit(oid, screw, separating=False):
@@ -928,21 +860,20 @@ class TestOutcomeWriters:
         self._check("classify", items, classify_entry_of, docio._emit_outcome, classify_entry_dict)
         items = [("n", Inconclusive((diag,))), ("m", NotApplicable(diag))]
         self._check("criterion", items, criterion_entry_of, docio._emit_outcome, criterion_entry_dict)
-        plain = {"warnings": [diagnostic_dict(diag)], "diagnostics": []}
-        expected = (json.dumps(plain, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
-        assert docio.serialize_report({"warnings": [diag], "diagnostics": []}) == expected
+        items = [(None, (diag, diag)), ("w", (diag,))]
+        self._check("validate", items, validate_entry_of, docio._emit_validate, validate_warnings_dict)
 
     def test_repeated_key_keeps_first_place_and_last_value(self):
         diag = Diagnostic("c", "m", (("a", "1"), ("b", "2"), ("a", "3")))
-        text = docio.serialize_report({"warnings": [diag]}).decode()
+        text = "".join(docio._emit_validate(None, _SUB_PHI, (diag,)))
         assert '"a": "3",' in text and text.index('"a"') < text.index('"b"') and '"1"' not in text
 
     def test_no_bound_and_genus_zero_warnings(self):
         no_bound = NTClass(Surface(2, 0), (), ())
         orbit = CurveOrbit("O1", 2, OrbitKind.REGULAR, False, Fraction(1))
         genus_zero = NTClass(Surface(0, 1), (Fraction(1),), (orbit,))
-        assert cli._correcting_bound_entry(None, no_bound)["diagnostics"] == [cli._NO_BOUND]
-        assert len(cli._validate_entry(None, genus_zero)["warnings"]) == 2
+        assert cli._correcting_bound_entry(None, no_bound) is None
+        assert len(cli._validate_entry(None, genus_zero)) == 2
         for kind in ("correcting-bound", "validate"):
             self._check(kind, [(None, no_bound), ("g0", genus_zero)], *CLASS_ENTRIES[kind])
 
@@ -1074,7 +1005,7 @@ class TestPosetWriter:
         points = [list(p) for p in product(*ranges)]
         entry = {"mode": "box", "dimension": dimension, "lo": -6, "hi": 6}
         chunks = docio._emit_poset("a", None, {**entry, "points": MemberBox(ranges)})
-        chunks += docio._emit_fields("b", None, {"error": {"code": "c", "message": "m"}}, "error")
+        chunks += docio._emit_error("b", "c", "m")
         chunks += docio._emit_poset(None, None, {**entry, "points": MemberBox(ranges)})
         plain = {
             "version": "1",
@@ -1087,23 +1018,26 @@ class TestPosetWriter:
         }
         expected = (json.dumps(plain, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
         assert docio._entries_report("poset", chunks) == expected
-        expected = (json.dumps({"points": points}, indent=2) + "\n").encode("utf-8")
-        assert docio.serialize_report({"points": MemberBox(ranges)}) == expected
+        out = []
+        docio._emit_box(MemberBox(ranges), out, "\n")
+        assert "".join(out) == json.dumps(points, indent=2)
 
-    def test_poset_entries_do_not_reach_the_walker(self):
-        """The poset command names its own writer, and no mode of it calls ``_emit``."""
-        handler = cli._build_parser()[1]["poset"].get_default("handler")
-        assert handler.keywords["write"] is docio._emit_poset
-        values = [
-            (phi, Namespace(mode="generators")) for phi in (FULL_REGION, EMPTY_REGION)
-        ] + [
-            (FULL_REGION, Namespace(mode="query", point=(0,))),
-            (FULL_REGION, Namespace(mode="box", lo=-3, hi=3)),
-            (EMPTY_REGION, Namespace(mode="box", lo=-3, hi=3)),
-        ]
-        with mock.patch.object(docio, "_emit", side_effect=AssertionError("_emit called")):
-            for value in values:
-                assert docio._emit_poset("a", *poset_entry_of(value))
+
+@pytest.mark.parametrize(
+    "command, writer",
+    [
+        ("validate", docio._emit_validate),
+        ("invariants", docio._emit_invariants),
+        ("essential", docio._emit_essential),
+        ("classify", docio._emit_outcome),
+        ("criterion", docio._emit_outcome),
+        ("poset", docio._emit_poset),
+        ("correcting-bound", docio._emit_bound),
+    ],
+)
+def test_each_report_command_names_its_writer(command, writer):
+    handler = cli._build_parser()[1][command].get_default("handler")
+    assert handler.keywords["write"] is writer
 
 
 # Documents with one or more faults, and the ParseError each gives.  The texts

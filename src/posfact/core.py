@@ -25,15 +25,16 @@ They are not dataclasses because importing ``dataclasses`` and decorating
 each type were a large share of the start-up that every CLI call pays.
 
 The public constructors check every value they are given.  The private
-builders :func:`_curve_orbit` and :func:`_nt_class` check nothing: they
-store values their caller has already validated.  Three modules call them:
-:mod:`posfact.io`, after its own checks, and
+builders :func:`_surface`, :func:`_curve_orbit` and :func:`_nt_class` check
+nothing: they store values their caller has already validated.
+:mod:`posfact.io` calls all three, after its own checks;
 :func:`posfact.invariants.essential_part` and
-:func:`posfact.factorization.criterion`.  The essential class and the
-correction witness take their surface and every orbit's id, length, kind
-and separating flag unchanged from a class that was checked when it was
-built; the only new values are Fractions ``Fraction(p + m*q, q)`` made by
-the public constructor from an integer shift m of a checked value p/q.
+:func:`posfact.factorization.criterion` call the last two.  The essential
+class and the correction witness take their surface and every orbit's id,
+length, kind and separating flag unchanged from a class that was checked
+when it was built; the only new values are Fractions
+``Fraction(p + m*q, q)`` made by the public constructor from an integer
+shift m of a checked value p/q.
 
 .. warning::
    This data *underdetermines* the mapping class: two distinct mapping
@@ -261,6 +262,15 @@ class NTClass(_Value):
         fields["surface"] = surface
         fields["fr"] = fr
         fields["orbits"] = orbits
+
+
+def _surface(genus: int, boundary_count: int) -> Surface:
+    """A :class:`Surface` of already-checked values, built without its checks."""
+    surface = object.__new__(Surface)
+    fields = surface.__dict__
+    fields["genus"] = genus
+    fields["boundary_count"] = boundary_count
+    return surface
 
 
 def _curve_orbit(

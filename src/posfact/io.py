@@ -92,18 +92,33 @@ strings, each with a JSON path; bare integers over that limit and nesting
 deeper than the recursion limit, which the JSON decoder reports without a
 position.
 
-Validation runs in one pass over each batch item, class, surface and orbit
-object: each field gets a key-membership test and an exact-type test, in
-the order of the fields, and a value that fails them goes to a
-``_require_*`` helper, which explains the failure or accepts the value (a
-non-ASCII id, say).  Each distinct rational text is parsed once per
+A class is read by one frame, ``_read_class``, which makes no Python call
+per field, orbit or rational value; ``_read_item`` reads a batch item's
+name and hands its class to it, and a single-class document goes to it
+directly.  The item, its class, its surface and each orbit must be exact
+dicts with exactly their field count (2, 3, 2 and 5; 4 for a single-class
+document with its version); every field is read directly and passes its
+exact-type and range test inline: names and orbit ids must be non-empty
+strings that UTF-8 can encode, and the ids distinct.  A bare JSON integer
+rational becomes ``Fraction(n)``, and a new rational text is split by one
+regex match and becomes ``Fraction(int(p), int(q))``.  So the frame
+accepts every valid class.  It raises ``KeyError``, ``TypeError``,
+``ValueError``, ``ZeroDivisionError`` or ``AttributeError`` on any object
+it does not accept, and that object is read again, unchanged, by the
+explaining path (``_item_from_json``, ``_class_fields``,
+``_orbit_from_json``, ``_rational`` and the ``_require_*`` helpers), which
+also reads the classes inside reports.  That path checks each field in the
+order of the fields and is the one place that words a rejection, naming
+the first failing field and its path.  The frame accepts exactly what the
+explaining path accepts, with equal values, and the tests hold it to that
+path as its oracle.  Each distinct rational text is parsed once per
 document: :func:`parse` keeps one table from a ``"p/q"`` string to its
-``Fraction`` for the ``fr`` items and screw numbers of all its classes.
-Only strings are kept (the JSON ``true`` would equal the integer 1 as a
-key), and only after they parse, so a malformed text fails, with its own
-path, wherever it occurs first.  Once ``io``'s own checks have passed,
-classes are built through ``core``'s private builders, which do not run the
-public constructors' checks a second time.
+``Fraction`` for the ``fr`` items and screw numbers of all its classes,
+shared by both paths.  Only strings are kept (the JSON ``true`` would equal
+the integer 1 as a key), and only after they parse, so a malformed text
+fails, with its own path, wherever it occurs first.  Once ``io``'s own
+checks have passed, values are built through ``core``'s private builders,
+which do not run the public constructors' checks a second time.
 
 Reports emitted by the CLI use the same conventions under an envelope
 ``{"version": "1", "report": "<kind>", ...}``; :func:`parse_report`
@@ -120,7 +135,7 @@ from itertools import product
 from json.encoder import encode_basestring
 from typing import Any, Optional, Union
 
-from .core import CurveOrbit, NTClass, OrbitKind, Surface, _curve_orbit, _nt_class, _Value
+from .core import CurveOrbit, NTClass, OrbitKind, _curve_orbit, _nt_class, _surface, _Value
 from .factorization import (
     CriterionRoute,
     Diagnostic,
@@ -148,7 +163,8 @@ __all__ = [
     "REPORT_KINDS",
 ]
 
-_RATIONAL_RE = re.compile(r"-?[0-9]+(/[0-9]+)?\Z")
+# A rational text's numerator and, after a slash, its denominator.
+_RATIONAL_PARTS = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?\Z").match
 
 REPORT_KINDS = (
     "validate",
@@ -253,12 +269,11 @@ def parse_rational(value: Any, path: Any = "$", key: Union[str, int, None] = Non
     ``path`` (and ``key``, if given) name the value in error messages.
     """
     if isinstance(value, str):  # no value is both a str and a bool, int or float
-        if not _RATIONAL_RE.match(value):
+        parts = _RATIONAL_PARTS(value)
+        if parts is None:
             raise ParseError(f"malformed rational {value!r}", _path(path, key))
-        num_text, slash, den_text = value.partition("/")
+        num_text, den_text = parts.groups("1")
         try:
-            if not slash:
-                return Fraction(int(value))
             denominator = int(den_text)
             if denominator == 0:
                 raise ParseError(f"zero denominator in rational {value!r}", _path(path, key))
@@ -358,37 +373,22 @@ def _rational(value: Any, rationals: dict, path: Any, key: Union[str, int]) -> F
 
 
 def _orbit_from_json(value: Any, path: Any, rationals: dict) -> CurveOrbit:
-    # One pass (see the module docstring): a value failing the inline tests
-    # goes to its _require_* helper, which raises or accepts it.
-    if value.__class__ is not dict or not value.keys() <= _ORBIT_FIELDS:
-        _require_object(value, _ORBIT_FIELDS, path)
-    orbit_id = value["id"] if "id" in value else _require(value, "id", path)
-    if orbit_id.__class__ is not str or not orbit_id or not orbit_id.isascii():
-        _require_name(orbit_id, path, "id")
-    length = value["length"] if "length" in value else _require(value, "length", path)
-    if length.__class__ is not int or length < 1:
-        _require_int(length, path, "length", minimum=1)
-    kind_text = value["kind"] if "kind" in value else _require(value, "kind", path)
-    if kind_text.__class__ is not str:  # before the lookup: a list is unhashable
-        _require_str(kind_text, path, "kind")
+    _require_object(value, _ORBIT_FIELDS, path)
+    orbit_id = _require_name(_require(value, "id", path), path, "id")
+    length = _require_int(_require(value, "length", path), path, "length", minimum=1)
+    kind_text = _require_str(_require(value, "kind", path), path, "kind")
     kind = _ORBIT_KINDS.get(kind_text)
     if kind is None:
         raise ParseError(
             f"kind must be \"regular\" or \"amphidrome\", got {kind_text!r}", _path(path, "kind")
         )
-    separating = value["separating"] if "separating" in value else _require(value, "separating", path)
-    if separating.__class__ is not bool:
-        _require_bool(separating, path, "separating")
-    screw = _rational(
-        value["screw"] if "screw" in value else _require(value, "screw", path), rationals, path, "screw"
-    )
+    separating = _require_bool(_require(value, "separating", path), path, "separating")
+    screw = _rational(_require(value, "screw", path), rationals, path, "screw")
     return _curve_orbit(orbit_id, length, kind, separating, screw)
 
 
 def _class_from_json(value: Any, path: Any, rationals: dict) -> NTClass:
-    if value.__class__ is not dict or not value.keys() <= _CLASS_FIELDS:
-        _require_object(value, _CLASS_FIELDS, path)
-    return _class_fields(value, path, rationals)
+    return _class_fields(_require_object(value, _CLASS_FIELDS, path), path, rationals)
 
 
 def _class_fields(obj: dict, path: Any, rationals: dict) -> NTClass:
@@ -397,36 +397,113 @@ def _class_fields(obj: dict, path: Any, rationals: dict) -> NTClass:
     ``rationals`` is the document's table of parsed rational texts.
     """
     surface_path = (path, "surface")
-    surface = obj["surface"] if "surface" in obj else _require(obj, "surface", path)
-    if surface.__class__ is not dict or not surface.keys() <= _SURFACE_FIELDS:
-        _require_object(surface, _SURFACE_FIELDS, surface_path)
-    genus = surface["genus"] if "genus" in surface else _require(surface, "genus", surface_path)
-    if genus.__class__ is not int or genus < 0:
-        _require_int(genus, surface_path, "genus", minimum=0)
-    boundary = surface["boundary"] if "boundary" in surface else _require(surface, "boundary", surface_path)
-    if boundary.__class__ is not int or boundary < 0:
-        _require_int(boundary, surface_path, "boundary", minimum=0)
+    surface = _require_object(_require(obj, "surface", path), _SURFACE_FIELDS, surface_path)
+    genus = _require_int(_require(surface, "genus", surface_path), surface_path, "genus", minimum=0)
+    boundary = _require_int(
+        _require(surface, "boundary", surface_path), surface_path, "boundary", minimum=0
+    )
     fr_path = (path, "fr")
-    fr_list = obj["fr"] if "fr" in obj else _require(obj, "fr", path)
-    if fr_list.__class__ is not list:
-        _require_list(fr_list, fr_path)
+    fr_list = _require_list(_require(obj, "fr", path), fr_path)
     fr = tuple([_rational(x, rationals, fr_path, i) for i, x in enumerate(fr_list)])
     if len(fr) != boundary:
         raise ParseError(f"fr has {len(fr)} entries but boundary is {boundary}", _path(fr_path))
     orbits_path = (path, "orbits")
-    orbit_list = obj["orbits"] if "orbits" in obj else _require(obj, "orbits", path)
-    if orbit_list.__class__ is not list:
-        _require_list(orbit_list, orbits_path)
+    orbit_list = _require_list(_require(obj, "orbits", path), orbits_path)
     orbits = tuple(
         [_orbit_from_json(x, (orbits_path, i), rationals) for i, x in enumerate(orbit_list)]
     )
-    if len({orbit.id for orbit in orbits}) != len(orbits):
-        seen: set[str] = set()
-        for i, orbit in enumerate(orbits):
-            if orbit.id in seen:
-                raise ParseError(f"duplicate orbit id {orbit.id!r}", _path(orbits_path, i, "id"))
-            seen.add(orbit.id)
-    return _nt_class(Surface(genus, boundary), fr, orbits)
+    seen: set[str] = set()
+    for i, orbit in enumerate(orbits):
+        if orbit.id in seen:
+            raise ParseError(f"duplicate orbit id {orbit.id!r}", _path(orbits_path, i, "id"))
+        seen.add(orbit.id)
+    return _nt_class(_surface(genus, boundary), fr, orbits)
+
+
+def _item_from_json(item: Any, path: Any, rationals: dict) -> NamedClass:
+    _require_object(item, _BATCH_ITEM_FIELDS, path)
+    name = _require_name(_require(item, "name", path), path, "name")
+    return NamedClass(name, _class_from_json(_require(item, "class", path), (path, "class"), rationals))
+
+
+def _read_item(item: Any, rationals: dict) -> NamedClass:
+    """The batch item ``item`` read by direct reads (see the module docstring).
+
+    Raises one of :data:`_NOT_READ` for an item it does not accept, which
+    the explaining path, :func:`_item_from_json`, then reads and rejects.
+    No JSON value but an object takes a str key, so the keyed reads check
+    that each object is a dict.
+    """
+    if len(item) != 2:
+        raise ValueError
+    name = item["name"]
+    if name.__class__ is not str or not name:
+        raise ValueError
+    if not name.isascii():
+        name.encode("utf-8")  # a lone surrogate raises UnicodeEncodeError, a ValueError
+    return NamedClass(name, _read_class(item["class"], 3, rationals))
+
+
+def _read_class(obj: Any, size: int, rationals: dict) -> NTClass:
+    """The class in the object ``obj`` of ``size`` fields, read by direct reads.
+
+    ``size`` is 3 for a class and 4 for a single-class document, whose
+    ``version`` the caller has checked.  Raises as :func:`_read_item` does;
+    a negative boundary fails ``len(fr_list) != boundary``.
+    """
+    if len(obj) != size:
+        raise ValueError
+    surface = obj["surface"]
+    fr_list = obj["fr"]
+    orbit_list = obj["orbits"]
+    if len(surface) != 2:
+        raise ValueError
+    genus = surface["genus"]
+    boundary = surface["boundary"]
+    if genus.__class__ is not int or genus < 0 or boundary.__class__ is not int:
+        raise ValueError
+    if fr_list.__class__ is not list or len(fr_list) != boundary or orbit_list.__class__ is not list:
+        raise ValueError
+    fr = []
+    for text in fr_list:
+        x = rationals.get(text)
+        if x is None:
+            if text.__class__ is int:
+                x = Fraction(text)
+            else:
+                p, q = _RATIONAL_PARTS(text).groups("1")
+                x = rationals[text] = Fraction(int(p), int(q))
+        fr.append(x)
+    orbits = []
+    ids = set()
+    for orbit in orbit_list:
+        if len(orbit) != 5:
+            raise ValueError
+        orbit_id = orbit["id"]
+        length = orbit["length"]
+        kind = _ORBIT_KINDS[orbit["kind"]]
+        separating = orbit["separating"]
+        text = orbit["screw"]
+        if orbit_id.__class__ is not str or not orbit_id or orbit_id in ids:
+            raise ValueError
+        if not orbit_id.isascii():
+            orbit_id.encode("utf-8")
+        if length.__class__ is not int or length < 1 or separating.__class__ is not bool:
+            raise ValueError
+        screw = rationals.get(text)
+        if screw is None:
+            if text.__class__ is int:
+                screw = Fraction(text)
+            else:
+                p, q = _RATIONAL_PARTS(text).groups("1")
+                screw = rationals[text] = Fraction(int(p), int(q))
+        ids.add(orbit_id)
+        orbits.append(_curve_orbit(orbit_id, length, kind, separating, screw))
+    return _nt_class(_surface(genus, boundary), tuple(fr), tuple(orbits))
+
+
+# What _read_item and _read_class raise for an object they do not accept.
+_NOT_READ = (KeyError, TypeError, ValueError, ZeroDivisionError, AttributeError)
 
 
 def _load_json(data: Union[bytes, str]) -> Any:
@@ -476,17 +553,19 @@ def parse(data: Union[bytes, str]) -> Document:
             _require_list(batch, batch_path)
         entries = []
         for i, item in enumerate(batch):
-            item_path = (batch_path, i)
-            if item.__class__ is not dict or not item.keys() <= _BATCH_ITEM_FIELDS:
-                _require_object(item, _BATCH_ITEM_FIELDS, item_path)
-            name = item["name"] if "name" in item else _require(item, "name", item_path)
-            if name.__class__ is not str or not name or not name.isascii():
-                _require_name(name, item_path, "name")
-            value = item["class"] if "class" in item else _require(item, "class", item_path)
-            entries.append(NamedClass(name, _class_from_json(value, (item_path, "class"), rationals)))
+            try:
+                entries.append(_read_item(item, rationals))
+                continue
+            except _NOT_READ:
+                pass  # read it again outside the handler, so its ParseError has no context
+            entries.append(_item_from_json(item, (batch_path, i), rationals))
         return Document(version, tuple(entries))
     obj = _require_object(root, _SINGLE_FIELDS, "$")
     version = _check_version(obj)
+    try:
+        return Document(version, _read_class(obj, 4, rationals))
+    except _NOT_READ:
+        pass  # as for a batch item
     return Document(version, _class_fields(obj, "$", rationals))
 
 

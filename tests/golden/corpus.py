@@ -14,7 +14,14 @@ formats, over these documents:
   limit: the three-entry batch ``[r = 0, correction total too long, r = 0]``,
   a period too long, and an ``fr`` that ``compose --twist B1:1`` pushes past
   the limit;
-* an empty batch, a malformed document and a schema-error document.
+* an empty batch, a malformed document and a schema-error document;
+* field edits as documents of their own, run through ``validate`` and
+  ``classify`` only: two-entry batches whose second entry is in a valid but
+  non-canonical form (bare integer rationals, non-ASCII names and ids, keys
+  in reverse order, unreduced texts such as ``"4/6"`` and ``"-0"``, a text
+  shared with the first entry), and schema errors in objects that have
+  their full field count but one misspelled field, or a class that is a
+  list of three.
 
 The malformed document is also run with a bad operand to each of ``poset``,
 ``compose`` and ``essential``: operands are checked before the input is
@@ -161,6 +168,82 @@ def _digit_limit_documents() -> list[tuple[str, dict]]:
     ]
 
 
+# Command lines run on the field-edit documents, in both formats.
+FIELD_EDIT_COMMANDS = [["validate"], ["classify"]]
+
+FIELD_EDIT_CLASS = {
+    "surface": {"genus": 2, "boundary": 2},
+    "fr": ["5/3", "1/3"],
+    "orbits": [
+        {"id": "O1", "length": 1, "kind": "regular", "separating": False, "screw": "1/2"},
+        {"id": "O2", "length": 2, "kind": "amphidrome", "separating": True, "screw": "-3"},
+    ],
+}
+
+
+def _reversed_keys(node):
+    if isinstance(node, dict):
+        return {key: _reversed_keys(node[key]) for key in reversed(node)}
+    return [_reversed_keys(x) for x in node] if isinstance(node, list) else node
+
+
+def _field_edit_documents() -> list[tuple[str, bytes]]:
+    """Two-entry batches whose second entry is edited, each with its name."""
+
+    def edited(edit) -> dict:
+        batch = [{"name": name, "class": json.loads(json.dumps(FIELD_EDIT_CLASS))} for name in "ab"]
+        edit(batch[1], batch[1]["class"])
+        return {"version": "1", "batch": batch}
+
+    def bare_integers(item, phi):
+        phi["fr"][0] = 5
+        phi["orbits"][1]["screw"] = -3
+
+    def non_ascii(item, phi):
+        item["name"] = "Ö名"
+        phi["orbits"][0]["id"] = "É"
+
+    def reversed_keys(item, phi):
+        reordered = _reversed_keys(item)
+        item.clear()
+        item.update(reordered)
+
+    def unreduced_texts(item, phi):
+        phi["fr"] = ["4/6", "-0"]
+        phi["orbits"][0]["screw"] = "007"
+        phi["orbits"][1]["screw"] = "-3/6"
+
+    def shared_text(item, phi):
+        item["name"] = "é"
+        phi["fr"] = [7, "1/3"]
+        phi["orbits"][0]["screw"] = "5/3"
+
+    def misspelled(key, wrong, where):
+        def edit(item, phi):
+            obj = where(item, phi)
+            obj[wrong] = obj.pop(key)
+        return edit
+
+    def class_list(item, phi):
+        item["class"] = ["surface", "fr", "orbits"]
+
+    edits = [
+        ("form-bare-integers", bare_integers),
+        ("form-non-ascii", non_ascii),
+        ("form-reversed-keys", reversed_keys),
+        ("form-unreduced-texts", unreduced_texts),
+        ("form-shared-text", shared_text),
+        ("fields-orbit-skrew", misspelled("screw", "skrew", lambda item, phi: phi["orbits"][1])),
+        ("fields-class-orbitz", misspelled("orbits", "orbitz", lambda item, phi: phi)),
+        ("fields-surface-boundry", misspelled("boundary", "boundry", lambda item, phi: phi["surface"])),
+        ("fields-item-klass", misspelled("class", "klass", lambda item, phi: item)),
+        ("fields-class-list", class_list),
+    ]
+    return [
+        (name, json.dumps(edited(edit), ensure_ascii=False).encode("utf-8")) for name, edit in edits
+    ]
+
+
 def documents() -> list[tuple[str, bytes]]:
     """The corpus documents, each with its name, in a fixed order."""
     from sample_classes import (
@@ -229,6 +312,11 @@ def runs():
         for fmt in FORMATS:
             argv = [command[0], "-", *command[1:], "--format", fmt]
             yield ("malformed", argv, *run(MALFORMED, argv))
+    for name, document in _field_edit_documents():
+        for command in FIELD_EDIT_COMMANDS:
+            for fmt in FORMATS:
+                argv = [command[0], "-", *command[1:], "--format", fmt]
+                yield (name, argv, *run(document, argv))
 
 
 def digest_line(name: str, argv: list[str], code: int, out: bytes, err: bytes) -> str:

@@ -13,7 +13,7 @@ from types import SimpleNamespace
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import rand_applicable_ntclass, rand_ntclass, rand_poset_ntclass
@@ -1252,6 +1252,30 @@ MALFORMED = [
         (("batch", 0, "class", "orbits", 0, "screw"), True),
     ],
      "$.batch[0].class.orbits[0].screw: expected a rational, got a boolean"),
+    # Objects with exactly the field count that the direct reads of a batch
+    # item expect, but a field name that is not theirs.
+    ("orbit-five-keys-misspelled", "batch", [
+        (("batch", 0, "class", "orbits", 1, "screw"), DELETE),
+        (("batch", 0, "class", "orbits", 1, "skrew"), "1/2"),
+    ],
+     "$.batch[0].class.orbits[1].skrew: unknown field 'skrew'"),
+    ("class-three-keys-one-unknown", "batch", [
+        (("batch", 1, "class", "orbits"), DELETE),
+        (("batch", 1, "class", "orbitz"), []),
+    ],
+     "$.batch[1].class.orbitz: unknown field 'orbitz'"),
+    ("surface-two-keys-one-unknown", "batch", [
+        (("batch", 0, "class", "surface", "boundary"), DELETE),
+        (("batch", 0, "class", "surface", "boundry"), 2),
+    ],
+     "$.batch[0].class.surface.boundry: unknown field 'boundry'"),
+    ("batch-item-misspelled-class", "batch", [
+        (("batch", 1, "class"), DELETE),
+        (("batch", 1, "klass"), copy.deepcopy(TABLE_CLASS)),
+    ],
+     "$.batch[1].klass: unknown field 'klass'"),
+    ("batch-class-list-of-three", "batch", [(("batch", 1, "class"), ["surface", "fr", "orbits"])],
+     "$.batch[1].class: expected an object, got list"),
 ]
 
 
@@ -1322,6 +1346,250 @@ class TestRejectionTable:
         doc = edited_document("batch", [(("batch", 1, "class", "orbits", 1, "id"), "Ö名\U0001f600")])
         nt_class = docio.parse(json.dumps(doc)).payload[1].nt_class
         assert [orbit.id for orbit in nt_class.orbits] == ["O1", "Ö名\U0001f600"]
+
+
+def explained(text: str):
+    """``parse(text)`` by the explaining path alone: its Document, or its ParseError text."""
+    with mock.patch.object(docio, "_read_class", side_effect=ValueError):
+        return parse_outcome(text)
+
+
+def parse_outcome(text: str):
+    """``parse(text)``'s Document with its repr, which tells a bool from an int, or its ParseError text."""
+    try:
+        doc = docio.parse(text)
+    except docio.ParseError as exc:
+        return str(exc)
+    return doc, repr(doc)
+
+
+def frame_reads(item) -> bool:
+    """Whether the direct reads accept the batch item ``item``."""
+    try:
+        docio._read_item(item, {})
+    except docio._NOT_READ:
+        return False
+    return True
+
+
+# Batch items of classes from the conftest generators, as class_to_json gives them.
+FRAME_CLASSES = st.builds(
+    lambda make, seed: docio.class_to_json(make(random.Random(seed))),
+    st.sampled_from([rand_ntclass, rand_applicable_ntclass, rand_poset_ntclass]),
+    st.integers(0, 2**32),
+)
+FRAME_VALUES = st.one_of(
+    st.booleans(), st.floats(), st.none(), st.lists(st.integers(-2, 2), max_size=2),
+    st.text(max_size=4), st.sampled_from(["1/2", "regular", "amphidrome", "O0"]), st.integers(-2, 3),
+)
+FRAME_TEXTS = [
+    "1/2/3", "1/-2", " 1", "1 ", "1/", "", "x", "+1", "1.5", "\u0663", "1_0", "2/0", "-0/0", "4/6", "-0", "007",
+    "9" * (DIGIT_LIMIT + 1), "1/" + "9" * (DIGIT_LIMIT + 1),
+]
+FRAME_RATIONALS = st.sampled_from(FRAME_TEXTS)
+FRAME_NAMES = st.sampled_from(["Ö", "名前", "\U0001f600", "ok\ud800", "\udfff", "e\u0301"])
+FRAME_EDITS = ("drop", "add", "rename", "replace", "rational", "name", "duplicate", "fr-count")
+
+
+def frame_objects(batch) -> list[dict]:
+    """Every item, class, surface and orbit object of ``batch``."""
+    found = []
+    for item in batch:
+        phi = item["class"]
+        found += [item, phi, phi["surface"], *phi["orbits"]]
+    return found
+
+
+def frame_slots(node) -> list:
+    """Every (container, key) below ``node``: each key of a dict, each index of a list."""
+    keys = list(node) if isinstance(node, dict) else range(len(node)) if isinstance(node, list) else []
+    slots = []
+    for key in keys:
+        slots.append((node, key))
+        slots += frame_slots(node[key])
+    return slots
+
+
+@st.composite
+def frame_batches(draw) -> str:
+    """A batch of conftest classes with zero or one edit of a kind the direct reads must leave out."""
+    batch = [{"name": f"e{i}", "class": draw(FRAME_CLASSES)} for i in range(draw(st.integers(1, 3)))]
+    edit = draw(st.sampled_from((None,) + FRAME_EDITS))
+    classes = [item["class"] for item in batch]
+    if edit in ("drop", "add", "rename"):
+        obj = draw(st.sampled_from(frame_objects(batch)))
+        key = draw(st.sampled_from(sorted(obj))) if obj and edit != "add" else None
+        value = obj.pop(key) if key is not None else 1
+        if edit != "drop":
+            obj[draw(st.sampled_from(["skrew", "nme", "x", "version", "class", "id"]))] = value
+    elif edit == "replace":
+        container, key = draw(st.sampled_from(frame_slots(batch)))
+        container[key] = draw(FRAME_VALUES)
+    elif edit == "rational":
+        slots = [(phi["fr"], i) for phi in classes for i in range(len(phi["fr"]))]
+        slots += [(orbit, "screw") for phi in classes for orbit in phi["orbits"]]
+        if slots:
+            container, key = draw(st.sampled_from(slots))
+            container[key] = draw(FRAME_RATIONALS)
+    elif edit == "name":
+        slots = [(item, "name") for item in batch]
+        slots += [(orbit, "id") for phi in classes for orbit in phi["orbits"]]
+        container, key = draw(st.sampled_from(slots))
+        container[key] = draw(FRAME_NAMES)
+    elif edit == "duplicate":
+        orbit_lists = [phi["orbits"] for phi in classes if len(phi["orbits"]) > 1]
+        if orbit_lists:
+            orbits = draw(st.sampled_from(orbit_lists))
+            i, j = draw(st.lists(st.integers(0, len(orbits) - 1), min_size=2, max_size=2, unique=True))
+            orbits[j]["id"] = orbits[i]["id"]
+    elif edit == "fr-count":
+        fr = draw(st.sampled_from(classes))["fr"]
+        if fr and draw(st.booleans()):
+            fr.pop()
+        else:
+            fr.append("1")
+    return json.dumps({"version": "1", "batch": batch})
+
+
+class TestDirectReads:
+    """The direct reads of a batch item or class against the explaining path, their oracle."""
+
+    @settings(max_examples=500)
+    @given(frame_batches())
+    def test_same_document_or_error_as_the_explaining_path(self, text):
+        outcome = parse_outcome(text)
+        assert outcome == explained(text)
+        if not isinstance(outcome, str):  # the explaining path only reads a rejection
+            assert all(map(frame_reads, json.loads(text)["batch"]))
+
+    @pytest.mark.parametrize("text", FRAME_TEXTS)
+    @pytest.mark.parametrize("key_path", [("batch", 1, "class", "fr", 0), ("batch", 0, "class", "orbits", 1, "screw")])
+    def test_rational_texts(self, text, key_path):
+        text = json.dumps(edited_document("batch", [(key_path, text)]))
+        assert parse_outcome(text) == explained(text)
+
+    @given(FRAME_CLASSES)
+    def test_canonical_items_are_read_directly(self, phi):
+        item = {"name": "e0", "class": phi}
+        assert frame_reads(item)
+        assert docio._read_item(item, {}) == docio._item_from_json(item, "$", {})
+        single = {"version": "1", **phi}
+        assert docio._read_class(single, 4, {}) == docio._class_fields(single, "$", {})
+
+    @settings(max_examples=300)
+    @given(frame_batches())
+    def test_single_class_documents(self, text):
+        item = json.loads(text)["batch"][0]
+        phi = item.get("class") if isinstance(item, dict) else None
+        assume(isinstance(phi, dict))
+        single = {"version": "1", **phi}
+        text = json.dumps(single)
+        outcome = parse_outcome(text)
+        assert outcome == explained(text)
+        if not isinstance(outcome, str):
+            docio._read_class(single, 4, {})
+
+    @pytest.mark.parametrize(
+        "edits",
+        [
+            [(("batch", 0, "class", "fr"), [5, "1/3"]), (("batch", 0, "class", "orbits", 1, "screw"), -3)],
+            [(("batch", 1, "name"), "Ö名\U0001f600")],
+            [(("batch", 0, "class", "fr"), ["4/6", "-0"]), (("batch", 1, "class", "orbits", 0, "screw"), "-0")],
+        ],
+        ids=["bare-integers", "non-ascii-name", "unreduced-texts"],
+    )
+    def test_valid_forms(self, edits):
+        doc = edited_document("batch", edits)
+        assert all(map(frame_reads, doc["batch"]))
+        text = json.dumps(doc)
+        assert isinstance(docio.parse(text), docio.Document)
+        assert parse_outcome(text) == explained(text)
+
+    @pytest.mark.parametrize(
+        "edit, read",
+        [
+            ((("batch", 0, "class", "fr"), [5, "1/3"]), True),
+            ((("batch", 0, "class", "orbits", 1, "screw"), -3), True),
+            ((("batch", 0, "name"), "Ö"), True),
+            ((("batch", 0, "class", "orbits", 0, "id"), "\U0001f600"), True),
+            ((("batch", 0, "class", "fr"), [True, "1/3"]), False),
+            ((("batch", 0, "name"), "ok\ud800"), False),
+            ((("batch", 0, "class", "orbits", 0, "id"), "\udfff"), False),
+        ],
+        ids=[
+            "bare-fr", "bare-screw", "non-ascii-name", "non-ascii-id",
+            "bool-fr", "surrogate-name", "surrogate-id",
+        ],
+    )
+    def test_which_forms_are_read_directly(self, edit, read):
+        assert frame_reads(edited_document("batch", [edit])["batch"][0]) is read
+
+    def test_single_class_valid_forms(self):
+        doc = edited_document("single", [
+            (("fr",), [5, "4/6"]), (("orbits", 0, "screw"), -3), (("orbits", 1, "id"), "Ö名"),
+        ])
+        text = json.dumps(doc)
+        assert docio._read_class(doc, 4, {}) == docio.parse(text).payload
+        assert parse_outcome(text) == explained(text)
+
+    def test_values_of_bare_integers_and_unreduced_texts(self):
+        doc = edited_document("batch", [
+            (("batch", 0, "class", "fr"), [5, "4/6"]),
+            (("batch", 0, "class", "orbits", 0, "screw"), "-0"),
+            (("batch", 1, "class", "orbits", 1, "screw"), -3),
+        ])
+        first, second = (e.nt_class for e in docio.parse(json.dumps(doc)).payload)
+        assert first.fr == (Fraction(5), Fraction(2, 3))
+        assert type(first.fr[0]) is Fraction and type(second.orbits[1].screw) is Fraction
+        assert first.orbits[0].screw == 0 and second.orbits[1].screw == -3
+
+    def test_keys_in_reverse_order(self):
+        def reverse(node):
+            if isinstance(node, dict):
+                return {key: reverse(node[key]) for key in reversed(node)}
+            return [reverse(x) for x in node] if isinstance(node, list) else node
+
+        doc = edited_document("batch", [])
+        reversed_doc = reverse(doc)
+        assert list(reversed_doc["batch"][0]) == ["class", "name"]
+        assert frame_reads(reversed_doc["batch"][0])
+        assert docio.parse(json.dumps(reversed_doc)) == docio.parse(json.dumps(doc))
+
+    def test_text_shared_by_two_items(self):
+        doc = edited_document("batch", [
+            (("batch", 0, "class", "fr"), ["4/6", "1/3"]),
+            (("batch", 1, "class", "orbits", 0, "screw"), "4/6"),
+            (("batch", 1, "class", "fr"), [7, "4/6"]),
+        ])
+        text = json.dumps(doc)
+        first, second = (entry.nt_class for entry in docio.parse(text).payload)
+        assert first.fr == (Fraction(2, 3), Fraction(1, 3))
+        assert second.fr == (Fraction(7), Fraction(2, 3))
+        assert first.fr[0] is second.fr[1] is second.orbits[0].screw
+        assert parse_outcome(text) == explained(text)
+
+    def test_boolean_after_the_equal_bare_integer(self):
+        # Bare integers stay out of the table, where 1 would match true.
+        text = json.dumps(edited_document("batch", [
+            (("batch", 0, "class", "fr"), [1, "1/3"]),
+            (("batch", 1, "class", "orbits", 0, "screw"), True),
+        ]))
+        assert parse_outcome(text) == "$.batch[1].class.orbits[0].screw: expected a rational, got a boolean"
+        assert parse_outcome(text) == explained(text)
+
+    def test_text_shared_by_a_direct_and_a_rejected_item(self):
+        # The frame stores "4/6" and "-1/9" from the second item before its
+        # duplicate id; the explaining path then reads them from the table.
+        doc = edited_document("batch", [
+            (("batch", 0, "class", "fr"), ["4/6", "1/3"]),
+            (("batch", 1, "class", "fr"), ["-1/9", "4/6"]),
+            (("batch", 1, "class", "orbits", 0, "screw"), "4/6"),
+            (("batch", 1, "class", "orbits", 1, "id"), "O1"),
+        ])
+        text = json.dumps(doc)
+        assert frame_reads(doc["batch"][0]) and not frame_reads(doc["batch"][1])
+        assert parse_outcome(text) == "$.batch[1].class.orbits[1].id: duplicate orbit id 'O1'"
+        assert parse_outcome(text) == explained(text)
 
 
 REPORT_BASES = {

@@ -12,12 +12,13 @@ equivalently, on numerators over the common denominator den:
 
     |num + e * beta * den| < beta * den.
 
-The closed-form exponent is e* = -trunc(v / beta), truncation toward zero.
+The closed-form exponent is e* = -trunc(v / beta), truncation toward zero,
+computed inline on the integers.  The scan walks the window from
+e* - window upward, adding beta * den to the candidate's numerator at each
+step, so no candidate costs a multiply.
 """
 
 from __future__ import annotations
-
-from .core import trunc_div
 
 __all__ = ["scan_class"]
 
@@ -40,14 +41,17 @@ def scan_class(
     exponents = []
     for num, den, beta in zip(nums, dens, betas):
         step = beta * den
-        e_star = -trunc_div(num, step)
+        e_star = -num // step if num < 0 else -(num // step)  # -trunc_div(num, step)
+        positive = num > 0
         count = 0
         found = 0
-        for e in range(e_star - window, e_star + window + 1):
-            value = num + e * step
-            if -step < value < step and (value == 0 or (value > 0) == (num > 0)):
+        first = e_star - window
+        value = num + first * step
+        for e in range(first, e_star + window + 1):
+            if -step < value < step and (value == 0 or (value > 0) == positive):
                 count += 1
                 found = e
+            value += step
         if count != 1 or found != e_star:
             unique = False
         exponents.append(e_star)

@@ -310,15 +310,17 @@ def _run_report(args, kind: str, build, render, write, prepare=None) -> int:
     chunks: list[str] = []
     errors: list[str] = []
     for (name, phi), (entry, failure) in zip(items, built):
-        prefix = _entry_prefix(name)
         if failure is None:
             try:
-                chunks += write(name, phi, entry) if structured else render(prefix, phi, entry)
+                if structured:
+                    chunks += write(name, phi, entry)
+                else:
+                    chunks += render(_entry_prefix(name), phi, entry)
                 continue
             except ValueError as exc:  # a value too long to print: nothing of the entry is kept
                 failure = _failure(exc)
         code, message = failure
-        errors.append(f"error: {prefix}{message}")
+        errors.append(f"error: {_entry_prefix(name)}{message}")
         if structured:
             chunks += docio._emit_error(name, code, message)
     if errors:

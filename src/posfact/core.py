@@ -14,9 +14,13 @@ floating point is used anywhere in this package.  Fractions are what the
 types hold and what callers pass and receive; the computations in this
 package work on their numerators and denominators as integers instead
 (truncations through :func:`trunc_div`, sign tests on numerators), so a
-Fraction is built only where a new invariant value is stored.  Every type
-in this module is an immutable value and every operation is a pure
-function, so everything is safe for unrestricted concurrent use.
+Fraction is built only where a new invariant value is stored.  Two
+per-coordinate loops write the truncation inline, as ``-p // s if p < 0
+else -(p // s)`` for ``-trunc_div(p, s)``, to save a call per value:
+:func:`posfact.invariants.essential_part` and the window-scan kernel's
+``scan_class``.  Every type in this module is an immutable value and every
+operation is a pure function, so everything is safe for unrestricted
+concurrent use.
 
 The package's value types, here and in the other modules, are plain
 classes on one private base, :class:`_Value`, which gives them the
@@ -180,6 +184,11 @@ class OrbitKind(Enum):
     AMPHIDROME = "amphidrome"
 
 
+# The regular kind, bound once: a kind test is an identity test against this
+# constant, without looking the member up on the class each time.
+_REGULAR = OrbitKind.REGULAR
+
+
 class CurveOrbit(_Value):
     """One orbit of the invariant curve system.
 
@@ -224,11 +233,11 @@ class CurveOrbit(_Value):
 
     @property
     def alpha(self) -> int:
-        return self.length if self.kind is OrbitKind.REGULAR else 2 * self.length
+        return self.length if self.kind is _REGULAR else 2 * self.length
 
     @property
     def beta(self) -> int:
-        return 1 if self.kind is OrbitKind.REGULAR else 2
+        return 1 if self.kind is _REGULAR else 2
 
 
 class NTClass(_Value):
@@ -411,11 +420,12 @@ def period_data(phi: NTClass) -> PeriodData:
     # screw/alpha = p/(q*alpha) with gcd(p, q) == 1 reduces by g = gcd(p, alpha).
     orbit_terms = []
     for orbit in phi.orbits:
-        p, q, alpha = orbit.screw.numerator, orbit.screw.denominator, orbit.alpha
+        screw, alpha = orbit.screw, orbit.alpha
+        p = screw.numerator
         g = math.gcd(p, alpha)
-        orbit_terms.append((p // g, q * alpha // g))
+        orbit_terms.append((p // g, screw.denominator * alpha // g))
     fr_terms = [(x.numerator, x.denominator) for x in phi.fr]
     n = math.lcm(*[d for _, d in fr_terms], *[d for _, d in orbit_terms])
-    k_boundary = tuple(p * (n // d) for p, d in fr_terms)
-    k_orbit = tuple(p * (n // d) for p, d in orbit_terms)
+    k_boundary = tuple([p * (n // d) for p, d in fr_terms])
+    k_orbit = tuple([p * (n // d) for p, d in orbit_terms])
     return PeriodData(n, k_boundary, k_orbit)

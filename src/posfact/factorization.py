@@ -235,11 +235,14 @@ def _correction_plan(phi: NTClass, fr_diagnostic: Optional[Diagnostic], to_corre
             (("orbits", ",".join(separating)),),
         )
     # d_j = -int(screw_j / beta_j) + 1 lifts screw_j into (0, beta_j].
-    corrections = tuple(
-        (orbit.id, 1 - trunc_div(orbit.screw.numerator, orbit.beta * orbit.screw.denominator))
-        for orbit in to_correct
-    )
-    return k, corrections, k * sum(d for _, d in corrections)
+    corrections = []
+    sum_d = 0
+    for orbit in to_correct:
+        screw = orbit.screw
+        d = 1 - trunc_div(screw.numerator, orbit.beta * screw.denominator)
+        corrections.append((orbit.id, d))
+        sum_d += d
+    return k, tuple(corrections), k * sum_d
 
 
 def _certified_total(phi: NTClass) -> Optional[int]:
@@ -332,8 +335,15 @@ def _criterion(phi: NTClass, fr_diagnostic: Optional[Diagnostic], to_correct: li
     if isinstance(plan, Diagnostic):
         return NotApplicable(plan)
     k, corrections, total = plan
-    if not all(total * x.denominator < x.numerator for x in phi.fr):  # total >= min fr
-        min_fr = min(phi.fr)
+    # The least fr, by cross-multiplying: p/q < p0/q0 iff p*q0 < p0*q.  fr is
+    # not empty, since k rejects r = 0, and a tie keeps the first, as min() does.
+    min_fr = phi.fr[0]
+    p0, q0 = min_fr.numerator, min_fr.denominator
+    for x in phi.fr:
+        p, q = x.numerator, x.denominator
+        if p * q0 < p0 * q:
+            min_fr, p0, q0 = x, p, q
+    if total * q0 >= p0:  # total >= min fr
         reason = Diagnostic(
             "criterion-inequality-failed",
             f"k*sum(d) = {total} is not < min fr = {min_fr}",

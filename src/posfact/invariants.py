@@ -10,8 +10,10 @@ scan, which counts the essential exponents near the closed-form one.
 
 Every gate and exponent here is decided on the numerator p and denominator
 q of each invariant: |v| < beta is |p| < beta * q, v > 0 is p > 0, and the
-correcting exponent is -trunc(p / (beta * q)).  Fractions appear only in
-the classes taken and returned: the essential class stores
+correcting exponent is -trunc(p / (beta * q)).  Each coordinate's integers
+and its beta are read once, and :func:`essential_part` truncates inline, as
+``core``'s docstring says, with no helper call per value.  Fractions appear
+only in the classes taken and returned: the essential class stores
 ``Fraction(p + beta * e * q, q)`` where the exponent e is nonzero, and
 reuses v where it is zero.
 
@@ -32,7 +34,6 @@ from .core import (
     _curve_orbit,
     _nt_class,
     _Value,
-    trunc_div,
 )
 
 __all__ = [
@@ -104,19 +105,20 @@ def essential_part(phi: NTClass) -> EssentialResult:
     fr = []
     for x in phi.fr:
         p, q = x.numerator, x.denominator
-        e = -trunc_div(p, q)
+        e = -p // q if p < 0 else -(p // q)  # -trunc_div(p, q)
         boundary_exponents.append(e)
         fr.append(Fraction(p + e * q, q) if e else x)
     orbit_exponents = []
     orbits = []
     for orbit in phi.orbits:
-        screw, beta = orbit.screw, orbit.beta
+        screw = orbit.screw
         p, q = screw.numerator, screw.denominator
-        m = -trunc_div(p, beta * q)
+        step = orbit.beta * q
+        m = -p // step if p < 0 else -(p // step)  # -trunc_div(p, step)
         orbit_exponents.append(m)
         if m:
             orbit = _curve_orbit(
-                orbit.id, orbit.length, orbit.kind, orbit.separating, Fraction(p + beta * m * q, q)
+                orbit.id, orbit.length, orbit.kind, orbit.separating, Fraction(p + m * step, q)
             )
         orbits.append(orbit)
     essential = _nt_class(phi.surface, tuple(fr), tuple(orbits))
@@ -144,12 +146,14 @@ def verify_essential_uniqueness(phi: NTClass, window: int = 3) -> bool:
         raise TypeError(f"window must be an integer, got {window!r}")
     if window < 1:
         raise ValueError("window must be >= 1")
-    nums = [x.numerator for x in phi.fr]
-    dens = [x.denominator for x in phi.fr]
-    betas = [1] * len(phi.fr)
+    fr = phi.fr
+    nums = [x.numerator for x in fr]
+    dens = [x.denominator for x in fr]
+    betas = [1] * len(fr)
     for orbit in phi.orbits:
-        nums.append(orbit.screw.numerator)
-        dens.append(orbit.screw.denominator)
+        screw = orbit.screw
+        nums.append(screw.numerator)
+        dens.append(screw.denominator)
         betas.append(orbit.beta)
     unique, _ = kernel.scan_class(nums, dens, betas, min(window, 1))
     return unique

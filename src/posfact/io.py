@@ -135,7 +135,7 @@ from itertools import product
 from json.encoder import encode_basestring
 from typing import Any, Optional, Union
 
-from .core import CurveOrbit, NTClass, OrbitKind, _curve_orbit, _nt_class, _surface, _Value
+from .core import CurveOrbit, NTClass, OrbitKind, _curve_orbit, _nt_class, _REGULAR, _surface, _Value
 from .factorization import (
     CriterionRoute,
     Diagnostic,
@@ -623,8 +623,7 @@ def _emit_box(box: MemberBox, out: list[str], indent: str) -> None:
 
 
 # The quoted text of each orbit kind, made once at import.  A writer picks
-# one by an identity test against the regular kind, without hashing the member.
-_REGULAR = OrbitKind.REGULAR
+# one by an identity test against core's regular kind, without hashing the member.
 _REGULAR_TEXT = encode_basestring(OrbitKind.REGULAR.value)
 _AMPHIDROME_TEXT = encode_basestring(OrbitKind.AMPHIDROME.value)
 

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import math
+import pickle
 import re
 from fractions import Fraction
 
@@ -22,6 +24,7 @@ from posfact import (
     int_variant,
     period_data,
 )
+from posfact.core import _curve_orbit
 from conftest import rand_ntclass
 
 rationals = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**6)
@@ -262,6 +265,17 @@ class TestValidation:
         amphi = orbit(1, OrbitKind.AMPHIDROME, length=3)
         assert (regular.alpha, regular.beta) == (3, 1)
         assert (amphi.alpha, amphi.beta) == (6, 2)
+
+    def test_alpha_beta_after_copies_and_by_value(self):
+        # alpha and beta test the kind by identity, so every route to a kind
+        # must give the member itself.
+        for kind, expected in ((OrbitKind.REGULAR, (3, 1)), (OrbitKind.AMPHIDROME, (6, 2))):
+            original = orbit(1, kind, length=3)
+            copies = [pickle.loads(pickle.dumps(original, protocol)) for protocol in range(2, 6)]
+            copies += [copy.deepcopy(original)]
+            copies += [_curve_orbit("O1", 3, OrbitKind(kind.value), False, Fraction(1))]
+            for value in copies:
+                assert (value.alpha, value.beta) == expected
 
     def test_big_integers_survive(self):
         huge = Fraction(10**40 + 1, 3)

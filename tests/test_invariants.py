@@ -19,8 +19,10 @@ from posfact import (
     int_variant,
     is_essential,
     is_fully_right_veering,
+    _kernel_py,
     verify_essential_uniqueness,
 )
+from posfact.core import trunc_div
 from conftest import rand_ntclass
 from test_backends import random_case, reference_scan
 
@@ -70,6 +72,28 @@ class TestEssentialPart:
         screw = result.essential.orbits[0].screw
         assert screw == Fraction(-3, 2)
         assert 1 < abs(screw) < 2
+
+    def test_exponents_are_trunc_div(self):
+        # essential_part and the scan kernel truncate inline; hold both to
+        # trunc_div over both signs, exact multiples and their neighbours.
+        values = [0]
+        for q in (1, 2, 3, 10**25):
+            for multiple in (q, 2 * q, 4 * q, 6 * q):
+                values += [multiple - 1, multiple, multiple + 1]
+        values += [-v for v in values]
+        for p in values:
+            for q in (1, 2, 3, 10**25):
+                x = Fraction(p, q)
+                amphi = orbit(x, OrbitKind.AMPHIDROME, oid="A")
+                result = essential_part(nt([x], [orbit(x, oid="R"), amphi]))
+                expected = (-trunc_div(x.numerator, x.denominator),)
+                expected_orbits = expected + (-trunc_div(x.numerator, 2 * x.denominator),)
+                assert result.boundary_exponents == expected
+                assert result.orbit_exponents == expected_orbits
+                _, exponents = _kernel_py.scan_class(
+                    [x.numerator] * 3, [x.denominator] * 3, [1, 1, 2], 1
+                )
+                assert tuple(exponents) == expected + expected_orbits
 
     def test_composition_reproduces_essential(self, rng):
         for _ in range(300):

@@ -30,7 +30,6 @@ from .core import (
 from .factorization import (
     ClassificationReport,
     CriterionResult,
-    CriterionRoute,
     Diagnostic,
     GenusZeroUnsupportedError,
     Inconclusive,
@@ -105,7 +104,6 @@ __all__ = [
     "NotApplicable",
     "CriterionResult",
     "MainTheoremRoute",
-    "CriterionRoute",
     "PositivelyFactorizable",
     "Unknown",
     "ClassificationReport",

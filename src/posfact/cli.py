@@ -7,10 +7,10 @@ canonical JSON report that round-trips through :mod:`posfact.io`.
 ``posfact --version`` prints ``posfact.__version__``, the package's one
 version.  The integers in every operand (``--query``, ``--box``,
 ``--twist``, ``--check-uniqueness``, ``--genus``, ``--boundary``,
-``--power``) follow the documents' grammar ``-?[0-9]+``; anything else, and
-an operand of exactly ``--``, is an input error.  Every command writes its
-output as one byte string to ``sys.stdout.buffer``, text as UTF-8 whatever
-stdout's own encoding.
+``--power``) follow the documents' grammar ``-?[0-9]+``; anything else, an
+operand of exactly ``--`` and a ``--box lo..hi`` with ``lo > hi`` are input
+errors.  Every command writes its output as one byte string to
+``sys.stdout.buffer``, text as UTF-8 whatever stdout's own encoding.
 
 The report commands (``validate``, ``invariants``, ``essential``,
 ``classify``, ``criterion``, ``poset``, ``correcting-bound``) share one
@@ -264,9 +264,12 @@ def _parse_box(text: str) -> tuple[int, int]:
     if not sep:
         raise docio.ParseError(f"malformed box {text!r}, expected lo..hi")
     try:
-        return _operand_int(lo_text), _operand_int(hi_text)
+        lo, hi = _operand_int(lo_text), _operand_int(hi_text)
     except ValueError:
         raise docio.ParseError(f"malformed box bounds in {text!r}") from None
+    if lo > hi:
+        raise docio.ParseError(f"empty box {text!r}: lo exceeds hi")
+    return lo, hi
 
 
 # --- report commands -------------------------------------------------------
@@ -473,27 +476,27 @@ def _cmd_compose(args) -> int:
     moves = [_parse_twist_flag(text) for text in args.twist or []]
     doc = _load_document(args.path)
     failed = False
-    if doc.is_batch:
-        composed_entries = []
-        lines = []
-        for entry in doc.payload:
-            try:
-                result = compose_twists(entry.nt_class, moves)
-            except DomainError as exc:
-                failed = True
-                _write_stderr([f"error: {entry.name}: {exc}"])
-                continue
-            composed_entries.append(docio.NamedClass(entry.name, result))
-            lines.append(f"{entry.name}: fr " + ", ".join(docio.format_rational(x) for x in result.fr))
-        out_doc = docio.Document("1", tuple(composed_entries))
-    else:
+    if isinstance(doc.payload, NTClass):
         result = compose_twists(doc.payload, moves)
         lines = ["fr: " + ", ".join(docio.format_rational(x) for x in result.fr)]
         lines += [
             f"orbit {orbit.id}: screw {docio.format_rational(orbit.screw)}"
             for orbit in result.orbits
         ]
-        out_doc = docio.Document("1", result)
+        out_doc = docio.Document(result)
+    else:
+        composed_entries = []
+        lines = []
+        for name, phi in doc.payload:
+            try:
+                result = compose_twists(phi, moves)
+            except DomainError as exc:
+                failed = True
+                _write_stderr([f"error: {name}: {exc}"])
+                continue
+            composed_entries.append((name, result))
+            lines.append(f"{name}: fr " + ", ".join(docio.format_rational(x) for x in result.fr))
+        out_doc = docio.Document(tuple(composed_entries))
     _write_stdout(docio.serialize(out_doc) if args.format == "structured" else _text_bytes(lines))
     return 1 if failed else 0
 

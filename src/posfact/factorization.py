@@ -56,7 +56,6 @@ __all__ = [
     "NotApplicable",
     "CriterionResult",
     "MainTheoremRoute",
-    "CriterionRoute",
     "PositivelyFactorizable",
     "Unknown",
     "ClassificationReport",
@@ -374,23 +373,17 @@ class MainTheoremRoute(_Value):
         pass
 
 
-class CriterionRoute(_Value):
-    """Certified through an explicit correction witness."""
-
-    __match_args__ = ("witness",)
-    witness: WitnessDecomposition
-
-    def __init__(self, witness: WitnessDecomposition) -> None:
-        self.__dict__["witness"] = witness
-
-
 class PositivelyFactorizable(_Value):
-    """Every class with these invariants is positively factorizable, by ``route``."""
+    """Every class with these invariants is positively factorizable, by ``route``.
+
+    ``route`` is :class:`MainTheoremRoute`, or the :class:`Sufficient` that
+    :func:`criterion` gives the class.
+    """
 
     __match_args__ = ("route",)
-    route: Union[MainTheoremRoute, CriterionRoute]
+    route: Union[MainTheoremRoute, Sufficient]
 
-    def __init__(self, route: Union[MainTheoremRoute, CriterionRoute]) -> None:
+    def __init__(self, route: Union[MainTheoremRoute, Sufficient]) -> None:
         self.__dict__["route"] = route
 
 
@@ -426,7 +419,7 @@ def classify(phi: NTClass) -> ClassificationReport:
     fr_diagnostic = _fr_diagnostic(bad_fr) if bad_fr else None
     result = _criterion(phi, fr_diagnostic, to_correct)
     if isinstance(result, Sufficient):
-        return PositivelyFactorizable(CriterionRoute(result.witness))
+        return PositivelyFactorizable(result)
     diagnostics = [] if fr_diagnostic is None else [fr_diagnostic]
     if to_correct:
         bad_sc = [orbit.id for orbit in to_correct]

@@ -16,9 +16,12 @@ either a single class
     }
 
 or a batch ``{"version": "1", "batch": [{"name": ..., "class": {...}}]}``.
-Rationals are strings ``"p/q"`` (or ``"p"`` when the denominator is 1) or
-bare JSON integers; JSON floats are rejected because all arithmetic is
-exact.  Canonical output uses fixed key order and string rationals in lowest
+The version is the constant ``"1"``: :func:`parse` rejects any other, and a
+:class:`Document` holds only its payload, the class or the batch's
+``(name, class)`` pairs in order, which :meth:`Document.entries` returns as
+they are.  Rationals are strings ``"p/q"`` (or ``"p"`` when the denominator
+is 1) or bare JSON integers; JSON floats are rejected because all arithmetic
+is exact.  Canonical output uses fixed key order and string rationals in lowest
 terms with positive denominator, so ``parse o serialize`` is the identity
 and ``serialize o parse`` is idempotent on accepted inputs.
 
@@ -137,7 +140,6 @@ from typing import Any, Optional, Union
 
 from .core import CurveOrbit, NTClass, OrbitKind, _curve_orbit, _nt_class, _REGULAR, _surface, _Value
 from .factorization import (
-    CriterionRoute,
     Diagnostic,
     Inconclusive,
     LValue,
@@ -152,7 +154,6 @@ from .poset import MemberBox
 
 __all__ = [
     "ParseError",
-    "NamedClass",
     "Document",
     "parse",
     "serialize",
@@ -202,40 +203,20 @@ class ParseError(Exception):
         return self.message
 
 
-class NamedClass(_Value):
-    """One entry of a batch document: its name and its class."""
-
-    __match_args__ = ("name", "nt_class")
-    name: str
-    nt_class: NTClass
-
-    def __init__(self, name: str, nt_class: NTClass) -> None:
-        fields = self.__dict__
-        fields["name"] = name
-        fields["nt_class"] = nt_class
-
-
 class Document(_Value):
-    """A validated input document: one class, or an ordered batch of named classes."""
+    """A validated input document: one class, or a batch, its ordered ``(name, class)`` pairs."""
 
-    __match_args__ = ("version", "payload")
-    version: str
-    payload: Union[NTClass, tuple[NamedClass, ...]]
+    __match_args__ = ("payload",)
+    payload: Union[NTClass, tuple[tuple[str, NTClass], ...]]
 
-    def __init__(self, version: str, payload: Union[NTClass, tuple[NamedClass, ...]]) -> None:
-        fields = self.__dict__
-        fields["version"] = version
-        fields["payload"] = payload
+    def __init__(self, payload: Union[NTClass, tuple[tuple[str, NTClass], ...]]) -> None:
+        self.__dict__["payload"] = payload
 
     def entries(self) -> tuple[tuple[Optional[str], NTClass], ...]:
-        """Uniform (name, class) view; the single-class name is None."""
+        """Uniform (name, class) view: a batch's pairs; the single-class name is None."""
         if isinstance(self.payload, NTClass):
             return ((None, self.payload),)
-        return tuple((e.name, e.nt_class) for e in self.payload)
-
-    @property
-    def is_batch(self) -> bool:
-        return not isinstance(self.payload, NTClass)
+        return self.payload
 
 
 # A JSON path is built lazily, and only rendered as text when a check fails:
@@ -420,13 +401,13 @@ def _class_fields(obj: dict, path: Any, rationals: dict) -> NTClass:
     return _nt_class(_surface(genus, boundary), fr, orbits)
 
 
-def _item_from_json(item: Any, path: Any, rationals: dict) -> NamedClass:
+def _item_from_json(item: Any, path: Any, rationals: dict) -> tuple[str, NTClass]:
     _require_object(item, _BATCH_ITEM_FIELDS, path)
     name = _require_name(_require(item, "name", path), path, "name")
-    return NamedClass(name, _class_from_json(_require(item, "class", path), (path, "class"), rationals))
+    return name, _class_from_json(_require(item, "class", path), (path, "class"), rationals)
 
 
-def _read_item(item: Any, rationals: dict) -> NamedClass:
+def _read_item(item: Any, rationals: dict) -> tuple[str, NTClass]:
     """The batch item ``item`` read by direct reads (see the module docstring).
 
     Raises one of :data:`_NOT_READ` for an item it does not accept, which
@@ -441,7 +422,7 @@ def _read_item(item: Any, rationals: dict) -> NamedClass:
         raise ValueError
     if not name.isascii():
         name.encode("utf-8")  # a lone surrogate raises UnicodeEncodeError, a ValueError
-    return NamedClass(name, _read_class(item["class"], 3, rationals))
+    return name, _read_class(item["class"], 3, rationals)
 
 
 def _read_class(obj: Any, size: int, rationals: dict) -> NTClass:
@@ -522,11 +503,10 @@ def _load_json(data: Union[bytes, str]) -> Any:
         raise ParseError("arrays and objects are nested too deeply") from None
 
 
-def _check_version(obj: dict, path: Any = "$") -> str:
+def _check_version(obj: dict, path: Any = "$") -> None:
     version = _require_str(_require(obj, "version", path), path, "version")
     if version != "1":
         raise ParseError(f"unsupported version {version!r}", _path(path, "version"))
-    return version
 
 
 _BATCH_FIELDS = frozenset(("version", "batch"))
@@ -546,7 +526,7 @@ def parse(data: Union[bytes, str]) -> Document:
     rationals: dict[str, Fraction] = {}
     if "batch" in root:
         obj = _require_object(root, _BATCH_FIELDS, "$")
-        version = _check_version(obj)
+        _check_version(obj)
         batch_path = ("$", "batch")
         batch = obj["batch"]
         if batch.__class__ is not list:
@@ -559,14 +539,14 @@ def parse(data: Union[bytes, str]) -> Document:
             except _NOT_READ:
                 pass  # read it again outside the handler, so its ParseError has no context
             entries.append(_item_from_json(item, (batch_path, i), rationals))
-        return Document(version, tuple(entries))
+        return Document(tuple(entries))
     obj = _require_object(root, _SINGLE_FIELDS, "$")
-    version = _check_version(obj)
+    _check_version(obj)
     try:
-        return Document(version, _read_class(obj, 4, rationals))
+        return Document(_read_class(obj, 4, rationals))
     except _NOT_READ:
         pass  # as for a batch item
-    return Document(version, _class_fields(obj, "$", rationals))
+    return Document(_class_fields(obj, "$", rationals))
 
 
 def class_to_json(phi: NTClass) -> dict:
@@ -847,7 +827,7 @@ def _emit_outcome(name: Optional[str], phi: NTClass, outcome: Any) -> list[str]:
         diagnostics = outcome.diagnostics
     elif cls is PositivelyFactorizable and outcome.route.__class__ is MainTheoremRoute:
         head = f'"classification": "positively_factorizable",{inner}"route": "main_theorem"'
-    elif cls is PositivelyFactorizable and outcome.route.__class__ is CriterionRoute:
+    elif cls is PositivelyFactorizable and outcome.route.__class__ is Sufficient:
         head = f'"classification": "positively_factorizable",{inner}"route": "criterion"'
         witness = outcome.route.witness
     elif cls is Sufficient:
@@ -968,18 +948,17 @@ def _ltable_report(genus: int, boundary: int, power: Optional[int], value: LValu
 
 
 def serialize(doc: Document) -> bytes:
-    """Canonical bytes for a document; ``parse(serialize(doc)) == doc``."""
-    version = encode_basestring(doc.version)
+    """Canonical bytes for a document, of version ``"1"``; ``parse(serialize(doc)) == doc``."""
     out: list[str] = []
     if isinstance(doc.payload, NTClass):
         _emit_class(doc.payload, out, "\n")
-        out[0] = f'{{\n  "version": {version},' + out[0][1:]  # the class's own opening brace goes
+        out[0] = '{\n  "version": "1",' + out[0][1:]  # the class's own opening brace goes
     else:
-        out.append(f'{{\n  "version": {version},\n  "batch": ')
+        out.append('{\n  "version": "1",\n  "batch": ')
         start = "["
-        for entry in doc.payload:
-            out.append(f'{start}\n    {{\n      "name": {encode_basestring(entry.name)},\n      "class": ')
-            _emit_class(entry.nt_class, out, "\n      ")
+        for name, phi in doc.payload:
+            out.append(f'{start}\n    {{\n      "name": {encode_basestring(name)},\n      "class": ')
+            _emit_class(phi, out, "\n      ")
             out.append("\n    }")
             start = ","
         out.append("[]\n}" if start == "[" else "\n  ]\n}")

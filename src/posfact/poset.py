@@ -39,7 +39,8 @@ __all__ = [
     "correcting_exponent_bound",
 ]
 
-DEFAULT_BOX_CAP = 10**6
+# The most points a box given to enumerate_box may hold.
+BOX_CAP = 10**6
 
 
 class DimensionMismatchError(DomainError):
@@ -144,12 +145,7 @@ def known_region(phi: NTClass) -> PosetRegion:
     return PosetRegion(r, corner)
 
 
-def enumerate_box(
-    phi: NTClass,
-    lo: Sequence[int],
-    hi: Sequence[int],
-    max_points: int = DEFAULT_BOX_CAP,
-) -> MemberBox:
+def enumerate_box(phi: NTClass, lo: Sequence[int], hi: Sequence[int]) -> MemberBox:
     """The members of :func:`known_region` inside the box ``[lo, hi]``.
 
     They are the sub-box prod_i [max(lo_i, c_i), hi_i] above the region's
@@ -157,7 +153,7 @@ def enumerate_box(
     region), so the cost does not grow with the box or the number of
     members.  The bounds must be ints (TypeError otherwise, a bool
     included, checked first) and the box volume must not exceed
-    ``max_points``.  A class without boundary components then raises the
+    :data:`BOX_CAP`.  A class without boundary components then raises the
     ``DomainError`` of :func:`known_region`.
     """
     lo = tuple(lo)
@@ -177,11 +173,11 @@ def enumerate_box(
     # may have more digits than an int can be printed with.
     volume = 1
     for a, b in zip(lo, hi):
-        if volume > max_points:
+        if volume > BOX_CAP:
             break
         volume *= b - a + 1
-    if volume > max_points:
-        raise BoxTooLargeError(f"box holds at least {max_points + 1} points, cap is {max_points}")
+    if volume > BOX_CAP:
+        raise BoxTooLargeError(f"box holds at least {BOX_CAP + 1} points, cap is {BOX_CAP}")
     corner = known_region(phi).corner
     if corner is None:
         return MemberBox((range(0),) * r)

@@ -197,12 +197,11 @@ def random_document(rng: random.Random) -> docio.Document:
         return rand_ntclass(rng, max_boundary=4, max_orbits=4, max_num=60, max_den=15)
 
     if rng.random() < 0.5:
-        return docio.Document("1", rand_class())
+        return docio.Document(rand_class())
     entries = tuple(
-        docio.NamedClass(f"entry-{i}-{rng.randint(0, 999)}", rand_class())
-        for i in range(rng.randint(0, 3))
+        (f"entry-{i}-{rng.randint(0, 999)}", rand_class()) for i in range(rng.randint(0, 3))
     )
-    return docio.Document("1", entries)
+    return docio.Document(entries)
 
 
 def breaking_mutation(rng: random.Random, data: bytes) -> bytes:

@@ -7,9 +7,11 @@ import contextlib
 import errno
 import gc
 import hashlib
+import importlib
 import io as stdio
 import json
 import os
+import pkgutil
 import random
 import subprocess
 import sys
@@ -229,7 +231,7 @@ class TestCompose:
         captured = capsys.readouterr()
         assert "no-orbit" in captured.err
         doc = docio.parse(captured.out)
-        assert [e.name for e in doc.payload] == ["has-orbit"]
+        assert [name for name, _ in doc.payload] == ["has-orbit"]
 
     def test_malformed_twist_flag(self, single_path, capsys):
         assert main(["compose", single_path, "--twist", "B1"]) == 2
@@ -376,10 +378,12 @@ class TestOperandGrammar:
         "argv, message",
         [
             (["poset", "--box=x"], "malformed box 'x', expected lo..hi"),
+            (["poset", "--box=5..3"], "empty box '5..3': lo exceeds hi"),
             (["poset", "--query", "a"], "malformed point 'a', expected a1,a2,..."),
             (["compose", "--twist", "X"], "malformed --twist 'X', expected B<i>:<m> or O<id>:<m>"),
+            (["compose", "--twist", "O:1"], "missing orbit id in --twist 'O:1'"),
         ],
-        ids=["poset-box", "poset-query", "compose-twist"],
+        ids=["poset-box", "poset-box-reversed", "poset-query", "compose-twist", "compose-twist-no-id"],
     )
     def test_bad_operand_fails_before_reading_stdin(self, argv, message):
         # stdin stays open: a command that read it first would wait for ever.
@@ -1341,6 +1345,14 @@ class TestEntryPoints:
         )
         assert (done.returncode, done.stderr) == (0, b"")
         assert json.loads(done.stdout) == [[], [], True]
+
+    @pytest.mark.parametrize(
+        "module", ["posfact"] + sorted(m.name for m in pkgutil.iter_modules(posfact.__path__, "posfact."))
+    )
+    def test_every_exported_name_resolves(self, module):
+        """Each name in a module's ``__all__`` is defined on it, so a deletion leaves no stale export."""
+        owner = importlib.import_module(module)
+        assert [name for name in getattr(owner, "__all__", ()) if not hasattr(owner, name)] == []
 
 
 def _main_theorem_batch(size: int, name_width: int = 8) -> dict:

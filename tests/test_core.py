@@ -230,6 +230,8 @@ class TestValidation:
             (lambda: orbit(-1, separating="no"), "orbit separating flag must be a bool, got 'no'"),
             (lambda: orbit(-1, separating=1), "orbit separating flag must be a bool, got 1"),
             (lambda: orbit(-1, separating=None), "orbit separating flag must be a bool, got None"),
+            (lambda: orbit(1, oid=""), "orbit id must be a non-empty string, got ''"),
+            (lambda: orbit(1, kind="regular"), "orbit kind must be an OrbitKind, got 'regular'"),
         ],
         ids=[
             "genus-bool",
@@ -239,6 +241,8 @@ class TestValidation:
             "separating-str",
             "separating-int",
             "separating-none",
+            "id-empty",
+            "kind-str",
         ],
     )
     def test_rejects_bool_counts_and_non_bool_flags(self, build, message):
@@ -250,6 +254,11 @@ class TestValidation:
             Surface(-1, 2)
         with pytest.raises(ValueError):
             Surface(1, -2)
+
+    def test_int_values_become_fractions(self):
+        phi = NTClass(Surface(1, 1), (2,), (CurveOrbit("O1", 1, OrbitKind.REGULAR, False, -3),))
+        assert phi.fr == (Fraction(2),) and phi.orbits[0].screw == Fraction(-3)
+        assert type(phi.fr[0]) is Fraction and type(phi.orbits[0].screw) is Fraction
 
     def test_float_screw_rejected(self):
         with pytest.raises(TypeError):

@@ -9,7 +9,6 @@ import pytest
 
 from posfact import (
     BoundaryTwist,
-    CriterionRoute,
     CurveOrbit,
     Diagnostic,
     DomainError,
@@ -135,6 +134,10 @@ class TestLTablePower:
     def test_tag_must_be_an_ltag_with_a_value(self):
         with pytest.raises(ValueError, match="must be an LTag"):
             LValue("finite", 3)
+
+    def test_only_an_exact_tag_carries_a_value(self):
+        with pytest.raises(ValueError, match="tag finite carries no value"):
+            LValue(LTag.FINITE, 3)
 
     def test_tag_must_be_an_ltag(self):
         with pytest.raises(ValueError, match="must be an LTag"):
@@ -272,7 +275,8 @@ class TestClassify:
         phi = nt(2, [5], [orbit(Fraction(-1, 2))])
         report = classify(phi)
         assert isinstance(report, PositivelyFactorizable)
-        assert isinstance(report.route, CriterionRoute)
+        assert isinstance(report.route, Sufficient)
+        assert report.route == criterion(phi)
         assert report.route.witness.corrected.fr == (Fraction(3),)
 
     def test_unknown_lists_violations_and_criterion_outcome(self):

@@ -23,7 +23,6 @@ import posfact.factorization
 import posfact.invariants
 from posfact import (
     BoundaryTwist,
-    CriterionRoute,
     CurveOrbit,
     Diagnostic,
     DomainError,
@@ -199,7 +198,7 @@ def ref_classify(phi: NTClass):
         return PositivelyFactorizable(MainTheoremRoute())
     result = ref_criterion(phi)
     if isinstance(result, Sufficient):
-        return PositivelyFactorizable(CriterionRoute(result.witness))
+        return PositivelyFactorizable(result)
     bad_fr = ref_fr_not_positive(phi)
     diagnostics = [] if bad_fr is None else [bad_fr]
     bad_sc = [o.id for o in phi.orbits if o.screw <= 0]
@@ -422,7 +421,7 @@ def test_criterion_builds_a_witness_only_to_certify(classes, monkeypatch):
         built.clear()
         report = classify(phi)
         route = report.route if isinstance(report, PositivelyFactorizable) else None
-        assert len(built) == (1 if isinstance(route, CriterionRoute) else 0)
+        assert len(built) == (1 if isinstance(route, Sufficient) else 0)
         assert report == ref_classify(phi)
         seen.add(type(result))
     assert seen == {Sufficient, Inconclusive, NotApplicable}

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 from conftest import rand_applicable_ntclass, rand_ntclass, rand_poset_ntclass
 from posfact import (
-    CriterionRoute,
     CurveOrbit,
     Diagnostic,
     Inconclusive,
@@ -99,20 +98,18 @@ def nt_classes(draw) -> NTClass:
 @st.composite
 def documents(draw) -> docio.Document:
     if draw(st.booleans()):
-        return docio.Document("1", draw(nt_classes()))
+        return docio.Document(draw(nt_classes()))
     entries = tuple(
-        docio.NamedClass(draw(names), draw(nt_classes()))
-        for _ in range(draw(st.integers(min_value=0, max_value=3)))
+        (draw(names), draw(nt_classes())) for _ in range(draw(st.integers(min_value=0, max_value=3)))
     )
-    return docio.Document("1", entries)
+    return docio.Document(entries)
 
 
 class TestParse:
     def test_schema_example(self):
         doc = docio.parse(SINGLE_EXAMPLE)
-        assert doc.version == "1"
         assert doc.payload == expected_example_class()
-        assert not doc.is_batch
+        assert doc.entries() == ((None, doc.payload),)
 
     def test_zero_denominator(self):
         bad = SINGLE_EXAMPLE.replace('"5/3"', '"1/0"')
@@ -190,9 +187,8 @@ class TestParse:
             ],
         }
         doc = docio.parse(json.dumps(batch))
-        assert doc.is_batch
-        assert doc.entries()[0][0] == "a"
-        assert doc.entries()[0][1] == expected_example_class()
+        assert doc.payload == (("a", expected_example_class()),)
+        assert doc.entries() is doc.payload
 
     def test_batch_name_required_nonempty(self):
         batch = {"version": "1", "batch": [{"name": "", "class": {"surface": {"genus": 0, "boundary": 0}, "fr": [], "orbits": []}}]}
@@ -414,12 +410,12 @@ class TestCanonicalEmitter:
             return (json.dumps(obj, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
 
         plains = [docio.class_to_json(c) for c in classes]
-        assert docio.serialize(docio.Document("1", classes[0])) == dumps({"version": "1", **plains[0]})
-        batch = docio.Document("1", tuple(docio.NamedClass(name, c) for c in classes))
+        assert docio.serialize(docio.Document(classes[0])) == dumps({"version": "1", **plains[0]})
+        batch = docio.Document(tuple((name, c) for c in classes))
         assert docio.serialize(batch) == dumps(
             {"version": "1", "batch": [{"name": name, "class": c} for c in plains]}
         )
-        assert docio.serialize(docio.Document("1", ())) == dumps({"version": "1", "batch": []})
+        assert docio.serialize(docio.Document(())) == dumps({"version": "1", "batch": []})
 
     @needs_digit_limit
     @pytest.mark.parametrize("place", ["fr", "screw", "genus", "length"])
@@ -430,9 +426,9 @@ class TestCanonicalEmitter:
         orbit = CurveOrbit("O1", values["length"], OrbitKind.AMPHIDROME, False, values["screw"])
         phi = NTClass(Surface(values["genus"], 1), (values["fr"],), (orbit,))
         for doc, plain in (
-            (docio.Document("1", phi), lambda: {"version": "1", **docio.class_to_json(phi)}),
+            (docio.Document(phi), lambda: {"version": "1", **docio.class_to_json(phi)}),
             (
-                docio.Document("1", (docio.NamedClass("a", phi),)),
+                docio.Document((("a", phi),)),
                 lambda: {"version": "1", "batch": [{"name": "a", "class": docio.class_to_json(phi)}]},
             ),
         ):
@@ -724,7 +720,7 @@ WITNESSES = st.builds(
 # Every outcome the library returns, built directly.
 CLASSIFY_REPORTS = st.one_of(
     st.just(PositivelyFactorizable(MainTheoremRoute())),
-    WITNESSES.map(lambda w: PositivelyFactorizable(CriterionRoute(w))),
+    WITNESSES.map(lambda w: PositivelyFactorizable(Sufficient(w))),
     st.lists(DIAGNOSTICS, max_size=3).map(lambda ds: Unknown(tuple(ds))),
 )
 CRITERION_RESULTS = st.one_of(
@@ -789,7 +785,7 @@ OUTCOME_CLASSES = {
         NTClass(Surface(2, 1), (Fraction(3),), (_orbit("O1", Fraction(1, 2)),)),
     ),
     "criterion": (
-        CriterionRoute,
+        Sufficient,
         Sufficient,
         NTClass(Surface(2, 1), (Fraction(100),), (_orbit('"A"\n', Fraction(-1, 3)),)),
     ),
@@ -892,7 +888,7 @@ class TestOutcomeWriters:
                 "classify",
                 classify_entry_of,
                 classify_entry_dict,
-                PositivelyFactorizable(CriterionRoute(witness)),
+                PositivelyFactorizable(Sufficient(witness)),
             ),
             ("criterion", criterion_entry_of, criterion_entry_dict, Sufficient(witness)),
         ):
@@ -1323,7 +1319,7 @@ class TestRationalTable:
             (("batch", 1, "class", "orbits", 0, "screw"), "2/4"),
             (("batch", 1, "class", "orbits", 1, "screw"), "-0"),
         ])
-        first, second = (entry.nt_class for entry in docio.parse(json.dumps(doc)).payload)
+        (_, first), (_, second) = docio.parse(json.dumps(doc)).payload
         assert first.fr == (Fraction(1, 2), Fraction(1, 2))
         assert second.fr == (Fraction(1, 2), Fraction(1))
         assert [orbit.screw for orbit in second.orbits] == [Fraction(1, 2), Fraction(0)]
@@ -1344,7 +1340,7 @@ class TestRejectionTable:
 
     def test_non_ascii_orbit_id_parses(self):
         doc = edited_document("batch", [(("batch", 1, "class", "orbits", 1, "id"), "Ö名\U0001f600")])
-        nt_class = docio.parse(json.dumps(doc)).payload[1].nt_class
+        _, nt_class = docio.parse(json.dumps(doc)).payload[1]
         assert [orbit.id for orbit in nt_class.orbits] == ["O1", "Ö名\U0001f600"]
 
 
@@ -1538,7 +1534,7 @@ class TestDirectReads:
             (("batch", 0, "class", "orbits", 0, "screw"), "-0"),
             (("batch", 1, "class", "orbits", 1, "screw"), -3),
         ])
-        first, second = (e.nt_class for e in docio.parse(json.dumps(doc)).payload)
+        (_, first), (_, second) = docio.parse(json.dumps(doc)).payload
         assert first.fr == (Fraction(5), Fraction(2, 3))
         assert type(first.fr[0]) is Fraction and type(second.orbits[1].screw) is Fraction
         assert first.orbits[0].screw == 0 and second.orbits[1].screw == -3
@@ -1562,7 +1558,7 @@ class TestDirectReads:
             (("batch", 1, "class", "fr"), [7, "4/6"]),
         ])
         text = json.dumps(doc)
-        first, second = (entry.nt_class for entry in docio.parse(text).payload)
+        (_, first), (_, second) = docio.parse(text).payload
         assert first.fr == (Fraction(2, 3), Fraction(1, 3))
         assert second.fr == (Fraction(7), Fraction(2, 3))
         assert first.fr[0] is second.fr[1] is second.orbits[0].screw
@@ -1824,10 +1820,10 @@ class TestFuzz:
             doc = docio.parse(data)
         except docio.ParseError:
             return
-        for entry, item in zip(doc.payload, json.loads(data)["batch"]):
+        for (_, phi), item in zip(doc.payload, json.loads(data)["batch"]):
             source = item["class"]
-            assert entry.nt_class.fr == tuple(map(Fraction, source["fr"]))
-            screws = [orbit.screw for orbit in entry.nt_class.orbits]
+            assert phi.fr == tuple(map(Fraction, source["fr"]))
+            screws = [orbit.screw for orbit in phi.orbits]
             assert screws == [Fraction(orbit["screw"]) for orbit in source["orbits"]]
 
     @settings(max_examples=60, deadline=None)

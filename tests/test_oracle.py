@@ -97,6 +97,19 @@ class TestScrewNumber:
         with pytest.raises(OrbitModelError):
             OrbitModel((1, 1), (False, False), (Fraction(1), Fraction(1)))
 
+    @pytest.mark.parametrize(
+        "permutation, flips, twists, message",
+        [
+            ((), (), (), "at least one annulus"),
+            ((1, 2), (False,), (Fraction(1), Fraction(1)), "equal length"),
+            ((1, 2), (False, False), (Fraction(1),), "equal length"),
+        ],
+        ids=["no-annulus", "flips-short", "twists-short"],
+    )
+    def test_malformed_model_rejected(self, permutation, flips, twists, message):
+        with pytest.raises(ValueError, match=message):
+            OrbitModel(permutation, flips, twists)
+
     def test_multi_cycle_permutation_rejected(self):
         model = OrbitModel((1, 2), (False, False), (Fraction(1), Fraction(1)))
         with pytest.raises(OrbitModelError, match="single 2-cycle"):

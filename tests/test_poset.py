@@ -143,15 +143,16 @@ class TestEnumerateBox:
 
     def test_box_cap(self):
         phi = nt(2, [0, 0])
+        assert len(enumerate_box(phi, (1, 1), (1000, 1000))) == 10**6
         with pytest.raises(BoxTooLargeError):
-            enumerate_box(phi, (-2, -2), (2, 2), max_points=20)
+            enumerate_box(phi, (1, 1), (1000, 1001))
 
     def test_cap_message_names_only_the_cap(self):
         # The volume of this box has ~10,000 digits, more than an int can be printed with.
         phi = nt(2, [0, 0])
         with pytest.raises(BoxTooLargeError) as exc:
-            enumerate_box(phi, (-(10**5000),) * 2, (10**5000,) * 2, max_points=20)
-        assert str(exc.value) == "box holds at least 21 points, cap is 20"
+            enumerate_box(phi, (-(10**5000),) * 2, (10**5000,) * 2)
+        assert str(exc.value) == "box holds at least 1000001 points, cap is 1000000"
 
     def test_invalid_bounds(self):
         phi = nt(2, [0])
@@ -218,23 +219,28 @@ class TestEnumerateBox:
         assert len(members) == 10**6
         assert peak < 2**20
 
+    # enumerate_box's checks in the order it runs them; a row's stage is the
+    # index of the check it fails first.
+    CHECKS = (TypeError, DimensionMismatchError, DomainError, BoxTooLargeError, DomainError)
+
     @pytest.mark.parametrize(
-        "fr, lo, hi, cap, error, match",
+        "fr, lo, hi, stage, error, match",
         [
-            # The first three rows also fail every later check; the last three
-            # show the checks run before a boundaryless class is rejected.
-            ([5, 5], (3, 9, 0), (1, -9), 1, DimensionMismatchError, "lengths 3/2"),
-            ([5, 5], (3, 9), (1, -9), 1, DomainError, "empty box"),
-            ([5, 5], (-9, -9), (9, 9), 360, BoxTooLargeError, "361 points"),
+            # The first two rows also fail every later check (two reversed
+            # coordinates multiply to over 10**6 points); the last two show the
+            # length check runs before a boundaryless class is rejected.
+            ([5, 5], (5, 10**6, 0), (3, -(10**6)), 1, DimensionMismatchError, "lengths 3/2"),
+            ([5, 5], (5, 10**6), (3, -(10**6)), 2, DomainError, "empty box"),
+            ([5, 5], (-500, -999), (500, 999), 3, BoxTooLargeError, "1000001 points"),
             ([], (0,), (), 1, DimensionMismatchError, "lengths 1/0"),
-            ([], (), (), 0, BoxTooLargeError, "1 points"),
-            ([], (), (), 1, DomainError, "at least one boundary"),
+            ([], (), (), 4, DomainError, "at least one boundary"),
         ],
     )
-    def test_check_order(self, fr, lo, hi, cap, error, match):
+    def test_check_order(self, fr, lo, hi, stage, error, match):
+        assert self.CHECKS[stage] is error
         phi = nt(2, fr, [orbit(Fraction(-1, 2))] if fr else [])
         with pytest.raises(error, match=match) as exc:
-            enumerate_box(phi, lo, hi, max_points=cap)
+            enumerate_box(phi, lo, hi)
         assert type(exc.value) is error
 
     @pytest.mark.parametrize("bound", [-3.0, 0.5, True, "3", None], ids=repr)
@@ -246,7 +252,7 @@ class TestEnumerateBox:
             enumerate_box(phi, lo, hi)
         # Before every other check: here the lengths differ and the volume is over the cap.
         with pytest.raises(TypeError, match="box bounds must be integers"):
-            enumerate_box(phi, lo + (0,), hi, max_points=0)
+            enumerate_box(phi, lo + (-(10**7),), hi + (10**7, 0))
 
     def test_upward_closure_on_members(self, rng):
         for _ in range(40):

@@ -21,7 +21,6 @@ import pytest
 
 from posfact import (
     BoundaryTwist,
-    CriterionRoute,
     CurveOrbit,
     Diagnostic,
     EssentialResult,
@@ -43,7 +42,7 @@ from posfact import (
     WitnessDecomposition,
 )
 from posfact.core import _curve_orbit, _nt_class
-from posfact.io import Document, NamedClass
+from posfact.io import Document
 
 TWIN_FIELDS = {
     Surface: [("genus", int), ("boundary_count", int)],
@@ -78,16 +77,14 @@ TWIN_FIELDS = {
     Inconclusive: [("reasons", tuple[Diagnostic, ...])],
     NotApplicable: [("reason", Diagnostic)],
     MainTheoremRoute: [],
-    CriterionRoute: [("witness", WitnessDecomposition)],
-    PositivelyFactorizable: [("route", Union[MainTheoremRoute, CriterionRoute])],
+    PositivelyFactorizable: [("route", Union[MainTheoremRoute, Sufficient])],
     Unknown: [("diagnostics", tuple[Diagnostic, ...])],
     EssentialResult: [
         ("essential", NTClass),
         ("boundary_exponents", tuple[int, ...]),
         ("orbit_exponents", tuple[int, ...]),
     ],
-    NamedClass: [("name", str), ("nt_class", NTClass)],
-    Document: [("version", str), ("payload", Union[NTClass, tuple[NamedClass, ...]])],
+    Document: [("payload", Union[NTClass, tuple[tuple[str, NTClass], ...]])],
     PosetRegion: [("dimension", int), ("corner", Optional[tuple[int, ...]])],
     MemberBox: [("ranges", tuple[range, ...])],
 }
@@ -151,11 +148,10 @@ CASES = {
     Inconclusive: [((DIAG,),), ((DIAG_COPY,),), ((DIAG, DIAG),), ((),)],
     NotApplicable: [(DIAG,), (DIAG_COPY,), (Diagnostic("a", "b"),)],
     MainTheoremRoute: [(), ()],
-    CriterionRoute: [(WITNESS,), (WITNESS_RAW,), (WitnessDecomposition(1, (), 0, PHI_TWO),)],
     PositivelyFactorizable: [
         (MainTheoremRoute(),),
         (MainTheoremRoute(),),
-        (CriterionRoute(WITNESS),),
+        (Sufficient(WITNESS),),
     ],
     Unknown: [((DIAG,),), ((DIAG,),), ((),)],
     EssentialResult: [
@@ -164,13 +160,13 @@ CASES = {
         (PHI, (-1, 0), (1,)),
         (PHI_TWO, (-1, 0), (0, 1)),
     ],
-    NamedClass: [("a", PHI), ("a", PHI_RAW), ("b", PHI), ("a", PHI_TWO)],
     Document: [
-        ("1", PHI),
-        ("1", PHI_RAW),
-        ("1", (NamedClass("a", PHI),)),
-        ("1", (NamedClass("a", PHI), NamedClass("b", PHI_TWO))),
-        ("2", PHI),
+        (PHI,),
+        (PHI_RAW,),
+        ((("a", PHI),),),
+        ((("a", PHI_RAW),),),
+        ((("a", PHI), ("b", PHI_TWO)),),
+        ((),),
     ],
     PosetRegion: [(2, (0, -1)), (2, (0, -1)), (2, None), (2, (1, -1)), (1, (0,))],
     MemberBox: [

@@ -256,8 +256,13 @@ class NTClass(_Value):
     def __init__(
         self, surface: Surface, fr: tuple[Fraction, ...], orbits: tuple[CurveOrbit, ...] = ()
     ) -> None:
+        if not isinstance(surface, Surface):
+            raise ValueError(f"surface must be a Surface, got {surface!r}")
         fr = tuple(as_rational(x) for x in fr)
         orbits = tuple(orbits)
+        for orbit in orbits:
+            if not isinstance(orbit, CurveOrbit):
+                raise ValueError(f"orbit must be a CurveOrbit, got {orbit!r}")
         if len(fr) != surface.boundary_count:
             raise ValueError(
                 f"fr has {len(fr)} entries but the surface has "

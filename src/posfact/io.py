@@ -108,24 +108,37 @@ regex match and becomes ``Fraction(int(p), int(q))``.  So the frame
 accepts every valid class.  It raises ``KeyError``, ``TypeError``,
 ``ValueError``, ``ZeroDivisionError`` or ``AttributeError`` on any object
 it does not accept, and that object is read again, unchanged, by the
-explaining path (``_item_from_json``, ``_class_fields``,
-``_orbit_from_json``, ``_rational`` and the ``_require_*`` helpers), which
-also reads the classes inside reports.  That path checks each field in the
-order of the fields and is the one place that words a rejection, naming
-the first failing field and its path.  The frame accepts exactly what the
-explaining path accepts, with equal values, and the tests hold it to that
-path as its oracle.  Each distinct rational text is parsed once per
-document: :func:`parse` keeps one table from a ``"p/q"`` string to its
-``Fraction`` for the ``fr`` items and screw numbers of all its classes,
-shared by both paths.  Only strings are kept (the JSON ``true`` would equal
-the integer 1 as a key), and only after they parse, so a malformed text
-fails, with its own path, wherever it occurs first.  Once ``io``'s own
-checks have passed, values are built through ``core``'s private builders,
-which do not run the public constructors' checks a second time.
+explaining path (``_item_from_json`` and ``_class_fields``), which also
+reads the classes inside reports and is the one place that words a
+rejection.  That path declares each JSON object it reads once, as a
+*shape*: a dict from each field name, in the order its checks run, to the
+check of its value, built from a few parts (``_int``, ``_str``, ``_name``,
+``_word``, ``_rational``, ``_list_of``, ``_object``, ``_nullable``, and
+``_Optional`` for a field that may be absent).  One walker reads an object
+against its shape: ``_read`` rejects a value that is not an object or has
+an unknown field, and ``_fields`` then reads each field in order, so the
+first failing field is named with its path.  A class's rules that join two
+fields stay as plain code around the walk: its ``fr`` count is checked
+before its orbits are read, and its orbit ids are checked to be distinct
+after.  The frame accepts exactly what the explaining path accepts, with
+equal values, and the tests hold it to that path as its oracle.  Each
+distinct rational text is parsed once per document: :func:`parse` keeps one
+table from a ``"p/q"`` string to its ``Fraction`` for the ``fr`` items and
+screw numbers of all its classes, shared by both paths.  Only strings are
+kept (the JSON ``true`` would equal the integer 1 as a key), and only after
+they parse, so a malformed text fails, with its own path, wherever it
+occurs first.  Once ``io``'s own checks have passed, values are built
+through ``core``'s private builders, which do not run the public
+constructors' checks a second time.
 
 Reports emitted by the CLI use the same conventions under an envelope
 ``{"version": "1", "report": "<kind>", ...}``; :func:`parse_report`
-validates them so structured CLI output round-trips.
+validates them so structured CLI output round-trips.  It reads the kind
+first, which names the report's shape in ``_REPORTS``.  An entry is read as
+its name and status, then an error entry's ``error`` or an "ok" entry's
+fields (``_PAYLOADS``), and a ``poset`` entry's mode names the rest
+(``_POSET_MODES``); an ``ltable`` result carries a value only with the
+``exact`` tag.  The tests hold each writer's keys, in order, to its shape.
 """
 
 from __future__ import annotations
@@ -136,9 +149,9 @@ import sys
 from fractions import Fraction
 from itertools import product
 from json.encoder import encode_basestring
-from typing import Any, Optional, Union
+from typing import Any, Callable, Collection, Iterator, NamedTuple, Optional, Union
 
-from .core import CurveOrbit, NTClass, OrbitKind, _curve_orbit, _nt_class, _REGULAR, _surface, _Value
+from .core import NTClass, OrbitKind, _curve_orbit, _nt_class, _REGULAR, _surface, _Value
 from .factorization import (
     Diagnostic,
     Inconclusive,
@@ -221,9 +234,9 @@ class Document(_Value):
 
 # A JSON path is built lazily, and only rendered as text when a check fails:
 # it is "$" or a (parent path, key) pair, where a str key names a field and
-# an int key indexes an array.  Scalar checkers take the path of the
-# container and the key of the value they check; object and array checkers
-# take the path of the value itself.
+# an int key indexes an array.  A shape's check takes the path of the
+# container and the key of the value it checks; _read, _fields and
+# _class_fields take the path of the object itself.
 
 
 def _path(parent: Any, *keys: Union[str, int, None]) -> str:
@@ -279,7 +292,8 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def _require_object(value: Any, allowed: frozenset, path: Any) -> dict:
+def _require_object(value: Any, allowed: Collection[str], path: Any) -> dict:
+    """``value`` once it is an object with no field outside ``allowed``."""
     if not isinstance(value, dict):
         raise ParseError(f"expected an object, got {type(value).__name__}", _path(path))
     if not value.keys() <= allowed:
@@ -289,38 +303,77 @@ def _require_object(value: Any, allowed: frozenset, path: Any) -> dict:
     return value
 
 
-def _require(obj: dict, key: str, path: Any) -> Any:
-    if key not in obj:
-        raise ParseError(f"missing required field {key!r}", _path(path))
-    return obj[key]
+# A shape's check is called as check(value, path, key, rationals), with the
+# document's table of parsed rational texts last.  It returns the value it
+# reads, or raises ParseError naming the first rule the value breaks.
 
 
-def _require_int(value: Any, path: Any, key: Any = None, minimum: Optional[int] = None) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ParseError(f"expected an integer, got {value!r}", _path(path, key))
-    if minimum is not None and value < minimum:
-        raise ParseError(f"expected an integer >= {minimum}, got {value}", _path(path, key))
-    return value
+class _Optional(NamedTuple):
+    """A shape's check of a field that may be absent; an absent field reads as None."""
+
+    check: Callable[[Any, Any, Any, dict], Any]
 
 
-def _require_bool(value: Any, path: Any, key: Any = None) -> bool:
+def _fields(obj: dict, shape: dict, path: Any, rationals: dict) -> Iterator[Any]:
+    """Yield the value of each field of ``shape`` in the object ``obj`` at ``path``, in order.
+
+    Each value is read by its check when the walk reaches it, so a caller
+    may test a rule between two fields, or stop early.  A field that is
+    absent is rejected, unless its check is :class:`_Optional`.
+    """
+    for key, check in shape.items():
+        optional = check.__class__ is _Optional
+        if key in obj:
+            yield (check.check if optional else check)(obj[key], path, key, rationals)
+        elif optional:
+            yield None
+        else:
+            raise ParseError(f"missing required field {key!r}", _path(path))
+
+
+def _read(value: Any, shape: dict, path: Any, rationals: dict) -> tuple:
+    """The values of the fields of the object ``value`` at ``path``, read against ``shape``.
+
+    A value that is not an object, or that has a field ``shape`` does not
+    name, is rejected before any field is read.
+    """
+    return tuple(_fields(_require_object(value, shape.keys(), path), shape, path, rationals))
+
+
+def _int(minimum: Optional[int] = None) -> Callable:
+    """The check of an integer, and of one at least ``minimum`` if that is given."""
+
+    def check(value: Any, path: Any, key: Any, rationals: dict) -> int:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ParseError(f"expected an integer, got {value!r}", _path(path, key))
+        if minimum is not None and value < minimum:
+            raise ParseError(f"expected an integer >= {minimum}, got {value}", _path(path, key))
+        return value
+
+    return check
+
+
+def _bool(value: Any, path: Any, key: Any, rationals: dict) -> bool:
     if not isinstance(value, bool):
         raise ParseError(f"expected a boolean, got {value!r}", _path(path, key))
     return value
 
 
-def _require_str(value: Any, path: Any, key: Any = None, nonempty: bool = False) -> str:
+def _str(value: Any, path: Any, key: Any, rationals: dict) -> str:
     if not isinstance(value, str):
         raise ParseError(f"expected a string, got {value!r}", _path(path, key))
-    if nonempty and not value:
+    return value
+
+
+def _nonempty_str(value: Any, path: Any, key: Any, rationals: dict) -> str:
+    if not _str(value, path, key, rationals):
         raise ParseError("expected a non-empty string", _path(path, key))
     return value
 
 
-def _require_name(value: Any, path: Any, key: Any) -> str:
+def _name(value: Any, path: Any, key: Any, rationals: dict) -> str:
     """A non-empty string that UTF-8 can encode, for names and ids echoed in output."""
-    _require_str(value, path, key, nonempty=True)
-    if not value.isascii():
+    if not _nonempty_str(value, path, key, rationals).isascii():
         try:
             value.encode("utf-8")
         except UnicodeEncodeError as exc:
@@ -331,19 +384,28 @@ def _require_name(value: Any, path: Any, key: Any) -> str:
     return value
 
 
-def _require_list(value: Any, path: Any) -> list:
-    if not isinstance(value, list):
-        raise ParseError(f"expected an array, got {type(value).__name__}", _path(path))
-    return value
+def _word(rejection: str, words: tuple[str, ...]) -> Callable:
+    """The check of a string that is one of ``words``; another is ``rejection`` and its repr."""
+
+    def check(value: Any, path: Any, key: Any, rationals: dict) -> str:
+        if _str(value, path, key, rationals) not in words:
+            raise ParseError(f"{rejection} {value!r}", _path(path, key))
+        return value
+
+    return check
 
 
-_ORBIT_FIELDS = frozenset(("id", "length", "kind", "separating", "screw"))
 _ORBIT_KINDS = {kind.value: kind for kind in OrbitKind}
-_CLASS_FIELDS = frozenset(("surface", "fr", "orbits"))
-_SURFACE_FIELDS = frozenset(("genus", "boundary"))
 
 
-def _rational(value: Any, rationals: dict, path: Any, key: Union[str, int]) -> Fraction:
+def _orbit_kind(value: Any, path: Any, key: Any, rationals: dict) -> OrbitKind:
+    kind = _ORBIT_KINDS.get(_str(value, path, key, rationals))
+    if kind is None:
+        raise ParseError(f'kind must be "regular" or "amphidrome", got {value!r}', _path(path, key))
+    return kind
+
+
+def _rational(value: Any, path: Any, key: Union[str, int], rationals: dict) -> Fraction:
     """:func:`parse_rational` of ``value``, kept in ``rationals`` by its text when it is a str."""
     if value.__class__ is not str:
         return parse_rational(value, path, key)
@@ -353,58 +415,86 @@ def _rational(value: Any, rationals: dict, path: Any, key: Union[str, int]) -> F
     return x
 
 
-def _orbit_from_json(value: Any, path: Any, rationals: dict) -> CurveOrbit:
-    _require_object(value, _ORBIT_FIELDS, path)
-    orbit_id = _require_name(_require(value, "id", path), path, "id")
-    length = _require_int(_require(value, "length", path), path, "length", minimum=1)
-    kind_text = _require_str(_require(value, "kind", path), path, "kind")
-    kind = _ORBIT_KINDS.get(kind_text)
-    if kind is None:
-        raise ParseError(
-            f"kind must be \"regular\" or \"amphidrome\", got {kind_text!r}", _path(path, "kind")
-        )
-    separating = _require_bool(_require(value, "separating", path), path, "separating")
-    screw = _rational(_require(value, "screw", path), rationals, path, "screw")
-    return _curve_orbit(orbit_id, length, kind, separating, screw)
+def _array(value: Any, path: Any, key: Any, rationals: dict) -> list:
+    if not isinstance(value, list):
+        raise ParseError(f"expected an array, got {type(value).__name__}", _path(path, key))
+    return value
 
 
-def _class_from_json(value: Any, path: Any, rationals: dict) -> NTClass:
-    return _class_fields(_require_object(value, _CLASS_FIELDS, path), path, rationals)
+def _list_of(check: Callable) -> Callable:
+    """The check of an array whose items ``check`` reads, in order; it reads them as a tuple."""
+
+    def read(value: Any, path: Any, key: Any, rationals: dict) -> tuple:
+        items = _array(value, path, key, rationals)
+        array_path = (path, key)
+        return tuple([check(item, array_path, i, rationals) for i, item in enumerate(items)])
+
+    return read
+
+
+def _object(shape: dict, build: Optional[Callable] = None) -> Callable:
+    """The check of an object of ``shape``; it reads ``build`` of its values, or their tuple."""
+
+    def read(value: Any, path: Any, key: Any, rationals: dict) -> Any:
+        values = _read(value, shape, (path, key), rationals)
+        return values if build is None else build(*values)
+
+    return read
+
+
+def _nullable(check: Callable) -> Callable:
+    """``check``, with a null value read as None."""
+
+    def read(value: Any, path: Any, key: Any, rationals: dict) -> Any:
+        return None if value is None else check(value, path, key, rationals)
+
+    return read
+
+
+def _class(value: Any, path: Any, key: Any, rationals: dict) -> NTClass:
+    class_path = (path, key)
+    return _class_fields(_require_object(value, _CLASS.keys(), class_path), class_path, rationals)
+
+
+_ORBIT = {
+    "id": _name, "length": _int(1), "kind": _orbit_kind, "separating": _bool, "screw": _rational
+}
+_CLASS = {
+    "surface": _object({"genus": _int(0), "boundary": _int(0)}, _surface),
+    "fr": _list_of(_rational),
+    "orbits": _list_of(_object(_ORBIT, _curve_orbit)),
+}
+_VERSION = {"version": _word("unsupported version", ("1",))}
+_SINGLE = {**_VERSION, **_CLASS}
+_BATCH = {**_VERSION, "batch": _array}
+_ITEM = {"name": _name, "class": _class}
 
 
 def _class_fields(obj: dict, path: Any, rationals: dict) -> NTClass:
     """The class held by an object whose field names are already checked.
 
-    ``rationals`` is the document's table of parsed rational texts.
+    ``rationals`` is the document's table of parsed rational texts.  The
+    boundary count of ``fr`` is checked before the orbits are read, and the
+    orbit ids are checked to be distinct after.
     """
-    surface_path = (path, "surface")
-    surface = _require_object(_require(obj, "surface", path), _SURFACE_FIELDS, surface_path)
-    genus = _require_int(_require(surface, "genus", surface_path), surface_path, "genus", minimum=0)
-    boundary = _require_int(
-        _require(surface, "boundary", surface_path), surface_path, "boundary", minimum=0
-    )
-    fr_path = (path, "fr")
-    fr_list = _require_list(_require(obj, "fr", path), fr_path)
-    fr = tuple([_rational(x, rationals, fr_path, i) for i, x in enumerate(fr_list)])
-    if len(fr) != boundary:
-        raise ParseError(f"fr has {len(fr)} entries but boundary is {boundary}", _path(fr_path))
-    orbits_path = (path, "orbits")
-    orbit_list = _require_list(_require(obj, "orbits", path), orbits_path)
-    orbits = tuple(
-        [_orbit_from_json(x, (orbits_path, i), rationals) for i, x in enumerate(orbit_list)]
-    )
+    fields = _fields(obj, _CLASS, path, rationals)
+    surface = next(fields)
+    fr = next(fields)
+    if len(fr) != surface.boundary_count:
+        raise ParseError(
+            f"fr has {len(fr)} entries but boundary is {surface.boundary_count}", _path(path, "fr")
+        )
+    orbits = next(fields)
     seen: set[str] = set()
     for i, orbit in enumerate(orbits):
         if orbit.id in seen:
-            raise ParseError(f"duplicate orbit id {orbit.id!r}", _path(orbits_path, i, "id"))
+            raise ParseError(f"duplicate orbit id {orbit.id!r}", _path(path, "orbits", i, "id"))
         seen.add(orbit.id)
-    return _nt_class(_surface(genus, boundary), fr, orbits)
+    return _nt_class(surface, fr, orbits)
 
 
 def _item_from_json(item: Any, path: Any, rationals: dict) -> tuple[str, NTClass]:
-    _require_object(item, _BATCH_ITEM_FIELDS, path)
-    name = _require_name(_require(item, "name", path), path, "name")
-    return name, _class_from_json(_require(item, "class", path), (path, "class"), rationals)
+    return _read(item, _ITEM, path, rationals)
 
 
 def _read_item(item: Any, rationals: dict) -> tuple[str, NTClass]:
@@ -503,17 +593,6 @@ def _load_json(data: Union[bytes, str]) -> Any:
         raise ParseError("arrays and objects are nested too deeply") from None
 
 
-def _check_version(obj: dict, path: Any = "$") -> None:
-    version = _require_str(_require(obj, "version", path), path, "version")
-    if version != "1":
-        raise ParseError(f"unsupported version {version!r}", _path(path, "version"))
-
-
-_BATCH_FIELDS = frozenset(("version", "batch"))
-_BATCH_ITEM_FIELDS = frozenset(("name", "class"))
-_SINGLE_FIELDS = frozenset(("version", "surface", "fr", "orbits"))
-
-
 def parse(data: Union[bytes, str]) -> Document:
     """Parse and fully validate a class document.
 
@@ -525,12 +604,8 @@ def parse(data: Union[bytes, str]) -> Document:
         raise ParseError(f"expected a top-level object, got {type(root).__name__}", "$")
     rationals: dict[str, Fraction] = {}
     if "batch" in root:
-        obj = _require_object(root, _BATCH_FIELDS, "$")
-        _check_version(obj)
+        _, batch = _read(root, _BATCH, "$", rationals)
         batch_path = ("$", "batch")
-        batch = obj["batch"]
-        if batch.__class__ is not list:
-            _require_list(batch, batch_path)
         entries = []
         for i, item in enumerate(batch):
             try:
@@ -540,8 +615,8 @@ def parse(data: Union[bytes, str]) -> Document:
                 pass  # read it again outside the handler, so its ParseError has no context
             entries.append(_item_from_json(item, (batch_path, i), rationals))
         return Document(tuple(entries))
-    obj = _require_object(root, _SINGLE_FIELDS, "$")
-    _check_version(obj)
+    obj = _require_object(root, _SINGLE.keys(), "$")
+    next(_fields(obj, _SINGLE, "$", rationals))  # the version alone; the class is read below
     try:
         return Document(_read_class(obj, 4, rationals))
     except _NOT_READ:
@@ -969,153 +1044,137 @@ def serialize(doc: Document) -> bytes:
 # --- report envelope -------------------------------------------------------
 #
 # parse_report validates the writers' reports structurally, so that every
-# structured CLI output can be re-read.
-
-_DIAG_FIELDS = frozenset(("code", "message", "data"))
-_WITNESS_FIELDS = frozenset(("k", "corrections", "total_multitwist_power", "corrected"))
-_CORRECTION_FIELDS = frozenset(("orbit", "power"))
-_ERROR_FIELDS = frozenset(("code", "message"))
-_SCREW_FIELDS = frozenset(("id", "kind", "alpha", "beta", "screw"))
-_PERIOD_FIELDS = frozenset(("n", "k_boundary", "k_orbit"))
-_LTABLE_FIELDS = frozenset(("version", "report", "genus", "boundary", "power", "result"))
-_LTABLE_RESULT_FIELDS = frozenset(("tag", "value"))
-_ENTRIES_FIELDS = frozenset(("version", "report", "entries"))
+# structured CLI output can be re-read.  A report's kind, read first, names
+# its shape; every report but ``ltable`` holds a list of entries.
 
 
-def _check_diagnostic(value: Any, path: Any) -> None:
-    obj = _require_object(value, _DIAG_FIELDS, path)
-    _require_str(_require(obj, "code", path), path, "code", nonempty=True)
-    _require_str(_require(obj, "message", path), path, "message")
-    data = obj.get("data", {})
-    if not isinstance(data, dict):
-        raise ParseError("diagnostic data must be an object", _path(path, "data"))
-    for key, val in data.items():
-        _require_str(val, (path, "data"), key)
+def _data(value: Any, path: Any, key: Any, rationals: dict) -> dict:
+    """A diagnostic's data: an object of strings."""
+    if not isinstance(value, dict):
+        raise ParseError("diagnostic data must be an object", _path(path, key))
+    for name, text in value.items():
+        _str(text, (path, key), name, rationals)
+    return value
 
 
-def _check_diagnostics(value: Any, path: Any) -> None:
-    for i, item in enumerate(_require_list(value, path)):
-        _check_diagnostic(item, (path, i))
+def _route(value: Any, path: Any, key: Any, rationals: dict) -> Any:
+    """A classify entry's route: null or a route word; any other value is an unknown route."""
+    if value is not None and value not in ("main_theorem", "criterion"):
+        raise ParseError(f"unknown route {value!r}", _path(path, key))
+    return value
 
 
-def _check_int_vector(value: Any, path: Any) -> None:
-    for i, item in enumerate(_require_list(value, path)):
-        _require_int(item, path, i)
-
-
-def _check_witness(value: Any, path: Any) -> None:
-    obj = _require_object(value, _WITNESS_FIELDS, path)
-    _require_int(_require(obj, "k", path), path, "k", minimum=1)
-    corrections_path = (path, "corrections")
-    for i, item in enumerate(_require_list(_require(obj, "corrections", path), corrections_path)):
-        item_path = (corrections_path, i)
-        corr = _require_object(item, _CORRECTION_FIELDS, item_path)
-        _require_str(_require(corr, "orbit", item_path), item_path, "orbit")
-        _require_int(_require(corr, "power", item_path), item_path, "power", minimum=1)
-    _require_int(
-        _require(obj, "total_multitwist_power", path), path, "total_multitwist_power", minimum=0
-    )
-    _class_from_json(_require(obj, "corrected", path), (path, "corrected"), {})
-
-
-def _check_entry_error(obj: dict, path: Any) -> None:
-    error_path = (path, "error")
-    error = _require_object(_require(obj, "error", path), _ERROR_FIELDS, error_path)
-    _require_str(_require(error, "code", error_path), error_path, "code", nonempty=True)
-    _require_str(_require(error, "message", error_path), error_path, "message")
-
-
-_ENTRY_FIELDS = {
-    "validate": ("genus", "boundary", "orbit_count", "warnings"),
-    "invariants": ("fr", "screws", "period", "essential", "fully_right_veering"),
-    "essential": (
-        "boundary_exponents",
-        "orbit_exponents",
-        "essential_class",
-        "uniqueness_window",
-        "uniqueness_verified",
-    ),
-    "classify": ("classification", "route", "witness", "diagnostics"),
-    "criterion": ("result", "witness", "diagnostics"),
-    "poset": ("mode", "dimension", "generators", "point", "member", "lo", "hi", "points"),
-    "correcting-bound": ("bound", "diagnostics"),
+_INTS = _list_of(_int())
+_DIAGNOSTICS = _list_of(_object({"code": _nonempty_str, "message": _str, "data": _Optional(_data)}))
+_CORRECTION = {"orbit": _str, "power": _int(1)}
+_WITNESS = {
+    "k": _int(1),
+    "corrections": _list_of(_object(_CORRECTION)),
+    "total_multitwist_power": _int(0),
+    "corrected": _class,
 }
-_ENTRY_ENVELOPE = ("name", "status", "error")
+_MAYBE_WITNESS = _Optional(_nullable(_object(_WITNESS)))
+_ANY = _Optional(lambda value, path, key, rationals: value)  # a field read but not checked
+_SCREW = {"id": _str, "kind": _ANY, "alpha": _ANY, "beta": _ANY, "screw": _rational}
+
+# A poset entry's fields after its mode and dimension, by its mode.
+_POSET_MODES = {
+    "generators": {"generators": _list_of(_INTS)},
+    "query": {"point": _INTS, "member": _bool},
+    "box": {"lo": _int(), "hi": _int(), "points": _list_of(_INTS)},
+}
+
+# An "ok" entry's fields after its name and status, by report kind.  A
+# screw's kind, alpha and beta are not checked.
+_PAYLOADS = {
+    "validate": {
+        "genus": _int(0), "boundary": _int(0), "orbit_count": _int(0), "warnings": _DIAGNOSTICS
+    },
+    "invariants": {
+        "fr": _list_of(_rational),
+        "screws": _list_of(_object(_SCREW)),
+        "period": _object({"n": _int(1), "k_boundary": _INTS, "k_orbit": _INTS}),
+        "essential": _bool,
+        "fully_right_veering": _bool,
+    },
+    "essential": {
+        "boundary_exponents": _INTS,
+        "orbit_exponents": _INTS,
+        "essential_class": _class,
+        "uniqueness_window": _Optional(_nullable(_int(1))),
+        "uniqueness_verified": _Optional(_nullable(_bool)),
+    },
+    "classify": {
+        "classification": _word("unknown classification", ("positively_factorizable", "unknown")),
+        "route": _Optional(_route),
+        "witness": _MAYBE_WITNESS,
+        "diagnostics": _DIAGNOSTICS,
+    },
+    "criterion": {
+        "result": _word("unknown result", ("sufficient", "inconclusive", "not_applicable")),
+        "witness": _MAYBE_WITNESS,
+        "diagnostics": _DIAGNOSTICS,
+    },
+    "poset": {"mode": _word("unknown poset mode", tuple(_POSET_MODES)), "dimension": _int(1)},
+    "correcting-bound": {"bound": _Optional(_nullable(_int(0))), "diagnostics": _DIAGNOSTICS},
+}
+_ENTRY = {"name": _nullable(_nonempty_str), "status": _word("unknown status", ("ok", "error"))}
+_ERROR = {"error": _object({"code": _nonempty_str, "message": _str})}
 
 
-def _check_entry_payload(kind: str, obj: dict, path: Any) -> None:
-    if kind == "validate":
-        _require_int(_require(obj, "genus", path), path, "genus", minimum=0)
-        _require_int(_require(obj, "boundary", path), path, "boundary", minimum=0)
-        _require_int(_require(obj, "orbit_count", path), path, "orbit_count", minimum=0)
-        _check_diagnostics(_require(obj, "warnings", path), (path, "warnings"))
-    elif kind == "invariants":
-        fr_path = (path, "fr")
-        for i, x in enumerate(_require_list(_require(obj, "fr", path), fr_path)):
-            parse_rational(x, fr_path, i)
-        screws_path = (path, "screws")
-        for i, item in enumerate(_require_list(_require(obj, "screws", path), screws_path)):
-            item_path = (screws_path, i)
-            orbit = _require_object(item, _SCREW_FIELDS, item_path)
-            _require_str(_require(orbit, "id", item_path), item_path, "id")
-            parse_rational(_require(orbit, "screw", item_path), item_path, "screw")
-        period_path = (path, "period")
-        period = _require_object(_require(obj, "period", path), _PERIOD_FIELDS, period_path)
-        _require_int(_require(period, "n", period_path), period_path, "n", minimum=1)
-        _check_int_vector(_require(period, "k_boundary", period_path), (period_path, "k_boundary"))
-        _check_int_vector(_require(period, "k_orbit", period_path), (period_path, "k_orbit"))
-        _require_bool(_require(obj, "essential", path), path, "essential")
-        _require_bool(_require(obj, "fully_right_veering", path), path, "fully_right_veering")
-    elif kind == "essential":
-        _check_int_vector(_require(obj, "boundary_exponents", path), (path, "boundary_exponents"))
-        _check_int_vector(_require(obj, "orbit_exponents", path), (path, "orbit_exponents"))
-        _class_from_json(_require(obj, "essential_class", path), (path, "essential_class"), {})
-        if obj.get("uniqueness_window") is not None:
-            _require_int(obj["uniqueness_window"], path, "uniqueness_window", minimum=1)
-        if obj.get("uniqueness_verified") is not None:
-            _require_bool(obj["uniqueness_verified"], path, "uniqueness_verified")
-    elif kind == "classify":
-        classification = _require_str(_require(obj, "classification", path), path, "classification")
-        if classification not in ("positively_factorizable", "unknown"):
-            raise ParseError(
-                f"unknown classification {classification!r}", _path(path, "classification")
-            )
-        route = obj.get("route")
-        if route is not None and route not in ("main_theorem", "criterion"):
-            raise ParseError(f"unknown route {route!r}", _path(path, "route"))
-        if obj.get("witness") is not None:
-            _check_witness(obj["witness"], (path, "witness"))
-        _check_diagnostics(_require(obj, "diagnostics", path), (path, "diagnostics"))
-    elif kind == "criterion":
-        result = _require_str(_require(obj, "result", path), path, "result")
-        if result not in ("sufficient", "inconclusive", "not_applicable"):
-            raise ParseError(f"unknown result {result!r}", _path(path, "result"))
-        if obj.get("witness") is not None:
-            _check_witness(obj["witness"], (path, "witness"))
-        _check_diagnostics(_require(obj, "diagnostics", path), (path, "diagnostics"))
-    elif kind == "poset":
-        mode = _require_str(_require(obj, "mode", path), path, "mode")
-        if mode not in ("generators", "query", "box"):
-            raise ParseError(f"unknown poset mode {mode!r}", _path(path, "mode"))
-        _require_int(_require(obj, "dimension", path), path, "dimension", minimum=1)
-        if mode == "generators":
-            generators_path = (path, "generators")
-            generators = _require_list(_require(obj, "generators", path), generators_path)
-            for i, g in enumerate(generators):
-                _check_int_vector(g, (generators_path, i))
-        elif mode == "query":
-            _check_int_vector(_require(obj, "point", path), (path, "point"))
-            _require_bool(_require(obj, "member", path), path, "member")
-        else:
-            _require_int(_require(obj, "lo", path), path, "lo")
-            _require_int(_require(obj, "hi", path), path, "hi")
-            points_path = (path, "points")
-            for i, p in enumerate(_require_list(_require(obj, "points", path), points_path)):
-                _check_int_vector(p, (points_path, i))
-    elif kind == "correcting-bound":
-        if obj.get("bound") is not None:
-            _require_int(obj["bound"], path, "bound", minimum=0)
-        _check_diagnostics(_require(obj, "diagnostics", path), (path, "diagnostics"))
+def _entry(kind: str) -> Callable:
+    """The check of an entry of a ``kind`` report.
+
+    An entry may hold any field of its report's entries.  After its name and
+    status, an error entry's error is read, or an "ok" entry's payload, and
+    then a poset entry's fields of its mode.
+    """
+    payload = _PAYLOADS[kind]
+    modes = _POSET_MODES if kind == "poset" else {}
+    allowed = frozenset().union(_ENTRY, _ERROR, payload, *modes.values())
+
+    def read(value: Any, path: Any, key: Any, rationals: dict) -> dict:
+        entry_path = (path, key)
+        entry = _require_object(value, allowed, entry_path)
+        _, status = _fields(entry, _ENTRY, entry_path, rationals)
+        body = payload if status == "ok" else _ERROR
+        values = tuple(_fields(entry, body, entry_path, rationals))
+        if modes and body is payload:
+            tuple(_fields(entry, modes[values[0]], entry_path, rationals))
+        return entry
+
+    return read
+
+
+_L_TAGS = ("plus_infinity", "minus_infinity", "finite", "exact")
+_L_VALUE = {"tag": _word("unknown L tag", _L_TAGS), "value": _int(1)}
+
+
+def _l_value(value: Any, path: Any, key: Any, rationals: dict) -> dict:
+    """An ltable result: its tag, and a value that only the ``exact`` tag carries."""
+    result_path = (path, key)
+    result = _require_object(value, _L_VALUE.keys(), result_path)
+    fields = _fields(result, _L_VALUE, result_path, rationals)
+    tag = next(fields)
+    if tag == "exact":
+        next(fields)
+    elif result.get("value") is not None:
+        raise ParseError(f"tag {tag!r} carries no value", _path(result_path, "value"))
+    return value
+
+
+_KIND = {"report": _word("unknown report kind", REPORT_KINDS)}
+_REPORT = {**_VERSION, **_KIND}
+_REPORTS = {
+    "ltable": {
+        **_REPORT,
+        "genus": _int(0),
+        "boundary": _int(1),
+        "power": _Optional(_nullable(_int(1))),
+        "result": _l_value,
+    },
+    **{kind: {**_REPORT, "entries": _list_of(_entry(kind))} for kind in _PAYLOADS},
+}
 
 
 def parse_report(data: Union[bytes, str]) -> dict:
@@ -1123,42 +1182,7 @@ def parse_report(data: Union[bytes, str]) -> dict:
     root = _load_json(data)
     if not isinstance(root, dict):
         raise ParseError(f"expected a top-level object, got {type(root).__name__}", "$")
-    kind = _require_str(_require(root, "report", "$"), "$", "report")
-    if kind not in REPORT_KINDS:
-        raise ParseError(f"unknown report kind {kind!r}", "$.report")
-    if kind == "ltable":
-        obj = _require_object(root, _LTABLE_FIELDS, "$")
-        _check_version(obj)
-        _require_int(_require(obj, "genus", "$"), "$", "genus", minimum=0)
-        _require_int(_require(obj, "boundary", "$"), "$", "boundary", minimum=1)
-        if obj.get("power") is not None:
-            _require_int(obj["power"], "$", "power", minimum=1)
-        result_path = ("$", "result")
-        result = _require_object(_require(obj, "result", "$"), _LTABLE_RESULT_FIELDS, result_path)
-        tag = _require_str(_require(result, "tag", result_path), result_path, "tag")
-        if tag not in ("plus_infinity", "minus_infinity", "finite", "exact"):
-            raise ParseError(f"unknown L tag {tag!r}", "$.result.tag")
-        if tag == "exact":
-            _require_int(_require(result, "value", result_path), result_path, "value", minimum=1)
-        elif result.get("value") is not None:
-            raise ParseError(f"tag {tag!r} carries no value", "$.result.value")
-        return root
-    obj = _require_object(root, _ENTRIES_FIELDS, "$")
-    _check_version(obj)
-    entries_path = ("$", "entries")
-    entries = _require_list(_require(obj, "entries", "$"), entries_path)
-    allowed = frozenset(_ENTRY_ENVELOPE + _ENTRY_FIELDS[kind])
-    for i, item in enumerate(entries):
-        path = (entries_path, i)
-        entry = _require_object(item, allowed, path)
-        name = _require(entry, "name", path)
-        if name is not None:
-            _require_str(name, path, "name", nonempty=True)
-        status = _require_str(_require(entry, "status", path), path, "status")
-        if status == "error":
-            _check_entry_error(entry, path)
-        elif status == "ok":
-            _check_entry_payload(kind, entry, path)
-        else:
-            raise ParseError(f"unknown status {status!r}", _path(path, "status"))
+    rationals: dict[str, Fraction] = {}
+    (kind,) = _fields(root, _KIND, "$", rationals)
+    _read(root, _REPORTS[kind], "$", rationals)
     return root

@@ -164,8 +164,10 @@ class OrbitModel:
 def _first_return(model: OrbitModel) -> AnnulusMap:
     """Compose the step maps along the cycle starting at index 1.
 
-    Raises :class:`OrbitModelError` if the permutation does not return to 1
-    in exactly ``size`` steps (i.e. is not a single cycle).
+    Raises :class:`OrbitModelError` if the walk returns to 1 before ``size``
+    steps (i.e. the permutation is not a single cycle).  The model's
+    permutation is a bijection of 1..size, so a walk that does not return
+    early is back at 1 after exactly ``size`` steps.
     """
     composite = _IDENTITY
     index = 1
@@ -177,10 +179,6 @@ def _first_return(model: OrbitModel) -> AnnulusMap:
             raise OrbitModelError(
                 f"permutation {model.permutation} is not a single {model.size}-cycle"
             )
-    if index != 1:
-        raise OrbitModelError(
-            f"permutation {model.permutation} is not a single {model.size}-cycle"
-        )
     return composite
 
 

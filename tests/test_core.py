@@ -232,6 +232,8 @@ class TestValidation:
             (lambda: orbit(-1, separating=None), "orbit separating flag must be a bool, got None"),
             (lambda: orbit(1, oid=""), "orbit id must be a non-empty string, got ''"),
             (lambda: orbit(1, kind="regular"), "orbit kind must be an OrbitKind, got 'regular'"),
+            (lambda: NTClass((1, 1), (Fraction(1),)), "surface must be a Surface, got (1, 1)"),
+            (lambda: NTClass(Surface(1, 0), (), ("ab",)), "orbit must be a CurveOrbit, got 'ab'"),
         ],
         ids=[
             "genus-bool",
@@ -243,6 +245,8 @@ class TestValidation:
             "separating-none",
             "id-empty",
             "kind-str",
+            "surface-tuple",
+            "orbit-str",
         ],
     )
     def test_rejects_bool_counts_and_non_bool_flags(self, build, message):

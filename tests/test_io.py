@@ -48,6 +48,7 @@ from posfact import (
 )
 from posfact import io as docio
 from posfact.cli import main
+from sample_classes import edge_classes, witness_edge_classes
 
 SINGLE_EXAMPLE = """
 { "version": "1",
@@ -1588,24 +1589,93 @@ class TestDirectReads:
         assert parse_outcome(text) == explained(text)
 
 
+_CLASS_JSON = {
+    "surface": {"genus": 2, "boundary": 1},
+    "fr": ["5"],
+    "orbits": [{"id": "A", "length": 1, "kind": "regular", "separating": False, "screw": "1/2"}],
+}
+_DIAGNOSTIC = {"code": "fr-not-positive", "message": "m", "data": {"boundaries": "1"}}
+
+
+def _entries(kind: str, *entries: dict) -> dict:
+    return {"version": "1", "report": kind, "entries": list(entries)}
+
+
 REPORT_BASES = {
     "ltable": {
         "version": "1", "report": "ltable", "genus": 1, "boundary": 5, "power": None,
         "result": {"tag": "finite", "value": None},
     },
-    "classify": {"version": "1", "report": "classify", "entries": [{
+    "ltable-exact": {
+        "version": "1", "report": "ltable", "genus": 1, "boundary": 5, "power": 3,
+        "result": {"tag": "exact", "value": 36},
+    },
+    "ltable-without-power": {
+        "version": "1", "report": "ltable", "genus": 1, "boundary": 5, "result": {"tag": "finite"},
+    },
+    "classify": _entries("classify", {
         "name": "a", "status": "ok", "classification": "unknown", "route": None, "witness": None,
-        "diagnostics": [{"code": "fr-not-positive", "message": "m", "data": {"boundaries": "1"}}],
-    }]},
-    "criterion": {"version": "1", "report": "criterion", "entries": [{
+        "diagnostics": [_DIAGNOSTIC],
+    }),
+    "classify-witness": _entries("classify", {
+        "name": None, "status": "ok", "classification": "positively_factorizable",
+        "route": "criterion", "diagnostics": [],
+        "witness": {
+            "k": 2, "corrections": [{"orbit": "A", "power": 1}], "total_multitwist_power": 2,
+            "corrected": _CLASS_JSON,
+        },
+    }),
+    "classify-without-route-witness-data": _entries("classify", {
+        "name": "a", "status": "ok", "classification": "unknown",
+        "diagnostics": [{"code": "c", "message": "m"}],
+    }),
+    "criterion": _entries("criterion", {
         "name": "a", "status": "ok", "result": "inconclusive", "witness": None, "diagnostics": [],
-    }]},
-    "poset": {"version": "1", "report": "poset", "entries": [{
+    }),
+    "error": _entries("classify", {
+        "name": "a", "status": "error", "error": {"code": "domain-error", "message": "m"},
+    }),
+    "validate": _entries("validate", {
+        "name": "a", "status": "ok", "genus": 0, "boundary": 1, "orbit_count": 0,
+        "warnings": [_DIAGNOSTIC],
+    }),
+    "invariants": _entries("invariants", {
+        "name": "a", "status": "ok", "fr": ["5", "-1/2"],
+        "screws": [{"id": "A", "kind": "amphidrome", "alpha": 2, "beta": 2, "screw": "-3"}],
+        "period": {"n": 2, "k_boundary": [10, -1], "k_orbit": [-3]},
+        "essential": False, "fully_right_veering": False,
+    }),
+    "essential": _entries("essential", {
+        "name": "a", "status": "ok", "boundary_exponents": [0], "orbit_exponents": [0],
+        "essential_class": _CLASS_JSON, "uniqueness_window": 3, "uniqueness_verified": True,
+    }),
+    "essential-without-window": _entries("essential", {
+        "name": "a", "status": "ok", "boundary_exponents": [], "orbit_exponents": [],
+        "essential_class": {"surface": {"genus": 1, "boundary": 0}, "fr": [], "orbits": []},
+    }),
+    "correcting-bound": _entries("correcting-bound", {
+        "name": "a", "status": "ok", "bound": 0, "diagnostics": [],
+    }),
+    "correcting-bound-without-bound": _entries("correcting-bound", {
+        "name": "a", "status": "ok", "diagnostics": [_DIAGNOSTIC],
+    }),
+    "poset": _entries("poset", {
         "name": "a", "status": "ok", "mode": "generators", "dimension": 2, "generators": [[0, 1]],
-    }]},
+    }),
+    "poset-query": _entries("poset", {
+        "name": "a", "status": "ok", "mode": "query", "dimension": 2, "point": [0, -1],
+        "member": True,
+    }),
+    "poset-box": _entries("poset", {
+        "name": "a", "status": "ok", "mode": "box", "dimension": 1, "lo": -1, "hi": 1,
+        "points": [[0], [1]],
+    }),
 }
 
 # The report checks that no CLI output reaches: (id, base report, edits, message).
+# Each nested object has a row for a missing field, an unknown field, a value
+# of the wrong type and, where it holds one, an integer below its minimum.
+E0 = ("entries", 0)
 MALFORMED_REPORTS = [
     ("diagnostic-data-type", "classify", [(("entries", 0, "diagnostics", 0, "data"), ["1"])],
      "$.entries[0].diagnostics[0].data: diagnostic data must be an object"),
@@ -1623,6 +1693,247 @@ MALFORMED_REPORTS = [
      "$.result.tag: unknown L tag 'huge'"),
     ("ltable-value-without-exact", "ltable", [(("result", "value"), 3)],
      "$.result.value: tag 'finite' carries no value"),
+    # The envelope of a report.
+    ("report-missing", "classify", [(("report",), DELETE)],
+     "$: missing required field 'report'"),
+    ("report-type", "classify", [(("report",), 5)],
+     "$.report: expected a string, got 5"),
+    ("report-kind-before-unknown-field", "classify", [(("report",), "odd"), (("x",), 1)],
+     "$.report: unknown report kind 'odd'"),
+    ("report-unknown-field", "classify", [(("x",), 1), (("version",), 2)],
+     "$.x: unknown field 'x'"),
+    ("report-version-missing", "classify", [(("version",), DELETE)],
+     "$: missing required field 'version'"),
+    ("report-version-type", "classify", [(("version",), 1)],
+     "$.version: expected a string, got 1"),
+    ("report-version-value", "ltable", [(("version",), "2")],
+     "$.version: unsupported version '2'"),
+    ("entries-missing", "classify", [(("entries",), DELETE)],
+     "$: missing required field 'entries'"),
+    ("entries-type", "classify", [(("entries",), {})],
+     "$.entries: expected an array, got dict"),
+    # The entry envelope.
+    ("entry-type", "classify", [(E0, [])],
+     "$.entries[0]: expected an object, got list"),
+    ("entry-unknown-field", "classify", [((*E0, "x"), 1), ((*E0, "name"), 5)],
+     "$.entries[0].x: unknown field 'x'"),
+    ("entry-other-report-field", "criterion", [((*E0, "route"), None)],
+     "$.entries[0].route: unknown field 'route'"),
+    ("entry-name-missing", "classify", [((*E0, "name"), DELETE)],
+     "$.entries[0]: missing required field 'name'"),
+    ("entry-name-type", "classify", [((*E0, "name"), 5)],
+     "$.entries[0].name: expected a string, got 5"),
+    ("entry-name-empty", "classify", [((*E0, "name"), "")],
+     "$.entries[0].name: expected a non-empty string"),
+    ("entry-status-missing", "classify", [((*E0, "status"), DELETE)],
+     "$.entries[0]: missing required field 'status'"),
+    ("entry-status-type", "classify", [((*E0, "status"), 5)],
+     "$.entries[0].status: expected a string, got 5"),
+    ("entry-status-value", "classify", [((*E0, "status"), "odd")],
+     "$.entries[0].status: unknown status 'odd'"),
+    # An error entry.
+    ("error-missing", "error", [((*E0, "error"), DELETE)],
+     "$.entries[0]: missing required field 'error'"),
+    ("error-type", "error", [((*E0, "error"), "m")],
+     "$.entries[0].error: expected an object, got str"),
+    ("error-unknown-field", "error", [((*E0, "error", "x"), 1)],
+     "$.entries[0].error.x: unknown field 'x'"),
+    ("error-code-missing", "error", [((*E0, "error", "code"), DELETE)],
+     "$.entries[0].error: missing required field 'code'"),
+    ("error-code-empty", "error", [((*E0, "error", "code"), "")],
+     "$.entries[0].error.code: expected a non-empty string"),
+    ("error-message-type", "error", [((*E0, "error", "message"), None)],
+     "$.entries[0].error.message: expected a string, got None"),
+    # A classify entry and its diagnostics.
+    ("classification-missing", "classify", [((*E0, "classification"), DELETE)],
+     "$.entries[0]: missing required field 'classification'"),
+    ("classification-type", "classify", [((*E0, "classification"), 5)],
+     "$.entries[0].classification: expected a string, got 5"),
+    ("route-type", "classify", [((*E0, "route"), 5)],
+     "$.entries[0].route: unknown route 5"),
+    ("diagnostics-missing", "classify", [((*E0, "diagnostics"), DELETE)],
+     "$.entries[0]: missing required field 'diagnostics'"),
+    ("diagnostics-type", "classify", [((*E0, "diagnostics"), {})],
+     "$.entries[0].diagnostics: expected an array, got dict"),
+    ("diagnostic-type", "classify", [((*E0, "diagnostics", 0), "m")],
+     "$.entries[0].diagnostics[0]: expected an object, got str"),
+    ("diagnostic-unknown-field", "classify", [((*E0, "diagnostics", 0, "x"), 1),
+                                              ((*E0, "diagnostics", 0, "code"), DELETE)],
+     "$.entries[0].diagnostics[0].x: unknown field 'x'"),
+    ("diagnostic-code-missing", "classify", [((*E0, "diagnostics", 0, "code"), DELETE)],
+     "$.entries[0].diagnostics[0]: missing required field 'code'"),
+    ("diagnostic-code-empty", "classify", [((*E0, "diagnostics", 0, "code"), "")],
+     "$.entries[0].diagnostics[0].code: expected a non-empty string"),
+    ("diagnostic-message-missing", "classify", [((*E0, "diagnostics", 0, "message"), DELETE)],
+     "$.entries[0].diagnostics[0]: missing required field 'message'"),
+    ("diagnostic-message-type", "classify", [((*E0, "diagnostics", 0, "message"), 5)],
+     "$.entries[0].diagnostics[0].message: expected a string, got 5"),
+    ("diagnostic-data-null", "classify", [((*E0, "diagnostics", 0, "data"), None)],
+     "$.entries[0].diagnostics[0].data: diagnostic data must be an object"),
+    ("diagnostic-data-value-type", "classify", [((*E0, "diagnostics", 0, "data", "boundaries"), 1)],
+     "$.entries[0].diagnostics[0].data.boundaries: expected a string, got 1"),
+    # A witness and its corrections.
+    ("witness-type", "classify-witness", [((*E0, "witness"), [])],
+     "$.entries[0].witness: expected an object, got list"),
+    ("witness-unknown-field", "classify-witness", [((*E0, "witness", "x"), 1)],
+     "$.entries[0].witness.x: unknown field 'x'"),
+    ("witness-k-missing", "classify-witness", [((*E0, "witness", "k"), DELETE)],
+     "$.entries[0].witness: missing required field 'k'"),
+    ("witness-k-type", "classify-witness", [((*E0, "witness", "k"), "2")],
+     "$.entries[0].witness.k: expected an integer, got '2'"),
+    ("witness-k-minimum", "classify-witness", [((*E0, "witness", "k"), 0)],
+     "$.entries[0].witness.k: expected an integer >= 1, got 0"),
+    ("witness-corrections-type", "classify-witness", [((*E0, "witness", "corrections"), None)],
+     "$.entries[0].witness.corrections: expected an array, got NoneType"),
+    ("witness-total-minimum", "classify-witness",
+     [((*E0, "witness", "total_multitwist_power"), -1)],
+     "$.entries[0].witness.total_multitwist_power: expected an integer >= 0, got -1"),
+    ("witness-corrected-missing", "classify-witness", [((*E0, "witness", "corrected"), DELETE)],
+     "$.entries[0].witness: missing required field 'corrected'"),
+    ("witness-corrected-orbit", "classify-witness",
+     [((*E0, "witness", "corrected", "orbits", 0, "length"), 0)],
+     "$.entries[0].witness.corrected.orbits[0].length: expected an integer >= 1, got 0"),
+    ("criterion-witness-type", "criterion", [((*E0, "witness"), 1)],
+     "$.entries[0].witness: expected an object, got int"),
+    ("correction-type", "classify-witness", [((*E0, "witness", "corrections", 0), 1)],
+     "$.entries[0].witness.corrections[0]: expected an object, got int"),
+    ("correction-unknown-field", "classify-witness", [((*E0, "witness", "corrections", 0, "x"), 1)],
+     "$.entries[0].witness.corrections[0].x: unknown field 'x'"),
+    ("correction-orbit-missing", "classify-witness",
+     [((*E0, "witness", "corrections", 0, "orbit"), DELETE)],
+     "$.entries[0].witness.corrections[0]: missing required field 'orbit'"),
+    ("correction-orbit-type", "classify-witness", [((*E0, "witness", "corrections", 0, "orbit"), 5)],
+     "$.entries[0].witness.corrections[0].orbit: expected a string, got 5"),
+    ("correction-power-type", "classify-witness",
+     [((*E0, "witness", "corrections", 0, "power"), True)],
+     "$.entries[0].witness.corrections[0].power: expected an integer, got True"),
+    ("correction-power-minimum", "classify-witness",
+     [((*E0, "witness", "corrections", 0, "power"), 0)],
+     "$.entries[0].witness.corrections[0].power: expected an integer >= 1, got 0"),
+    # A criterion entry.
+    ("criterion-result-missing", "criterion", [((*E0, "result"), DELETE)],
+     "$.entries[0]: missing required field 'result'"),
+    ("criterion-result-type", "criterion", [((*E0, "result"), None)],
+     "$.entries[0].result: expected a string, got None"),
+    # A validate entry.
+    ("validate-genus-minimum", "validate", [((*E0, "genus"), -1)],
+     "$.entries[0].genus: expected an integer >= 0, got -1"),
+    ("validate-orbit-count-type", "validate", [((*E0, "orbit_count"), "0")],
+     "$.entries[0].orbit_count: expected an integer, got '0'"),
+    ("validate-warnings-missing", "validate", [((*E0, "warnings"), DELETE)],
+     "$.entries[0]: missing required field 'warnings'"),
+    ("validate-warning-code-type", "validate", [((*E0, "warnings", 0, "code"), 1)],
+     "$.entries[0].warnings[0].code: expected a string, got 1"),
+    # An invariants entry, its screws and its period.
+    ("invariants-fr-item", "invariants", [((*E0, "fr", 1), 0.5)],
+     "$.entries[0].fr[1]: floating point is not accepted; use \"p/q\" strings"),
+    ("invariants-essential-type", "invariants", [((*E0, "essential"), 0)],
+     "$.entries[0].essential: expected a boolean, got 0"),
+    ("invariants-fully-right-veering-missing", "invariants",
+     [((*E0, "fully_right_veering"), DELETE)],
+     "$.entries[0]: missing required field 'fully_right_veering'"),
+    ("screws-type", "invariants", [((*E0, "screws"), "A")],
+     "$.entries[0].screws: expected an array, got str"),
+    ("screw-type", "invariants", [((*E0, "screws", 0), None)],
+     "$.entries[0].screws[0]: expected an object, got NoneType"),
+    ("screw-unknown-field", "invariants", [((*E0, "screws", 0, "x"), 1)],
+     "$.entries[0].screws[0].x: unknown field 'x'"),
+    ("screw-id-missing", "invariants", [((*E0, "screws", 0, "id"), DELETE)],
+     "$.entries[0].screws[0]: missing required field 'id'"),
+    ("screw-id-type", "invariants", [((*E0, "screws", 0, "id"), 1)],
+     "$.entries[0].screws[0].id: expected a string, got 1"),
+    ("screw-screw-missing", "invariants", [((*E0, "screws", 0, "screw"), DELETE)],
+     "$.entries[0].screws[0]: missing required field 'screw'"),
+    ("screw-screw-value", "invariants", [((*E0, "screws", 0, "screw"), "1/0")],
+     "$.entries[0].screws[0].screw: zero denominator in rational '1/0'"),
+    ("period-type", "invariants", [((*E0, "period"), [])],
+     "$.entries[0].period: expected an object, got list"),
+    ("period-unknown-field", "invariants", [((*E0, "period", "x"), 1)],
+     "$.entries[0].period.x: unknown field 'x'"),
+    ("period-n-missing", "invariants", [((*E0, "period", "n"), DELETE)],
+     "$.entries[0].period: missing required field 'n'"),
+    ("period-n-type", "invariants", [((*E0, "period", "n"), "2")],
+     "$.entries[0].period.n: expected an integer, got '2'"),
+    ("period-n-minimum", "invariants", [((*E0, "period", "n"), 0)],
+     "$.entries[0].period.n: expected an integer >= 1, got 0"),
+    ("period-k-boundary-item", "invariants", [((*E0, "period", "k_boundary", 1), "x")],
+     "$.entries[0].period.k_boundary[1]: expected an integer, got 'x'"),
+    ("period-k-orbit-type", "invariants", [((*E0, "period", "k_orbit"), 3)],
+     "$.entries[0].period.k_orbit: expected an array, got int"),
+    # An essential entry.
+    ("essential-exponents-missing", "essential", [((*E0, "boundary_exponents"), DELETE)],
+     "$.entries[0]: missing required field 'boundary_exponents'"),
+    ("essential-exponent-type", "essential", [((*E0, "orbit_exponents", 0), True)],
+     "$.entries[0].orbit_exponents[0]: expected an integer, got True"),
+    ("essential-class-unknown-field", "essential", [((*E0, "essential_class", "x"), 1)],
+     "$.entries[0].essential_class.x: unknown field 'x'"),
+    ("essential-window-minimum", "essential", [((*E0, "uniqueness_window"), 0)],
+     "$.entries[0].uniqueness_window: expected an integer >= 1, got 0"),
+    ("essential-verified-type", "essential", [((*E0, "uniqueness_verified"), "yes")],
+     "$.entries[0].uniqueness_verified: expected a boolean, got 'yes'"),
+    # A correcting-bound entry.
+    ("bound-minimum", "correcting-bound", [((*E0, "bound"), -1)],
+     "$.entries[0].bound: expected an integer >= 0, got -1"),
+    ("bound-type", "correcting-bound", [((*E0, "bound"), "0")],
+     "$.entries[0].bound: expected an integer, got '0'"),
+    ("bound-diagnostics-missing", "correcting-bound", [((*E0, "diagnostics"), DELETE)],
+     "$.entries[0]: missing required field 'diagnostics'"),
+    # A poset entry in each mode.
+    ("poset-unknown-field", "poset", [((*E0, "x"), 1)],
+     "$.entries[0].x: unknown field 'x'"),
+    ("poset-mode-missing", "poset", [((*E0, "mode"), DELETE)],
+     "$.entries[0]: missing required field 'mode'"),
+    ("poset-mode-type", "poset", [((*E0, "mode"), 1)],
+     "$.entries[0].mode: expected a string, got 1"),
+    ("poset-dimension-minimum", "poset", [((*E0, "dimension"), 0)],
+     "$.entries[0].dimension: expected an integer >= 1, got 0"),
+    ("poset-generators-missing", "poset", [((*E0, "generators"), DELETE)],
+     "$.entries[0]: missing required field 'generators'"),
+    ("poset-generator-type", "poset", [((*E0, "generators", 0), 1)],
+     "$.entries[0].generators[0]: expected an array, got int"),
+    ("poset-generator-item", "poset", [((*E0, "generators", 0, 1), "1")],
+     "$.entries[0].generators[0][1]: expected an integer, got '1'"),
+    ("poset-point-missing", "poset-query", [((*E0, "point"), DELETE)],
+     "$.entries[0]: missing required field 'point'"),
+    ("poset-point-item", "poset-query", [((*E0, "point", 0), None)],
+     "$.entries[0].point[0]: expected an integer, got None"),
+    ("poset-member-type", "poset-query", [((*E0, "member"), 1)],
+     "$.entries[0].member: expected a boolean, got 1"),
+    ("poset-lo-missing", "poset-box", [((*E0, "lo"), DELETE)],
+     "$.entries[0]: missing required field 'lo'"),
+    ("poset-hi-type", "poset-box", [((*E0, "hi"), "1")],
+     "$.entries[0].hi: expected an integer, got '1'"),
+    ("poset-points-missing", "poset-box", [((*E0, "points"), DELETE)],
+     "$.entries[0]: missing required field 'points'"),
+    ("poset-point-row-type", "poset-box", [((*E0, "points", 1), 1)],
+     "$.entries[0].points[1]: expected an array, got int"),
+    # An ltable report and its result.
+    ("ltable-unknown-field", "ltable", [(("entries",), [])],
+     "$.entries: unknown field 'entries'"),
+    ("ltable-genus-minimum", "ltable", [(("genus",), -1)],
+     "$.genus: expected an integer >= 0, got -1"),
+    ("ltable-boundary-minimum", "ltable", [(("boundary",), 0)],
+     "$.boundary: expected an integer >= 1, got 0"),
+    ("ltable-boundary-missing", "ltable", [(("boundary",), DELETE)],
+     "$: missing required field 'boundary'"),
+    ("ltable-power-minimum", "ltable-exact", [(("power",), 0)],
+     "$.power: expected an integer >= 1, got 0"),
+    ("ltable-power-type", "ltable-exact", [(("power",), "3")],
+     "$.power: expected an integer, got '3'"),
+    ("ltable-result-type", "ltable", [(("result",), "finite")],
+     "$.result: expected an object, got str"),
+    ("ltable-result-unknown-field", "ltable", [(("result", "x"), 1)],
+     "$.result.x: unknown field 'x'"),
+    ("ltable-tag-missing", "ltable", [(("result", "tag"), DELETE)],
+     "$.result: missing required field 'tag'"),
+    ("ltable-tag-type", "ltable", [(("result", "tag"), 1)],
+     "$.result.tag: expected a string, got 1"),
+    ("ltable-exact-value-missing", "ltable-exact", [(("result", "value"), DELETE)],
+     "$.result: missing required field 'value'"),
+    ("ltable-exact-value-null", "ltable-exact", [(("result", "value"), None)],
+     "$.result.value: expected an integer, got None"),
+    ("ltable-exact-value-minimum", "ltable-exact", [(("result", "value"), 0)],
+     "$.result.value: expected an integer >= 1, got 0"),
 ]
 
 
@@ -1641,6 +1952,66 @@ class TestReportRejectionTable:
     @pytest.mark.parametrize("base", sorted(REPORT_BASES))
     def test_unedited_reports_parse(self, base):
         assert docio.parse_report(json.dumps(REPORT_BASES[base])) == REPORT_BASES[base]
+
+
+# Every report command over classes of each sample distribution: with and
+# without a window, and each poset mode (a query of one or two coordinates
+# answers the classes of that boundary count).
+SHAPE_COMMANDS = [
+    ["validate"],
+    ["invariants"],
+    ["essential"],
+    ["essential", "--check-uniqueness=2"],
+    ["classify"],
+    ["criterion"],
+    ["poset", "--generators"],
+    ["poset", "--query=0"],
+    ["poset", "--query=1,-1"],
+    ["poset", "--box=0..1"],
+    ["correcting-bound"],
+]
+
+
+@pytest.fixture(scope="module")
+def sample_document(tmp_path_factory) -> str:
+    rng = random.Random(3001)
+    draws = (rand_ntclass, rand_applicable_ntclass, rand_poset_ntclass)
+    classes = [*(draw(rng) for draw in draws for _ in range(12)), *edge_classes(), *witness_edge_classes()]
+    batch = tuple((f"c{i}", phi) for i, phi in enumerate(classes))
+    path = tmp_path_factory.mktemp("shapes") / "doc.json"
+    path.write_bytes(docio.serialize(docio.Document(batch)))
+    return str(path)
+
+
+class TestShapesMatchWriters:
+    """Each writer writes the fields that ``parse_report`` reads, in the order of their shape."""
+
+    @pytest.mark.parametrize("command", SHAPE_COMMANDS, ids="-".join)
+    def test_ok_entries(self, command, sample_document, capsys):
+        kind = command[0]
+        assert main([kind, sample_document, *command[1:], "--format", "structured"]) in (0, 1)
+        report = json.loads(capsys.readouterr().out)
+        assert list(report) == list(docio._REPORTS[kind])
+        ok = [entry for entry in report["entries"] if entry["status"] == "ok"]
+        assert ok
+        for entry in ok:
+            fields = [*docio._ENTRY, *docio._PAYLOADS[kind]]
+            if kind == "poset":
+                fields += docio._POSET_MODES[entry["mode"]]
+            assert list(entry) == fields
+
+    @pytest.mark.parametrize(
+        "genus, boundary, power, tag",
+        [(1, 1, None, "finite"), (1, 1, 2, "exact"), (2, 1, 2, "plus_infinity"),
+         (3, 1, None, "minus_infinity")],
+    )
+    def test_ltable(self, genus, boundary, power, tag, capsys):
+        argv = ["ltable", f"--genus={genus}", f"--boundary={boundary}", "--format", "structured"]
+        assert main(argv + ([] if power is None else [f"--power={power}"])) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["result"]["tag"] == tag
+        assert list(report) == list(docio._REPORTS["ltable"])
+        assert list(report["result"]) == list(docio._L_VALUE)
 
 
 class TestStrictAndTotal:

@@ -29,16 +29,23 @@ They are not dataclasses because importing ``dataclasses`` and decorating
 each type were a large share of the start-up that every CLI call pays.
 
 The public constructors check every value they are given.  The private
-builders :func:`_surface`, :func:`_curve_orbit` and :func:`_nt_class` check
-nothing: they store values their caller has already validated.
-:mod:`posfact.io` calls all three, after its own checks;
+builders :func:`_fraction`, :func:`_surface`, :func:`_curve_orbit` and
+:func:`_nt_class` check nothing: they store values their caller has
+already validated.  :func:`_fraction` stores a numerator and a denominator
+that its caller knows to be coprime ints with the denominator at least 1,
+without the type tests and the ``gcd`` of ``Fraction``'s own constructor.
+:mod:`posfact.io` calls all four, after its own checks, and reduces a
+``"p/q"`` text by one ``gcd`` first;
 :func:`posfact.invariants.essential_part` and
-:func:`posfact.factorization.criterion` call the last two.  The essential
-class and the correction witness take their surface and every orbit's id,
-length, kind and separating flag unchanged from a class that was checked
-when it was built; the only new values are Fractions
-``Fraction(p + m*q, q)`` made by the public constructor from an integer
-shift m of a checked value p/q.
+:func:`posfact.factorization.criterion` call all but :func:`_surface`.  The
+essential class and the correction witness take their surface and every
+orbit's id, length, kind and separating flag unchanged from a class that
+was checked when it was built; the only new values are Fractions
+``_fraction(p + m*q, q)`` of an integer shift m of a checked value p/q,
+in lowest terms since gcd(p + m*q, q) = gcd(p, q) = 1.  The public
+:func:`as_rational` and ``Fraction`` itself stay the reference for all of
+these: the tests hold each built value to the same value computed by
+``Fraction`` arithmetic.
 
 .. warning::
    This data *underdetermines* the mapping class: two distinct mapping
@@ -276,6 +283,18 @@ class NTClass(_Value):
         fields["surface"] = surface
         fields["fr"] = fr
         fields["orbits"] = orbits
+
+
+def _fraction(numerator: int, denominator: int) -> Fraction:
+    """The :class:`Fraction` of coprime ints, ``denominator >= 1``, built without normalizing.
+
+    It sets the two slots, ``_numerator`` and ``_denominator``, that
+    ``Fraction`` has in Python 3.10 to 3.13; a test checks that it has them.
+    """
+    x = object.__new__(Fraction)
+    x._numerator = numerator
+    x._denominator = denominator
+    return x
 
 
 def _surface(genus: int, boundary_count: int) -> Surface:

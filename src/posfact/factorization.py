@@ -39,10 +39,9 @@ separates and invariant orbits are singletons; see :func:`genus_zero_diagnostics
 from __future__ import annotations
 
 from enum import Enum
-from fractions import Fraction
 from typing import Optional, Union
 
-from .core import DomainError, NTClass, _curve_orbit, _nt_class, _Value, trunc_div
+from .core import DomainError, NTClass, _curve_orbit, _fraction, _nt_class, _Value, trunc_div
 
 __all__ = [
     "GenusZeroUnsupportedError",
@@ -349,9 +348,10 @@ def _criterion(phi: NTClass, fr_diagnostic: Optional[Diagnostic], to_correct: li
             (("lhs", str(total)), ("rhs", str(min_fr))),
         )
         return Inconclusive((reason,))
-    # Each corrected value p/q + m is Fraction(p + m*q, q), in lowest terms as
-    # gcd(p + m*q, q) = gcd(p, q) = 1; the surface and other orbits are reused.
-    fr = tuple(Fraction(x.numerator - total * x.denominator, x.denominator) for x in phi.fr)
+    # Each corrected value p/q + m is _fraction(p + m*q, q), stored without
+    # re-normalizing: it is in lowest terms as gcd(p + m*q, q) = gcd(p, q) = 1,
+    # and q >= 1.  The surface and the other orbits are reused.
+    fr = tuple(_fraction(x.numerator - total * x.denominator, x.denominator) for x in phi.fr)
     powers = dict(corrections)
     orbits = []
     for orbit in phi.orbits:
@@ -359,7 +359,7 @@ def _criterion(phi: NTClass, fr_diagnostic: Optional[Diagnostic], to_correct: li
         if d:
             p, q = orbit.screw.numerator, orbit.screw.denominator
             orbit = _curve_orbit(
-                orbit.id, orbit.length, orbit.kind, orbit.separating, Fraction(p + orbit.beta * d * q, q)
+                orbit.id, orbit.length, orbit.kind, orbit.separating, _fraction(p + orbit.beta * d * q, q)
             )
         orbits.append(orbit)
     corrected = _nt_class(phi.surface, fr, tuple(orbits))

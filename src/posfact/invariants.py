@@ -14,16 +14,15 @@ correcting exponent is -trunc(p / (beta * q)).  Each coordinate's integers
 and its beta are read once, and :func:`essential_part` truncates inline, as
 ``core``'s docstring says, with no helper call per value.  Fractions appear
 only in the classes taken and returned: the essential class stores
-``Fraction(p + beta * e * q, q)`` where the exponent e is nonzero, and
-reuses v where it is zero.
+``_fraction(p + beta * e * q, q)``, built by ``core``'s private builder
+without re-normalizing, where the exponent e is nonzero, and reuses v where
+it is zero.
 
 All functions are pure and depend only on the invariant data; permuting
 the orbit list permutes outputs correspondingly.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from ._backend import kernel
 from .core import (
@@ -32,6 +31,7 @@ from .core import (
     OrbitTwist,
     TwistMove,
     _curve_orbit,
+    _fraction,
     _nt_class,
     _Value,
 )
@@ -95,11 +95,12 @@ def essential_part(phi: NTClass) -> EssentialResult:
     -int_variant(screw_j / beta_j).  The result is essential, and each
     nonzero corrected invariant keeps the sign of the original one.
 
-    A corrected value p/q + beta * e is built as ``Fraction(p + beta*e*q, q)``,
-    already in lowest terms since gcd(p + beta*e*q, q) = gcd(p, q) = 1.  The
-    essential class is built through ``core``'s private builders: its
-    surface, and each orbit's id, length, kind and separating flag, come
-    unchanged from ``phi``, which its constructor has already checked.
+    A corrected value p/q + beta * e is built as ``_fraction(p + beta*e*q, q)``,
+    which stores the two ints as they are: they are already in lowest terms
+    since gcd(p + beta*e*q, q) = gcd(p, q) = 1, and q >= 1.  The essential
+    class is built through ``core``'s private builders: its surface, and
+    each orbit's id, length, kind and separating flag, come unchanged from
+    ``phi``, which its constructor has already checked.
     """
     boundary_exponents = []
     fr = []
@@ -107,7 +108,7 @@ def essential_part(phi: NTClass) -> EssentialResult:
         p, q = x.numerator, x.denominator
         e = -p // q if p < 0 else -(p // q)  # -trunc_div(p, q)
         boundary_exponents.append(e)
-        fr.append(Fraction(p + e * q, q) if e else x)
+        fr.append(_fraction(p + e * q, q) if e else x)
     orbit_exponents = []
     orbits = []
     for orbit in phi.orbits:
@@ -118,7 +119,7 @@ def essential_part(phi: NTClass) -> EssentialResult:
         orbit_exponents.append(m)
         if m:
             orbit = _curve_orbit(
-                orbit.id, orbit.length, orbit.kind, orbit.separating, Fraction(p + m * step, q)
+                orbit.id, orbit.length, orbit.kind, orbit.separating, _fraction(p + m * step, q)
             )
         orbits.append(orbit)
     essential = _nt_class(phi.surface, tuple(fr), tuple(orbits))

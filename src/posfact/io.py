@@ -95,26 +95,32 @@ strings, each with a JSON path; bare integers over that limit and nesting
 deeper than the recursion limit, which the JSON decoder reports without a
 position.
 
-A class is read by one frame, ``_read_class``, which makes no Python call
-per field, orbit or rational value; ``_read_item`` reads a batch item's
-name and hands its class to it, and a single-class document goes to it
-directly.  The item, its class, its surface and each orbit must be exact
-dicts with exactly their field count (2, 3, 2 and 5; 4 for a single-class
-document with its version); every field is read directly and passes its
-exact-type and range test inline: names and orbit ids must be non-empty
-strings that UTF-8 can encode, and the ids distinct.  A bare JSON integer
-rational becomes ``Fraction(n)``, and a new rational text is split by one
-regex match and becomes ``Fraction(int(p), int(q))``.  So the frame
-accepts every valid class.  It raises ``KeyError``, ``TypeError``,
-``ValueError``, ``ZeroDivisionError`` or ``AttributeError`` on any object
-it does not accept, and that object is read again, unchanged, by the
-explaining path (``_item_from_json`` and ``_class_fields``), which also
-reads the classes inside reports and is the one place that words a
-rejection.  That path declares each JSON object it reads once, as a
-*shape*: a dict from each field name, in the order its checks run, to the
-check of its value, built from a few parts (``_int``, ``_str``, ``_name``,
-``_word``, ``_rational``, ``_list_of``, ``_object``, ``_nullable``, and
-``_Optional`` for a field that may be absent).  One walker reads an object
+A class is read by one frame, ``_read_class``, which calls no check per
+field or orbit; ``_read_item`` reads a batch item's name and hands its
+class to it, and a single-class document goes to it directly.  The item,
+its class, its surface and each orbit must be exact dicts with exactly
+their field count (2, 3, 2 and 5; 4 for a single-class document with its
+version); every field is read directly and passes its exact-type and
+range test inline: names and orbit ids must be non-empty strings that
+UTF-8 can encode, and the ids distinct.  Rationals are built by ``core``'s
+private builder ``_fraction``, which stores a numerator and a denominator
+already in lowest terms without the checks and the ``gcd`` of
+``Fraction``'s own constructor.  A bare JSON integer rational becomes
+``_fraction(n, 1)``.  A new rational text goes to ``_read_text``, which
+splits it by one regex match into ints p and q, raises
+``ZeroDivisionError`` on a zero q (the test is explicit, since
+gcd(±1, 0) is 1 and would let ``"1/0"`` through), and divides both by
+g = gcd(p, q) only when g is not 1.  So the frame accepts every valid
+class.  It raises ``KeyError``, ``TypeError``, ``ValueError``,
+``ZeroDivisionError`` or ``AttributeError`` on any object it does not
+accept, and that object is read again, unchanged, by the explaining path
+(``_item_from_json`` and ``_class_fields``), which also reads the classes
+inside reports and is the one place that words a rejection.  That path
+declares each JSON object it reads once, as a *shape*: a dict from each
+field name, in the order its checks run, to the check of its value,
+built from a few parts (``_int``, ``_str``, ``_name``, ``_word``,
+``_rational``, ``_list_of``, ``_object``, ``_nullable``, and ``_Optional``
+for a field that may be absent).  One walker reads an object
 against its shape: ``_read`` rejects a value that is not an object or has
 an unknown field, and ``_fields`` then reads each field in order, so the
 first failing field is named with its path.  A class's rules that join two
@@ -137,8 +143,9 @@ validates them so structured CLI output round-trips.  It reads the kind
 first, which names the report's shape in ``_REPORTS``.  An entry is read as
 its name and status, then an error entry's ``error`` or an "ok" entry's
 fields (``_PAYLOADS``), and a ``poset`` entry's mode names the rest
-(``_POSET_MODES``); an ``ltable`` result carries a value only with the
-``exact`` tag.  The tests hold each writer's keys, in order, to its shape.
+(``_POSET_MODES``); an entry may hold no field of another status or mode.
+An ``ltable`` result carries a value only with the ``exact`` tag.  The
+tests hold each writer's keys, in order, to its shape.
 """
 
 from __future__ import annotations
@@ -149,9 +156,19 @@ import sys
 from fractions import Fraction
 from itertools import product
 from json.encoder import encode_basestring
+from math import gcd
 from typing import Any, Callable, Collection, Iterator, NamedTuple, Optional, Union
 
-from .core import NTClass, OrbitKind, _curve_orbit, _nt_class, _REGULAR, _surface, _Value
+from .core import (
+    NTClass,
+    OrbitKind,
+    _curve_orbit,
+    _fraction,
+    _nt_class,
+    _REGULAR,
+    _surface,
+    _Value,
+)
 from .factorization import (
     Diagnostic,
     Inconclusive,
@@ -260,7 +277,9 @@ def _exceeds_digit_limit(exc: ValueError) -> bool:
 def parse_rational(value: Any, path: Any = "$", key: Union[str, int, None] = None) -> Fraction:
     """Parse a rational from a JSON value: bare integer or "p/q" string.
 
-    ``path`` (and ``key``, if given) name the value in error messages.
+    ``path`` (and ``key``, if given) name the value in error messages.  It
+    builds the value with the public ``Fraction`` constructor, apart from
+    the frame's ``_read_text``, so that the tests can hold the frame to it.
     """
     if isinstance(value, str):  # no value is both a str and a bool, int or float
         parts = _RATIONAL_PARTS(value)
@@ -540,10 +559,9 @@ def _read_class(obj: Any, size: int, rationals: dict) -> NTClass:
         x = rationals.get(text)
         if x is None:
             if text.__class__ is int:
-                x = Fraction(text)
+                x = _fraction(text, 1)
             else:
-                p, q = _RATIONAL_PARTS(text).groups("1")
-                x = rationals[text] = Fraction(int(p), int(q))
+                x = rationals[text] = _read_text(text)
         fr.append(x)
     orbits = []
     ids = set()
@@ -564,13 +582,29 @@ def _read_class(obj: Any, size: int, rationals: dict) -> NTClass:
         screw = rationals.get(text)
         if screw is None:
             if text.__class__ is int:
-                screw = Fraction(text)
+                screw = _fraction(text, 1)
             else:
-                p, q = _RATIONAL_PARTS(text).groups("1")
-                screw = rationals[text] = Fraction(int(p), int(q))
+                screw = rationals[text] = _read_text(text)
         ids.add(orbit_id)
         orbits.append(_curve_orbit(orbit_id, length, kind, separating, screw))
     return _nt_class(_surface(genus, boundary), tuple(fr), tuple(orbits))
+
+
+def _read_text(text: str) -> Fraction:
+    """The rational of a new ``"p/q"`` text, reduced by one ``gcd`` and built by ``_fraction``.
+
+    Raises as :func:`_read_class` does.  The zero test is explicit, since
+    gcd(±1, 0) is 1 and would let ``"1/0"`` and ``"-1/0"`` through.
+    """
+    p, q = _RATIONAL_PARTS(text).groups("1")
+    p, q = int(p), int(q)
+    if not q:
+        raise ZeroDivisionError
+    g = gcd(p, q)
+    if g != 1:
+        p //= g
+        q //= g
+    return _fraction(p, q)
 
 
 # What _read_item and _read_class raise for an object they do not accept.
@@ -1074,8 +1108,7 @@ _WITNESS = {
     "corrected": _class,
 }
 _MAYBE_WITNESS = _Optional(_nullable(_object(_WITNESS)))
-_ANY = _Optional(lambda value, path, key, rationals: value)  # a field read but not checked
-_SCREW = {"id": _str, "kind": _ANY, "alpha": _ANY, "beta": _ANY, "screw": _rational}
+_SCREW = {"id": _str, "kind": _orbit_kind, "alpha": _int(1), "beta": _int(1), "screw": _rational}
 
 # A poset entry's fields after its mode and dimension, by its mode.
 _POSET_MODES = {
@@ -1084,8 +1117,7 @@ _POSET_MODES = {
     "box": {"lo": _int(), "hi": _int(), "points": _list_of(_INTS)},
 }
 
-# An "ok" entry's fields after its name and status, by report kind.  A
-# screw's kind, alpha and beta are not checked.
+# An "ok" entry's fields after its name and status, by report kind.
 _PAYLOADS = {
     "validate": {
         "genus": _int(0), "boundary": _int(0), "orbit_count": _int(0), "warnings": _DIAGNOSTICS
@@ -1125,22 +1157,31 @@ _ERROR = {"error": _object({"code": _nonempty_str, "message": _str})}
 def _entry(kind: str) -> Callable:
     """The check of an entry of a ``kind`` report.
 
-    An entry may hold any field of its report's entries.  After its name and
-    status, an error entry's error is read, or an "ok" entry's payload, and
-    then a poset entry's fields of its mode.
+    A field that no entry of the report may hold is rejected first.  Then
+    the entry's name and status are read, and it may hold only the fields of
+    its own status: an error entry its error, and an "ok" entry its payload.
+    A poset entry's mode, read first in its payload, adds that mode's fields.
     """
     payload = _PAYLOADS[kind]
     modes = _POSET_MODES if kind == "poset" else {}
     allowed = frozenset().union(_ENTRY, _ERROR, payload, *modes.values())
+    error_fields = frozenset().union(_ENTRY, _ERROR)
+    ok_fields = frozenset().union(_ENTRY, payload)
+    mode_fields = {mode: ok_fields.union(fields) for mode, fields in modes.items()}
 
     def read(value: Any, path: Any, key: Any, rationals: dict) -> dict:
         entry_path = (path, key)
         entry = _require_object(value, allowed, entry_path)
         _, status = _fields(entry, _ENTRY, entry_path, rationals)
-        body = payload if status == "ok" else _ERROR
-        values = tuple(_fields(entry, body, entry_path, rationals))
-        if modes and body is payload:
-            tuple(_fields(entry, modes[values[0]], entry_path, rationals))
+        if status == "error":
+            body, fields = _ERROR, error_fields
+        elif modes:
+            mode, _ = _fields(entry, payload, entry_path, rationals)
+            body, fields = modes[mode], mode_fields[mode]
+        else:
+            body, fields = payload, ok_fields
+        _require_object(entry, fields, entry_path)
+        tuple(_fields(entry, body, entry_path, rationals))
         return entry
 
     return read

@@ -15,13 +15,14 @@ formats, over these documents:
   a period too long, and an ``fr`` that ``compose --twist B1:1`` pushes past
   the limit;
 * an empty batch, a malformed document and a schema-error document;
-* field edits as documents of their own, run through ``validate`` and
-  ``classify`` only: two-entry batches whose second entry is in a valid but
-  non-canonical form (bare integer rationals, non-ASCII names and ids, keys
-  in reverse order, unreduced texts such as ``"4/6"`` and ``"-0"``, a text
-  shared with the first entry), and schema errors in objects that have
-  their full field count but one misspelled field, or a class that is a
-  list of three.
+* field edits as documents of their own, run through ``validate``,
+  ``classify``, ``invariants`` and ``essential --check-uniqueness 3`` only
+  (the last two print the parsed values back, reduced): two-entry batches
+  whose second entry is in a valid but non-canonical form (bare integer
+  rationals, non-ASCII names and ids, keys in reverse order, unreduced
+  texts such as ``"4/6"`` and ``"-0"``, a text shared with the first
+  entry), and schema errors in objects that have their full field count
+  but one misspelled field, or a class that is a list of three.
 
 The malformed document is also run with a bad operand to each of ``poset``,
 ``compose`` and ``essential``: operands are checked before the input is
@@ -169,7 +170,12 @@ def _digit_limit_documents() -> list[tuple[str, dict]]:
 
 
 # Command lines run on the field-edit documents, in both formats.
-FIELD_EDIT_COMMANDS = [["validate"], ["classify"]]
+FIELD_EDIT_COMMANDS = [
+    ["validate"],
+    ["classify"],
+    ["invariants"],
+    ["essential", "--check-uniqueness", "3"],
+]
 
 FIELD_EDIT_CLASS = {
     "surface": {"genus": 2, "boundary": 2},

@@ -24,7 +24,7 @@ from posfact import (
     int_variant,
     period_data,
 )
-from posfact.core import _curve_orbit
+from posfact.core import _curve_orbit, _fraction
 from conftest import rand_ntclass
 
 rationals = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**6)
@@ -295,3 +295,56 @@ class TestValidation:
         phi = nt(1, [huge])
         shifted = compose_twists(phi, [BoundaryTwist(1, 10**39)])
         assert shifted.fr[0] == huge + 10**39
+
+
+# Coprime (numerator, denominator) pairs with a positive denominator: small
+# values of both signs, zero, and multi-digit values.
+BUILDER_GRID = [
+    (p, q) for p in range(-13, 14) for q in range(1, 14) if math.gcd(p, q) == 1
+] + [
+    (10**40 + 1, 3),
+    (-(10**40 + 1), 10**12),
+    (987654321, 123456790),
+    (-(2**127 - 1), 2**61),
+    (10**200 + 7, 1),
+    (-1, 10**50),
+]
+
+
+@st.composite
+def coprime_pairs(draw) -> tuple[int, int]:
+    p = draw(st.integers(-(10**40), 10**40))
+    q = draw(st.integers(1, 10**40))
+    g = math.gcd(p, q)
+    return p // g, q // g
+
+
+class TestFractionBuilder:
+    """``core._fraction`` against the public ``Fraction`` constructor on the same coprime ints."""
+
+    def test_fraction_has_the_two_slots(self):
+        assert {"_numerator", "_denominator"} <= set(Fraction.__slots__)
+
+    @staticmethod
+    def check_same(p: int, q: int) -> None:
+        built, public = _fraction(p, q), Fraction(p, q)
+        assert type(built) is type(public) is Fraction
+        assert (built.numerator, built.denominator) == (public.numerator, public.denominator) == (p, q)
+        assert built == public and hash(built) == hash(public)
+        assert str(built) == str(public) and repr(built) == repr(public)
+        for other in (Fraction(3, 7), Fraction(-5), public):
+            assert built + other == public + other
+            assert built * other == public * other
+            assert (built < other) == (public < other)
+            assert (other < built) == (other < public)
+        for again in (pickle.loads(pickle.dumps(built)), copy.copy(built), copy.deepcopy(built)):
+            assert type(again) is Fraction
+            assert again == public and hash(again) == hash(public) and repr(again) == repr(public)
+
+    def test_grid(self):
+        for p, q in BUILDER_GRID:
+            self.check_same(p, q)
+
+    @given(coprime_pairs())
+    def test_drawn_pairs(self, pair):
+        self.check_same(*pair)

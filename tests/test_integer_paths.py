@@ -366,6 +366,24 @@ def test_essential_class_passes_the_checked_constructors(classes):
         assert all(type(o.screw) is Fraction for o in essential.orbits)
 
 
+def assert_canonical(x: Fraction, expected: Fraction) -> None:
+    """``x`` is an exact Fraction in lowest terms, equal to ``expected`` from Fraction arithmetic."""
+    assert type(x) is Fraction
+    assert x.denominator > 0 and math.gcd(x.numerator, x.denominator) == 1
+    assert (x.numerator, x.denominator) == (expected.numerator, expected.denominator)
+
+
+def test_essential_values_are_canonical(classes):
+    # essential_part stores its corrected values without re-normalizing them.
+    for phi in classes:
+        result = essential_part(phi)
+        essential = result.essential
+        for x, before, e in zip(essential.fr, phi.fr, result.boundary_exponents):
+            assert_canonical(x, before + e)
+        for orbit, before, m in zip(essential.orbits, phi.orbits, result.orbit_exponents):
+            assert_canonical(orbit.screw, before.screw + ref_beta(before) * m)
+
+
 def test_compose_twists(classes):
     rng = random.Random(7)
     for phi in classes:
@@ -437,13 +455,12 @@ def test_witness_values_are_canonical(classes):
             continue
         corrected = result.witness.corrected
         assert corrected.surface is phi.surface
-        for x in corrected.fr + tuple(o.screw for o in corrected.orbits):
-            assert type(x) is Fraction
-            assert x.denominator > 0
-            assert math.gcd(x.numerator, x.denominator) == 1
+        for x, before in zip(corrected.fr, phi.fr):
+            assert_canonical(x, before - result.witness.total_multitwist_power)
         powers = dict(result.witness.corrections)
         assert [o.id for o in corrected.orbits] == [o.id for o in phi.orbits]
         for orbit, before in zip(corrected.orbits, phi.orbits):
+            assert_canonical(orbit.screw, before.screw + ref_beta(before) * powers.get(orbit.id, 0))
             if orbit.id not in powers:
                 assert orbit == before
 

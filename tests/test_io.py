@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 import random
 import sys
 from argparse import Namespace
@@ -1381,9 +1382,17 @@ FRAME_VALUES = st.one_of(
 )
 FRAME_TEXTS = [
     "1/2/3", "1/-2", " 1", "1 ", "1/", "", "x", "+1", "1.5", "\u0663", "1_0", "2/0", "-0/0", "4/6", "-0", "007",
+    "1/0", "-1/0", "0/0",
     "9" * (DIGIT_LIMIT + 1), "1/" + "9" * (DIGIT_LIMIT + 1),
 ]
 FRAME_RATIONALS = st.sampled_from(FRAME_TEXTS)
+# Valid rationals in any form: bare integers, texts with a common factor, zeros and leading zeros.
+PARSED_RATIONALS = st.one_of(
+    st.integers(-(10**30), 10**30),
+    st.builds(lambda p, q: f"{p}/{q}", st.integers(-(10**20), 10**20), st.integers(1, 10**20)),
+    st.builds(lambda p, q, g: f"{p * g}/{q * g}", st.integers(-99, 99), st.integers(1, 99), st.integers(2, 10**6)),
+    st.sampled_from(["-0", "007", "-0/3", "0010/0004", "-12/8", "0/1"]),
+)
 FRAME_NAMES = st.sampled_from(["Ö", "名前", "\U0001f600", "ok\ud800", "\udfff", "e\u0301"])
 FRAME_EDITS = ("drop", "add", "rename", "replace", "rational", "name", "duplicate", "fr-count")
 
@@ -1464,6 +1473,23 @@ class TestDirectReads:
     def test_rational_texts(self, text, key_path):
         text = json.dumps(edited_document("batch", [(key_path, text)]))
         assert parse_outcome(text) == explained(text)
+
+    @given(FRAME_CLASSES, st.lists(PARSED_RATIONALS, min_size=1, max_size=8))
+    def test_parsed_values_are_canonical(self, phi, texts):
+        # The frame reduces each text by one gcd and stores it without re-normalizing.
+        slots = [(phi["fr"], i) for i in range(len(phi["fr"]))]
+        slots += [(orbit, "screw") for orbit in phi["orbits"]]
+        for (container, key), text in zip(slots, texts):
+            container[key] = text
+        item = {"name": "e0", "class": phi}
+        assert frame_reads(item)
+        ((_, parsed),) = docio.parse(json.dumps({"version": "1", "batch": [item]})).payload
+        values = [*parsed.fr, *(orbit.screw for orbit in parsed.orbits)]
+        expected = [Fraction(text) for text in [*phi["fr"], *(orbit["screw"] for orbit in phi["orbits"])]]
+        for x, reference in zip(values, expected, strict=True):
+            assert type(x) is Fraction
+            assert x.denominator > 0 and math.gcd(x.numerator, x.denominator) == 1
+            assert (x.numerator, x.denominator) == (reference.numerator, reference.denominator)
 
     @given(FRAME_CLASSES)
     def test_canonical_items_are_read_directly(self, phi):
@@ -1731,6 +1757,20 @@ MALFORMED_REPORTS = [
      "$.entries[0].status: expected a string, got 5"),
     ("entry-status-value", "classify", [((*E0, "status"), "odd")],
      "$.entries[0].status: unknown status 'odd'"),
+    # An entry holds only the fields of its own status and, for poset, its own mode.
+    ("error-entry-ok-fields", "error", [((*E0, "classification"), 5), ((*E0, "witness"), [])],
+     "$.entries[0].classification: unknown field 'classification'"),
+    ("error-entry-poset-mode", "poset", [((*E0, "status"), "error"),
+                                         ((*E0, "error"), {"code": "c", "message": "m"})],
+     "$.entries[0].mode: unknown field 'mode'"),
+    ("ok-entry-error-field", "classify", [((*E0, "error"), 7)],
+     "$.entries[0].error: unknown field 'error'"),
+    ("poset-query-box-fields", "poset-query", [((*E0, "lo"), "x"), ((*E0, "points"), 5)],
+     "$.entries[0].lo: unknown field 'lo'"),
+    ("poset-generators-query-field", "poset", [((*E0, "member"), True)],
+     "$.entries[0].member: unknown field 'member'"),
+    ("poset-box-generators-field", "poset-box", [((*E0, "generators"), [])],
+     "$.entries[0].generators: unknown field 'generators'"),
     # An error entry.
     ("error-missing", "error", [((*E0, "error"), DELETE)],
      "$.entries[0]: missing required field 'error'"),
@@ -1842,6 +1882,24 @@ MALFORMED_REPORTS = [
      "$.entries[0].screws[0]: missing required field 'id'"),
     ("screw-id-type", "invariants", [((*E0, "screws", 0, "id"), 1)],
      "$.entries[0].screws[0].id: expected a string, got 1"),
+    ("screw-kind-type", "invariants", [((*E0, "screws", 0, "kind"), 5),
+                                       ((*E0, "screws", 0, "alpha"), "x"),
+                                       ((*E0, "screws", 0, "beta"), None)],
+     "$.entries[0].screws[0].kind: expected a string, got 5"),
+    ("screw-kind-value", "invariants", [((*E0, "screws", 0, "kind"), "odd")],
+     "$.entries[0].screws[0].kind: kind must be \"regular\" or \"amphidrome\", got 'odd'"),
+    ("screw-kind-missing", "invariants", [((*E0, "screws", 0, "kind"), DELETE)],
+     "$.entries[0].screws[0]: missing required field 'kind'"),
+    ("screw-alpha-type", "invariants", [((*E0, "screws", 0, "alpha"), "x")],
+     "$.entries[0].screws[0].alpha: expected an integer, got 'x'"),
+    ("screw-alpha-minimum", "invariants", [((*E0, "screws", 0, "alpha"), 0)],
+     "$.entries[0].screws[0].alpha: expected an integer >= 1, got 0"),
+    ("screw-alpha-missing", "invariants", [((*E0, "screws", 0, "alpha"), DELETE)],
+     "$.entries[0].screws[0]: missing required field 'alpha'"),
+    ("screw-beta-null", "invariants", [((*E0, "screws", 0, "beta"), None)],
+     "$.entries[0].screws[0].beta: expected an integer, got None"),
+    ("screw-beta-type", "invariants", [((*E0, "screws", 0, "beta"), True)],
+     "$.entries[0].screws[0].beta: expected an integer, got True"),
     ("screw-screw-missing", "invariants", [((*E0, "screws", 0, "screw"), DELETE)],
      "$.entries[0].screws[0]: missing required field 'screw'"),
     ("screw-screw-value", "invariants", [((*E0, "screws", 0, "screw"), "1/0")],

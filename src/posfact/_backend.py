@@ -1,4 +1,4 @@
-"""The window-scan kernel: the pure-Python scan in :mod:`posfact._kernel_py`."""
+"""The uniqueness kernel: the pure-Python closed form in :mod:`posfact._kernel_py`."""
 
 from . import _kernel_py as kernel
 

@@ -1,10 +1,10 @@
-"""Window-scan kernel of the essential-part uniqueness check.
+"""Closed-form kernel of the essential-part uniqueness check.
 
-The scan works on raw integer triples (numerator, denominator, beta) so
-that its hot loop never touches Fraction objects.
+The kernel works on raw integer triples (numerator, denominator, beta) so
+that its loop never touches Fraction objects.
 
-For a coordinate with value v = num/den and twist step beta, the essential
-window condition for an exponent e is
+For a coordinate with value v = num/den and twist step beta, an exponent e
+is *essential* when
 
     |v + beta * e| < beta   and   (v + beta * e == 0 or sign matches sign(v)),
 
@@ -12,10 +12,15 @@ equivalently, on numerators over the common denominator den:
 
     |num + e * beta * den| < beta * den.
 
-The closed-form exponent is e* = -trunc(v / beta), truncation toward zero,
-computed inline on the integers.  The scan walks the window from
-e* - window upward, adding beta * den to the candidate's numerator at each
-step, so no candidate costs a multiply.
+Exactly one exponent is essential, and it is e* = -trunc(v / beta),
+truncation toward zero.  The candidates v + beta * e are beta apart, so the
+open interval (-beta, beta) holds either one of them, 0, when beta divides
+v, or two of opposite signs, r and r - beta with 0 < r < beta.  The sign
+rule keeps exactly one: 0 always, otherwise the one whose sign is v's.
+That one is v - beta * trunc(v / beta), the remainder of truncated
+division, which is 0 or has the sign of v and lies in (-beta, beta).  So
+the kernel computes e* per coordinate, inline on the integers, and
+scans nothing.
 """
 
 from __future__ import annotations
@@ -26,33 +31,19 @@ __all__ = ["scan_class"]
 def scan_class(
     nums: list[int], dens: list[int], betas: list[int], window: int
 ) -> tuple[bool, list[int]]:
-    """Window-scan every coordinate of a class for essential-exponent uniqueness.
+    """The essential exponents of every coordinate of a class, and their uniqueness.
 
-    Returns ``(unique, exponents)`` where ``exponents[i]`` is the closed-form
-    exponent of coordinate i and ``unique`` is True iff, for every
-    coordinate, exactly one exponent within ``window`` of the closed-form
-    one satisfies the essential window condition, namely the closed-form
-    exponent itself.  Conditions are per-coordinate, so the number of
-    satisfying exponent *tuples* is the product of the per-coordinate
-    counts; unique == True iff that product is 1 and the tuple is the
-    closed-form one.
+    Returns ``(True, exponents)`` where ``exponents[i]`` is the closed-form
+    exponent -trunc(nums[i] / (betas[i] * dens[i])) of coordinate i.  The
+    first item answers whether, for every coordinate, the closed-form
+    exponent is the only essential exponent within ``window`` of itself;
+    the module docstring proves it is the only essential exponent at all,
+    so the answer is True for every ``window`` and the candidates are not
+    scanned.  The conditions are per-coordinate, so the same holds for
+    exponent *tuples*: the closed-form tuple is the only essential one.
     """
-    unique = True
     exponents = []
     for num, den, beta in zip(nums, dens, betas):
         step = beta * den
-        e_star = -num // step if num < 0 else -(num // step)  # -trunc_div(num, step)
-        positive = num > 0
-        count = 0
-        found = 0
-        first = e_star - window
-        value = num + first * step
-        for e in range(first, e_star + window + 1):
-            if -step < value < step and (value == 0 or (value > 0) == positive):
-                count += 1
-                found = e
-            value += step
-        if count != 1 or found != e_star:
-            unique = False
-        exponents.append(e_star)
-    return unique, exponents
+        exponents.append(-num // step if num < 0 else -(num // step))  # -trunc_div(num, step)
+    return True, exponents

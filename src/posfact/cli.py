@@ -616,7 +616,10 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
         type=_int_option,
         metavar="W",
         default=None,
-        help="also verify exponent uniqueness by a window scan of radius W >= 1",
+        help=(
+            "also report whether the exponents are the only essential ones within"
+            " W >= 1; they always are, since each is the closed form -trunc(v / beta)"
+        ),
     )
     _report_parser(
         sub,

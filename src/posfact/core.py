@@ -17,8 +17,9 @@ package work on their numerators and denominators as integers instead
 Fraction is built only where a new invariant value is stored.  Two
 per-coordinate loops write the truncation inline, as ``-p // s if p < 0
 else -(p // s)`` for ``-trunc_div(p, s)``, to save a call per value:
-:func:`posfact.invariants.essential_part` and the window-scan kernel's
-``scan_class``.  Every type in this module is an immutable value and every
+:func:`posfact.invariants.essential_part` and the uniqueness kernel's
+``scan_class``, which computes the same exponents (the tests hold the two
+to each other).  Every type in this module is an immutable value and every
 operation is a pure function, so everything is safe for unrestricted
 concurrent use.
 

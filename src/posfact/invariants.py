@@ -3,17 +3,20 @@
 A class is *essential* when every fractional Dehn twist coefficient lies in
 (-1, 1), every regular screw number in (-1, 1) and every amphidrome screw
 number in (-2, 2).  Every class has a unique twist-correction to an
-essential one that preserves the sign of each nonzero invariant; the
-correcting exponents are closed-form truncations and
-:func:`verify_essential_uniqueness` re-derives the uniqueness by a window
-scan, which counts the essential exponents near the closed-form one.
+essential one that preserves the sign of each nonzero invariant, and its
+correcting exponents are closed-form truncations: this is a theorem,
+proved in :func:`verify_essential_uniqueness`'s docstring, so that
+function decides it without scanning any candidate exponent.
 
 Every gate and exponent here is decided on the numerator p and denominator
 q of each invariant: |v| < beta is |p| < beta * q, v > 0 is p > 0, and the
 correcting exponent is -trunc(p / (beta * q)).  Each coordinate's integers
-and its beta are read once, and :func:`essential_part` truncates inline, as
-``core``'s docstring says, with no helper call per value.  Fractions appear
-only in the classes taken and returned: the essential class stores
+and its beta are read once, and :func:`essential_part` and the kernel's
+``scan_class`` truncate inline, as ``core``'s docstring says, with no
+helper call per value.  :func:`essential_part` does not take its exponents
+from the kernel: building the kernel's three argument lists and reading
+them back made it about half again as slow.  Fractions appear only in the
+classes taken and returned: the essential class stores
 ``_fraction(p + beta * e * q, q)``, built by ``core``'s private builder
 without re-normalizing, where the exponent e is nonzero, and reuses v where
 it is zero.
@@ -127,19 +130,29 @@ def essential_part(phi: NTClass) -> EssentialResult:
 
 
 def verify_essential_uniqueness(phi: NTClass, window: int = 3) -> bool:
-    """Re-derive essential-exponent uniqueness by scanning a window of exponents.
+    """Decide essential-exponent uniqueness: the closed form is the only essential tuple.
 
-    Scans every integer exponent tuple within ``window`` of the closed-form
-    exponents and checks that exactly one tuple yields an essential,
-    sign-preserving result, namely the closed-form one.  The three
-    conditions are per-coordinate, so the tuple count is the product of
-    per-coordinate counts; the scan (the kernel in ``_kernel_py``)
-    exploits that factorization, and its ``unique`` is the answer.
+    Uniqueness asks whether, among the exponent tuples within ``window`` of
+    the closed-form exponents, exactly one yields an essential,
+    sign-preserving result, namely the closed-form one.  The conditions
+    are per-coordinate, so it holds iff it holds for each coordinate.  It
+    always does, for every ``window``, and the answer is True:
 
-    The scan radius is ``min(window, 1)``, which gives the same answer as
-    ``window``: the candidates satisfying |v + beta * e| < beta are at
-    most the two neighbours of -v / beta, and both lie within 1 of the
-    closed-form exponent.  So a huge window costs no more than window 1.
+    * A coordinate v with step beta (1 for a boundary coefficient, an
+      orbit's beta for its screw number) is corrected to v + beta * e,
+      and those candidates are beta apart.
+    * So the open interval (-beta, beta) holds either one of them, 0,
+      when v / beta is an integer, or two, r and r - beta with
+      0 < r < beta, of opposite signs.
+    * The sign rule (zero, or the sign of v) keeps exactly one: 0, or
+      whichever of the two has v's sign.
+    * Truncated division gives it: v - beta * trunc(v / beta) is 0 or has
+      v's sign, and lies in (-beta, beta), so the one exponent is
+      -trunc(v / beta), which :func:`essential_part` applies.
+
+    The kernel in ``_kernel_py`` computes those exponents on the integers
+    in one call per class, and its first item, True, is the answer; it
+    scans no candidate, so a huge window costs no more than window 1.
 
     ``window`` must be an int (not a bool) and at least 1.
     """
@@ -156,7 +169,7 @@ def verify_essential_uniqueness(phi: NTClass, window: int = 3) -> bool:
         nums.append(screw.numerator)
         dens.append(screw.denominator)
         betas.append(orbit.beta)
-    unique, _ = kernel.scan_class(nums, dens, betas, min(window, 1))
+    unique, _ = kernel.scan_class(nums, dens, betas, window)
     return unique
 
 

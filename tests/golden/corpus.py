@@ -2,8 +2,9 @@
 
 The corpus is the sameness proof for changes that must not change what the
 CLI prints: every report command, ``poset`` in its three modes,
-``essential`` with windows 1 and 3, ``compose`` and ``ltable``, each in both
-formats, over these documents:
+``essential`` with windows 1, 3 and 10**24 (every window answers the
+same), ``compose`` and ``ltable``, each in both formats, over these
+documents:
 
 * single classes and batches drawn from the conftest distributions, with
   batch names that need escaping or lie outside the Basic Multilingual Plane;
@@ -75,6 +76,7 @@ DOC_COMMANDS = [
     ["essential"],
     ["essential", "--check-uniqueness", "1"],
     ["essential", "--check-uniqueness", "3"],
+    ["essential", "--check-uniqueness", "1000000000000000000000000"],
     ["classify"],
     ["criterion"],
     ["poset", "--generators"],

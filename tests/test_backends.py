@@ -1,4 +1,11 @@
-"""The window-scan kernel against a Fraction restatement of its condition."""
+"""The uniqueness theorem, and its closed-form kernel, against a Fraction window scan.
+
+``reference_scan`` restates the window condition literally, with Fraction
+arithmetic, and counts the essential exponents in the window.  It shares no
+code with ``_kernel_py.scan_class``, which scans nothing and always answers
+True, so every comparison here is a test of the theorem the kernel relies
+on: the closed-form exponent is the only essential one.
+"""
 
 from __future__ import annotations
 
@@ -6,9 +13,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from posfact import _kernel_py
+from posfact import _kernel_py, essential_part
 from posfact._backend import backend_name
+from posfact.core import trunc_div
+from sample_classes import rand_applicable_ntclass, rand_ntclass, rand_poset_ntclass
 
 
 def reference_scan(nums, dens, betas, window):
@@ -51,7 +62,6 @@ class TestPureKernel:
                 nums, dens, betas, 3
             )
 
-    # verify_essential_uniqueness always scans at radius 1.
     @pytest.mark.parametrize("huge", [False, True], ids=["small", "huge"])
     @pytest.mark.parametrize("window", [1, 2])
     def test_matches_reference_at_small_radii(self, window, huge):
@@ -80,6 +90,40 @@ class TestPureKernel:
         assert _kernel_py.scan_class(nums, dens, betas, window) == reference_scan(
             nums, dens, betas, window
         )
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(-(10**40), 10**40),
+                st.integers(1, 10**40),
+                st.sampled_from([1, 2]),
+            ),
+            max_size=8,
+        ),
+        st.integers(1, 4),
+    )
+    def test_closed_form_is_the_only_essential_exponent(self, coordinates, window):
+        nums = [num for num, _, _ in coordinates]
+        dens = [den for _, den, _ in coordinates]
+        betas = [beta for _, _, beta in coordinates]
+        closed = [-trunc_div(num, beta * den) for num, den, beta in coordinates]
+        assert reference_scan(nums, dens, betas, window) == (True, closed)
+        assert _kernel_py.scan_class(nums, dens, betas, window) == (True, closed)
+
+
+@pytest.mark.parametrize("draw", [rand_ntclass, rand_applicable_ntclass, rand_poset_ntclass])
+def test_essential_part_applies_the_kernel_exponents(draw):
+    # essential_part truncates inline rather than calling the kernel; hold
+    # the two truncation sites to each other.
+    rng = random.Random(23)
+    for _ in range(400):
+        phi = draw(rng)
+        result = essential_part(phi)
+        nums = [x.numerator for x in phi.fr] + [o.screw.numerator for o in phi.orbits]
+        dens = [x.denominator for x in phi.fr] + [o.screw.denominator for o in phi.orbits]
+        betas = [1] * len(phi.fr) + [o.beta for o in phi.orbits]
+        _, exponents = _kernel_py.scan_class(nums, dens, betas, 1)
+        assert result.boundary_exponents + result.orbit_exponents == tuple(exponents)
 
 
 def test_backend_selected():

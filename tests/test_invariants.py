@@ -231,14 +231,14 @@ class TestUniqueness:
             closed = essential_part(phi)
             expected = tuples == [closed.boundary_exponents + closed.orbit_exponents]
             assert verify_essential_uniqueness(phi, window=2) == expected
-            assert expected  # the closed form should in fact always win
+            assert expected  # the theorem: the closed form always wins
 
     def test_bulk_random(self, rng):
         for _ in range(1000):
             assert verify_essential_uniqueness(rand_ntclass(rng), window=3)
 
     @pytest.mark.parametrize("huge", [False, True], ids=["small", "huge"])
-    def test_clamped_window_matches_unclamped_reference(self, huge):
+    def test_every_window_matches_reference(self, huge):
         # Coordinates of step 1 become boundary coefficients, of step 2 amphidrome screws.
         rng = random.Random(41 + huge)
         for _ in range(300):
@@ -262,19 +262,21 @@ class TestUniqueness:
                 )
                 assert verify_essential_uniqueness(phi, window) == expected
 
-    def test_scan_radius_is_clamped_before_the_kernel(self, monkeypatch):
+    def test_one_kernel_call_per_class(self, monkeypatch):
+        # Every coordinate of the class goes to the kernel in one call, with
+        # the window as given.
         scan = posfact.invariants.kernel.scan_class
-        radii = []
+        calls = []
 
         def spy(nums, dens, betas, window):
-            radii.append(window)
+            calls.append((nums, dens, betas, window))
             return scan(nums, dens, betas, window)
 
         monkeypatch.setattr(posfact.invariants.kernel, "scan_class", spy)
         phi = nt([Fraction(5, 3)], [orbit(Fraction(-7, 2), OrbitKind.AMPHIDROME)])
         for window in (1, 2, 3, 10**8):
             assert verify_essential_uniqueness(phi, window)
-        assert radii == [1, 1, 1, 1]
+        assert calls == [([5, -7], [3, 2], [1, 2], w) for w in (1, 2, 3, 10**8)]
 
 
 class TestFullyRightVeering:

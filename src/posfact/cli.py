@@ -14,28 +14,33 @@ errors.  Every command writes its output as one byte string to
 
 The report commands (``validate``, ``invariants``, ``essential``,
 ``classify``, ``criterion``, ``poset``, ``correcting-bound``) share one
-batch driver, :func:`_run_report`.  Each command names four functions: an
-operand check, run before the input is read, so a bad operand fails at once
-even on a stdin left open; an entry builder, which gives the entry of one
-class; a text renderer, which turns an entry into lines; and the ``io``
-writer of its report shape.  An entry is the library's own value: the
-outcome itself, as :func:`~posfact.factorization.classify` or
+batch driver, :func:`_run_report`.  Each command is one function of its
+parsed operands, ``command(args)``, run once before the input is read, so a
+bad operand fails at once even on a stdin left open.  It returns
+``(build, render, write)``: the entry builder, which gives the entry of one
+class from the class alone; the text renderer, which turns an entry into
+lines; and the ``io`` writer of its report shape.  Operands the renderer and
+the writer need (the uniqueness window, the query point, the box bounds) are
+bound to them by ``functools.partial``; nothing is written to ``args``.  An
+entry is the library's own value: the outcome itself, as
+:func:`~posfact.factorization.classify` or
 :func:`~posfact.factorization.criterion` returned it; the essential part
-with the window and the uniqueness answer; the period data with the two
-predicates; the genus-zero warnings for ``validate``; the bound, or None,
-for ``correcting-bound``; or, for ``poset``, a dict of the entry's fields.
-:func:`_run_report` builds every entry first and then writes each one once,
-rendered or by its writer, into one list of chunks; writing each entry
-inside the build loop measured slower.  The classes an entry holds (the essential
-class, a witness's corrected class) are :class:`~posfact.core.NTClass`
-values, and its diagnostics :class:`~posfact.factorization.Diagnostic`
-values, written by one class writer and one diagnostic writer.  ``compose``
-writes its classes by ``io.serialize``, and parses its ``--twist`` operands
-before it reads.  ``poset --box`` puts the :class:`~posfact.poset.MemberBox`
-that :func:`~posfact.poset.enumerate_box` returns in its entry as it is.
-``--generators`` lists the known region's corner, or nothing for an empty
-region.  An error entry is written by ``io._emit_error``, and the
-``ltable`` report by ``io._ltable_report``.
+with the uniqueness answer; the period data with the two predicates; the
+genus-zero warnings for ``validate``; the bound, or None, for
+``correcting-bound``.  ``poset`` has one triple per mode, and its entry is
+the known region's corner, or None for an empty region (``--generators``),
+the :func:`~posfact.poset.contains` answer (``--query``), or the
+:class:`~posfact.poset.MemberBox` that :func:`~posfact.poset.enumerate_box`
+returns (``--box``).  :func:`_run_report` builds every entry first and then
+writes each one once, rendered or by its writer, into one list of chunks;
+writing each entry inside the build loop measured slower.  The classes an
+entry holds (the essential class, a witness's corrected class) are
+:class:`~posfact.core.NTClass` values, and its diagnostics
+:class:`~posfact.factorization.Diagnostic` values, written by one class
+writer and one diagnostic writer.  ``compose`` writes its classes by
+``io.serialize``, and parses its ``--twist`` operands before it reads.  An
+error entry is written by ``io._emit_error``, and the ``ltable`` report by
+``io._ltable_report``.
 
 Exit status: 0 on success (NotApplicable and Unknown outcomes are
 successful runs), 1 on domain errors, 2 on input/schema errors.  One map,
@@ -92,7 +97,7 @@ import gc
 import os
 import re
 import sys
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 from . import __version__
 from . import io as docio
@@ -123,12 +128,12 @@ from .invariants import (
     is_fully_right_veering,
     verify_essential_uniqueness,
 )
-from .poset import _dimension, contains, correcting_exponent_bound, enumerate_box, known_region
+from .poset import contains, correcting_exponent_bound, enumerate_box, known_region
 
 __all__ = ["main"]
 
 
-def _load_document(path: str) -> docio.Document:
+def _load_document(path: str) -> Union[NTClass, tuple[tuple[str, NTClass], ...]]:
     try:
         if path == "-":
             if sys.stdin is None:  # no stdin at start-up (``<&-``)
@@ -284,29 +289,30 @@ def _failure(exc: Exception) -> tuple[str, str]:
     raise exc
 
 
-def _run_report(args, kind: str, build, render, write, prepare=None) -> int:
-    """Check the operands, load the document, build every entry, then write each one once.
+def _run_report(args, kind: str, command) -> int:
+    """Bind the operands, load the document, build every entry, then write each one once.
 
-    ``prepare(args)``, if given, checks the command's operands before the
-    input is read, so a bad operand fails at once, even on a stdin left open.
-    The first loop builds each class's entry, the library's value, by
-    ``build(args, phi)``.  The second writes each entry once into one chunk
-    list: as lines by ``render(prefix, phi, entry)`` under ``--format text``,
-    or as report text by the io writer ``write(name, phi, entry)``.  The loops
-    are kept apart because writing each entry inside the build loop measured
-    slower.  ``build`` and ``render`` look the library functions up as this
-    module's globals at call time, so code that rebinds
-    ``posfact.cli.classify`` and the like reaches them.  An entry that fails
-    to build, or holds a value too long to print, becomes an error entry; its
-    ``error:`` line goes to stderr, in entry order, before the report.
+    ``command(args)`` runs first, before the input is read, so a bad operand
+    fails at once, even on a stdin left open.  It checks the command's
+    operands and returns ``(build, render, write)`` with them bound.  The
+    first loop builds each class's entry, the library's value, by
+    ``build(phi)``.  The second writes each entry once into one chunk list:
+    as lines by ``render(prefix, phi, entry)`` under ``--format text``, or as
+    report text by the io writer ``write(name, phi, entry)``.  The loops are
+    kept apart because writing each entry inside the build loop measured
+    slower.  ``command`` looks the library functions up as this module's
+    globals each time it runs, so code that rebinds ``posfact.cli.classify``
+    and the like reaches them.  An entry that fails to build, or holds a
+    value too long to print, becomes an error entry; its ``error:`` line goes
+    to stderr, in entry order, before the report.
     """
-    if prepare is not None:
-        prepare(args)
-    items = _load_document(args.path).entries()
+    build, render, write = command(args)
+    doc = _load_document(args.path)
+    items = ((None, doc),) if isinstance(doc, NTClass) else doc
     built = []
     for name, phi in items:
         try:
-            built.append((build(args, phi), None))
+            built.append((build(phi), None))
         except (DomainError, ValueError) as exc:
             built.append((None, _failure(exc)))
     structured = args.format == "structured"
@@ -332,8 +338,8 @@ def _run_report(args, kind: str, build, render, write, prepare=None) -> int:
     return 1 if errors else 0
 
 
-def _validate_entry(args, phi: NTClass) -> tuple:
-    return genus_zero_diagnostics(phi)
+def _validate_command(args) -> tuple:
+    return genus_zero_diagnostics, _validate_text, docio._emit_validate
 
 
 def _validate_text(prefix: str, phi: NTClass, warnings: tuple) -> list[str]:
@@ -345,8 +351,13 @@ def _validate_text(prefix: str, phi: NTClass, warnings: tuple) -> list[str]:
     return lines
 
 
-def _invariants_entry(args, phi: NTClass) -> tuple:
-    return period_data(phi), is_essential(phi), is_fully_right_veering(phi)
+def _invariants_command(args) -> tuple:
+    period, essential, veering = period_data, is_essential, is_fully_right_veering
+    return (
+        lambda phi: (period(phi), essential(phi), veering(phi)),
+        _invariants_text,
+        docio._emit_invariants,
+    )
 
 
 def _invariants_text(prefix: str, phi: NTClass, entry: tuple) -> list[str]:
@@ -365,14 +376,21 @@ def _invariants_text(prefix: str, phi: NTClass, entry: tuple) -> list[str]:
     return lines
 
 
-def _essential_entry(args, phi: NTClass) -> tuple:
-    window = args.check_uniqueness
-    result = essential_part(phi)
-    return result, window, verify_essential_uniqueness(phi, window) if window is not None else None
+def _essential_command(args) -> tuple:
+    """The window, if given, is at least 1; an entry is the essential part and the uniqueness answer."""
+    window = _operand(args.check_uniqueness, "--check-uniqueness")
+    if window is not None and window < 1:
+        raise docio.ParseError(f"--check-uniqueness must be at least 1, got {window}")
+    part, verify = essential_part, verify_essential_uniqueness
+    return (
+        lambda phi: (part(phi), None if window is None else verify(phi, window)),
+        functools.partial(_essential_text, window),
+        functools.partial(docio._emit_essential, window),
+    )
 
 
-def _essential_text(prefix: str, phi: NTClass, entry: tuple) -> list[str]:
-    result, window, verified = entry
+def _essential_text(window: Optional[int], prefix: str, phi: NTClass, entry: tuple) -> list[str]:
+    result, verified = entry
     essential = result.essential
     lines = [
         f"{prefix}boundary exponents {list(result.boundary_exponents)}, "
@@ -388,15 +406,8 @@ def _essential_text(prefix: str, phi: NTClass, entry: tuple) -> list[str]:
     return lines
 
 
-def _uniqueness_window(args) -> None:
-    """Check the ``essential`` operand: a window, if given, is at least 1."""
-    window = _operand(args.check_uniqueness, "--check-uniqueness")
-    if window is not None and window < 1:
-        raise docio.ParseError(f"--check-uniqueness must be at least 1, got {window}")
-
-
-def _classify_entry(args, phi: NTClass):
-    return classify(phi)
+def _classify_command(args) -> tuple:
+    return classify, _classify_text, docio._emit_outcome
 
 
 def _classify_text(prefix: str, phi: NTClass, outcome) -> list[str]:
@@ -407,8 +418,8 @@ def _classify_text(prefix: str, phi: NTClass, outcome) -> list[str]:
     return [f"{prefix}PositivelyFactorizable via Criterion {_witness_text(outcome.route.witness)}"]
 
 
-def _criterion_entry(args, phi: NTClass):
-    return criterion(phi)
+def _criterion_command(args) -> tuple:
+    return criterion, _criterion_text, docio._emit_outcome
 
 
 def _criterion_text(prefix: str, phi: NTClass, outcome) -> list[str]:
@@ -419,53 +430,50 @@ def _criterion_text(prefix: str, phi: NTClass, outcome) -> list[str]:
     return [f"{prefix}NotApplicable: {outcome.reason.message}"]
 
 
-def _poset_mode(args) -> None:
-    """Read and check the poset mode's operand."""
+def _poset_command(args) -> tuple:
+    """The triple of the one mode given, its operand read and bound; a box is ``[lo, hi]^r``,
+    r the class's boundary count."""
+    region = known_region
     if args.query is not None:
-        args.mode = "query"
-        args.point = _parse_point(args.query)
-    elif args.box is not None:
-        args.mode = "box"
-        args.lo, args.hi = _parse_box(args.box)
-    else:
-        args.mode = "generators"
+        point = _parse_point(args.query)
+        member = contains
+        return (
+            lambda phi: member(region(phi), point),
+            functools.partial(_query_text, point),
+            functools.partial(docio._emit_poset_query, point),
+        )
+    if args.box is not None:
+        lo, hi = _parse_box(args.box)
+        members = enumerate_box
+
+        def build(phi: NTClass):
+            r = phi.surface.boundary_count
+            return members(phi, (lo,) * r, (hi,) * r)
+
+        return (
+            build,
+            functools.partial(_box_text, lo, hi),
+            functools.partial(docio._emit_poset_box, lo, hi),
+        )
+    return (lambda phi: region(phi).corner), _generators_text, docio._emit_poset_generators
 
 
-def _poset_entry(args, phi: NTClass) -> dict:
-    r = _dimension(phi)
-    entry = {"mode": args.mode, "dimension": r}
-    if args.mode == "generators":
-        corner = known_region(phi).corner
-        entry["generators"] = [] if corner is None else [list(corner)]
-    elif args.mode == "query":
-        entry["point"] = list(args.point)
-        entry["member"] = contains(known_region(phi), args.point)
-    else:  # enumerate_box computes the known region itself
-        entry["lo"] = args.lo
-        entry["hi"] = args.hi
-        entry["points"] = enumerate_box(phi, (args.lo,) * r, (args.hi,) * r)
-    return entry
+def _generators_text(prefix: str, phi: NTClass, corner) -> list[str]:
+    return [f"{prefix}generators: {'(empty region)' if corner is None else corner}"]
 
 
-def _poset_text(prefix: str, phi: NTClass, entry: dict) -> list[str]:
-    if entry["mode"] == "generators":
-        generators = entry["generators"]
-        rendered = ", ".join(str(tuple(g)) for g in generators) if generators else "(empty region)"
-        return [f"{prefix}generators: {rendered}"]
-    if entry["mode"] == "query":
-        verdict = "a member" if entry["member"] else "not a member"
-        return [f"{prefix}{tuple(entry['point'])} is {verdict}"]
-    points = entry["points"]
-    lines = [
-        f"{prefix}{len(points)} member point(s) in [{entry['lo']}, {entry['hi']}]"
-        f"^{phi.surface.boundary_count}"
-    ]
+def _query_text(point: tuple, prefix: str, phi: NTClass, member: bool) -> list[str]:
+    return [f"{prefix}{point} is {'a member' if member else 'not a member'}"]
+
+
+def _box_text(lo: int, hi: int, prefix: str, phi: NTClass, points) -> list[str]:
+    lines = [f"{prefix}{len(points)} member point(s) in [{lo}, {hi}]^{phi.surface.boundary_count}"]
     lines += [f"{prefix}  {p}" for p in points]
     return lines
 
 
-def _correcting_bound_entry(args, phi: NTClass) -> Optional[int]:
-    return correcting_exponent_bound(phi)
+def _correcting_bound_command(args) -> tuple:
+    return correcting_exponent_bound, _correcting_bound_text, docio._emit_bound
 
 
 def _correcting_bound_text(prefix: str, phi: NTClass, bound: Optional[int]) -> list[str]:
@@ -476,18 +484,17 @@ def _cmd_compose(args) -> int:
     moves = [_parse_twist_flag(text) for text in args.twist or []]
     doc = _load_document(args.path)
     failed = False
-    if isinstance(doc.payload, NTClass):
-        result = compose_twists(doc.payload, moves)
-        lines = ["fr: " + ", ".join(docio.format_rational(x) for x in result.fr)]
+    if isinstance(doc, NTClass):
+        out_doc = compose_twists(doc, moves)
+        lines = ["fr: " + ", ".join(docio.format_rational(x) for x in out_doc.fr)]
         lines += [
             f"orbit {orbit.id}: screw {docio.format_rational(orbit.screw)}"
-            for orbit in result.orbits
+            for orbit in out_doc.orbits
         ]
-        out_doc = docio.Document(result)
     else:
         composed_entries = []
         lines = []
-        for name, phi in doc.payload:
+        for name, phi in doc:
             try:
                 result = compose_twists(phi, moves)
             except DomainError as exc:
@@ -496,7 +503,7 @@ def _cmd_compose(args) -> int:
                 continue
             composed_entries.append((name, result))
             lines.append(f"{name}: fr " + ", ".join(docio.format_rational(x) for x in result.fr))
-        out_doc = docio.Document(tuple(composed_entries))
+        out_doc = tuple(composed_entries)
     _write_stdout(docio.serialize(out_doc) if args.format == "structured" else _text_bytes(lines))
     return 1 if failed else 0
 
@@ -532,16 +539,12 @@ def _add_path(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("path", nargs="?", default="-", help='input document, "-" for stdin')
 
 
-def _report_parser(sub, name: str, help_text: str, build, render, write, prepare=None):
-    """A report command's subparser: its entry builder, renderer, writer and operand check."""
+def _report_parser(sub, name: str, help_text: str, command):
+    """A report command's subparser, run by :func:`_run_report` with ``command``."""
     p = sub.add_parser(name, help=help_text)
     _add_path(p)
     _add_format(p)
-    p.set_defaults(
-        handler=functools.partial(
-            _run_report, kind=name, build=build, render=render, write=write, prepare=prepare
-        )
-    )
+    p.set_defaults(handler=functools.partial(_run_report, kind=name, command=command))
     return p
 
 
@@ -586,30 +589,10 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(required=True)
 
-    _report_parser(
-        sub,
-        "validate",
-        "parse and validate a document",
-        _validate_entry,
-        _validate_text,
-        docio._emit_validate,
-    )
-    _report_parser(
-        sub,
-        "invariants",
-        "period data and basic predicates",
-        _invariants_entry,
-        _invariants_text,
-        docio._emit_invariants,
-    )
+    _report_parser(sub, "validate", "parse and validate a document", _validate_command)
+    _report_parser(sub, "invariants", "period data and basic predicates", _invariants_command)
     p = _report_parser(
-        sub,
-        "essential",
-        "essential part and correction exponents",
-        _essential_entry,
-        _essential_text,
-        docio._emit_essential,
-        _uniqueness_window,
+        sub, "essential", "essential part and correction exponents", _essential_command
     )
     p.add_argument(
         "--check-uniqueness",
@@ -621,22 +604,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
             " W >= 1; they always are, since each is the closed form -trunc(v / beta)"
         ),
     )
-    _report_parser(
-        sub,
-        "classify",
-        "certify positive factorizability",
-        _classify_entry,
-        _classify_text,
-        docio._emit_outcome,
-    )
-    _report_parser(
-        sub,
-        "criterion",
-        "run the correction route only",
-        _criterion_entry,
-        _criterion_text,
-        docio._emit_outcome,
-    )
+    _report_parser(sub, "classify", "certify positive factorizability", _classify_command)
+    _report_parser(sub, "criterion", "run the correction route only", _criterion_command)
 
     p = sub.add_parser("compose", help="compose with boundary/orbit twist powers")
     _add_path(p)
@@ -649,15 +618,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     )
     p.set_defaults(handler=_cmd_compose)
 
-    p = _report_parser(
-        sub,
-        "poset",
-        "known region of the correcting poset",
-        _poset_entry,
-        _poset_text,
-        docio._emit_poset,
-        _poset_mode,
-    )
+    p = _report_parser(sub, "poset", "known region of the correcting poset", _poset_command)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument(
         "--generators",
@@ -675,12 +636,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p.set_defaults(handler=_cmd_ltable)
 
     _report_parser(
-        sub,
-        "correcting-bound",
-        "least certified boundary-multitwist power",
-        _correcting_bound_entry,
-        _correcting_bound_text,
-        docio._emit_bound,
+        sub, "correcting-bound", "least certified boundary-multitwist power", _correcting_bound_command
     )
 
     return parser, sub.choices

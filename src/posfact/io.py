@@ -16,11 +16,11 @@ either a single class
     }
 
 or a batch ``{"version": "1", "batch": [{"name": ..., "class": {...}}]}``.
-The version is the constant ``"1"``: :func:`parse` rejects any other, and a
-:class:`Document` holds only its payload, the class or the batch's
-``(name, class)`` pairs in order, which :meth:`Document.entries` returns as
-they are.  Rationals are strings ``"p/q"`` (or ``"p"`` when the denominator
-is 1) or bare JSON integers; JSON floats are rejected because all arithmetic
+The version is the constant ``"1"``: :func:`parse` rejects any other, and
+returns the document's content alone, the :class:`~posfact.core.NTClass` or
+the batch's ``(name, class)`` pairs in order, a tuple; :func:`serialize`
+takes the same.  Rationals are strings ``"p/q"`` (or ``"p"`` when the
+denominator is 1) or bare JSON integers; JSON floats are rejected because all arithmetic
 is exact.  Canonical output uses fixed key order and string rationals in lowest
 terms with positive denominator, so ``parse o serialize`` is the identity
 and ``serialize o parse`` is idempotent on accepted inputs.
@@ -60,7 +60,8 @@ building that dict.  Its oracle is ``json.dumps`` of the same value with
 
 A report's entries are written by one writer per report shape, each called
 as ``write(name, phi, entry)`` with the entry's name, its class and what the
-CLI built for it, the library's own values; there is no entry type.
+CLI built for it, the library's own values; there is no entry type.  A
+command's operands come first, bound by the CLI with ``functools.partial``.
 ``_emit_outcome`` writes the ``classify`` and ``criterion`` entries from the
 outcome itself: it reads the head fields, the witness and the diagnostics
 off the five outcome classes by exact class, and writes them with one
@@ -70,15 +71,17 @@ and one for a diagnostic, ``_diagnostic_text`` (``code``, ``message`` and
 ``data`` as ``dict(diag.data)``, so a repeated key keeps its first place and
 its last value).  ``_emit_invariants`` writes an ``invariants`` entry from
 the class, its period data and its two predicates; ``_emit_essential`` an
-``essential`` entry from the essential part, the window and the uniqueness
+``essential`` entry from the window, the essential part and the uniqueness
 answer; ``_emit_validate`` a ``validate`` entry from the class and its
 genus-zero warnings; ``_emit_bound`` a ``correcting-bound`` entry from the
 bound (None, with the ``no-bound`` diagnostic); and ``_emit_error`` an error
-entry from its code and message.  The ``poset`` entry is a dict of its
-fields, and ``_emit_poset`` writes it in each of its three modes, the box
-through ``_emit_box``.  ``_entries_report`` puts the entries' text in the
-report envelope, and ``_ltable_report`` writes the ``ltable`` report, which
-has no entries.  The oracle of every writer is ``json.dumps`` of the entry's
+entry from its code and message.  A ``poset`` entry has one writer per
+mode, each reading the dimension off the class's boundary count:
+``_emit_poset_generators`` writes the known region's corner or None,
+``_emit_poset_query`` the point and the membership answer, and
+``_emit_poset_box`` the bounds and the member box, through ``_emit_box``.
+``_entries_report`` puts the entries' text in the report envelope, and
+``_ltable_report`` writes the ``ltable`` report, which has no entries.  The oracle of every writer is ``json.dumps`` of the entry's
 dict form, with fields in the report's key order: ``fr`` as rational texts,
 one ``{"id", "kind", "alpha", "beta", "screw"}`` object per orbit under
 ``screws``, ``period`` as ``{"n", "k_boundary", "k_orbit"}``, the exponent
@@ -167,7 +170,6 @@ from .core import (
     _nt_class,
     _REGULAR,
     _surface,
-    _Value,
 )
 from .factorization import (
     Diagnostic,
@@ -184,7 +186,6 @@ from .poset import MemberBox
 
 __all__ = [
     "ParseError",
-    "Document",
     "parse",
     "serialize",
     "parse_rational",
@@ -231,22 +232,6 @@ class ParseError(Exception):
         if self.path is not None:
             return f"{self.path}: {self.message}"
         return self.message
-
-
-class Document(_Value):
-    """A validated input document: one class, or a batch, its ordered ``(name, class)`` pairs."""
-
-    __match_args__ = ("payload",)
-    payload: Union[NTClass, tuple[tuple[str, NTClass], ...]]
-
-    def __init__(self, payload: Union[NTClass, tuple[tuple[str, NTClass], ...]]) -> None:
-        self.__dict__["payload"] = payload
-
-    def entries(self) -> tuple[tuple[Optional[str], NTClass], ...]:
-        """Uniform (name, class) view: a batch's pairs; the single-class name is None."""
-        if isinstance(self.payload, NTClass):
-            return ((None, self.payload),)
-        return self.payload
 
 
 # A JSON path is built lazily, and only rendered as text when a check fails:
@@ -627,8 +612,8 @@ def _load_json(data: Union[bytes, str]) -> Any:
         raise ParseError("arrays and objects are nested too deeply") from None
 
 
-def parse(data: Union[bytes, str]) -> Document:
-    """Parse and fully validate a class document.
+def parse(data: Union[bytes, str]) -> Union[NTClass, tuple[tuple[str, NTClass], ...]]:
+    """Parse and fully validate a class document: its class, or a batch's ``(name, class)`` pairs.
 
     Raises :class:`ParseError` with a line/column (syntax) or JSON path
     (schema, invariant, rational) annotation on any rejection.
@@ -648,14 +633,14 @@ def parse(data: Union[bytes, str]) -> Document:
             except _NOT_READ:
                 pass  # read it again outside the handler, so its ParseError has no context
             entries.append(_item_from_json(item, (batch_path, i), rationals))
-        return Document(tuple(entries))
+        return tuple(entries)
     obj = _require_object(root, _SINGLE.keys(), "$")
     next(_fields(obj, _SINGLE, "$", rationals))  # the version alone; the class is read below
     try:
-        return Document(_read_class(obj, 4, rationals))
+        return _read_class(obj, 4, rationals)
     except _NOT_READ:
         pass  # as for a batch item
-    return Document(_class_fields(obj, "$", rationals))
+    return _class_fields(obj, "$", rationals)
 
 
 def class_to_json(phi: NTClass) -> dict:
@@ -823,18 +808,19 @@ def _emit_invariants(name: Optional[str], phi: NTClass, entry: tuple) -> list[st
     return out
 
 
-def _emit_essential(name: Optional[str], phi: NTClass, entry: tuple) -> list[str]:
-    """The canonical text of an ``essential`` entry, read from ``entry``.
+def _emit_essential(window: Optional[int], name: Optional[str], phi: NTClass, entry: tuple) -> list[str]:
+    """The canonical text of an ``essential`` entry, read from ``window`` and ``entry``.
 
-    ``entry`` is ``(essential_part(phi), window, verified)``: the
-    :class:`~posfact.invariants.EssentialResult`, the uniqueness window or
-    None, and the uniqueness answer, or None without a window.  The entry is
-    the object ``{"name", "status": "ok", "boundary_exponents",
-    "orbit_exponents", "essential_class", "uniqueness_window",
-    "uniqueness_verified"}``; the essential class is written by
-    :func:`_emit_class`, and a window or answer of None as ``null``.
+    ``window`` is the uniqueness window or None, and ``entry`` is
+    ``(essential_part(phi), verified)``: the
+    :class:`~posfact.invariants.EssentialResult` and the uniqueness answer,
+    or None without a window.  The entry is the object ``{"name", "status":
+    "ok", "boundary_exponents", "orbit_exponents", "essential_class",
+    "uniqueness_window", "uniqueness_verified"}``; the essential class is
+    written by :func:`_emit_class`, and a window or answer of None as
+    ``null``.
     """
-    result, window, verified = entry
+    result, verified = entry
     indent, inner = _ENTRY_INDENT, _FIELD_INDENT
     out = [
         f'{_entry_head(name)}"boundary_exponents": {_ints_text(result.boundary_exponents, inner)},'
@@ -959,33 +945,40 @@ def _emit_outcome(name: Optional[str], phi: NTClass, outcome: Any) -> list[str]:
     return out
 
 
-def _emit_poset(name: Optional[str], phi: NTClass, entry: dict) -> list[str]:
-    """The canonical text of a ``poset`` entry, read from ``entry``.
+def _poset_head(name: Optional[str], phi: NTClass, mode: str) -> str:
+    """The text a ``poset`` entry begins with, up to its mode's first key: ``mode``, one of
+    the three words, so quoted without escaping, and the dimension, ``phi``'s boundary count."""
+    inner = _FIELD_INDENT
+    return f'{_entry_head(name)}"mode": "{mode}",{inner}"dimension": {phi.surface.boundary_count},{inner}'
 
-    ``entry`` is the dict of fields the CLI builds: ``mode`` and
-    ``dimension``, then by mode ``generators`` (``[]`` or the one corner
-    row), ``point`` and ``member``, or ``lo``, ``hi`` and ``points``, a
-    :class:`~posfact.poset.MemberBox` written by :func:`_emit_box`.  The
-    entry is the object ``{"name", "status": "ok", **entry}``, each mode's
-    fields written in one string.  The mode is one of the three words, so
-    it is quoted without escaping.
-    """
-    indent, inner = _ENTRY_INDENT, _FIELD_INDENT
-    mode = entry["mode"]
-    head = f'{_entry_head(name)}"mode": "{mode}",{inner}"dimension": {entry["dimension"]},{inner}'
-    if mode == "generators":
-        generators = entry["generators"]
-        row = inner + "  "
-        text = f"[{row}{_ints_text(generators[0], row)}{inner}]" if generators else "[]"
-        return [f'{head}"generators": {text}{indent}}}']
-    if mode == "query":
-        return [
-            f'{head}"point": {_ints_text(entry["point"], inner)},'
-            f'{inner}"member": {"true" if entry["member"] else "false"}{indent}}}'
-        ]
-    out = [f'{head}"lo": {entry["lo"]},{inner}"hi": {entry["hi"]},{inner}"points": ']
-    _emit_box(entry["points"], out, inner)
-    out.append(indent + "}")
+
+def _emit_poset_generators(name: Optional[str], phi: NTClass, corner: Optional[tuple[int, ...]]) -> list[str]:
+    """The canonical text of the ``poset --generators`` entry ``{"name", "status": "ok", "mode",
+    "dimension", "generators"}`` of the known region's corner: ``[]``, or the corner's one row."""
+    inner = _FIELD_INDENT
+    row = inner + "  "
+    text = "[]" if corner is None else f"[{row}{_ints_text(corner, row)}{inner}]"
+    return [f'{_poset_head(name, phi, "generators")}"generators": {text}{_ENTRY_INDENT}}}']
+
+
+def _emit_poset_query(point: tuple[int, ...], name: Optional[str], phi: NTClass, member: bool) -> list[str]:
+    """The canonical text of the ``poset --query`` entry ``{"name", "status": "ok", "mode",
+    "dimension", "point", "member"}`` of ``point`` and whether the known region contains it."""
+    inner = _FIELD_INDENT
+    return [
+        f'{_poset_head(name, phi, "query")}"point": {_ints_text(point, inner)},'
+        f'{inner}"member": {"true" if member else "false"}{_ENTRY_INDENT}}}'
+    ]
+
+
+def _emit_poset_box(lo: int, hi: int, name: Optional[str], phi: NTClass, box: MemberBox) -> list[str]:
+    """The canonical text of the ``poset --box`` entry ``{"name", "status": "ok", "mode",
+    "dimension", "lo", "hi", "points"}`` of the members of ``[lo, hi]^r``, written by
+    :func:`_emit_box`."""
+    inner = _FIELD_INDENT
+    out = [f'{_poset_head(name, phi, "box")}"lo": {lo},{inner}"hi": {hi},{inner}"points": ']
+    _emit_box(box, out, inner)
+    out.append(_ENTRY_INDENT + "}")
     return out
 
 
@@ -1056,16 +1049,17 @@ def _ltable_report(genus: int, boundary: int, power: Optional[int], value: LValu
     ).encode("utf-8")
 
 
-def serialize(doc: Document) -> bytes:
-    """Canonical bytes for a document, of version ``"1"``; ``parse(serialize(doc)) == doc``."""
+def serialize(doc: Union[NTClass, tuple[tuple[str, NTClass], ...]]) -> bytes:
+    """Canonical bytes for a document, a class or a batch's ``(name, class)`` pairs, of
+    version ``"1"``; ``parse(serialize(doc)) == doc``."""
     out: list[str] = []
-    if isinstance(doc.payload, NTClass):
-        _emit_class(doc.payload, out, "\n")
+    if isinstance(doc, NTClass):
+        _emit_class(doc, out, "\n")
         out[0] = '{\n  "version": "1",' + out[0][1:]  # the class's own opening brace goes
     else:
         out.append('{\n  "version": "1",\n  "batch": ')
         start = "["
-        for name, phi in doc.payload:
+        for name, phi in doc:
             out.append(f'{start}\n    {{\n      "name": {encode_basestring(name)},\n      "class": ')
             _emit_class(phi, out, "\n      ")
             out.append("\n    }")

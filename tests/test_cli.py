@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import ast
 import contextlib
 import errno
 import gc
@@ -206,9 +207,9 @@ class TestCompose:
 
     def test_structured_output_is_document(self, single_path, capsys):
         assert main(["compose", single_path, "--twist", "B1:-1", "--twist", "OO1:2", "--format", "structured"]) == 0
-        doc = docio.parse(capsys.readouterr().out)
-        assert str(doc.payload.fr[0]) == "2/3"
-        assert doc.payload.orbits[0].screw == 2 + docio.parse_rational("1/2")
+        phi = docio.parse(capsys.readouterr().out)
+        assert str(phi.fr[0]) == "2/3"
+        assert phi.orbits[0].screw == 2 + docio.parse_rational("1/2")
 
     def test_unknown_target_domain_error(self, single_path, capsys):
         assert main(["compose", single_path, "--twist", "OZ:1"]) == 1
@@ -231,7 +232,7 @@ class TestCompose:
         captured = capsys.readouterr()
         assert "no-orbit" in captured.err
         doc = docio.parse(captured.out)
-        assert [name for name, _ in doc.payload] == ["has-orbit"]
+        assert [name for name, _ in doc] == ["has-orbit"]
 
     def test_malformed_twist_flag(self, single_path, capsys):
         assert main(["compose", single_path, "--twist", "B1"]) == 2
@@ -1281,6 +1282,79 @@ class TestDispatch:
         (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
         assert commands is action.choices
         assert list(commands) == COMMANDS
+
+
+# Each library function a report command calls, by its name in ``cli``, and
+# the command (after the path) that calls it on SINGLE.
+LIBRARY_CALLS = [
+    ("classify", ["classify"]),
+    ("criterion", ["criterion"]),
+    ("essential_part", ["essential"]),
+    ("verify_essential_uniqueness", ["essential", "--check-uniqueness=2"]),
+    ("period_data", ["invariants"]),
+    ("known_region", ["poset", "--generators"]),
+    ("contains", ["poset", "--query=0,0"]),
+    ("enumerate_box", ["poset", "--box=0..1"]),
+    ("correcting_exponent_bound", ["correcting-bound"]),
+    ("genus_zero_diagnostics", ["validate"]),
+]
+
+# The report commands, one per poset mode, with operands.
+REPORT_ARGVS = [
+    ["validate"],
+    ["invariants"],
+    ["essential"],
+    ["essential", "--check-uniqueness=3"],
+    ["classify"],
+    ["criterion"],
+    ["poset", "--generators"],
+    ["poset", "--query=1,-1"],
+    ["poset", "--box=-2..2"],
+    ["correcting-bound"],
+]
+
+
+class TestReportCommands:
+    """A report command is one function of its parsed operands, ``command(args)``, which
+    returns ``(build, render, write)`` and looks the library up when it runs."""
+
+    @pytest.mark.parametrize("name, command", LIBRARY_CALLS, ids=[name for name, _ in LIBRARY_CALLS])
+    def test_rebound_library_name_reaches_the_run(self, name, command, single_path, monkeypatch):
+        cli._build_parser()  # built and cached before the name is rebound
+        original = getattr(cli, name)
+        calls = []
+
+        def stand_in(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(cli, name, stand_in)
+        with contextlib.redirect_stdout(stdio.TextIOWrapper(stdio.BytesIO())):
+            assert main([command[0], single_path, *command[1:]]) == 0
+        assert calls
+
+    @pytest.mark.parametrize("argv", REPORT_ARGVS, ids=" ".join)
+    def test_command_leaves_its_arguments_unchanged(self, argv):
+        args = cli._parse_args(argv)
+        parsed = dict(vars(args))
+        build, render, write = args.handler.keywords["command"](args)
+        assert vars(args) == parsed
+        assert all(map(callable, (build, render, write)))
+
+    def test_cli_imports_no_private_library_name(self):
+        """``cli`` takes only public names from the library modules; it reaches ``io``'s
+        private writers through the module, imported whole."""
+        with open(cli.__file__, encoding="utf-8") as handle:
+            tree = ast.parse(handle.read())
+        imported = [
+            ((node.module or "").removeprefix("posfact."), alias.name)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+        ]
+        library = {"core", "factorization", "invariants", "poset"}
+        assert library <= {module for module, _ in imported}
+        assert [(m, n) for m, n in imported if m in library and n.startswith("_")] == []
 
 
 ROOT_USAGE = (

@@ -7,10 +7,8 @@ import json
 import math
 import random
 import sys
-from argparse import Namespace
 from fractions import Fraction
 from itertools import product
-from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -21,6 +19,7 @@ from conftest import rand_applicable_ntclass, rand_ntclass, rand_poset_ntclass
 from posfact import (
     CurveOrbit,
     Diagnostic,
+    DomainError,
     Inconclusive,
     LTag,
     LValue,
@@ -98,20 +97,23 @@ def nt_classes(draw) -> NTClass:
 
 
 @st.composite
-def documents(draw) -> docio.Document:
+def documents(draw):
+    """A document as ``parse`` returns it: a class, or a batch's (name, class) pairs."""
     if draw(st.booleans()):
-        return docio.Document(draw(nt_classes()))
-    entries = tuple(
+        return draw(nt_classes())
+    return tuple(
         (draw(names), draw(nt_classes())) for _ in range(draw(st.integers(min_value=0, max_value=3)))
     )
-    return docio.Document(entries)
+
+
+def entries_of(doc) -> tuple:
+    """The (name, class) pairs of a parsed document; a single class's name is None."""
+    return ((None, doc),) if isinstance(doc, NTClass) else doc
 
 
 class TestParse:
     def test_schema_example(self):
-        doc = docio.parse(SINGLE_EXAMPLE)
-        assert doc.payload == expected_example_class()
-        assert doc.entries() == ((None, doc.payload),)
+        assert docio.parse(SINGLE_EXAMPLE) == expected_example_class()
 
     def test_zero_denominator(self):
         bad = SINGLE_EXAMPLE.replace('"5/3"', '"1/0"')
@@ -133,7 +135,7 @@ class TestParse:
 
     def test_bare_integers_accepted(self):
         doc = docio.parse('{"version":"1","surface":{"genus":1,"boundary":1},"fr":[3],"orbits":[]}')
-        assert doc.payload.fr == (Fraction(3),)
+        assert doc.fr == (Fraction(3),)
 
     def test_float_rejected(self):
         with pytest.raises(docio.ParseError, match="floating point"):
@@ -188,9 +190,7 @@ class TestParse:
                 {"name": "a", "class": json.loads(SINGLE_EXAMPLE.replace('"version": "1",', ""))},
             ],
         }
-        doc = docio.parse(json.dumps(batch))
-        assert doc.payload == (("a", expected_example_class()),)
-        assert doc.entries() is doc.payload
+        assert docio.parse(json.dumps(batch)) == (("a", expected_example_class()),)
 
     def test_batch_name_required_nonempty(self):
         batch = {"version": "1", "batch": [{"name": "", "class": {"surface": {"genus": 0, "boundary": 0}, "fr": [], "orbits": []}}]}
@@ -319,6 +319,11 @@ class UnknownSub(Unknown):
 _SUB_PHI = NTClass(Surface(2, 1), (Fraction(3),))
 
 
+def class_of_dimension(r: int) -> NTClass:
+    """A class with ``r`` boundary components, the dimension a ``poset`` entry names."""
+    return NTClass(Surface(2, r), (Fraction(1),) * r)
+
+
 # Values of a class: small, integer, negative, and of ~4,000 digits.
 EMIT_CLASS_VALUES = st.one_of(
     st.fractions(min_value=-50, max_value=50, max_denominator=12),
@@ -333,9 +338,9 @@ EMIT_CLASS_VALUES = st.one_of(
 
 
 @st.composite
-def emit_edge_classes(draw) -> NTClass:
+def emit_edge_classes(draw, boundaries=st.integers(0, 3)) -> NTClass:
     """A class with boundary 0 or no orbits as often as not, and ids that need escaping."""
-    boundary = draw(st.integers(0, 3))
+    boundary = draw(boundaries)
     ids = draw(st.lists(EMIT_TEXT.filter(bool), max_size=3, unique=True))
     orbits = tuple(
         CurveOrbit(
@@ -412,12 +417,12 @@ class TestCanonicalEmitter:
             return (json.dumps(obj, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
 
         plains = [docio.class_to_json(c) for c in classes]
-        assert docio.serialize(docio.Document(classes[0])) == dumps({"version": "1", **plains[0]})
-        batch = docio.Document(tuple((name, c) for c in classes))
+        assert docio.serialize(classes[0]) == dumps({"version": "1", **plains[0]})
+        batch = tuple((name, c) for c in classes)
         assert docio.serialize(batch) == dumps(
             {"version": "1", "batch": [{"name": name, "class": c} for c in plains]}
         )
-        assert docio.serialize(docio.Document(())) == dumps({"version": "1", "batch": []})
+        assert docio.serialize(()) == dumps({"version": "1", "batch": []})
 
     @needs_digit_limit
     @pytest.mark.parametrize("place", ["fr", "screw", "genus", "length"])
@@ -428,9 +433,9 @@ class TestCanonicalEmitter:
         orbit = CurveOrbit("O1", values["length"], OrbitKind.AMPHIDROME, False, values["screw"])
         phi = NTClass(Surface(values["genus"], 1), (values["fr"],), (orbit,))
         for doc, plain in (
-            (docio.Document(phi), lambda: {"version": "1", **docio.class_to_json(phi)}),
+            (phi, lambda: {"version": "1", **docio.class_to_json(phi)}),
             (
-                docio.Document((("a", phi),)),
+                (("a", phi),),
                 lambda: {"version": "1", "batch": [{"name": "a", "class": docio.class_to_json(phi)}]},
             ),
         ):
@@ -452,7 +457,7 @@ class TestCanonicalEmitter:
             assert "".join(out) == json.dumps(points, indent=2)
         else:
             entry = {"mode": "box", "dimension": len(ranges), "lo": -1, "hi": 1}
-            chunks = docio._emit_poset("a", None, {**entry, "points": box})
+            chunks = docio._emit_poset_box(-1, 1, "a", class_of_dimension(len(ranges)), box)
             plain = {
                 "version": "1",
                 "report": "poset",
@@ -550,9 +555,18 @@ def entry_items(values):
 ENTRY_ITEMS = entry_items(EMIT_CLASSES)
 
 
-def built_by(build, args=None):
-    """The (class, entry) pair the CLI's entry builder ``build`` gives for a class."""
-    return lambda phi: (phi, build(args, phi))
+def command_of(*argv: str) -> tuple:
+    """The ``(build, render, write)`` a report command returns for ``argv``, parsed as the CLI
+    parses it; the library functions are looked up when it is called."""
+    args = cli._parse_args(list(argv))
+    return args.handler.keywords["command"](args)
+
+
+def built_by(*argv: str) -> tuple:
+    """``(entry_of, write)`` of a report command: the (class, entry) pair its builder gives for a
+    class, and its writer."""
+    build, _, write = command_of(*argv)
+    return (lambda phi: (phi, build(phi))), write
 
 
 class TestEntryWriters:
@@ -600,22 +614,16 @@ class TestEntryWriters:
     @settings(max_examples=150, deadline=None)
     @given(ENTRY_ITEMS)
     def test_invariants_matches_json_dumps(self, items):
-        self._check(
-            "invariants",
-            items,
-            built_by(cli._invariants_entry),
-            docio._emit_invariants,
-            invariants_entry_dict,
-        )
+        self._check("invariants", items, *built_by("invariants"), invariants_entry_dict)
 
     @settings(max_examples=150, deadline=None)
     @given(ENTRY_ITEMS, st.sampled_from([None, 1, 3]))
     def test_essential_matches_json_dumps(self, items, window):
+        operands = [] if window is None else [f"--check-uniqueness={window}"]
         self._check(
             "essential",
             items,
-            built_by(cli._essential_entry, SimpleNamespace(check_uniqueness=window)),
-            docio._emit_essential,
+            *built_by("essential", *operands),
             lambda name, phi: essential_entry_dict(name, phi, window),
         )
 
@@ -735,34 +743,30 @@ CRITERION_RESULTS = st.one_of(
 # writer of its entries, and the entry's dict form.
 CLASS_ENTRIES = {
     "classify": (
-        built_by(cli._classify_entry),
-        docio._emit_outcome,
+        *built_by("classify"),
         lambda name, phi: classify_entry_dict(name, classify(phi)),
     ),
     "criterion": (
-        built_by(cli._criterion_entry),
-        docio._emit_outcome,
+        *built_by("criterion"),
         lambda name, phi: criterion_entry_dict(name, criterion(phi)),
     ),
-    "validate": (built_by(cli._validate_entry), docio._emit_validate, validate_entry_dict),
-    "correcting-bound": (
-        built_by(cli._correcting_bound_entry),
-        docio._emit_bound,
-        correcting_bound_entry_dict,
-    ),
+    "validate": (*built_by("validate"), validate_entry_dict),
+    "correcting-bound": (*built_by("correcting-bound"), correcting_bound_entry_dict),
 }
 
 
 def classify_entry_of(report):
     """The CLI's (class, ``classify`` entry) pair when the library returns ``report``."""
     with mock.patch.object(cli, "classify", lambda phi: report):
-        return _SUB_PHI, cli._classify_entry(None, _SUB_PHI)
+        build, _, _ = command_of("classify")
+    return _SUB_PHI, build(_SUB_PHI)
 
 
 def criterion_entry_of(result):
     """The CLI's (class, ``criterion`` entry) pair when the library returns ``result``."""
     with mock.patch.object(cli, "criterion", lambda phi: result):
-        return _SUB_PHI, cli._criterion_entry(None, _SUB_PHI)
+        build, _, _ = command_of("criterion")
+    return _SUB_PHI, build(_SUB_PHI)
 
 
 def validate_entry_of(warnings):
@@ -839,7 +843,7 @@ class TestOutcomeWriters:
 
     def test_all_positive_class_has_no_corrections(self):
         phi = OUTCOME_CLASSES["main-theorem"][2]
-        outcome = cli._criterion_entry(None, phi)
+        outcome = command_of("criterion")[0](phi)
         assert outcome.witness.corrections == ()
         assert '"corrections": [],' in "".join(docio._emit_outcome(None, phi, outcome))
 
@@ -870,8 +874,8 @@ class TestOutcomeWriters:
         no_bound = NTClass(Surface(2, 0), (), ())
         orbit = CurveOrbit("O1", 2, OrbitKind.REGULAR, False, Fraction(1))
         genus_zero = NTClass(Surface(0, 1), (Fraction(1),), (orbit,))
-        assert cli._correcting_bound_entry(None, no_bound) is None
-        assert len(cli._validate_entry(None, genus_zero)) == 2
+        assert command_of("correcting-bound")[0](no_bound) is None
+        assert len(command_of("validate")[0](genus_zero)) == 2
         for kind in ("correcting-bound", "validate"):
             self._check(kind, [(None, no_bound), ("g0", genus_zero)], *CLASS_ENTRIES[kind])
 
@@ -901,53 +905,60 @@ class TestOutcomeWriters:
             self._check(kind, [("a", outcome)], entry_of, docio._emit_outcome, plain)
 
 
-def poset_entry_dict(name, value) -> dict:
-    """The dict form of the ``poset`` entry of a (class, operands) value, restated here as
-    the oracle for ``io``'s writer.
+def poset_flag(mode: str, operand) -> str:
+    """The ``poset`` flag of a mode with its operand: none, a point, or a ``(lo, hi)`` pair."""
+    if mode == "generators":
+        return "--generators"
+    if mode == "query":
+        return "--query=" + ",".join(map(str, operand))
+    return f"--box={operand[0]}..{operand[1]}"
+
+
+def poset_entry_dict(name, phi: NTClass, mode: str, operand) -> dict:
+    """The dict form of the ``poset`` entry of a class in one mode, restated here as the oracle
+    for ``io``'s writers.
 
     A box's members are the points of the box that the region contains,
     listed as point lists.
     """
-    phi, args = value
     region = known_region(phi)
     r = phi.surface.boundary_count
-    entry = {"name": name, "status": "ok", "mode": args.mode, "dimension": r}
-    if args.mode == "generators":
+    entry = {"name": name, "status": "ok", "mode": mode, "dimension": r}
+    if mode == "generators":
         entry["generators"] = [] if region.corner is None else [list(region.corner)]
-    elif args.mode == "query":
-        entry["point"] = list(args.point)
-        entry["member"] = contains(region, args.point)
+    elif mode == "query":
+        entry["point"] = list(operand)
+        entry["member"] = contains(region, operand)
     else:
-        box = product(range(args.lo, args.hi + 1), repeat=r)
-        entry.update(lo=args.lo, hi=args.hi, points=[list(p) for p in box if contains(region, p)])
+        lo, hi = operand
+        box = product(range(lo, hi + 1), repeat=r)
+        entry.update(lo=lo, hi=hi, points=[list(p) for p in box if contains(region, p)])
     return entry
 
 
-def poset_entry_of(value):
-    """The CLI's (class, ``poset`` entry) pair for a (class, operands) value."""
-    phi, args = value
-    return phi, cli._poset_entry(args, phi)
-
-
-def poset_args(mode: str, r: int):
-    """The operands of a ``poset`` mode, as ``_poset_mode`` leaves them, for dimension ``r``."""
-    if mode == "generators":
-        return st.just(Namespace(mode=mode))
-    if mode == "query":
-        return st.lists(st.integers(-4, 4), min_size=r, max_size=r).map(
-            lambda point: Namespace(mode=mode, point=tuple(point))
-        )
+def classes_of_dimension(r: int):
+    """Classes with ``r`` boundary components, from the conftest generator and edge classes."""
     return st.builds(
-        lambda lo, width: Namespace(mode=mode, lo=lo, hi=lo + width), st.integers(-5, 3), st.integers(0, 4)
-    )
+        lambda seed: rand_ntclass(random.Random(seed), min_boundary=r, max_boundary=r),
+        st.integers(0, 2**32),
+    ) | emit_edge_classes(st.just(r))
 
 
-def poset_values(mode: str):
-    """(class, operands) values of one ``poset`` mode, for classes with boundary components."""
-    classes = EMIT_CLASSES.filter(lambda phi: phi.surface.boundary_count >= 1)
-    return classes.flatmap(
-        lambda phi: poset_args(mode, phi.surface.boundary_count).map(lambda args: (phi, args))
-    )
+def poset_reports(mode: str):
+    """(operand, items) of one ``poset`` report: one operand for all its classes, as one run of
+    the command has; a query's classes have its point's dimension."""
+    if mode == "query":
+        return st.integers(1, 3).flatmap(
+            lambda r: st.tuples(
+                st.lists(st.integers(-4, 4), min_size=r, max_size=r).map(tuple),
+                entry_items(classes_of_dimension(r)),
+            )
+        )
+    classes = entry_items(EMIT_CLASSES.filter(lambda phi: phi.surface.boundary_count >= 1))
+    if mode == "generators":
+        return st.tuples(st.none(), classes)
+    bounds = st.builds(lambda lo, width: (lo, lo + width), st.integers(-5, 3), st.integers(0, 4))
+    return st.tuples(bounds, classes)
 
 
 POSET_MODES = ("generators", "query", "box")
@@ -959,52 +970,54 @@ EMPTY_REGION = OUTCOME_CLASSES["not-applicable"][2]
 
 
 class TestPosetWriter:
-    """The ``poset`` entries in each mode, as the CLI builds them, against ``json.dumps`` of
-    their dict forms, with error entries among them."""
+    """The ``poset`` entries in each mode, as the command builds them and its mode's writer
+    writes them, against ``json.dumps`` of their dict forms, with error entries among them."""
 
-    _check = staticmethod(TestEntryWriters._check)
+    @staticmethod
+    def _check(mode: str, operand, items) -> None:
+        build, _, write = command_of("poset", poset_flag(mode, operand))
+        TestEntryWriters._check(
+            "poset",
+            items,
+            lambda phi: (phi, build(phi)),
+            write,
+            lambda name, phi: poset_entry_dict(name, phi, mode, operand),
+        )
 
     @pytest.mark.parametrize("mode", POSET_MODES)
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
     def test_matches_json_dumps(self, mode, data):
-        items = data.draw(entry_items(poset_values(mode)))
-        self._check("poset", items, poset_entry_of, docio._emit_poset, poset_entry_dict)
+        self._check(mode, *data.draw(poset_reports(mode)))
 
     @pytest.mark.parametrize(
         "mode, cases",
         [
-            ("generators", [(FULL_REGION, {}), (EMPTY_REGION, {})]),
-            ("query", [(FULL_REGION, {"point": (0,)}), (FULL_REGION, {"point": (-5,)})]),
-            (
-                "box",
-                [(FULL_REGION, {"lo": -3, "hi": 1}), (EMPTY_REGION, {"lo": -1, "hi": 1}),
-                 (FULL_REGION, {"lo": -9, "hi": -3})],
-            ),
+            ("generators", [(FULL_REGION, None), (EMPTY_REGION, None)]),
+            ("query", [(FULL_REGION, (0,)), (FULL_REGION, (-5,))]),
+            ("box", [(FULL_REGION, (-3, 1)), (EMPTY_REGION, (-1, 1)), (FULL_REGION, (-9, -3))]),
         ],
         ids=POSET_MODES,
     )
     def test_each_mode(self, mode, cases):
         """Each mode's two kinds of answer (a region or none, a member or not, members or none)."""
-        values = [(phi, Namespace(mode=mode, **operands)) for phi, operands in cases]
         field = {"generators": "generators", "query": "member", "box": "points"}[mode]
-        answers = [poset_entry_dict(None, value)[field] for value in values]
+        answers = [poset_entry_dict(None, phi, mode, operand)[field] for phi, operand in cases]
         assert any(answers) and not all(answers)
-        items = [("a", values[0]), ("b", "failed")]
-        items += [(f"c{i}", value) for i, value in enumerate(values[1:])] + [("d", "failed")]
-        for value in values:
-            self._check("poset", [(None, value)], poset_entry_of, docio._emit_poset, poset_entry_dict)
-        self._check("poset", items, poset_entry_of, docio._emit_poset, poset_entry_dict)
+        for phi, operand in cases:
+            self._check(mode, operand, [(None, phi)])
+            self._check(mode, operand, [("a", phi), ("b", "failed"), ("c", phi), ("d", "failed")])
 
     @pytest.mark.parametrize("dimension", [1, 2, 3, 4])
     def test_box_with_a_last_coordinate_of_thirteen(self, dimension):
         """Rows that share a prefix, 13 to a prefix, in an entry and in a report of its own."""
         ranges = tuple(range(-1 - i, 1) for i in range(dimension - 1)) + (range(-6, 7),)
         points = [list(p) for p in product(*ranges)]
+        phi = class_of_dimension(dimension)
         entry = {"mode": "box", "dimension": dimension, "lo": -6, "hi": 6}
-        chunks = docio._emit_poset("a", None, {**entry, "points": MemberBox(ranges)})
+        chunks = docio._emit_poset_box(-6, 6, "a", phi, MemberBox(ranges))
         chunks += docio._emit_error("b", "c", "m")
-        chunks += docio._emit_poset(None, None, {**entry, "points": MemberBox(ranges)})
+        chunks += docio._emit_poset_box(-6, 6, None, phi, MemberBox(ranges))
         plain = {
             "version": "1",
             "report": "poset",
@@ -1029,13 +1042,16 @@ class TestPosetWriter:
         ("essential", docio._emit_essential),
         ("classify", docio._emit_outcome),
         ("criterion", docio._emit_outcome),
-        ("poset", docio._emit_poset),
+        ("poset --generators", docio._emit_poset_generators),
+        ("poset --query=0,1", docio._emit_poset_query),
+        ("poset --box=0..1", docio._emit_poset_box),
         ("correcting-bound", docio._emit_bound),
     ],
 )
 def test_each_report_command_names_its_writer(command, writer):
-    handler = cli._build_parser()[1][command].get_default("handler")
-    assert handler.keywords["write"] is writer
+    """The writer a command returns, itself or with the command's operands bound."""
+    _, _, write = command_of(*command.split())
+    assert getattr(write, "func", write) is writer
 
 
 # Documents with one or more faults, and the ParseError each gives.  The texts
@@ -1321,7 +1337,7 @@ class TestRationalTable:
             (("batch", 1, "class", "orbits", 0, "screw"), "2/4"),
             (("batch", 1, "class", "orbits", 1, "screw"), "-0"),
         ])
-        (_, first), (_, second) = docio.parse(json.dumps(doc)).payload
+        (_, first), (_, second) = docio.parse(json.dumps(doc))
         assert first.fr == (Fraction(1, 2), Fraction(1, 2))
         assert second.fr == (Fraction(1, 2), Fraction(1))
         assert [orbit.screw for orbit in second.orbits] == [Fraction(1, 2), Fraction(0)]
@@ -1338,22 +1354,22 @@ class TestRejectionTable:
 
     def test_unedited_documents_parse(self):
         for base in ("single", "batch"):
-            assert isinstance(docio.parse(json.dumps(edited_document(base, []))), docio.Document)
+            assert isinstance(docio.parse(json.dumps(edited_document(base, []))), (NTClass, tuple))
 
     def test_non_ascii_orbit_id_parses(self):
         doc = edited_document("batch", [(("batch", 1, "class", "orbits", 1, "id"), "Ö名\U0001f600")])
-        _, nt_class = docio.parse(json.dumps(doc)).payload[1]
+        _, nt_class = docio.parse(json.dumps(doc))[1]
         assert [orbit.id for orbit in nt_class.orbits] == ["O1", "Ö名\U0001f600"]
 
 
 def explained(text: str):
-    """``parse(text)`` by the explaining path alone: its Document, or its ParseError text."""
+    """``parse(text)`` by the explaining path alone: its document, or its ParseError text."""
     with mock.patch.object(docio, "_read_class", side_effect=ValueError):
         return parse_outcome(text)
 
 
 def parse_outcome(text: str):
-    """``parse(text)``'s Document with its repr, which tells a bool from an int, or its ParseError text."""
+    """``parse(text)``'s document with its repr, which tells a bool from an int, or its ParseError text."""
     try:
         doc = docio.parse(text)
     except docio.ParseError as exc:
@@ -1483,7 +1499,7 @@ class TestDirectReads:
             container[key] = text
         item = {"name": "e0", "class": phi}
         assert frame_reads(item)
-        ((_, parsed),) = docio.parse(json.dumps({"version": "1", "batch": [item]})).payload
+        ((_, parsed),) = docio.parse(json.dumps({"version": "1", "batch": [item]}))
         values = [*parsed.fr, *(orbit.screw for orbit in parsed.orbits)]
         expected = [Fraction(text) for text in [*phi["fr"], *(orbit["screw"] for orbit in phi["orbits"])]]
         for x, reference in zip(values, expected, strict=True):
@@ -1525,7 +1541,7 @@ class TestDirectReads:
         doc = edited_document("batch", edits)
         assert all(map(frame_reads, doc["batch"]))
         text = json.dumps(doc)
-        assert isinstance(docio.parse(text), docio.Document)
+        assert isinstance(docio.parse(text), tuple)
         assert parse_outcome(text) == explained(text)
 
     @pytest.mark.parametrize(
@@ -1552,7 +1568,7 @@ class TestDirectReads:
             (("fr",), [5, "4/6"]), (("orbits", 0, "screw"), -3), (("orbits", 1, "id"), "Ö名"),
         ])
         text = json.dumps(doc)
-        assert docio._read_class(doc, 4, {}) == docio.parse(text).payload
+        assert docio._read_class(doc, 4, {}) == docio.parse(text)
         assert parse_outcome(text) == explained(text)
 
     def test_values_of_bare_integers_and_unreduced_texts(self):
@@ -1561,7 +1577,7 @@ class TestDirectReads:
             (("batch", 0, "class", "orbits", 0, "screw"), "-0"),
             (("batch", 1, "class", "orbits", 1, "screw"), -3),
         ])
-        (_, first), (_, second) = docio.parse(json.dumps(doc)).payload
+        (_, first), (_, second) = docio.parse(json.dumps(doc))
         assert first.fr == (Fraction(5), Fraction(2, 3))
         assert type(first.fr[0]) is Fraction and type(second.orbits[1].screw) is Fraction
         assert first.orbits[0].screw == 0 and second.orbits[1].screw == -3
@@ -1585,7 +1601,7 @@ class TestDirectReads:
             (("batch", 1, "class", "fr"), [7, "4/6"]),
         ])
         text = json.dumps(doc)
-        (_, first), (_, second) = docio.parse(text).payload
+        (_, first), (_, second) = docio.parse(text)
         assert first.fr == (Fraction(2, 3), Fraction(1, 3))
         assert second.fr == (Fraction(7), Fraction(2, 3))
         assert first.fr[0] is second.fr[1] is second.orbits[0].screw
@@ -2031,32 +2047,38 @@ SHAPE_COMMANDS = [
 
 
 @pytest.fixture(scope="module")
-def sample_document(tmp_path_factory) -> str:
+def sample_classes() -> tuple:
     rng = random.Random(3001)
     draws = (rand_ntclass, rand_applicable_ntclass, rand_poset_ntclass)
     classes = [*(draw(rng) for draw in draws for _ in range(12)), *edge_classes(), *witness_edge_classes()]
-    batch = tuple((f"c{i}", phi) for i, phi in enumerate(classes))
-    path = tmp_path_factory.mktemp("shapes") / "doc.json"
-    path.write_bytes(docio.serialize(docio.Document(batch)))
-    return str(path)
+    return tuple((f"c{i}", phi) for i, phi in enumerate(classes))
 
 
 class TestShapesMatchWriters:
     """Each writer writes the fields that ``parse_report`` reads, in the order of their shape."""
 
     @pytest.mark.parametrize("command", SHAPE_COMMANDS, ids="-".join)
-    def test_ok_entries(self, command, sample_document, capsys):
+    def test_ok_entries(self, command, sample_classes):
+        """The entries a command's writer writes for every class its builder accepts; a
+        ``poset`` entry's mode is its command's flag."""
         kind = command[0]
-        assert main([kind, sample_document, *command[1:], "--format", "structured"]) in (0, 1)
-        report = json.loads(capsys.readouterr().out)
+        build, _, write = command_of(*command)
+        chunks = []
+        for name, phi in sample_classes:
+            try:
+                chunks += write(name, phi, build(phi))
+            except (DomainError, ValueError) as exc:
+                cli._failure(exc)  # an error entry in the CLI's report; any other error is raised
+        report = json.loads(docio._entries_report(kind, chunks))
         assert list(report) == list(docio._REPORTS[kind])
-        ok = [entry for entry in report["entries"] if entry["status"] == "ok"]
-        assert ok
-        for entry in ok:
-            fields = [*docio._ENTRY, *docio._PAYLOADS[kind]]
-            if kind == "poset":
-                fields += docio._POSET_MODES[entry["mode"]]
+        assert report["entries"]
+        fields = [*docio._ENTRY, *docio._PAYLOADS[kind]]
+        if kind == "poset":
+            mode = command[1][2:].partition("=")[0]
+            fields += docio._POSET_MODES[mode]
+        for entry in report["entries"]:
             assert list(entry) == fields
+            assert kind != "poset" or entry["mode"] == mode
 
     @pytest.mark.parametrize(
         "genus, boundary, power, tag",
@@ -2090,7 +2112,7 @@ class TestStrictAndTotal:
 
     def test_paired_surrogate_escape_accepted(self):
         text = json.dumps(edited_document("batch", [(("batch", 0, "name"), "\U0001f600")]))
-        assert docio.parse(text).entries()[0][0] == "\U0001f600"
+        assert docio.parse(text)[0][0] == "\U0001f600"
 
     @needs_digit_limit
     def test_bare_integer_beyond_digit_limit(self):
@@ -2204,13 +2226,13 @@ def exit_code(argv) -> int:
 
 
 class TestFuzz:
-    """parse and the CLI end in a Document, a ParseError or exit 0, 1 or 2, never a traceback."""
+    """parse and the CLI end in a document, a ParseError or exit 0, 1 or 2, never a traceback."""
 
     @settings(max_examples=200)
     @given(st.binary(max_size=120))
     def test_parse_bytes(self, data):
         try:
-            assert isinstance(docio.parse(data), docio.Document)
+            assert isinstance(docio.parse(data), (NTClass, tuple))
         except docio.ParseError:
             pass
 
@@ -2218,7 +2240,7 @@ class TestFuzz:
     @given(FUZZ_JSON)
     def test_parse_json(self, value):
         try:
-            assert isinstance(docio.parse(fuzz_text(value)), docio.Document)
+            assert isinstance(docio.parse(fuzz_text(value)), (NTClass, tuple))
         except docio.ParseError:
             pass
 
@@ -2229,7 +2251,7 @@ class TestFuzz:
             doc = docio.parse(data)
         except docio.ParseError:
             return
-        for _, nt_class in doc.entries():
+        for _, nt_class in entries_of(doc):
             surface, orbits = nt_class.surface, nt_class.orbits
             assert type(nt_class.fr) is tuple and type(orbits) is tuple
             assert all(type(x) is Fraction for x in nt_class.fr)
@@ -2249,7 +2271,7 @@ class TestFuzz:
             doc = docio.parse(data)
         except docio.ParseError:
             return
-        for (_, phi), item in zip(doc.payload, json.loads(data)["batch"]):
+        for (_, phi), item in zip(doc, json.loads(data)["batch"]):
             source = item["class"]
             assert phi.fr == tuple(map(Fraction, source["fr"]))
             screws = [orbit.screw for orbit in phi.orbits]

@@ -42,7 +42,6 @@ from posfact import (
     WitnessDecomposition,
 )
 from posfact.core import _curve_orbit, _nt_class
-from posfact.io import Document
 
 TWIN_FIELDS = {
     Surface: [("genus", int), ("boundary_count", int)],
@@ -84,7 +83,6 @@ TWIN_FIELDS = {
         ("boundary_exponents", tuple[int, ...]),
         ("orbit_exponents", tuple[int, ...]),
     ],
-    Document: [("payload", Union[NTClass, tuple[tuple[str, NTClass], ...]])],
     PosetRegion: [("dimension", int), ("corner", Optional[tuple[int, ...]])],
     MemberBox: [("ranges", tuple[range, ...])],
 }
@@ -159,14 +157,6 @@ CASES = {
         (PHI_RAW, (-1, 0), (0,)),
         (PHI, (-1, 0), (1,)),
         (PHI_TWO, (-1, 0), (0, 1)),
-    ],
-    Document: [
-        (PHI,),
-        (PHI_RAW,),
-        ((("a", PHI),),),
-        ((("a", PHI_RAW),),),
-        ((("a", PHI), ("b", PHI_TWO)),),
-        ((),),
     ],
     PosetRegion: [(2, (0, -1)), (2, (0, -1)), (2, None), (2, (1, -1)), (1, (0,))],
     MemberBox: [

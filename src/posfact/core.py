@@ -14,7 +14,17 @@ floating point is used anywhere in this package.  Fractions are what the
 types hold and what callers pass and receive; the computations in this
 package work on their numerators and denominators as integers instead
 (truncations through :func:`trunc_div`, sign tests on numerators), so a
-Fraction is built only where a new invariant value is stored.  Two
+Fraction is built only where a new invariant value is stored.  The hot
+paths (:func:`period_data`, the essential part, the uniqueness check and
+the predicates of :mod:`posfact.invariants`, the gates, plan and witness
+of :mod:`posfact.factorization`, and :func:`posfact.poset.known_region`)
+read those integers from the two slots that :func:`_fraction` writes,
+``_numerator`` and ``_denominator``, and each orbit's ``alpha`` and
+``beta`` from the fields stored when it is built, so no value costs a
+Python-level property call.  The slots and the properties agree because
+:func:`as_rational` stores only exact Fractions; ``Fraction``'s public
+properties and constructor stay the reference, which the tests' plain
+restatements use.  Two
 per-coordinate loops write the truncation inline, as ``-p // s if p < 0
 else -(p // s)`` for ``-trunc_div(p, s)``, to save a call per value:
 :func:`posfact.invariants.essential_part` and the uniqueness kernel's
@@ -95,13 +105,19 @@ RationalLike = Union[Fraction, int]
 
 
 def as_rational(value: RationalLike) -> Fraction:
-    """Coerce an int or Fraction to Fraction, rejecting floats.
+    """Coerce an int or Fraction to an exact ``Fraction``, rejecting floats.
 
+    A ``Fraction`` is returned as it is.  An int becomes the exact
+    ``Fraction`` of equal value, and so does an instance of a ``Fraction``
+    subclass, read through its public ``numerator`` and ``denominator``: a
+    subclass may override those, and the invariant layers read the slots.
     Floats are rejected rather than converted: all arithmetic in this
     package is exact.
     """
-    if isinstance(value, Fraction):
+    if value.__class__ is Fraction:
         return value
+    if isinstance(value, Fraction):
+        return Fraction(value.numerator, value.denominator)
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     raise TypeError(f"expected an exact rational (int or Fraction), got {value!r}")
@@ -209,6 +225,12 @@ class CurveOrbit(_Value):
     * ``beta``: the screw-number increment caused by one full twist around
       a curve of the orbit (1 if regular, 2 if amphidrome).
 
+    Both are stored when the orbit is built, by the rule that
+    :func:`_curve_orbit` states for the constructor and the builder alike,
+    so reading one is a plain attribute read.  They are read-only like the
+    fields, and are not fields: equality, hashing and ``repr`` do not see
+    them.
+
     A screw number of exactly 0 is permitted: a minimal curve system would
     drop such an orbit, but twist composition can produce it transiently.
     """
@@ -219,6 +241,8 @@ class CurveOrbit(_Value):
     kind: OrbitKind
     separating: bool
     screw: Fraction
+    alpha: int
+    beta: int
 
     def __init__(
         self, id: str, length: int, kind: OrbitKind, separating: bool, screw: Fraction
@@ -231,21 +255,8 @@ class CurveOrbit(_Value):
             raise ValueError(f"orbit kind must be an OrbitKind, got {kind!r}")
         if not isinstance(separating, bool):
             raise ValueError(f"orbit separating flag must be a bool, got {separating!r}")
-        screw = as_rational(screw)
-        fields = self.__dict__
-        fields["id"] = id
-        fields["length"] = length
-        fields["kind"] = kind
-        fields["separating"] = separating
-        fields["screw"] = screw
-
-    @property
-    def alpha(self) -> int:
-        return self.length if self.kind is _REGULAR else 2 * self.length
-
-    @property
-    def beta(self) -> int:
-        return 1 if self.kind is _REGULAR else 2
+        orbit = _curve_orbit(id, length, kind, separating, as_rational(screw))
+        self.__dict__.update(orbit.__dict__)
 
 
 class NTClass(_Value):
@@ -310,7 +321,12 @@ def _surface(genus: int, boundary_count: int) -> Surface:
 def _curve_orbit(
     orbit_id: str, length: int, kind: OrbitKind, separating: bool, screw: Fraction
 ) -> CurveOrbit:
-    """A :class:`CurveOrbit` of already-checked values, built without its checks."""
+    """A :class:`CurveOrbit` of already-checked values, built without its checks.
+
+    It stores ``alpha`` and ``beta`` too, and is the one statement of their
+    rule: ``(length, 1)`` for a regular orbit, ``(2 * length, 2)`` for an
+    amphidrome one.  The constructor takes every field from it.
+    """
     orbit = object.__new__(CurveOrbit)
     fields = orbit.__dict__
     fields["id"] = orbit_id
@@ -318,6 +334,12 @@ def _curve_orbit(
     fields["kind"] = kind
     fields["separating"] = separating
     fields["screw"] = screw
+    if kind is _REGULAR:
+        fields["alpha"] = length
+        fields["beta"] = 1
+    else:
+        fields["alpha"] = 2 * length
+        fields["beta"] = 2
     return orbit
 
 
@@ -446,10 +468,10 @@ def period_data(phi: NTClass) -> PeriodData:
     orbit_terms = []
     for orbit in phi.orbits:
         screw, alpha = orbit.screw, orbit.alpha
-        p = screw.numerator
+        p = screw._numerator
         g = math.gcd(p, alpha)
-        orbit_terms.append((p // g, screw.denominator * alpha // g))
-    fr_terms = [(x.numerator, x.denominator) for x in phi.fr]
+        orbit_terms.append((p // g, screw._denominator * alpha // g))
+    fr_terms = [(x._numerator, x._denominator) for x in phi.fr]
     n = math.lcm(*[d for _, d in fr_terms], *[d for _, d in orbit_terms])
     k_boundary = tuple([p * (n // d) for p, d in fr_terms])
     k_orbit = tuple([p * (n // d) for p, d in orbit_terms])

@@ -199,12 +199,12 @@ def criterion_k(genus: int, boundary_count: int) -> Union[int, Diagnostic]:
 
 def _screw_gate(phi: NTClass) -> list:
     """The screw sign gate: the orbits with screw <= 0."""
-    return [orbit for orbit in phi.orbits if orbit.screw.numerator <= 0]
+    return [orbit for orbit in phi.orbits if orbit.screw._numerator <= 0]
 
 
 def _sign_gates(phi: NTClass) -> tuple[list[int], list]:
     """The sign gates: the (1-based) boundaries with fr <= 0, and :func:`_screw_gate`."""
-    return [i + 1 for i, x in enumerate(phi.fr) if x.numerator <= 0], _screw_gate(phi)
+    return [i + 1 for i, x in enumerate(phi.fr) if x._numerator <= 0], _screw_gate(phi)
 
 
 def _fr_diagnostic(bad_fr: list[int]) -> Diagnostic:
@@ -237,7 +237,7 @@ def _correction_plan(phi: NTClass, fr_diagnostic: Optional[Diagnostic], to_corre
     sum_d = 0
     for orbit in to_correct:
         screw = orbit.screw
-        d = 1 - trunc_div(screw.numerator, orbit.beta * screw.denominator)
+        d = 1 - trunc_div(screw._numerator, orbit.beta * screw._denominator)
         corrections.append((orbit.id, d))
         sum_d += d
     return k, tuple(corrections), k * sum_d
@@ -336,9 +336,9 @@ def _criterion(phi: NTClass, fr_diagnostic: Optional[Diagnostic], to_correct: li
     # The least fr, by cross-multiplying: p/q < p0/q0 iff p*q0 < p0*q.  fr is
     # not empty, since k rejects r = 0, and a tie keeps the first, as min() does.
     min_fr = phi.fr[0]
-    p0, q0 = min_fr.numerator, min_fr.denominator
+    p0, q0 = min_fr._numerator, min_fr._denominator
     for x in phi.fr:
-        p, q = x.numerator, x.denominator
+        p, q = x._numerator, x._denominator
         if p * q0 < p0 * q:
             min_fr, p0, q0 = x, p, q
     if total * q0 >= p0:  # total >= min fr
@@ -351,13 +351,14 @@ def _criterion(phi: NTClass, fr_diagnostic: Optional[Diagnostic], to_correct: li
     # Each corrected value p/q + m is _fraction(p + m*q, q), stored without
     # re-normalizing: it is in lowest terms as gcd(p + m*q, q) = gcd(p, q) = 1,
     # and q >= 1.  The surface and the other orbits are reused.
-    fr = tuple(_fraction(x.numerator - total * x.denominator, x.denominator) for x in phi.fr)
+    fr = tuple(_fraction(x._numerator - total * x._denominator, x._denominator) for x in phi.fr)
     powers = dict(corrections)
     orbits = []
     for orbit in phi.orbits:
         d = powers.get(orbit.id)
         if d:
-            p, q = orbit.screw.numerator, orbit.screw.denominator
+            screw = orbit.screw
+            p, q = screw._numerator, screw._denominator
             orbit = _curve_orbit(
                 orbit.id, orbit.length, orbit.kind, orbit.separating, _fraction(p + orbit.beta * d * q, q)
             )

@@ -11,7 +11,10 @@ function decides it without scanning any candidate exponent.
 Every gate and exponent here is decided on the numerator p and denominator
 q of each invariant: |v| < beta is |p| < beta * q, v > 0 is p > 0, and the
 correcting exponent is -trunc(p / (beta * q)).  Each coordinate's integers
-and its beta are read once, and :func:`essential_part` and the kernel's
+and its beta are read once, where they are stored: p and q from the
+Fraction's ``_numerator`` and ``_denominator`` slots, beta from the
+orbit's stored field.  The predicates are plain loops that return at the
+first failing coordinate, and :func:`essential_part` and the kernel's
 ``scan_class`` truncate inline, as ``core``'s docstring says, with no
 helper call per value.  :func:`essential_part` does not take its exponents
 from the kernel: building the kernel's three argument lists and reading
@@ -50,10 +53,14 @@ __all__ = [
 
 def is_essential(phi: NTClass) -> bool:
     """True iff all |fr| < 1, regular |screw| < 1 and amphidrome |screw| < 2."""
-    return all(abs(x.numerator) < x.denominator for x in phi.fr) and all(
-        abs(orbit.screw.numerator) < orbit.beta * orbit.screw.denominator
-        for orbit in phi.orbits
-    )
+    for x in phi.fr:
+        if abs(x._numerator) >= x._denominator:
+            return False
+    for orbit in phi.orbits:
+        screw = orbit.screw
+        if abs(screw._numerator) >= orbit.beta * screw._denominator:
+            return False
+    return True
 
 
 class EssentialResult(_Value):
@@ -108,7 +115,7 @@ def essential_part(phi: NTClass) -> EssentialResult:
     boundary_exponents = []
     fr = []
     for x in phi.fr:
-        p, q = x.numerator, x.denominator
+        p, q = x._numerator, x._denominator
         e = -p // q if p < 0 else -(p // q)  # -trunc_div(p, q)
         boundary_exponents.append(e)
         fr.append(_fraction(p + e * q, q) if e else x)
@@ -116,7 +123,7 @@ def essential_part(phi: NTClass) -> EssentialResult:
     orbits = []
     for orbit in phi.orbits:
         screw = orbit.screw
-        p, q = screw.numerator, screw.denominator
+        p, q = screw._numerator, screw._denominator
         step = orbit.beta * q
         m = -p // step if p < 0 else -(p // step)  # -trunc_div(p, step)
         orbit_exponents.append(m)
@@ -161,13 +168,13 @@ def verify_essential_uniqueness(phi: NTClass, window: int = 3) -> bool:
     if window < 1:
         raise ValueError("window must be >= 1")
     fr = phi.fr
-    nums = [x.numerator for x in fr]
-    dens = [x.denominator for x in fr]
+    nums = [x._numerator for x in fr]
+    dens = [x._denominator for x in fr]
     betas = [1] * len(fr)
     for orbit in phi.orbits:
         screw = orbit.screw
-        nums.append(screw.numerator)
-        dens.append(screw.denominator)
+        nums.append(screw._numerator)
+        dens.append(screw._denominator)
         betas.append(orbit.beta)
     unique, _ = kernel.scan_class(nums, dens, betas, window)
     return unique
@@ -175,6 +182,10 @@ def verify_essential_uniqueness(phi: NTClass, window: int = 3) -> bool:
 
 def is_fully_right_veering(phi: NTClass) -> bool:
     """True iff every fractional Dehn twist coefficient and every screw number is > 0."""
-    return all(x.numerator > 0 for x in phi.fr) and all(
-        orbit.screw.numerator > 0 for orbit in phi.orbits
-    )
+    for x in phi.fr:
+        if x._numerator <= 0:
+            return False
+    for orbit in phi.orbits:
+        if orbit.screw._numerator <= 0:
+            return False
+    return True

@@ -141,7 +141,7 @@ def known_region(phi: NTClass) -> PosetRegion:
     total = _certified_total(phi)
     if total is None:
         return PosetRegion(r, None)
-    corner = tuple((total * x.denominator - x.numerator) // x.denominator + 1 for x in phi.fr)
+    corner = tuple((total * x._denominator - x._numerator) // x._denominator + 1 for x in phi.fr)
     return PosetRegion(r, corner)
 
 

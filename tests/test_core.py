@@ -20,14 +20,28 @@ from posfact import (
     OrbitKind,
     OrbitTwist,
     Surface,
+    classify,
     compose_twists,
+    essential_part,
     int_variant,
     period_data,
 )
-from posfact.core import _curve_orbit, _fraction
+from posfact.core import _curve_orbit, _fraction, as_rational
+from posfact.io import serialize
 from conftest import rand_ntclass
 
 rationals = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**6)
+
+
+class SkewedFraction(Fraction):
+    """A Fraction whose public numerator and text are not what its slots hold."""
+
+    @property
+    def numerator(self) -> int:
+        return self._numerator + self._denominator
+
+    def __str__(self) -> str:
+        return "skewed"
 
 
 def orbit(screw, kind=OrbitKind.REGULAR, length=1, separating=False, oid="O1"):
@@ -264,6 +278,26 @@ class TestValidation:
         assert phi.fr == (Fraction(2),) and phi.orbits[0].screw == Fraction(-3)
         assert type(phi.fr[0]) is Fraction and type(phi.orbits[0].screw) is Fraction
 
+    def test_fraction_subclass_is_stored_as_its_public_value(self):
+        # The invariant layers read the Fraction slots and io writes with the
+        # unbound Fraction.__str__, so a subclass must become the exact
+        # Fraction that its public numerator and denominator give.
+        fr, screw = SkewedFraction(1, 2), SkewedFraction(-5, 3)
+        assert (fr.numerator, fr.denominator, str(fr)) == (3, 2, "skewed")
+        regular = OrbitKind.REGULAR
+        phi = NTClass(Surface(1, 1), (fr,), (CurveOrbit("O1", 1, regular, False, screw),))
+        plain = NTClass(
+            Surface(1, 1), (Fraction(3, 2),), (CurveOrbit("O1", 1, regular, False, Fraction(-2, 3)),)
+        )
+        for value in (as_rational(fr), phi.fr[0], phi.orbits[0].screw):
+            assert type(value) is Fraction
+            assert (value._numerator, value._denominator) == (value.numerator, value.denominator)
+        assert phi == plain
+        assert period_data(phi) == period_data(plain)
+        assert essential_part(phi) == essential_part(plain)
+        assert classify(phi) == classify(plain)
+        assert serialize(phi) == serialize(plain)
+
     def test_float_screw_rejected(self):
         with pytest.raises(TypeError):
             CurveOrbit("O1", 1, OrbitKind.REGULAR, False, 0.5)
@@ -280,8 +314,8 @@ class TestValidation:
         assert (amphi.alpha, amphi.beta) == (6, 2)
 
     def test_alpha_beta_after_copies_and_by_value(self):
-        # alpha and beta test the kind by identity, so every route to a kind
-        # must give the member itself.
+        # alpha and beta are stored when an orbit is built, by an identity
+        # test on the kind, and a copy carries the stored values.
         for kind, expected in ((OrbitKind.REGULAR, (3, 1)), (OrbitKind.AMPHIDROME, (6, 2))):
             original = orbit(1, kind, length=3)
             copies = [pickle.loads(pickle.dumps(original, protocol)) for protocol in range(2, 6)]

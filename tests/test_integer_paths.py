@@ -8,11 +8,20 @@ with the package: only its value types are used, to build inputs and
 expected results.  The classes are seeded and include numerators of
 about 4,000 digits, zeros, integers, negative screws at exact multiples of
 beta and amphidrome orbits.
+
+The last two sections hold the ``alpha`` and ``beta`` that every builder
+stores on an orbit to the restatements, and guard with ``ast`` that the
+invariant layers' hot functions read the Fraction slots, not the
+properties, while the restatements and ``posfact.oracle`` read neither the
+slots nor ``core``'s private builders.
 """
 
 from __future__ import annotations
 
+import ast
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -21,6 +30,9 @@ import pytest
 import posfact.core
 import posfact.factorization
 import posfact.invariants
+import posfact.io
+import posfact.oracle
+import posfact.poset
 from posfact import (
     BoundaryTwist,
     CurveOrbit,
@@ -485,3 +497,117 @@ def test_known_region(classes):
             assert isinstance(ref_classify(ref_compose(phi, shift)), PositivelyFactorizable)
         seen.add("empty" if total is None else "direct" if total == 0 else "correction")
     assert seen == {"empty", "direct", "correction"}
+
+
+# --- stored alpha and beta ---------------------------------------------------
+
+
+def built_orbits(phi: NTClass, rng: random.Random) -> dict[str, list[CurveOrbit]]:
+    """``phi``'s orbits as each builder gives them: the constructor, io, and the derived classes."""
+    result = criterion(phi)
+    twists = [OrbitTwist(o.id, rng.randint(1, 3)) for o in phi.orbits]
+    return {
+        "constructor": list(phi.orbits),
+        "io": list(posfact.io.parse(posfact.io.serialize(phi)).orbits),
+        "essential_part": list(essential_part(phi).essential.orbits),
+        "witness": list(result.witness.corrected.orbits) if isinstance(result, Sufficient) else [],
+        "compose_twists": list(compose_twists(phi, twists).orbits),
+        "copy": [c(o) for o in phi.orbits for c in (copy.copy, copy.deepcopy)],
+        "pickle": [
+            pickle.loads(pickle.dumps(o, protocol))
+            for o in phi.orbits
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+        ],
+    }
+
+
+def test_stored_alpha_and_beta_from_every_builder(classes):
+    rng = random.Random(34)
+    kinds: dict[str, set] = {}
+    for phi in witness_edge_classes() + classes:
+        for builder, orbits in built_orbits(phi, rng).items():
+            for orbit in orbits:
+                assert (orbit.alpha, orbit.beta) == (ref_alpha(orbit), ref_beta(orbit)), builder
+                kinds.setdefault(builder, set()).add(orbit.kind)
+    # Every builder gave orbits of both kinds.
+    assert len(kinds) == 7 and all(len(seen) == 2 for seen in kinds.values())
+
+
+@pytest.mark.parametrize("kind", list(OrbitKind), ids=lambda kind: kind.value)
+def test_stored_alpha_and_beta_are_read_only_and_not_fields(kind):
+    fields = ("O1", 3, kind, False, Fraction(-7, 2))
+    orbit = CurveOrbit(*fields)
+    assert (orbit.alpha, orbit.beta) == (ref_alpha(orbit), ref_beta(orbit))
+    for name in ("alpha", "beta"):
+        with pytest.raises(AttributeError):
+            setattr(orbit, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(orbit, name)
+    assert (orbit.alpha, orbit.beta) == (ref_alpha(orbit), ref_beta(orbit))
+    assert CurveOrbit.__match_args__ == ("id", "length", "kind", "separating", "screw")
+    assert repr(orbit) == (
+        f"CurveOrbit(id='O1', length=3, kind={kind!r}, separating=False, "
+        "screw=Fraction(-7, 2))"
+    )
+    assert hash(orbit) == hash(fields)
+    assert orbit == posfact.core._curve_orbit(*fields)
+
+
+# --- guards ------------------------------------------------------------------
+
+# The functions on the invariants path that read every value where it is
+# stored: a Fraction's two slots, not its numerator and denominator properties.
+HOT_FUNCTIONS = [
+    (posfact.core, "period_data"),
+    (posfact.invariants, "essential_part"),
+    (posfact.invariants, "verify_essential_uniqueness"),
+    (posfact.invariants, "is_essential"),
+    (posfact.invariants, "is_fully_right_veering"),
+    (posfact.factorization, "_screw_gate"),
+    (posfact.factorization, "_sign_gates"),
+    (posfact.factorization, "_correction_plan"),
+    (posfact.factorization, "_criterion"),
+    (posfact.poset, "known_region"),
+]
+
+# What the oracle and the restatements must not share with the fast path.
+FAST_PATH_NAMES = {"_numerator", "_denominator", "_fraction", "_surface", "_curve_orbit", "_nt_class"}
+
+
+def functions_of(path: str) -> dict[str, ast.FunctionDef]:
+    with open(path, encoding="utf-8") as handle:
+        tree = ast.parse(handle.read())
+    return {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+
+
+def names_in(node: ast.AST) -> set[str]:
+    """Every attribute, variable and imported name that ``node`` reads."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.alias):
+            names.add(sub.name)
+    return names
+
+
+@pytest.mark.parametrize(
+    "module, name", HOT_FUNCTIONS, ids=[name for _, name in HOT_FUNCTIONS]
+)
+def test_hot_function_reads_the_fraction_slots(module, name):
+    names = names_in(functions_of(module.__file__)[name])
+    assert not names & {"numerator", "denominator"}
+    assert "_numerator" in names
+
+
+def test_oracle_and_restatements_share_no_fast_path_code():
+    with open(posfact.oracle.__file__, encoding="utf-8") as handle:
+        assert not names_in(ast.parse(handle.read())) & FAST_PATH_NAMES
+    restatements = {
+        name: node for name, node in functions_of(__file__).items() if name.startswith("ref_")
+    }
+    assert len(restatements) >= 10
+    for node in restatements.values():
+        assert not names_in(node) & FAST_PATH_NAMES, node.name

@@ -109,9 +109,9 @@ UTF-8 can encode, and the ids distinct.  Rationals are built by ``core``'s
 private builder ``_fraction``, which stores a numerator and a denominator
 already in lowest terms without the checks and the ``gcd`` of
 ``Fraction``'s own constructor.  A bare JSON integer rational becomes
-``_fraction(n, 1)``.  A new rational text goes to ``_read_text``, which
-splits it by one regex match into ints p and q, raises
-``ZeroDivisionError`` on a zero q (the test is explicit, since
+``_fraction(n, 1)``.  A rational text not yet in the table (below) goes
+to ``_read_text``, which splits it by one regex match into ints p and q,
+raises ``ZeroDivisionError`` on a zero q (the test is explicit, since
 gcd(±1, 0) is 1 and would let ``"1/0"`` through), and divides both by
 g = gcd(p, q) only when g is not 1.  So the frame accepts every valid
 class.  It raises ``KeyError``, ``TypeError``, ``ValueError``,
@@ -130,15 +130,30 @@ first failing field is named with its path.  A class's rules that join two
 fields stay as plain code around the walk: its ``fr`` count is checked
 before its orbits are read, and its orbit ids are checked to be distinct
 after.  The frame accepts exactly what the explaining path accepts, with
-equal values, and the tests hold it to that path as its oracle.  Each
-distinct rational text is parsed once per document: :func:`parse` keeps one
-table from a ``"p/q"`` string to its ``Fraction`` for the ``fr`` items and
-screw numbers of all its classes, shared by both paths.  Only strings are
-kept (the JSON ``true`` would equal the integer 1 as a key), and only after
-they parse, so a malformed text fails, with its own path, wherever it
-occurs first.  Once ``io``'s own checks have passed, values are built
-through ``core``'s private builders, which do not run the public
-constructors' checks a second time.
+equal values, and the tests hold it to that path as its oracle.
+
+Each distinct rational text is parsed once per process: the frame reads
+and fills one table, ``_TEXTS``, from a ``"p/q"`` string to its
+``Fraction``, kept across :func:`parse` calls.  A text recurs across
+documents (a posbench pool holds a few hundred distinct ones), and a
+``Fraction`` is immutable, so the classes of different documents may share
+one value object.  Only strings are kept (the JSON ``true`` would equal the
+integer 1 as a key), and only after they parse, so a malformed text fails,
+with its own path, wherever it occurs.  Only texts of at most
+``sys.int_info.str_digits_check_threshold`` (640) characters are kept;
+every int in one converts under any digit limit the interpreter allows, so
+a later ``sys.set_int_max_str_digits`` cannot make a kept text accept what
+a fresh parse rejects.  A longer text is parsed where it occurs.  The table
+is bounded: at the end of each :func:`parse` call it is emptied if it holds
+more than ``_TEXTS_CAP`` (4096) texts, so within one document every
+distinct short text is still parsed once.  Concurrent callers share the
+dict; each dict operation is atomic, so two threads may at worst each
+store an equal value under one text, and emptying the table under another
+caller only makes it parse its next texts again.  The explaining path,
+and :func:`parse_report`, keep a table for one call only, so a value they
+build is never one the frame built.  Once ``io``'s own checks have passed,
+values are built through ``core``'s private builders, which do not run the
+public constructors' checks a second time.
 
 Reports emitted by the CLI use the same conventions under an envelope
 ``{"version": "1", "report": "<kind>", ...}``; :func:`parse_report`
@@ -147,7 +162,9 @@ first, which names the report's shape in ``_REPORTS``.  An entry is read as
 its name and status, then an error entry's ``error`` or an "ok" entry's
 fields (``_PAYLOADS``), and a ``poset`` entry's mode names the rest
 (``_POSET_MODES``); an entry may hold no field of another status or mode.
-An ``ltable`` result carries a value only with the ``exact`` tag.  The
+An ``invariants`` entry's screw has ``beta`` 1 for a regular orbit and 2
+for an amphidrome one, and an ``alpha`` that ``beta`` divides.  An
+``ltable`` result carries a value only with the ``exact`` tag.  The
 tests hold each writer's keys, in order, to its shape.
 """
 
@@ -546,7 +563,7 @@ def _read_class(obj: Any, size: int, rationals: dict) -> NTClass:
             if text.__class__ is int:
                 x = _fraction(text, 1)
             else:
-                x = rationals[text] = _read_text(text)
+                x = _read_text(text, rationals)
         fr.append(x)
     orbits = []
     ids = set()
@@ -569,17 +586,19 @@ def _read_class(obj: Any, size: int, rationals: dict) -> NTClass:
             if text.__class__ is int:
                 screw = _fraction(text, 1)
             else:
-                screw = rationals[text] = _read_text(text)
+                screw = _read_text(text, rationals)
         ids.add(orbit_id)
         orbits.append(_curve_orbit(orbit_id, length, kind, separating, screw))
     return _nt_class(_surface(genus, boundary), tuple(fr), tuple(orbits))
 
 
-def _read_text(text: str) -> Fraction:
+def _read_text(text: str, rationals: dict) -> Fraction:
     """The rational of a new ``"p/q"`` text, reduced by one ``gcd`` and built by ``_fraction``.
 
-    Raises as :func:`_read_class` does.  The zero test is explicit, since
-    gcd(±1, 0) is 1 and would let ``"1/0"`` and ``"-1/0"`` through.
+    It is kept in ``rationals`` under ``text`` when the text is at most
+    ``_TEXT_MAX`` characters long.  Raises as :func:`_read_class` does.  The
+    zero test is explicit, since gcd(±1, 0) is 1 and would let ``"1/0"`` and
+    ``"-1/0"`` through.
     """
     p, q = _RATIONAL_PARTS(text).groups("1")
     p, q = int(p), int(q)
@@ -589,7 +608,18 @@ def _read_text(text: str) -> Fraction:
     if g != 1:
         p //= g
         q //= g
-    return _fraction(p, q)
+    x = _fraction(p, q)
+    if len(text) <= _TEXT_MAX:
+        rationals[text] = x
+    return x
+
+
+# The parse frame's table from a rational text to its Fraction, kept across
+# parse calls; the longest text it keeps, and the most texts it holds between
+# calls (about five posbench pools).  See the module docstring.
+_TEXTS: dict[str, Fraction] = {}
+_TEXT_MAX = sys.int_info.str_digits_check_threshold
+_TEXTS_CAP = 4096
 
 
 # What _read_item and _read_class raise for an object they do not accept.
@@ -621,26 +651,30 @@ def parse(data: Union[bytes, str]) -> Union[NTClass, tuple[tuple[str, NTClass], 
     root = _load_json(data)
     if not isinstance(root, dict):
         raise ParseError(f"expected a top-level object, got {type(root).__name__}", "$")
-    rationals: dict[str, Fraction] = {}
-    if "batch" in root:
-        _, batch = _read(root, _BATCH, "$", rationals)
-        batch_path = ("$", "batch")
-        entries = []
-        for i, item in enumerate(batch):
-            try:
-                entries.append(_read_item(item, rationals))
-                continue
-            except _NOT_READ:
-                pass  # read it again outside the handler, so its ParseError has no context
-            entries.append(_item_from_json(item, (batch_path, i), rationals))
-        return tuple(entries)
-    obj = _require_object(root, _SINGLE.keys(), "$")
-    next(_fields(obj, _SINGLE, "$", rationals))  # the version alone; the class is read below
+    rationals: dict[str, Fraction] = {}  # the explaining path's table, for this call alone
     try:
-        return _read_class(obj, 4, rationals)
-    except _NOT_READ:
-        pass  # as for a batch item
-    return _class_fields(obj, "$", rationals)
+        if "batch" in root:
+            _, batch = _read(root, _BATCH, "$", rationals)
+            batch_path = ("$", "batch")
+            entries = []
+            for i, item in enumerate(batch):
+                try:
+                    entries.append(_read_item(item, _TEXTS))
+                    continue
+                except _NOT_READ:
+                    pass  # read it again outside the handler, so its ParseError has no context
+                entries.append(_item_from_json(item, (batch_path, i), rationals))
+            return tuple(entries)
+        obj = _require_object(root, _SINGLE.keys(), "$")
+        next(_fields(obj, _SINGLE, "$", rationals))  # the version alone; the class is read below
+        try:
+            return _read_class(obj, 4, _TEXTS)
+        except _NOT_READ:
+            pass  # as for a batch item
+        return _class_fields(obj, "$", rationals)
+    finally:
+        if len(_TEXTS) > _TEXTS_CAP:
+            _TEXTS.clear()
 
 
 def class_to_json(phi: NTClass) -> dict:
@@ -1103,6 +1137,24 @@ _WITNESS = {
 }
 _MAYBE_WITNESS = _Optional(_nullable(_object(_WITNESS)))
 _SCREW = {"id": _str, "kind": _orbit_kind, "alpha": _int(1), "beta": _int(1), "screw": _rational}
+# The beta of each orbit kind, as core._curve_orbit, the one statement of the rule, gives it.
+_BETAS = {kind: _curve_orbit("", 1, kind, False, _fraction(0, 1)).beta for kind in OrbitKind}
+
+
+def _screw(value: Any, path: Any, key: Any, rationals: dict) -> tuple:
+    """An invariants entry's screw: ``beta`` is 1 for a regular orbit and 2 for an amphidrome
+    one, and ``alpha`` is ``beta`` times the orbit's length, a multiple of ``beta``.  Both rules
+    are checked after every field is read."""
+    screw_path = (path, key)
+    fields = _read(value, _SCREW, screw_path, rationals)
+    _, kind, alpha, beta, _ = fields
+    if beta != _BETAS[kind]:
+        raise ParseError(
+            f"beta must be {_BETAS[kind]} when kind is {kind.value!r}, got {beta}", _path(screw_path, "beta")
+        )
+    if alpha % beta:
+        raise ParseError(f"alpha must be a multiple of beta {beta}, got {alpha}", _path(screw_path, "alpha"))
+    return fields
 
 # A poset entry's fields after its mode and dimension, by its mode.
 _POSET_MODES = {
@@ -1118,7 +1170,7 @@ _PAYLOADS = {
     },
     "invariants": {
         "fr": _list_of(_rational),
-        "screws": _list_of(_object(_SCREW)),
+        "screws": _list_of(_screw),
         "period": _object({"n": _int(1), "k_boundary": _INTS, "k_orbit": _INTS}),
         "essential": _bool,
         "fully_right_veering": _bool,

@@ -5,10 +5,14 @@ from __future__ import annotations
 import copy
 import json
 import math
+import os
 import random
+import subprocess
 import sys
+import threading
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -1327,8 +1331,133 @@ def apply_edits(doc, edits) -> object:
     return doc
 
 
+# A fresh interpreter's parse of the document on stdin: its ParseError's path and text.
+FRESH_PARSE = """\
+import sys
+from posfact import io
+try:
+    io.parse(sys.stdin.read())
+except io.ParseError as exc:
+    print(exc.path)
+    print(exc)
+"""
+
+
+def rationals_of(doc) -> list:
+    """Every fr item and screw number of a parsed document, in order."""
+    return [x for _, phi in entries_of(doc) for x in (*phi.fr, *(orbit.screw for orbit in phi.orbits))]
+
+
 class TestRationalTable:
-    """Each distinct rational text is parsed once per document."""
+    """The parse frame's table: each distinct rational text of at most 640 characters is parsed
+    once per process, and the table is emptied when a parse leaves it over its cap."""
+
+    @pytest.fixture(autouse=True)
+    def empty_table(self, monkeypatch):
+        monkeypatch.setattr(docio, "_TEXTS", {})
+
+    @needs_digit_limit
+    def test_long_texts_are_parsed_where_they_occur(self):
+        """A text over the length bound is not kept, so a lower digit limit rejects it again."""
+        digits = "7" * 5000
+        text = json.dumps(edited_document("batch", [(("batch", 1, "class", "fr", 0), f"{digits}/3")]))
+        src = str(Path(docio.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONINTMAXSTRDIGITS": "4300"}
+        fresh = subprocess.run(
+            [sys.executable, "-c", FRESH_PARSE], input=text, env=env, capture_output=True, text=True,
+            check=True, timeout=60,
+        )
+        limit = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(0)
+            assert docio.parse(text)[1][1].fr[0] == Fraction(int(digits), 3)
+            sys.set_int_max_str_digits(4300)
+            with pytest.raises(docio.ParseError) as exc:
+                docio.parse(text)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert f"{exc.value.path}\n{exc.value}\n" == fresh.stdout
+        assert str(exc.value) == "$.batch[1].class.fr[0]: integer longer than the limit of 4300 digits"
+        assert sorted(docio._TEXTS) == ["-3", "1/2", "1/3", "5/3"]  # the document's short texts
+
+    def test_cap(self):
+        """A document of more distinct texts than the cap parses each once, and leaves the table
+        empty; the next document's values are right."""
+        cap = docio._TEXTS_CAP
+        texts = [f"{i}/6" for i in range(-1, cap)]
+        doc = {"version": "1", "surface": {"genus": 1, "boundary": 2 * len(texts)}, "fr": texts * 2, "orbits": []}
+        with mock.patch.object(docio, "_read_text", wraps=docio._read_text) as reader:
+            phi = docio.parse(json.dumps(doc))
+        assert reader.call_count == len(texts) == cap + 1
+        assert phi.fr == tuple(map(Fraction, texts * 2))
+        assert len(docio._TEXTS) <= cap
+        batch = edited_document("batch", [(("batch", 0, "class", "fr", 1), "3/6")])
+        assert rationals_of(docio.parse(json.dumps(batch))) == [
+            Fraction(5, 3), Fraction(1, 2), Fraction(1, 2), Fraction(-3),
+            Fraction(5, 3), Fraction(1, 3), Fraction(1, 2), Fraction(-3),
+        ]
+        assert len(docio._TEXTS) == 5
+
+    def test_documents_share_values(self):
+        """Two documents that share a text read one exact Fraction, the table's."""
+        first = docio.parse(json.dumps(edited_document("single", [])))
+        (_, second), _ = docio.parse(json.dumps(edited_document("batch", [])))
+        for x, y in zip(rationals_of(first), rationals_of(second)):
+            assert x.__class__ is Fraction and y.__class__ is Fraction
+            assert x == y and x is y
+        assert rationals_of(first) == [Fraction(5, 3), Fraction(1, 3), Fraction(1, 2), Fraction(-3)]
+
+    def test_explaining_path_builds_its_own_values(self):
+        """The oracle never reads the frame's table or calls its reader, and parse_report keeps
+        its own table too."""
+        text = json.dumps(edited_document("batch", []))
+        docio.parse(text)
+        table = dict(docio._TEXTS)
+        assert sorted(table) == ["-3", "1/2", "1/3", "5/3"]
+        with mock.patch.object(docio, "_read_text", side_effect=AssertionError("the frame's reader")) as reader:
+            doc, _ = explained(text)
+            docio.parse_report(json.dumps(REPORT_BASES["invariants"]))
+        assert not reader.called
+        assert rationals_of(doc) == rationals_of(docio.parse(text))
+        assert not any(x is y for x in rationals_of(doc) for y in table.values())
+        assert docio._TEXTS == table
+
+    def test_threads_share_the_table(self, monkeypatch):
+        """Threads parsing at once, with the table emptied under them, all read right values."""
+        monkeypatch.setattr(docio, "_TEXTS_CAP", 8)
+        rng = random.Random(35)
+        pool = [f"{p}/{q}" for p in range(-6, 7) for q in (1, 2, 3, 4)]
+        texts = [[rng.choice(pool) for _ in range(6)] for _ in range(40)]
+        docs = [
+            (json.dumps({"version": "1", "surface": {"genus": 1, "boundary": 6}, "fr": fr, "orbits": []}),
+             tuple(map(Fraction, fr)))
+            for fr in texts
+        ]
+        failures = []
+
+        def work(offset: int) -> None:
+            try:
+                for i in range(len(docs)):
+                    text, expected = docs[(i + offset) % len(docs)]
+                    fr = docio.parse(text).fr
+                    if fr != expected or any(x.__class__ is not Fraction for x in fr):
+                        failures.append(text)
+            except Exception as exc:  # noqa: BLE001  (reported by the assertion below)
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k * 10,)) for k in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not failures
+        assert len(docio._TEXTS) <= 8
 
     def test_repeated_texts_keep_their_values(self):
         doc = edited_document("batch", [
@@ -1920,6 +2049,13 @@ MALFORMED_REPORTS = [
      "$.entries[0].screws[0]: missing required field 'screw'"),
     ("screw-screw-value", "invariants", [((*E0, "screws", 0, "screw"), "1/0")],
      "$.entries[0].screws[0].screw: zero denominator in rational '1/0'"),
+    # The screw's rule joining kind, alpha and beta, checked after its fields.
+    ("screw-beta-of-regular", "invariants", [((*E0, "screws", 0, "kind"), "regular")],
+     "$.entries[0].screws[0].beta: beta must be 1 when kind is 'regular', got 2"),
+    ("screw-beta-of-amphidrome", "invariants", [((*E0, "screws", 0, "beta"), 1)],
+     "$.entries[0].screws[0].beta: beta must be 2 when kind is 'amphidrome', got 1"),
+    ("screw-alpha-multiple", "invariants", [((*E0, "screws", 0, "alpha"), 3)],
+     "$.entries[0].screws[0].alpha: alpha must be a multiple of beta 2, got 3"),
     ("period-type", "invariants", [((*E0, "period"), [])],
      "$.entries[0].period: expected an object, got list"),
     ("period-unknown-field", "invariants", [((*E0, "period", "x"), 1)],

@@ -63,11 +63,16 @@ def label(rev: str | None = None) -> dict:
     return {"rev": git("rev-parse", "HEAD").decode().strip(), "dirty": bool(git("status", "--porcelain").strip())}
 
 
-def import_base(rev: str, directory: str):
-    """``cli.main`` of ``rev``'s ``src/posfact``, unpacked into ``directory`` as ``posfact_base``."""
+def unpack(rev: str, directory: str) -> str:
+    """The ``src/`` directory of ``rev``'s ``src/posfact``, unpacked under ``directory``."""
     archive = git("archive", "--format=zip", rev, "src/posfact")
     zipfile.ZipFile(io.BytesIO(archive)).extractall(directory)
-    os.rename(os.path.join(directory, "src", "posfact"), os.path.join(directory, BASE_PACKAGE))
+    return os.path.join(directory, "src")
+
+
+def import_base(rev: str, directory: str):
+    """``cli.main`` of ``rev``'s ``src/posfact``, unpacked into ``directory`` as ``posfact_base``."""
+    os.rename(os.path.join(unpack(rev, directory), "posfact"), os.path.join(directory, BASE_PACKAGE))
     sys.path.insert(0, directory)
     return importlib.import_module(f"{BASE_PACKAGE}.cli").main
 

@@ -143,7 +143,9 @@ with its own path, wherever it occurs.  Only texts of at most
 ``sys.int_info.str_digits_check_threshold`` (640) characters are kept;
 every int in one converts under any digit limit the interpreter allows, so
 a later ``sys.set_int_max_str_digits`` cannot make a kept text accept what
-a fresh parse rejects.  A longer text is parsed where it occurs.  The table
+a fresh parse rejects.  An interpreter without a digit limit (before
+3.10.7) has no such threshold, and the bound is 640 there too.  A longer
+text is parsed where it occurs.  The table
 is bounded: at the end of each :func:`parse` call it is emptied if it holds
 more than ``_TEXTS_CAP`` (4096) texts, so within one document every
 distinct short text is still parsed once.  Concurrent callers share the
@@ -616,9 +618,11 @@ def _read_text(text: str, rationals: dict) -> Fraction:
 
 # The parse frame's table from a rational text to its Fraction, kept across
 # parse calls; the longest text it keeps, and the most texts it holds between
-# calls (about five posbench pools).  See the module docstring.
+# calls (about five posbench pools).  See the module docstring.  An
+# interpreter before 3.10.7 has no digit limit, so any length is safe to keep
+# there, and 640 (the threshold where there is one) bounds the table alike.
 _TEXTS: dict[str, Fraction] = {}
-_TEXT_MAX = sys.int_info.str_digits_check_threshold
+_TEXT_MAX = getattr(sys.int_info, "str_digits_check_threshold", 640)
 _TEXTS_CAP = 4096
 
 

@@ -19,6 +19,7 @@ import pytest
 from hypothesis.internal.charmap import intervals_from_codec
 
 from posfact import BoundaryTwist, NTClass, PositivelyFactorizable, classify, compose_twists
+from posfact import io as docio
 
 # posbench's mirror test loads this file by its path, with this directory not on sys.path.
 _HERE = os.path.dirname(os.path.abspath(__file__))
@@ -65,6 +66,16 @@ def utf8_characters() -> None:
     check of the test that happens to draw first.
     """
     intervals_from_codec("utf-8")
+
+
+@pytest.fixture(autouse=True)
+def empty_text_table(monkeypatch):
+    """Start every test with an empty table of ``io.parse``'s rational texts.
+
+    The table lives for the process, so without this whether a test's
+    ``parse`` reads a text afresh would depend on which tests ran before it.
+    """
+    monkeypatch.setattr(docio, "_TEXTS", {})
 
 
 @pytest.fixture(autouse=True)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import importlib.util
 import json
 import math
+import os
 import subprocess
 from pathlib import Path
 
@@ -37,10 +38,8 @@ def _in_git_checkout() -> bool:
         [],
         ["--base", "HEAD", "--runs", "4"],
         ["--base", "HEAD", "--runs", "x"],
-        ["--base", "HEAD", "--entries", "0"],
-        ["--base", "HEAD", "--seed", "1.5"],
     ],
-    ids=["no-base", "four-runs", "runs-not-int", "zero-entries", "seed-not-int"],
+    ids=["no-base", "four-runs", "runs-not-int"],
 )
 def test_argument_errors(argv, capsys):
     with pytest.raises(SystemExit) as exit_info:
@@ -62,10 +61,13 @@ def test_head_prints_equal_bytes():
     assert result["base"]["rev"] == head and result["base"]["dirty"] is False
     assert result["head"]["rev"] == head and isinstance(result["head"]["dirty"], bool)
     assert result["bytes_equal"] and fixedwork.ok(result)
+    figures = ["cpu_s"]
+    if os.path.exists("/proc/self/status"):  # elsewhere (not Linux) peak RSS reads NaN
+        figures.append("peak_rss_mib")
     for side in ("base", "head"):
         assert result[side]["exit_codes"] == [0, 0]
         assert len(result[side]["stdout_sha256"]) == 1
-        for figure in ("cpu_s", "peak_rss_mib"):
+        for figure in figures:
             values = result[side][figure]
             assert len(values["runs"]) == 2 and all(0 < v < math.inf for v in values["runs"])
             assert values["q1"] <= values["median"] <= values["q3"]

@@ -1350,11 +1350,8 @@ def rationals_of(doc) -> list:
 
 class TestRationalTable:
     """The parse frame's table: each distinct rational text of at most 640 characters is parsed
-    once per process, and the table is emptied when a parse leaves it over its cap."""
-
-    @pytest.fixture(autouse=True)
-    def empty_table(self, monkeypatch):
-        monkeypatch.setattr(docio, "_TEXTS", {})
+    once per process, and the table is emptied when a parse leaves it over its cap.  Each test
+    starts with an empty table (``conftest.empty_text_table``)."""
 
     @needs_digit_limit
     def test_long_texts_are_parsed_where_they_occur(self):

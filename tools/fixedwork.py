@@ -1,14 +1,14 @@
 #!/usr/bin/env python3
 """Fixed-work figure: CPU seconds and peak RSS of one fresh-process classify run, against another revision.
 
-    python3 tools/fixedwork.py --base REV [--runs 5] [--entries 20000] [--seed 20000]
+    python3 tools/fixedwork.py --base REV [--runs 5]
 
 Run from anywhere; paths are taken from this file's checkout.  The input
-is one batch document of ``--entries`` classes, built by posbench's
-``docgen.certify_batches`` from ``random.Random(--seed)`` (what the
+is one batch document of ``ENTRIES`` (20,000) classes, built by posbench's
+``docgen.certify_batches`` from ``random.Random(SEED)`` (what the
 certify-batch workload draws from), into a temporary directory; nothing
-under ``posbench/`` is written.  The defaults give the 20,000-entry
-document whose structured classify output has sha256 ``9275b507…``.
+under ``posbench/`` is written.  Its structured classify output has
+sha256 ``9275b507…``.
 
 A *run* is one fresh interpreter doing what the ``posfact`` console script
 does, ``posfact classify DOC --format structured``, with ``PYTHONPATH`` set
@@ -51,13 +51,19 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from ab import ROOT, label, unpack  # noqa: E402  (ab puts posbench/ on sys.path)
 import docgen  # noqa: E402
 
+# The document's class count and the seed of its classes.
+ENTRIES = 20000
+SEED = 20000
+
 # What the posfact console script runs, with the command line after "-c",
-# then the process's own peak RSS (Linux) as the last line of stderr.
+# then the process's own peak RSS as the last line of stderr where
+# /proc/self/status has it (Linux).
 CHILD = """\
-import sys
+import os, sys
 from posfact.cli import main
 code = main()
-sys.stderr.write(next(line for line in open("/proc/self/status") if line.startswith("VmHWM:")))
+if os.path.exists("/proc/self/status"):
+    sys.stderr.write(next(line for line in open("/proc/self/status") if line.startswith("VmHWM:")))
 sys.exit(code)
 """
 
@@ -112,7 +118,7 @@ def compare(base_src: str, head_src: str, document: str, directory: str, runs: i
     return result
 
 
-def fixed_work(rev: str, runs: int, entries: int, seed: int) -> dict:
+def fixed_work(rev: str, runs: int, entries: int = ENTRIES, seed: int = SEED) -> dict:
     """Compare ``rev``'s tree with this checkout's on the seeded certify document; ``runs`` >= 2."""
     result = {"entries": entries, "seed": seed, "runs": runs}
     labels = {"base": label(rev), "head": label()}
@@ -161,11 +167,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="git revision of the base tree")
     parser.add_argument("--runs", type=_at_least(5), default=5, help="alternating rounds, each one run per tree")
-    parser.add_argument("--entries", type=_at_least(1), default=20000, help="classes in the document")
-    parser.add_argument("--seed", type=int, default=20000, help="seed of the document's classes")
     args = parser.parse_args(argv)
     try:
-        result = fixed_work(args.base, args.runs, args.entries, args.seed)
+        result = fixed_work(args.base, args.runs)
     except subprocess.CalledProcessError as exc:
         print(f"fixedwork: {' '.join(exc.cmd)} failed: {exc.stderr.decode(errors='replace').strip()}", file=sys.stderr)
         return 2
